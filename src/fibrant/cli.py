@@ -25,6 +25,38 @@ from .weierstrass import (
 )
 
 
+class InputError(ValueError):
+    """A command-line value outside the documented domain (exit 2)."""
+
+
+# Options that take an exact rational, which may be negative.
+_RATIONAL_OPTIONS = ("--alpha", "--m", "--h3", "--h4", "--a")
+
+
+def _attach_negative_values(argv: list) -> list:
+    """Join a rational option and a negative value: ``--m -1/2`` -> ``--m=-1/2``.
+
+    argparse reads any token that starts with "-" as an option unless it
+    looks like a negative integer or decimal, so "-1/2" would be taken
+    for an option and the option would lack its value.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def _checked(build, *values):
+    """``build(*values)`` for values given by the user; a ValueError is rejected input."""
+    try:
+        return build(*values)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -38,6 +70,8 @@ def _budget() -> int:
         from .blowup import DEFAULT_BLOWUP_BUDGET
 
         return DEFAULT_BLOWUP_BUDGET
+    if not value.strip().isdecimal():
+        raise InputError(f"FIBRANT_BLOWUP_BUDGET must be a non-negative integer, got {value!r}")
     return int(value)
 
 
@@ -98,7 +132,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_classify_triple(args) -> int:
-    triple = OrderTriple(args.L, args.K, args.N)
+    triple = _checked(OrderTriple, args.L, args.K, args.N)
     reduced = reduce_triple_mod(triple)
     ktype = kodaira_classify(reduced)
     _emit(
@@ -114,7 +148,7 @@ def cmd_classify_triple(args) -> int:
 def cmd_collide(args) -> int:
     from .miranda import collide
 
-    fiber = collide(KodairaType(args.type1), KodairaType(args.type2))
+    fiber = collide(_checked(KodairaType, args.type1), _checked(KodairaType, args.type2))
     _emit({"collision": fiber.to_json()})
     return 0
 
@@ -183,7 +217,7 @@ def cmd_bracket_check(args) -> int:
         lie_poisson_bracket,
     )
 
-    params = TopParams(m=args.m)
+    params = _checked(TopParams, args.m)
     integrals = first_integrals(params)
     names = ["H1", "H2", "H3", "H4"]
     brackets = {}
@@ -212,12 +246,14 @@ def cmd_bracket_check(args) -> int:
 
 def cmd_sample_fiber(args) -> int:
     from .lagrange import (
+        TopParams,
         integral_residuals,
         quotient_cubic_residual,
         sample_fiber_point,
         shifted_weierstrass_residual,
     )
 
+    _checked(TopParams, args.m, args.a)
     points = []
     for i in range(args.count):
         point = sample_fiber_point(
@@ -262,6 +298,8 @@ def cmd_monodromy(args) -> int:
         solve_node_relation,
     )
 
+    if args.bound < 0:
+        raise InputError(f"--bound must be non-negative, got {args.bound}")
     node = solve_node_relation(T, args.bound)
     cusp = solve_cusp_relation(T, args.bound, distinct=True)
     normal_forms = sorted({str(normalize_pair(b).to_json()) for b in cusp})
@@ -331,10 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (GenericityError,) as exc:
+    except (GenericityError, InputError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 2
     except (NotAnalyzableError, ValueError) as exc:

@@ -24,6 +24,7 @@ The text format round-trips bit-exactly, e.g.::
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -273,8 +274,6 @@ class MultiPoly:
                 if e:
                     term = term * v**e
             total = total + term
-        if not exact and isinstance(total, complex) and total.imag == 0:
-            return total
         return total
 
     # -- univariate views ---------------------------------------------------
@@ -416,14 +415,6 @@ def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
             else:
                 remaining[target] = new
     return MultiPoly(names, quotient)
-
-
-def divides(q: MultiPoly, p: MultiPoly) -> bool:
-    try:
-        exact_divide(p, q)
-        return True
-    except NotDivisibleError:
-        return False
 
 
 def extract_power(p: MultiPoly, q: MultiPoly):
@@ -596,24 +587,16 @@ def gcd_univariate(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         if b.degree_in(var) == 0:
             return _normalize_gcd(cont)
         g_coef = a.leading_coefficient_in(var)
-        if delta == 0:
-            h_coef = h_coef
-        elif delta == 1:
+        if delta == 1:
             h_coef = g_coef
-        else:
+        elif delta > 1:
             h_coef = exact_divide(g_coef**delta, h_coef ** (delta - 1))
     return _normalize_gcd(cont * primitive_part_in(b, var))
 
 
 def _gcd_univariate_rational(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """Monic gcd of univariate polynomials over Q (integer-primitive PRS)."""
-
-    def to_ints(p):
-        prim, _ = primitive_integer(p)
-        coeffs = prim.as_univariate(var)
-        return [int(c.constant_value()) if not c.is_zero() else 0 for c in coeffs]
-
-    a, b = to_ints(f), to_ints(g)
+    a, b = _int_coeffs(f, var), _int_coeffs(g, var)
     if len(a) < len(b):
         a, b = b, a
     while any(b):
@@ -685,78 +668,6 @@ def homogeneous_components(p: MultiPoly, point=None) -> list:
 # -- integer utilities for rational root extraction --------------------------
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # Deterministic for n < 3.3e24 with these bases.
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    x, c = 2, 1
-    while True:
-        y, d = x, 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-        x += 1
-        c += 1
-
-
-def factor_integer(n: int) -> dict:
-    """Prime factorization of |n| as {prime: multiplicity}."""
-    n = abs(n)
-    factors = {}
-    if n <= 1:
-        return factors
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        for p in (2, 3, 5, 7, 11, 13):
-            if m % p == 0:
-                stack.extend([p, m // p])
-                break
-        else:
-            d = _pollard_rho(m)
-            stack.extend([d, m // d])
-    return factors
-
-
-def _divisors(n: int) -> list:
-    divs = [1]
-    for p, k in factor_integer(n).items():
-        divs = [d * p**i for d in divs for i in range(k + 1)]
-    return divs
-
-
 def primitive_integer(p: MultiPoly):
     """Scale p to integer coefficients with content 1 and positive lead.
 
@@ -794,11 +705,11 @@ def _int_coeffs(p: MultiPoly, var: str) -> list:
 def rational_roots(p: MultiPoly) -> list:
     """All rational roots of a univariate polynomial, with multiplicities.
 
-    Candidates come from the rational root theorem applied to the
-    squarefree part, pre-filtered by the classical divisibility tests at
-    x = 1 and x = -1 and confirmed by integer Horner evaluation, so no
-    fraction arithmetic happens in the search.  Returns a sorted list of
-    (root, multiplicity) pairs.
+    Candidates come from p-adic lifting of the squarefree part (Loos,
+    SIAM J. Comput. 12, 1983) and are confirmed by integer Horner
+    evaluation, so no integer is factored and no fraction arithmetic
+    happens in the search.  Returns a sorted list of (root, multiplicity)
+    pairs.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
@@ -819,35 +730,12 @@ def rational_roots(p: MultiPoly) -> list:
         return sorted(roots)
     poly = MultiPoly((var,), {(i,): Fraction(c) for i, c in enumerate(vals)})
     sf = _int_coeffs(squarefree_part(poly, var), var)
-    n = len(sf) - 1
-    a0, an = sf[0], sf[-1]
-    f_at_1 = sum(sf)
-    f_at_m1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(sf))
-    found = []
-    seen = set()
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            if math.gcd(num, den) != 1:
-                continue
-            for cand_num in (num, -num):
-                if (cand_num, den) in seen:
-                    continue
-                seen.add((cand_num, den))
-                diff = cand_num - den
-                if f_at_1 != 0 and diff != 0 and f_at_1 % diff:
-                    continue
-                if f_at_1 == 0 and diff == 0:
-                    found.append(Fraction(1))
-                    continue
-                ssum = cand_num + den
-                if f_at_m1 != 0 and ssum != 0 and f_at_m1 % ssum:
-                    continue
-                if f_at_m1 == 0 and ssum == 0:
-                    found.append(Fraction(-1))
-                    continue
-                if _horner_pq(sf, cand_num, den) == 0:
-                    found.append(Fraction(cand_num, den))
-    for root in sorted(set(found)):
+    found = {
+        cand
+        for cand in _padic_candidates(sf)
+        if _horner_pq(sf, cand.numerator, cand.denominator) == 0
+    }
+    for root in sorted(found):
         mult = 0
         current = [Fraction(c) for c in vals]
         while len(current) > 1:
@@ -863,6 +751,51 @@ def rational_roots(p: MultiPoly) -> list:
         if mult:
             roots.append((root, mult))
     return sorted(roots)
+
+
+def _padic_candidates(sf: list) -> list:
+    """Rationals among which every rational root of ``sf`` lies.
+
+    ``sf`` holds the ascending integer coefficients of a squarefree
+    polynomial with a nonzero constant term.  A root u/v in lowest terms
+    has v | an and u | a0, so N = an*u/v is an integer with |N| <= |a0*an|.
+    Modulo a prime p not dividing an, u/v reduces to a root of sf; when
+    every root mod p is simple, Newton's iteration lifts it uniquely to
+    the modulus M = p^(2^k) > 2|a0*an|, and N is the symmetric residue of
+    an*r mod M.  Every prime dividing neither an nor the discriminant of
+    sf, which is nonzero, qualifies, so the search for p ends.
+    """
+    a0, an = sf[0], sf[-1]
+    deriv = [i * c for i, c in enumerate(sf)][1:]
+    for p in itertools.count(2):
+        if an % p == 0 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            continue
+        residues = [r for r in range(p) if _eval_mod(sf, r, p) == 0]
+        if all(_eval_mod(deriv, r, p) for r in residues):
+            break
+    modulus = p
+    while modulus <= 2 * abs(a0 * an):
+        modulus *= modulus
+        residues = [
+            (r - _eval_mod(sf, r, modulus) * pow(_eval_mod(deriv, r, modulus), -1, modulus))
+            % modulus
+            for r in residues
+        ]
+    candidates = []
+    for r in residues:
+        n = an * r % modulus
+        if 2 * n > modulus:
+            n -= modulus
+        candidates.append(Fraction(n, an))
+    return candidates
+
+
+def _eval_mod(coeffs: list, x: int, modulus: int) -> int:
+    """Value at x, reduced mod ``modulus``, of an ascending coefficient list."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % modulus
+    return acc
 
 
 def _horner_pq(coeffs: list, p: int, q: int) -> int:

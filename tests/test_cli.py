@@ -15,6 +15,15 @@ def run(capsys):
     return invoke
 
 
+def assert_rejected(result, fragment):
+    """Exit 2, nothing on stdout, one stderr line naming the bad value."""
+    code, out, err = result
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("rejected: ")
+    assert fragment in err
+
+
 class TestClassifyTriple:
     def test_star_type(self, run):
         code, out, _ = run("classify-triple", "2", "3", "7")
@@ -28,6 +37,9 @@ class TestClassifyTriple:
         assert payload["reduced"] == [2, 3, 6]
         assert payload["kodaira"]["tag"] == "I0*"
 
+    def test_negative_order_rejected(self, run):
+        assert_rejected(run("classify-triple", "-1", "0", "0"), "-1")
+
 
 class TestCollide:
     def test_label(self, run):
@@ -39,6 +51,9 @@ class TestCollide:
         code, _, err = run("collide", "IV*", "IV")
         assert code == 1
         assert "not on the list" in err
+
+    def test_unknown_tag_rejected(self, run):
+        assert_rejected(run("collide", "I1", "foo"), "'foo'")
 
 
 class TestAnalyze:
@@ -71,6 +86,16 @@ class TestAnalyze:
         assert code == 1
         assert "budget" in err
 
+    def test_malformed_budget_env_rejected(self, run, monkeypatch):
+        monkeypatch.setenv("FIBRANT_BLOWUP_BUDGET", "x")
+        assert_rejected(run("analyze", "--alpha", "1"), "FIBRANT_BLOWUP_BUDGET")
+
+    def test_negative_alpha_as_separate_token(self, run):
+        spaced = run("analyze", "--alpha", "-1/2")
+        joined = run("analyze", "--alpha=-1/2")
+        assert spaced[0] == 0
+        assert spaced == joined
+
 
 class TestBlowupDemo:
     def test_cusp_charts(self, run):
@@ -99,6 +124,9 @@ class TestBracketCheck:
         assert payload["casimirs_central"] is True
         assert set(payload["conservation"].values()) == {"0"}
 
+    def test_excluded_m_rejected(self, run):
+        assert_rejected(run("bracket-check", "--m", "-1"), "1 + m")
+
 
 class TestSampleFiber:
     def test_residuals_reported(self, run):
@@ -113,6 +141,16 @@ class TestSampleFiber:
             assert float(point["cubic_residual"]) < 1e-9
             assert len(point["gamma"]) == 3
 
+    def test_excluded_m_rejected(self, run):
+        args = ("sample-fiber", "--h3", "3/5", "--h4", "2/7", "--a", "1/3")
+        assert_rejected(run(*args, "--m=-1"), "1 + m")
+
+    def test_negative_values_as_separate_tokens(self, run):
+        spaced = run("sample-fiber", "--h3", "-3/5", "--h4", "-2/7", "--a", "-1/3", "--m", "-1/2")
+        joined = run("sample-fiber", "--h3=-3/5", "--h4=-2/7", "--a=-1/3", "--m=-1/2")
+        assert spaced[0] == 0
+        assert spaced == joined
+
 
 class TestMonodromyCommand:
     def test_solutions(self, run):
@@ -121,6 +159,9 @@ class TestMonodromyCommand:
         assert payload["node_solutions"] == [[[1, 1], [0, 1]]]
         assert payload["cusp_normal_forms"] == ["[[1, 0], [-1, 1]]"]
         assert payload["braid_certificate"] is True
+
+    def test_negative_bound_rejected(self, run):
+        assert_rejected(run("monodromy", "--bound=-3"), "-3")
 
 
 class TestInputValidation:

@@ -1,13 +1,16 @@
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from fibrant.lagrange import build_global_sections
 from fibrant.miranda import (
     MirandaFiber,
     NotOnListError,
     analyze_lagrange_family,
     collide,
 )
+from fibrant.poly import parse
 from fibrant.weierstrass import DualGraph, GenericityError, KodairaType
 
 
@@ -144,6 +147,32 @@ class TestAnalyzeLagrangeFamily:
     def test_alpha_invariance(self, report):
         other = analyze_lagrange_family(2)
         assert report.structure() == other.structure()
+
+    @pytest.mark.parametrize("alpha", [F(999, 1000), F(1000003, 999983)])
+    def test_high_height_alpha(self, report, alpha):
+        """Divisor-rich and large-prime alpha: same structure, exact points, < 10 s."""
+        start = time.perf_counter()
+        high = analyze_lagrange_family(alpha)
+        elapsed = time.perf_counter() - start
+        assert high.structure() == report.structure()
+        fib = build_global_sections(alpha)
+        quintic = fib.reduced_discriminant()[1].substitute({"A0": 1})
+        nodes = [c.point for c in high.collisions if c.where == "node of the residual curve"]
+        assert len(nodes) == 2
+        for a1, a2 in nodes:
+            at = {"A1": a1, "A2": a2}
+            assert quintic.evaluate(at) == 0
+            assert quintic.derivative("A1").evaluate(at) == 0
+            assert quintic.derivative("A2").evaluate(at) == 0
+        weierstrass = parse("Y^2*Z - 4*X^3") + fib.a * parse("X*Z^2") + fib.b * parse("Z^3")
+        isolated = [s for s in high.total_space_singularities if s.kind() == "isolated"]
+        assert len(isolated) == 2
+        for s in isolated:
+            at = dict(zip(("X", "Y", "Z", "A0", "A1", "A2"), s.fiber_point + s.base_point))
+            assert weierstrass.evaluate(at) == 0
+            for var in at:
+                assert weierstrass.derivative(var).evaluate(at) == 0
+        assert elapsed < 10.0
 
     def test_rejected_alpha(self):
         with pytest.raises(GenericityError):

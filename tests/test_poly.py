@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,6 @@ from fibrant.poly import (
     equal_up_to_unit,
     exact_divide,
     extract_power,
-    factor_integer,
     format_poly,
     gcd_multivariate,
     gcd_univariate,
@@ -261,8 +261,19 @@ class TestRoots:
         roots = dict(rational_roots(p))
         assert roots[F(979113612375)] == 1 and roots[F(-2, 3)] == 1
 
-    def test_factor_integer(self):
-        assert factor_integer(979113612375) == {3: 13, 5: 3, 17: 3}
+    def test_roots_at_the_lifting_bound(self):
+        # x - k has |an * k| = |a0 * an|, the largest numerator the lift must recover
+        for k in range(-40, 41):
+            if k:
+                assert rational_roots(x - k) == [(F(k), 1)]
+                assert rational_roots((7 * x - k) * (x**2 + 3)) == [(F(k, 7), 1)]
+
+    def test_divisor_rich_integer(self):
+        n = 979113612375
+        assert n == 3**13 * 5**3 * 17**3
+        assert rational_roots((x - n) ** 2 * (x**2 + n)) == [(F(n), 2)]
+        as_lead = (5**3 * 17**3 * x - 2) * (3**13 * x + 1) * (n * x**2 + 1)
+        assert rational_roots(as_lead) == [(F(-1, 3**13), 1), (F(2, 5**3 * 17**3), 1)]
 
     def test_squarefree_tools(self):
         p = parse("(x - 1)^2*(x + 2)")
@@ -330,3 +341,90 @@ def test_extract_power_reconstructs(p, extra, qdeg):
     # the cofactor really is not divisible again
     with pytest.raises(NotDivisibleError):
         exact_divide(rest, q)
+
+
+# -- rational roots against independent oracles ---------------------------------
+
+
+def _divisors_by_trial(n: int) -> list:
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def _roots_by_divisor_enumeration(coeffs: list) -> list:
+    """Rational root theorem by brute force: every +-u/v with u | a0, v | an.
+
+    ``coeffs`` are ascending integers with a nonzero constant term; each
+    root's multiplicity is counted by repeated synthetic division.
+    """
+    found = {}
+    denominators = _divisors_by_trial(coeffs[-1])
+    for u in _divisors_by_trial(coeffs[0]):
+        for v in denominators:
+            for root in {F(u, v), F(-u, v)} - found.keys():
+                mult, current = 0, [F(c) for c in coeffs]
+                while len(current) > 1:
+                    acc, quotient = F(0), []
+                    for c in reversed(current):
+                        acc = acc * root + c
+                        quotient.append(acc)
+                    if acc:
+                        break
+                    current = quotient[:-1][::-1]
+                    mult += 1
+                if mult:
+                    found[root] = mult
+    return sorted(found.items())
+
+
+@st.composite
+def planted(draw, height, quadratic_leads, quadratic_constants):
+    """(polynomial, expected roots): planted roots, a zero root, an irreducible factor."""
+    poly = MultiPoly.const(draw(st.integers(1, 2**64)) * draw(st.sampled_from((1, -1))))
+    expected = {}
+    for _ in range(draw(st.integers(0, 3))):
+        root = F(draw(st.integers(-height, height)), draw(st.integers(1, height)))
+        mult = draw(st.integers(1, 3))
+        poly = poly * (root.denominator * x - root.numerator) ** mult
+        expected[root] = expected.get(root, 0) + mult
+    zero_mult = draw(st.integers(0, 2))
+    poly = poly * x**zero_mult
+    if zero_mult and F(0) in expected:
+        expected[F(0)] += zero_mult
+    elif zero_mult:
+        expected[F(0)] = zero_mult
+    # positive definite quadratic: no rational root, irreducible over Q
+    lead, const = draw(quadratic_leads), draw(quadratic_constants)
+    poly = poly * (lead * x**2 + const)
+    return poly, sorted(expected.items())
+
+
+@given(planted(2**320, st.integers(1, 2**10), st.integers(2**310, 2**320)))
+@settings(max_examples=30, deadline=None)
+def test_rational_roots_high_height_against_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    poly, expected = case
+    prim, _ = primitive_integer(poly)
+    coeffs = [c.constant_value().numerator for c in prim.as_univariate("x")]
+    assert max(abs(c) for c in coeffs).bit_length() >= 300
+    assert rational_roots(poly) == expected
+    sx = sympy.Symbol("x")
+    oracle = sympy.roots(sympy.Poly(list(reversed(coeffs)), sx), filter="Q")
+    assert rational_roots(poly) == sorted((F(int(r.p), int(r.q)), m) for r, m in oracle.items())
+
+
+@given(planted(12, st.integers(1, 12), st.integers(1, 12)), st.lists(st.integers(-9, 9), min_size=0, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_rational_roots_against_divisor_enumeration(case, extra):
+    poly, _ = case
+    poly = poly * sum((c * x ** (i + 1) for i, c in enumerate(extra)), MultiPoly.const(1))
+    if poly.is_constant():
+        return
+    prim, _ = primitive_integer(poly)
+    coeffs = [c.constant_value().numerator for c in prim.as_univariate("x")]
+    zeros = next(i for i, c in enumerate(coeffs) if c)
+    expected = _roots_by_divisor_enumeration(coeffs[zeros:])
+    if zeros:
+        expected = sorted(expected + [(F(0), zeros)])
+    assert rational_roots(poly) == expected
