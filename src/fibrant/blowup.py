@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .planecurve import (
+    PROJECTIVE_VARS,
     AffineChart,
     classify_double_point,
     rational_singular_points,
@@ -50,10 +51,13 @@ from .weierstrass import (
     NotAnalyzableError,
     OrderTriple,
     WeierstrassFibration,
+    _gcd_homogeneous,
+    _normalize_projective,
     check_genericity,
     kodaira_classify,
     normalize_condition_C,
     order_triple_along,
+    radical,
 )
 
 DEFAULT_BLOWUP_BUDGET = 12
@@ -248,6 +252,15 @@ class BaseModification:
     towers: list = field(default_factory=list)
     node_collisions: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    # certified rational singular points of the reduced discriminant,
+    # normalized projective triples in the order they were certified
+    singular_points: list = field(default_factory=list)
+    residual_degree: int = 0    # of the reduced residual curve; 0 if none
+
+    def record_singular_point(self, point):
+        key = _normalize_projective(point)
+        if key not in self.singular_points:
+            self.singular_points.append(key)
 
     def all_divisors(self):
         out = list(self.component_divisors)
@@ -544,9 +557,8 @@ def regularize(fib: WeierstrassFibration, budget: int = DEFAULT_BLOWUP_BUDGET) -
         )
     residual_name = None
     if not residual.is_constant():
-        from .weierstrass import radical
-
         residual = radical(residual)
+        mod.residual_degree = residual.total_degree()
         residual_name = "Q~"
         triple = order_triple_along(fib.a, fib.b, residual)
         ktype = kodaira_classify(triple)
@@ -593,8 +605,8 @@ def _residual_singularities(fib, residual, types, mod, budget):
     chart = AffineChart.standard(0)
     affine = chart.dehomogenize(residual)
     locus = rational_singular_points(affine, chart)
-    qtype = types["Q~"]
     for rep in locus.points:
+        mod.record_singular_point(chart.to_projective(rep.point))
         if rep.kind == "node":
             fiber = _node_fiber_or_tower(
                 fib,
@@ -630,8 +642,6 @@ def _residual_singularities(fib, residual, types, mod, budget):
 
 def _certify_no_singularities_at_infinity(residual):
     """Prove that the residual curve is smooth along the line A0 = 0."""
-    from .weierstrass import _gcd_homogeneous
-
     restrictions = []
     for var in ("A0", "A1", "A2"):
         part = residual.derivative(var).substitute({"A0": Fraction(0)})
@@ -740,8 +750,6 @@ def _certify_contact_cluster(fib, cluster, var):
 
 
 def _strip_lines(p):
-    from .planecurve import PROJECTIVE_VARS
-
     out = p
     for var in PROJECTIVE_VARS:
         _, out = extract_power(out, MultiPoly.variable(var))
@@ -817,6 +825,7 @@ def _third(var, other):
 def _handle_line_point(fib, residual, var, line_name, point, contact, types, mod, budget):
     from . import miranda
 
+    mod.record_singular_point(tuple(point[v] for v in PROJECTIVE_VARS))
     label_pt = tuple(str(point[v]) for v in ("A0", "A1", "A2"))
     chart_index = next(i for i, v in enumerate(("A0", "A1", "A2")) if point[v] != 0)
     chart = AffineChart.standard(chart_index)
@@ -853,6 +862,7 @@ def _handle_line_point(fib, residual, var, line_name, point, contact, types, mod
 def _line_line_crossing(fib, var1, var2, line_names, types, mod, budget):
     third = _third(var1, var2)
     point = {var1: Fraction(0), var2: Fraction(0), third: Fraction(1)}
+    mod.record_singular_point(tuple(point[v] for v in PROJECTIVE_VARS))
     chart_index = ("A0", "A1", "A2").index(third)
     chart = AffineChart.standard(chart_index)
     germs = {

@@ -254,6 +254,8 @@ def cmd_sample_fiber(args) -> int:
     )
 
     _checked(TopParams, args.m, args.a)
+    if args.count < 0:
+        raise InputError(f"--count must be non-negative, got {args.count}")
     points = []
     for i in range(args.count):
         point = sample_fiber_point(

@@ -200,9 +200,12 @@ class ClassificationReport:
     node_count: int
     cusp_count: int
     quintic_degree: int
-    presentation: Presentation
     modification: BaseModification
     notes: list = field(default_factory=list)
+    presentation: Presentation = field(init=False)
+
+    def __post_init__(self):
+        self.presentation = build_presentation(self)
 
     def divisor(self, name: str) -> ReportDivisor:
         for d in self.divisors:
@@ -300,9 +303,7 @@ def analyze_lagrange_family(
                     ReportCollision(qualified, f"over {label}", rec.fiber, rec.point)
                 )
 
-    sing = fib.total_space_singularities()
-    presentation_input = _PresentationInput(5, node_count, cusp_count)
-    presentation = build_presentation(presentation_input)
+    sing = fib.total_space_singularities(mod.singular_points)
 
     notes = list(mod.notes)
     notes.append(
@@ -317,15 +318,7 @@ def analyze_lagrange_family(
         total_space_singularities=sing,
         node_count=node_count,
         cusp_count=cusp_count,
-        quintic_degree=5,
-        presentation=presentation,
+        quintic_degree=mod.residual_degree,
         modification=mod,
         notes=notes,
     )
-
-
-@dataclass
-class _PresentationInput:
-    quintic_degree: int
-    node_count: int
-    cusp_count: int

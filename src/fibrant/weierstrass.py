@@ -388,12 +388,14 @@ class WeierstrassFibration:
 
     # -- total-space singularities (fiber equation Y^2 Z = 4X^3 - aXZ^2 - bZ^3) --
 
-    def total_space_singularities(self) -> list:
+    def total_space_singularities(self, discriminant_singular_points) -> list:
         """Singular points of the total space, each with Y = 0 and Z != 0.
 
         Two sources: points with a = b = 0 where the degree-6 divisor is
         singular carry the singular point (0:0:1); singular points of the
         discriminant away from both section divisors carry (-3b : 0 : 2a).
+        The latter are taken from ``discriminant_singular_points``, the
+        rational points ``blowup.regularize`` certified (projective triples).
         Non-isolated loci along shared components are reported as curve
         markers (detected along the coordinate lines).
         """
@@ -418,7 +420,7 @@ class WeierstrassFibration:
             return any(pt[i] == 0 for i in marker_lines)
 
         # isolated points with fiber point (-3b : 0 : 2a): Sing(D) away from A and B
-        for pt in self._rational_discriminant_singularities():
+        for pt in discriminant_singular_points:
             if on_marker(pt):
                 continue
             aval = self.a.evaluate(dict(zip(PROJECTIVE_VARS, pt)))
@@ -456,13 +458,6 @@ class WeierstrassFibration:
                 lines.append((var, int(k)))
         return lines, residual
 
-    def _rational_discriminant_singularities(self):
-        lines, residual = self.reduced_discriminant()
-        reduced = radical(residual)
-        for var, _ in lines:
-            reduced = reduced * MultiPoly.variable(var)
-        return _projective_rational_singular_points(reduced)
-
     def _rational_b_singularities(self):
         if self.b.is_zero():
             return []
@@ -478,14 +473,6 @@ class WeierstrassFibration:
                 "the degree-6 section has a repeated non-linear factor; "
                 f"its singular locus is not certified: {exc}"
             ) from exc
-
-
-def _any_partial(p: MultiPoly) -> MultiPoly:
-    for v in p.variables:
-        d = p.derivative(v)
-        if not d.is_zero():
-            return d
-    return MultiPoly.zero()
 
 
 def radical(p: MultiPoly) -> MultiPoly:

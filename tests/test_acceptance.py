@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import fulton_multiplicity
+from fibrant.blowup import regularize
 from fibrant.lagrange import (
     TopParams,
     build_global_sections,
@@ -135,7 +136,7 @@ def test_criterion_3_tangency_at_010(criterion):
 def test_criterion_4_total_space_singularities(criterion):
     """Two isolated singular points plus the singular curve over A0 = 0."""
     fib = build_global_sections(1)
-    sings = fib.total_space_singularities()
+    sings = fib.total_space_singularities(regularize(fib).singular_points)
     isolated = {
         (s.fiber_point[0], tuple(s.base_point))
         for s in sings

@@ -13,7 +13,11 @@ from fibrant.blowup import (
 )
 from fibrant.lagrange import build_global_sections
 from fibrant.poly import MultiPoly, extract_power, format_poly, parse
-from fibrant.weierstrass import WeierstrassFibration
+from fibrant.weierstrass import (
+    WeierstrassFibration,
+    _projective_rational_singular_points,
+    radical,
+)
 
 s1 = MultiPoly.variable("s1")
 s2 = MultiPoly.variable("s2")
@@ -269,3 +273,41 @@ class TestRegularizeEdges:
         ta = exceptional_order_triple(pull_back_fibration(a1))
         tb = exceptional_order_triple(pull_back_fibration(b1))
         assert ta.as_tuple() == tb.as_tuple()
+
+
+def _three_chart_singular_points(fib):
+    """Rational singular points of the reduced discriminant on all three charts."""
+    lines, residual = fib.reduced_discriminant()
+    reduced = radical(residual)
+    for var, _ in lines:
+        reduced = reduced * MultiPoly.variable(var)
+    return reduced, _projective_rational_singular_points(reduced)
+
+
+class TestRecordedSingularPoints:
+    """The points regularize certifies are exactly Sing(reduced discriminant)(Q)."""
+
+    @pytest.mark.parametrize("alpha", [F(1), F(7, 3), F(-5, 9), F(12345, 678)])
+    def test_lagrange_matches_three_chart_oracle(self, alpha):
+        fib = build_global_sections(alpha)
+        points = regularize(fib).singular_points
+        reduced, oracle = _three_chart_singular_points(fib)
+        assert len(set(points)) == len(points)
+        assert set(points) == set(oracle)
+        for pt in points:
+            at = dict(zip(("A0", "A1", "A2"), pt))
+            assert reduced.evaluate(at) == 0
+            for var in ("A0", "A1", "A2"):
+                assert reduced.derivative(var).evaluate(at) == 0
+
+    def test_smooth_pair_records_none(self):
+        A0, A1, A2 = (MultiPoly.variable(v) for v in ("A0", "A1", "A2"))
+        fib = WeierstrassFibration(A0**4 + A1**4 + A2**4, MultiPoly.zero())
+        assert regularize(fib).singular_points == []
+        assert _three_chart_singular_points(fib)[1] == []
+
+    def test_line_line_crossing_recorded(self):
+        A0, A1 = MultiPoly.variable("A0"), MultiPoly.variable("A1")
+        fib = WeierstrassFibration(A0**2 * A1**2, MultiPoly.zero())
+        assert regularize(fib).singular_points == [(F(0), F(0), F(1))]
+        assert _three_chart_singular_points(fib)[1] == [(F(0), F(0), F(1))]

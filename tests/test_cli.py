@@ -145,6 +145,10 @@ class TestSampleFiber:
         args = ("sample-fiber", "--h3", "3/5", "--h4", "2/7", "--a", "1/3")
         assert_rejected(run(*args, "--m=-1"), "1 + m")
 
+    def test_negative_count_rejected(self, run):
+        args = ("sample-fiber", "--h3=1", "--h4=2", "--a=1", "--m=1")
+        assert_rejected(run(*args, "--count=-1"), "-1")
+
     def test_negative_values_as_separate_tokens(self, run):
         spaced = run("sample-fiber", "--h3", "-3/5", "--h4", "-2/7", "--a", "-1/3", "--m", "-1/2")
         joined = run("sample-fiber", "--h3=-3/5", "--h4=-2/7", "--a=-1/3", "--m=-1/2")

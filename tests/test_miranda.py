@@ -2,6 +2,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibrant.lagrange import build_global_sections
 from fibrant.miranda import (
@@ -104,6 +105,29 @@ class TestCollide:
         assert fiber.component_count() <= source.component_count()
 
 
+def _assert_alpha1_shape_with_exact_points(report, high):
+    """``high`` has the structure of ``report`` (alpha = 1) and every
+    reported node and total-space singularity is exact."""
+    assert high.structure() == report.structure()
+    fib = build_global_sections(high.alpha)
+    quintic = fib.reduced_discriminant()[1].substitute({"A0": 1})
+    nodes = [c.point for c in high.collisions if c.where == "node of the residual curve"]
+    assert len(nodes) == 2
+    for a1, a2 in nodes:
+        at = {"A1": a1, "A2": a2}
+        assert quintic.evaluate(at) == 0
+        assert quintic.derivative("A1").evaluate(at) == 0
+        assert quintic.derivative("A2").evaluate(at) == 0
+    weierstrass = parse("Y^2*Z - 4*X^3") + fib.a * parse("X*Z^2") + fib.b * parse("Z^3")
+    isolated = [s for s in high.total_space_singularities if s.kind() == "isolated"]
+    assert len(isolated) == 2
+    for s in isolated:
+        at = dict(zip(("X", "Y", "Z", "A0", "A1", "A2"), s.fiber_point + s.base_point))
+        assert weierstrass.evaluate(at) == 0
+        for var in at:
+            assert weierstrass.derivative(var).evaluate(at) == 0
+
+
 @pytest.fixture(scope="module")
 def report():
     return analyze_lagrange_family(1)
@@ -154,25 +178,18 @@ class TestAnalyzeLagrangeFamily:
         start = time.perf_counter()
         high = analyze_lagrange_family(alpha)
         elapsed = time.perf_counter() - start
-        assert high.structure() == report.structure()
-        fib = build_global_sections(alpha)
-        quintic = fib.reduced_discriminant()[1].substitute({"A0": 1})
-        nodes = [c.point for c in high.collisions if c.where == "node of the residual curve"]
-        assert len(nodes) == 2
-        for a1, a2 in nodes:
-            at = {"A1": a1, "A2": a2}
-            assert quintic.evaluate(at) == 0
-            assert quintic.derivative("A1").evaluate(at) == 0
-            assert quintic.derivative("A2").evaluate(at) == 0
-        weierstrass = parse("Y^2*Z - 4*X^3") + fib.a * parse("X*Z^2") + fib.b * parse("Z^3")
-        isolated = [s for s in high.total_space_singularities if s.kind() == "isolated"]
-        assert len(isolated) == 2
-        for s in isolated:
-            at = dict(zip(("X", "Y", "Z", "A0", "A1", "A2"), s.fiber_point + s.base_point))
-            assert weierstrass.evaluate(at) == 0
-            for var in at:
-                assert weierstrass.derivative(var).evaluate(at) == 0
+        _assert_alpha1_shape_with_exact_points(report, high)
         assert elapsed < 10.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**6)).filter(
+            lambda a: a not in (0, 4, -4)
+        )
+    )
+    def test_alpha_sweep(self, report, alpha):
+        """Bounded-height alpha: same structure and exact points as alpha = 1."""
+        _assert_alpha1_shape_with_exact_points(report, analyze_lagrange_family(alpha))
 
     def test_rejected_alpha(self):
         with pytest.raises(GenericityError):
