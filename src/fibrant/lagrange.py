@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import MultiPoly
+from .poly import MultiPoly, parse
 from .weierstrass import WeierstrassFibration
 
 GAMMA_VARS = ("G1", "G2", "G3")
@@ -169,8 +169,6 @@ def build_global_sections(alpha) -> WeierstrassFibration:
     the degree-6 one to g3 (in the coordinates a1 = A1/A0, a2 = A2/A0).
     """
     alpha = Fraction(alpha)
-    from .poly import parse
-
     phi = parse(
         "A0^2*(A0^2 + (1/12)*A2^2 - (alpha/4)*A0*A1)", {"alpha": alpha}
     )

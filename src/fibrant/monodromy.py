@@ -52,9 +52,6 @@ class SL2Z:
     def trace(self) -> int:
         return self.a + self.d
 
-    def max_entry(self) -> int:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-
     def __pow__(self, n: int) -> "SL2Z":
         if n < 0:
             return self.inverse() ** (-n)

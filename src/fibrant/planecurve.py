@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .poly import (
     MultiPoly,
+    content_in,
     exact_divide,
     extract_power,
     gcd_multivariate,
@@ -167,8 +168,8 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
 
     # Components that are lines of constant x or constant y show up as
     # contents; their crossings with the rest are singular points of f.
-    content_x = _content_poly(f, x)   # polynomial in y only
-    content_y = _content_poly(f, y)   # polynomial in x only
+    content_x = content_in(f, x)   # polynomial in y only
+    content_y = content_in(f, y)   # polynomial in x only
     core = f
     if not content_x.is_constant():
         core = exact_divide(core, content_x)
@@ -238,12 +239,6 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
         eliminant_variable=y,
         notes=notes,
     )
-
-
-def _content_poly(f: MultiPoly, var: str) -> MultiPoly:
-    from .poly import content_in
-
-    return content_in(f, var)
 
 
 def _singular_eliminant(core: MultiPoly, x: str, y: str) -> MultiPoly:

@@ -7,12 +7,30 @@ sorted by name, variables that do not occur are pruned, and zero
 coefficients are never stored.  Two ``MultiPoly`` objects are equal
 exactly when they are the same polynomial.
 
-Besides ring arithmetic the module provides the elimination toolkit
-used throughout the package: exact division, maximal-power extraction,
-Sylvester resultants (fraction-free Bareiss elimination), univariate
-and multivariate gcd via primitive pseudo-remainder sequences, Taylor
-recentering into homogeneous components, and exact rational-root
-extraction for univariate polynomials.
+The public constructor ``MultiPoly(variables, terms)`` validates and
+canonicalizes whatever it is given.  The kernels build their results
+through the private trusted constructor ``_new`` instead: their output
+is canonical by construction (exponents aligned to a sorted variable
+tuple), so it only drops zero coefficients and prunes unused variables.
+
+The elimination kernels work in the integer-primitive form of a
+polynomial, p = c * P with c a rational content and P an integer
+polynomial of content 1, so that their inner loops multiply and divide
+integers and no ``Fraction`` is built until the result is.  On that form
+run products and powers, exact division (by Gauss's lemma, P / Q is an
+integer polynomial whenever Q is primitive and divides P), maximal-power
+extraction, the accumulation of ``substitute``, and the subresultant
+pseudo-remainder sequence of the gcd (W. S. Brown, "On Euclid's
+algorithm and the computation of polynomial greatest common divisors",
+JACM 18, 1971).  Resultants are computed by evaluation and
+interpolation (G. E. Collins, "The calculation of multivariate
+polynomial resultants", JACM 18, 1971): the variables that remain after
+elimination are set, one at a time, to integer points where neither
+leading coefficient vanishes; the univariate integer resultants come
+from the subresultant sequence and are interpolated back (Newton form)
+up to a degree bound read off the Sylvester matrix.  Taylor recentering
+into homogeneous components and exact rational-root extraction for
+univariate polynomials complete the toolkit.
 
 The text format round-trips bit-exactly, e.g.::
 
@@ -27,6 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add, sub
 
 Rational = Fraction
 Exponent = tuple[int, ...]
@@ -82,14 +101,11 @@ class MultiPoly:
 
     @staticmethod
     def const(value) -> "MultiPoly":
-        value = _coerce_coeff(value)
-        if value == 0:
-            return _ZERO
-        return MultiPoly((), {(): value})
+        return _new((), {(): _coerce_coeff(value)})
 
     @staticmethod
     def variable(name: str) -> "MultiPoly":
-        return MultiPoly((name,), {(1,): Fraction(1)})
+        return _new((name,), {(1,): Fraction(1)})
 
     @staticmethod
     def monomial(coeff, powers: dict) -> "MultiPoly":
@@ -153,13 +169,13 @@ class MultiPoly:
         names, a, b = _aligned(self, other)
         out = dict(a)
         for exp, coeff in b.items():
-            out[exp] = out.get(exp, Fraction(0)) + coeff
-        return MultiPoly(names, out)
+            out[exp] = out.get(exp, 0) + coeff
+        return _new(names, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return _new(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = _coerce_poly(other)
@@ -179,13 +195,14 @@ class MultiPoly:
             return NotImplemented
         if not self.terms or not other.terms:
             return _ZERO
+        if not other.variables or not self.variables:
+            poly, scalar = (self, other) if not other.variables else (other, self)
+            c = scalar.terms[()]
+            return _new(poly.variables, {e: k * c for e, k in poly.terms.items()})
         names, a, b = _aligned(self, other)
-        out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                out[exp] = out.get(exp, Fraction(0)) + ca * cb
-        return MultiPoly(names, out)
+        ca, ia = _int_form(a)
+        cb, ib = _int_form(b)
+        return _from_int(names, _imul(ia, ib), ca * cb)
 
     __rmul__ = __mul__
 
@@ -194,15 +211,12 @@ class MultiPoly:
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative polynomial exponent")
-        result = MultiPoly.const(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if exponent == 0:
+            return _new((), {(): Fraction(1)})
+        if not self.terms:
+            return _ZERO
+        content, ints = _int_form(self.terms)
+        return _from_int(self.variables, _ipow(ints, exponent), content**exponent)
 
     # -- calculus and substitution ----------------------------------------
 
@@ -216,17 +230,18 @@ class MultiPoly:
         out = {}
         for exp, coeff in self.terms.items():
             k = exp[i]
-            if k == 0:
-                continue
-            ne = exp[:i] + (k - 1,) + exp[i + 1:]
-            out[ne] = out.get(ne, Fraction(0)) + coeff * k
-        return MultiPoly(self.variables, out)
+            if k:
+                out[exp[:i] + (k - 1,) + exp[i + 1:]] = coeff * k
+        return _new(self.variables, out)
 
     def substitute(self, mapping: dict) -> "MultiPoly":
         """Exact composition: replace variables by polynomials or rationals.
 
         Variables of the mapping that do not occur in the polynomial are
-        ignored; unmapped variables are left alone.
+        ignored; unmapped variables are left alone.  Each image is taken
+        in integer-primitive form; every term becomes a rational scalar
+        times a product of cached integer powers, and all terms are added
+        into one integer dict over the common denominator.
         """
         images = {}
         for var in self.variables:
@@ -234,20 +249,44 @@ class MultiPoly:
                 images[var] = _coerce_poly_strict(mapping[var])
         if not images:
             return self
-        result = _ZERO
-        cache = {var: {0: MultiPoly.const(1), 1: img} for var, img in images.items()}
+        names = {v for v in self.variables if v not in images}
+        for img in images.values():
+            names.update(img.variables)
+        names = tuple(sorted(names))
+        index = {v: i for i, v in enumerate(names)}
+        one = (0,) * len(names)
+        factors = []  # per variable: (content, {k: integer image^k})
+        for var in self.variables:
+            img = images.get(var)
+            if img is None:
+                unit = [0] * len(names)
+                unit[index[var]] = 1
+                content, ints = 1, {tuple(unit): 1}
+            elif img.terms:
+                content, ints = _int_form(_embed(img, names))
+            else:
+                content, ints = 0, {}
+            factors.append((content, {0: {one: 1}, 1: ints}))
+        scaled = []
         for exp, coeff in self.terms.items():
-            term = MultiPoly.const(coeff)
-            for i, var in enumerate(self.variables):
-                k = exp[i]
-                if k == 0:
-                    continue
-                if var in images:
-                    term = term * _cached_power(cache[var], images[var], k)
-                else:
-                    term = term * MultiPoly((var,), {(k,): Fraction(1)})
-            result = result + term
-        return result
+            product = {one: 1}
+            for k, (content, powers) in zip(exp, factors):
+                if k:
+                    if content != 1:
+                        coeff *= content**k
+                    product = _imul(product, _cached_power(powers, k))
+            if coeff:
+                scaled.append((coeff, product))
+        if not scaled:
+            return _ZERO
+        den = math.lcm(*[s.denominator for s, _ in scaled])
+        acc = {}
+        get = acc.get
+        for s, product in scaled:
+            m = s.numerator * (den // s.denominator)
+            for e, c in product.items():
+                acc[e] = get(e, 0) + m * c
+        return _from_int(names, acc, Fraction(1, den))
 
     def shift(self, point: dict) -> "MultiPoly":
         """Recenter: substitute v -> v + point[v] for each listed variable."""
@@ -289,9 +328,8 @@ class MultiPoly:
         rest = self.variables[:i] + self.variables[i + 1:]
         buckets = [dict() for _ in range(d + 1)]
         for exp, coeff in self.terms.items():
-            re = exp[:i] + exp[i + 1:]
-            buckets[exp[i]][re] = coeff
-        return [MultiPoly(rest, b) for b in buckets]
+            buckets[exp[i]][exp[:i] + exp[i + 1:]] = coeff
+        return [_new(rest, b) for b in buckets]
 
     def leading_coefficient_in(self, var: str) -> "MultiPoly":
         coeffs = self.as_univariate(var)
@@ -301,6 +339,30 @@ class MultiPoly:
 _ZERO = object.__new__(MultiPoly)
 object.__setattr__(_ZERO, "variables", ())
 object.__setattr__(_ZERO, "terms", {})
+
+_SET_VARIABLES = MultiPoly.variables.__set__
+_SET_TERMS = MultiPoly.terms.__set__
+
+
+def _new(variables: tuple, terms: dict) -> MultiPoly:
+    """Trusted constructor for kernel output that is canonical by construction.
+
+    ``variables`` must be sorted and distinct, every exponent aligned to
+    it and every coefficient a ``Fraction``; zero coefficients are
+    dropped and variables that no longer occur are pruned.
+    """
+    terms = {e: c for e, c in terms.items() if c}
+    if not terms:
+        return _ZERO
+    if variables:
+        used = [i for i, column in enumerate(zip(*terms)) if any(column)]
+        if len(used) < len(variables):
+            variables = tuple(variables[i] for i in used)
+            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+    poly = object.__new__(MultiPoly)
+    _SET_VARIABLES(poly, variables)
+    _SET_TERMS(poly, terms)
+    return poly
 
 
 def _IDENT_OK(name: str) -> bool:
@@ -346,6 +408,8 @@ def _aligned(p: MultiPoly, q: MultiPoly):
 
 
 def _embed(p: MultiPoly, union):
+    if p.variables == union:
+        return p.terms
     index = {v: i for i, v in enumerate(union)}
     n = len(union)
     out = {}
@@ -357,27 +421,100 @@ def _embed(p: MultiPoly, union):
     return out
 
 
-def _cached_power(cache: dict, base: MultiPoly, k: int) -> MultiPoly:
+def _cached_power(cache: dict, k: int) -> dict:
+    """base^k for the integer polynomial base = cache[1], memoized in cache."""
     if k in cache:
         return cache[k]
-    half = _cached_power(cache, base, k // 2)
-    result = half * half
+    half = _cached_power(cache, k // 2)
+    result = _imul(half, half)
     if k & 1:
-        result = result * base
+        result = _imul(result, cache[1])
     cache[k] = result
     return result
 
 
-# -- monomial order (graded lexicographic, descending for display) ---------
+# -- integer-primitive form ---------------------------------------------------
+#
+# An integer polynomial is a dict {exponent tuple: nonzero int} whose
+# exponents are aligned to a variable tuple held by the caller.
 
 
-def _grlex_key(exp: Exponent):
-    return (sum(exp), exp)
+def _int_form(terms: dict):
+    """(content, integer terms) of nonempty ``Fraction`` terms.
+
+    The content is a positive rational and the integer terms have gcd 1,
+    so terms = content * integer terms.
+    """
+    values = terms.values()
+    den = math.lcm(*[c.denominator for c in values])
+    nums = [c.numerator * (den // c.denominator) for c in values]
+    g = math.gcd(*nums)
+    return Fraction(g, den), dict(zip(terms, [n // g for n in nums]))
 
 
-def _leading_term(p: MultiPoly):
-    exp = max(p.terms, key=_grlex_key)
-    return exp, p.terms[exp]
+def _from_int(variables: tuple, ints: dict, content) -> MultiPoly:
+    """The polynomial content * ints, through the trusted constructor."""
+    num, den = content.numerator, content.denominator
+    if den == 1:
+        return _new(variables, {e: Fraction(c * num) for e, c in ints.items()})
+    return _new(variables, {e: Fraction(c * num, den) for e, c in ints.items()})
+
+
+def _imul(a: dict, b: dict) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ipow(base: dict, k: int) -> dict:
+    return _cached_power({0: {(0,) * len(next(iter(base))): 1}, 1: base}, k)
+
+
+def _iadd(a: dict, b: dict, scale: int = 1) -> dict:
+    """a + scale * b."""
+    out = dict(a)
+    get = out.get
+    for e, c in b.items():
+        out[e] = get(e, 0) + scale * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _idiv(p: dict, q: dict):
+    """Exact quotient p / q in Z[x], or None when there is none.
+
+    Division by the lexicographically leading term.  A quotient term
+    outside the box of exponents deg_i(p) - deg_i(q) proves that q does
+    not divide p, which bounds the number of steps.
+    """
+    qexp = max(q)
+    qc = q[qexp]
+    lower = [(e, c) for e, c in q.items() if e != qexp]
+    box = [a - b for a, b in zip(map(max, zip(*p)), map(max, zip(*q)))]
+    remaining = dict(p)
+    quotient = {}
+    get = remaining.get
+    while remaining:
+        exp = max(remaining)
+        coeff = remaining.pop(exp)
+        diff = tuple(map(sub, exp, qexp))
+        factor, rem = divmod(coeff, qc)
+        if rem or any(map(int.__gt__, diff, box)) or (diff and min(diff) < 0):
+            return None
+        quotient[diff] = factor
+        for qe, qk in lower:
+            target = tuple(map(add, diff, qe))
+            new = get(target, 0) - factor * qk
+            if new:
+                remaining[target] = new
+            else:
+                del remaining[target]
+    return quotient
 
 
 # -- exact division and power extraction ------------------------------------
@@ -392,29 +529,15 @@ def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return _ZERO
     if q.is_constant():
-        c = q.constant_value()
-        return MultiPoly(p.variables, {e: k / c for e, k in p.terms.items()})
+        c = q.terms[()]
+        return _new(p.variables, {e: k / c for e, k in p.terms.items()})
     names, ptab, qtab = _aligned(p, q)
-    qexp, qc = max(qtab, key=_grlex_key), None
-    qc = qtab[qexp]
-    remaining = dict(ptab)
-    quotient = {}
-    while remaining:
-        exp = max(remaining, key=_grlex_key)
-        coeff = remaining[exp]
-        diff = tuple(a - b for a, b in zip(exp, qexp))
-        if any(d < 0 for d in diff):
-            raise NotDivisibleError(format_poly(q) + " does not divide " + format_poly(p))
-        factor = coeff / qc
-        quotient[diff] = factor
-        for qe, qk in qtab.items():
-            target = tuple(a + b for a, b in zip(diff, qe))
-            new = remaining.get(target, Fraction(0)) - factor * qk
-            if new == 0:
-                remaining.pop(target, None)
-            else:
-                remaining[target] = new
-    return MultiPoly(names, quotient)
+    cp, ip = _int_form(ptab)
+    cq, iq = _int_form(qtab)
+    quotient = _idiv(ip, iq)
+    if quotient is None:
+        raise NotDivisibleError(format_poly(q) + " does not divide " + format_poly(p))
+    return _from_int(names, quotient, cp / cq)
 
 
 def extract_power(p: MultiPoly, q: MultiPoly):
@@ -428,14 +551,19 @@ def extract_power(p: MultiPoly, q: MultiPoly):
         raise ValueError("extract_power needs a non-constant divisor")
     if p.is_zero():
         return INFINITE_ORDER, _ZERO
+    names, ptab, qtab = _aligned(p, q)
+    cp, ip = _int_form(ptab)
+    cq, iq = _int_form(qtab)
     k = 0
-    current = p
     while True:
-        try:
-            current = exact_divide(current, q)
-        except NotDivisibleError:
-            return k, current
+        quotient = _idiv(ip, iq)
+        if quotient is None:
+            break
+        ip = quotient
         k += 1
+    if not k:
+        return 0, p
+    return k, _from_int(names, ip, cp / cq**k)
 
 
 # -- resultants --------------------------------------------------------------
@@ -444,73 +572,139 @@ def extract_power(p: MultiPoly, q: MultiPoly):
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """Sylvester resultant of f and g with respect to ``var``.
 
-    Computed as the determinant of the Sylvester matrix by fraction-free
-    Bareiss elimination over the remaining variables, so the result is
-    exact.  Both inputs must have positive degree in ``var``.
+    With f = cf * F and g = cg * G in integer-primitive form,
+    res(f, g) = cf^deg(g) * cg^deg(f) * res(F, G), and the integer
+    resultant is found by evaluation and interpolation over the
+    remaining variables.  Exact; both inputs must have positive degree in
+    ``var``.
     """
-    fc = f.as_univariate(var)
-    gc = g.as_univariate(var)
-    m, n = len(fc) - 1, len(gc) - 1
+    m, n = f.degree_in(var), g.degree_in(var)
     if m < 1 or n < 1:
         raise ValueError("resultant needs positive degree in the variable")
-    if fc[-1].is_zero() or gc[-1].is_zero():
-        raise ValueError("degenerate leading coefficient")
-    size = m + n
-    rows = []
-    fdesc = fc[::-1]
-    gdesc = gc[::-1]
-    for i in range(n):
-        row = [_ZERO] * size
-        for j, c in enumerate(fdesc):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [_ZERO] * size
-        for j, c in enumerate(gdesc):
-            row[i + j] = c
-        rows.append(row)
-    return _bareiss_determinant(rows)
+    names, ftab, gtab = _aligned(f, g)
+    i = names.index(var)
+    cf, fi = _int_form(ftab)
+    cg, gi = _int_form(gtab)
+
+    def var_first(p):
+        return {(e[i],) + e[:i] + e[i + 1:]: c for e, c in p.items()}
+
+    ints = _iresultant(var_first(fi), var_first(gi), m, n)
+    return _from_int(names[:i] + names[i + 1:], ints, cf**n * cg**m)
 
 
-def _bareiss_determinant(matrix) -> MultiPoly:
-    n = len(matrix)
-    sign = 1
-    prev = MultiPoly.const(1)
-    for k in range(n - 1):
-        if matrix[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not matrix[i][k].is_zero():
-                    matrix[k], matrix[i] = matrix[i], matrix[k]
-                    sign = -sign
-                    break
-            else:
-                return _ZERO
-        pivot = matrix[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = matrix[i][j] * pivot - matrix[i][k] * matrix[k][j]
-                matrix[i][j] = exact_divide(num, prev)
-            matrix[i][k] = _ZERO
-        prev = pivot
-    result = matrix[n - 1][n - 1]
-    return result if sign == 1 else -result
+def _iresultant(f: dict, g: dict, m: int, n: int) -> dict:
+    """res_x(f, g) for integer polynomials whose first variable is x.
+
+    m and n are the degrees in x.  The last variable is set to integer
+    points t where neither degree drops, so the Sylvester matrix and its
+    determinant specialize; one more such value than the degree bound
+    determines the resultant.
+    """
+    if len(next(iter(f))) == 1:
+        a, b = [0] * (m + 1), [0] * (n + 1)
+        for (j,), c in f.items():
+            a[j] = c
+        for (j,), c in g.items():
+            b[j] = c
+        sign = -1 if m < n and m & n & 1 else 1
+        last, d, h, prs_sign = _subresultant_list(*((a, b) if m >= n else (b, a)))
+        if len(last) > 1:
+            return {}
+        return {(): sign * prs_sign * (last[0] ** d // h ** (d - 1))}
+    # Sylvester degree bounds: row maxima, and entries weighted by x-degree
+    # (the coefficient of x^j in f has y-degree at most deg_{x,y} f - j).
+    bound = min(
+        n * max(e[-1] for e in f) + m * max(e[-1] for e in g),
+        n * max(e[0] + e[-1] for e in f) + m * max(e[0] + e[-1] for e in g) - m * n,
+    )
+    points, values = [], []
+    t = 0
+    while len(points) <= bound:
+        fe, ge = _eval_last(f, t), _eval_last(g, t)
+        if fe and ge and max(e[0] for e in fe) == m and max(e[0] for e in ge) == n:
+            points.append(t)
+            values.append(_iresultant(fe, ge, m, n))
+        t = -t if t > 0 else 1 - t
+    return _interpolate_last(points, values)
 
 
-# -- gcd via primitive pseudo-remainder sequences ----------------------------
+def _eval_last(p: dict, t: int) -> dict:
+    """Set the last variable of an integer polynomial to t."""
+    out = {}
+    get = out.get
+    for e, c in p.items():
+        head = e[:-1]
+        out[head] = get(head, 0) + c * t ** e[-1]
+    return {e: c for e, c in out.items() if c}
+
+
+def _interpolate_last(points: list, values: list) -> dict:
+    """Integer polynomial in one more (last) variable y with value values[k] at y = points[k].
+
+    Newton divided differences at integer points of an integer polynomial
+    are integers, so every division is exact.  The Newton form is then
+    expanded by Horner's rule, dense in y.
+    """
+    coeffs = list(values)
+    for j in range(1, len(points)):
+        for k in range(len(points) - 1, j - 1, -1):
+            step = points[k] - points[k - j]
+            coeffs[k] = {e: c // step for e, c in _iadd(coeffs[k], coeffs[k - 1], -1).items()}
+    dense = [coeffs[-1]]
+    for k in range(len(points) - 2, -1, -1):
+        shifted = [{}] + dense  # y * dense
+        for d, part in enumerate(dense):
+            shifted[d] = _iadd(shifted[d], part, -points[k])
+        shifted[0] = _iadd(shifted[0], coeffs[k])
+        dense = shifted
+    return {e + (d,): c for d, part in enumerate(dense) for e, c in part.items()}
+
+
+# -- gcd via pseudo-remainder sequences ---------------------------------------
 
 
 def pseudo_remainder(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """prem(f, g): remainder of lc(g)^(deg f - deg g + 1) * f by g in var."""
-    dg = g.degree_in(var)
+    """prem(f, g): remainder of lc(g)^(deg f - deg g + 1) * f by g in var.
+
+    Returns f itself when deg f < deg g.
+    """
     if g.is_zero():
         raise ZeroDivisionError("pseudo-division by zero")
-    lg = g.leading_coefficient_in(var)
-    r = f
-    v = MultiPoly.variable(var)
-    while not r.is_zero() and r.degree_in(var) >= dg:
-        k = r.degree_in(var) - dg
-        lr = r.leading_coefficient_in(var)
-        r = lg * r - lr * v**k * g
+    df, dg = f.degree_in(var), g.degree_in(var)
+    if df < dg:
+        return f
+    names, ftab, gtab = _aligned(f, g)
+    if var not in names:
+        return _ZERO
+    cf, fi = _int_form(ftab)
+    cg, gi = _int_form(gtab)
+    return _from_int(names, _iprem(fi, gi, names.index(var)), cf * cg ** (df - dg + 1))
+
+
+def _leading_in(p: dict, i: int, degree: int, shift: int) -> dict:
+    """Coefficient of x_i^degree in p, multiplied by x_i^shift."""
+    return {e[:i] + (shift,) + e[i + 1:]: c for e, c in p.items() if e[i] == degree}
+
+
+def _iprem(a: dict, b: dict, i: int) -> dict:
+    """Integer pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b in x_i.
+
+    Each reduction step multiplies by lc(b) once; a step can lower the
+    degree by more than one, so the power still owed is applied at the end.
+    """
+    db = max(e[i] for e in b)
+    lead = _leading_in(b, i, db, 0)
+    r = a
+    owed = max(e[i] for e in a) - db + 1
+    while r:
+        dr = max(e[i] for e in r)
+        if dr < db:
+            break
+        r = _iadd(_imul(lead, r), _imul(_leading_in(r, i, dr, dr - db), b), -1)
+        owed -= 1
+    if owed > 0 and r:
+        r = _imul(r, _ipow(lead, owed))
     return r
 
 
@@ -534,7 +728,7 @@ def primitive_part_in(p: MultiPoly, var: str) -> MultiPoly:
 
 
 def gcd_multivariate(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Normalized gcd over Q[x1..xn] (primitive PRS, recursing on contents)."""
+    """Normalized gcd over Q[x1..xn] (subresultant PRS, recursing on contents)."""
     if p.is_zero():
         return _normalize_gcd(q)
     if q.is_zero():
@@ -552,79 +746,104 @@ def gcd_univariate(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """gcd of f and g viewed as univariate in ``var``.
 
     Coefficients in the remaining variables are handled through content
-    and primitive part; the remainder sequence is the subresultant PRS,
-    whose exact divisions keep coefficient growth polynomial.  The result
-    is monic when univariate over Q, otherwise primitive with a
-    sign-normalized leading coefficient.
+    and primitive part; the remainder sequence is the subresultant PRS
+    on the integer-primitive parts, whose exact divisions keep
+    coefficient growth polynomial.  The result is monic when univariate
+    over Q, otherwise primitive with a sign-normalized leading
+    coefficient.
     """
     if f.is_zero():
         return _normalize_gcd(g)
     if g.is_zero():
         return _normalize_gcd(f)
     if f.degree_in(var) == 0 or g.degree_in(var) == 0:
-        cf = content_in(f, var)
-        cg = content_in(g, var)
-        return _normalize_gcd(gcd_multivariate(cf, cg))
+        return _normalize_gcd(gcd_multivariate(content_in(f, var), content_in(g, var)))
     if len(f.variables) == 1 and len(g.variables) == 1:
-        return _gcd_univariate_rational(f, g, var)
+        a, b = _int_coeffs(f, var), _int_coeffs(g, var)
+        last = _subresultant_list(*((a, b) if len(a) >= len(b) else (b, a)))[0]
+        return _normalize_gcd(_new((var,), {(j,): Fraction(c) for j, c in enumerate(last)}))
     cf = content_in(f, var)
     cg = content_in(g, var)
     cont = gcd_multivariate(cf, cg)
-    a = exact_divide(f, cf)
-    b = exact_divide(g, cg)
-    if a.degree_in(var) < b.degree_in(var):
+    names, ftab, gtab = _aligned(exact_divide(f, cf), exact_divide(g, cg))
+    i = names.index(var)
+    a, b = _int_form(ftab)[1], _int_form(gtab)[1]
+    if max(e[i] for e in a) < max(e[i] for e in b):
         a, b = b, a
-    # subresultant polynomial remainder sequence
-    g_coef = MultiPoly.const(1)
-    h_coef = MultiPoly.const(1)
-    while True:
-        delta = a.degree_in(var) - b.degree_in(var)
-        r = pseudo_remainder(a, b, var)
-        if r.is_zero():
+    last = _subresultant_prs(a, b, i)
+    if not max(e[i] for e in last):
+        return _normalize_gcd(cont)
+    return _normalize_gcd(cont * primitive_part_in(_from_int(names, last, Fraction(1)), var))
+
+
+def _subresultant_prs(a: dict, b: dict, i: int) -> dict:
+    """Last nonzero remainder of the subresultant PRS of a, b in x_i.
+
+    a and b are integer polynomials with deg a >= deg b >= 1.  The
+    sequence stops at the first remainder that vanishes or is free of
+    x_i; in the first case the one returned is a gcd up to content.
+    """
+    da, db = max(e[i] for e in a), max(e[i] for e in b)
+    g = h = {(0,) * len(next(iter(a))): 1}
+    while db > 0:
+        delta = da - db
+        r = _iprem(a, b, i)
+        if not r:
             break
-        divisor = g_coef * h_coef**delta
-        a, b = b, exact_divide(r, divisor)
-        if b.degree_in(var) == 0:
-            return _normalize_gcd(cont)
-        g_coef = a.leading_coefficient_in(var)
+        a, b = b, _idiv(r, _imul(g, _ipow(h, delta)) if delta else g)
+        da, db = db, max(e[i] for e in b)
+        g = _leading_in(a, i, da, 0)
         if delta == 1:
-            h_coef = g_coef
-        elif delta > 1:
-            h_coef = exact_divide(g_coef**delta, h_coef ** (delta - 1))
-    return _normalize_gcd(cont * primitive_part_in(b, var))
+            h = g
+        elif delta:
+            h = _idiv(_ipow(g, delta), _ipow(h, delta - 1))
+    return b
 
 
-def _gcd_univariate_rational(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Monic gcd of univariate polynomials over Q (integer-primitive PRS)."""
-    a, b = _int_coeffs(f, var), _int_coeffs(g, var)
-    if len(a) < len(b):
-        a, b = b, a
-    while any(b):
-        # integer pseudo-remainder of a by b, then strip integer content
-        while len(a) >= len(b):
-            if a and a[-1] == 0:
-                a.pop()
-                continue
-            lead_b = b[-1]
-            lead_a = a[-1]
-            d = math.gcd(lead_a, lead_b)
-            scale_a, scale_b = lead_b // d, lead_a // d
-            shift = len(a) - len(b)
-            a = [scale_a * c for c in a]
-            for i, c in enumerate(b):
-                a[i + shift] -= scale_b * c
-            while a and a[-1] == 0:
-                a.pop()
-            if not a:
-                break
-        content = 0
-        for c in a:
-            content = math.gcd(content, c)
-        if content > 1:
-            a = [c // content for c in a]
-        a, b = b, a
-    poly = MultiPoly((var,), {(i,): Fraction(c) for i, c in enumerate(a)})
-    return _normalize_gcd(poly)
+def _subresultant_list(a: list, b: list):
+    """The subresultant PRS of ``_subresultant_prs`` on ascending integer lists.
+
+    Univariate gcds and the evaluated resultants take this path, which
+    runs several times faster on plain lists than on dicts.  Returns
+    (last, d, h, sign): the last nonzero remainder, the degree of the one
+    before it, the scale h of the sequence and (-1)^(sum of deg a * deg b
+    over the steps).  If ``last`` is a constant the resultant is
+    sign * last^d / h^(d - 1), otherwise it is 0 (H. Cohen, A Course in
+    Computational Algebraic Number Theory, Algorithm 3.3.7).
+    """
+    da, db = len(a) - 1, len(b) - 1
+    g = h = sign = 1
+    while db > 0:
+        delta = da - db
+        if da & db & 1:
+            sign = -sign
+        r = _prem_list(a, b)
+        if not r:
+            break
+        divisor = g * h**delta
+        a, b = b, [c // divisor for c in r]
+        da, db = db, len(b) - 1
+        g = a[-1]
+        if delta:
+            h = g**delta // h ** (delta - 1)
+    return b, da, h, sign
+
+
+def _prem_list(a: list, b: list) -> list:
+    """lc(b)^(deg a - deg b + 1) * a mod b for ascending integer lists."""
+    lead = b[-1]
+    owed = len(a) - len(b) + 1
+    r = list(a)
+    while len(r) >= len(b):
+        top = r.pop()
+        shift = len(r) - len(b) + 1
+        r = [lead * c for c in r]
+        for j, c in enumerate(b[:-1]):
+            r[j + shift] -= top * c
+        owed -= 1
+        while r and not r[-1]:
+            r.pop()
+    return [c * lead**owed for c in r] if owed > 0 else r
 
 
 def _normalize_gcd(p: MultiPoly) -> MultiPoly:
@@ -637,6 +856,13 @@ def _normalize_gcd(p: MultiPoly) -> MultiPoly:
         return exact_divide(p, MultiPoly.const(lead))
     prim, _ = primitive_integer(p)
     return prim
+
+
+# -- monomial order (graded lexicographic, descending for display) ---------
+
+
+def _grlex_key(exp: Exponent):
+    return (sum(exp), exp)
 
 
 # -- homogeneous components --------------------------------------------------
@@ -662,7 +888,7 @@ def homogeneous_components(p: MultiPoly, point=None) -> list:
     buckets = [dict() for _ in range(d + 1)]
     for exp, coeff in p.terms.items():
         buckets[sum(exp)][exp] = coeff
-    return [MultiPoly(p.variables, b) for b in buckets]
+    return [_new(p.variables, b) for b in buckets]
 
 
 # -- integer utilities for rational root extraction --------------------------
@@ -676,17 +902,11 @@ def primitive_integer(p: MultiPoly):
     """
     if p.is_zero():
         return _ZERO, Fraction(1)
-    denom = 1
-    for c in p.terms.values():
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    nums = [int(c * denom) for c in p.terms.values()]
-    g = 0
-    for v in nums:
-        g = math.gcd(g, v)
-    lead = p.terms[max(p.terms, key=_grlex_key)]
-    sign = -1 if lead < 0 else 1
-    unit = Fraction(sign * g, denom)
-    return exact_divide(p, MultiPoly.const(unit)), unit
+    unit, ints = _int_form(p.terms)
+    if ints[max(ints, key=_grlex_key)] < 0:
+        unit = -unit
+        ints = {e: -c for e, c in ints.items()}
+    return _from_int(p.variables, ints, Fraction(1)), unit
 
 
 def equal_up_to_unit(p: MultiPoly, q: MultiPoly) -> bool:
@@ -728,7 +948,7 @@ def rational_roots(p: MultiPoly) -> list:
         vals = vals[k:]
     if len(vals) == 1:
         return sorted(roots)
-    poly = MultiPoly((var,), {(i,): Fraction(c) for i, c in enumerate(vals)})
+    poly = _new((var,), {(i,): Fraction(c) for i, c in enumerate(vals)})
     sf = _int_coeffs(squarefree_part(poly, var), var)
     found = {
         cand

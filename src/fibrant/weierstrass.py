@@ -30,6 +30,7 @@ from .poly import (
     exact_divide,
     extract_power,
     gcd_multivariate,
+    parse,
 )
 
 
@@ -365,8 +366,6 @@ class WeierstrassFibration:
 
     @staticmethod
     def from_strings(a_text: str, b_text: str, alpha=None, m=None) -> "WeierstrassFibration":
-        from .poly import parse
-
         params = {}
         if alpha is not None:
             params["alpha"] = Fraction(alpha)

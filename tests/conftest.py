@@ -64,6 +64,53 @@ def sylvester_det_fractions(rows):
     return det
 
 
+def bareiss_resultant(f, g, var):
+    """Sylvester resultant as a Bareiss determinant over polynomials (oracle only).
+
+    Fraction-free elimination on the Sylvester matrix of MultiPoly
+    entries: every step is one exact division by the previous pivot.
+    """
+    fc, gc = f.as_univariate(var)[::-1], g.as_univariate(var)[::-1]
+    m, n = len(fc) - 1, len(gc) - 1
+    size = m + n
+    zero = MultiPoly.zero()
+    rows = [[zero] * i + fc + [zero] * (size - m - 1 - i) for i in range(n)]
+    rows += [[zero] * i + gc + [zero] * (size - n - 1 - i) for i in range(m)]
+    sign, prev = 1, MultiPoly.const(1)
+    for k in range(size - 1):
+        if rows[k][k].is_zero():
+            swap = next((i for i in range(k + 1, size) if not rows[i][k].is_zero()), None)
+            if swap is None:
+                return zero
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                rows[i][j] = exact_divide(rows[i][j] * pivot - rows[i][k] * rows[k][j], prev)
+            rows[i][k] = zero
+        prev = pivot
+    return rows[-1][-1] if sign == 1 else -rows[-1][-1]
+
+
+def to_sympy(sympy, p):
+    """A MultiPoly as a sympy expression."""
+    return sum(
+        (
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(sympy.Symbol(v) ** k for v, k in zip(p.variables, e)))
+            for e, c in p.terms.items()
+        ),
+        sympy.Integer(0),
+    )
+
+
+def from_sympy(sympy, expr, names):
+    """A sympy expression in the given variable names as a MultiPoly."""
+    poly = sympy.Poly(expr, *(sympy.Symbol(v) for v in names))
+    return MultiPoly(names, {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()})
+
+
 @pytest.fixture(scope="session")
 def lagrange_fibration():
     from fibrant.lagrange import build_global_sections

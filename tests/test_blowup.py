@@ -14,6 +14,7 @@ from fibrant.blowup import (
 from fibrant.lagrange import build_global_sections
 from fibrant.poly import MultiPoly, extract_power, format_poly, parse
 from fibrant.weierstrass import (
+    NotAnalyzableError,
     WeierstrassFibration,
     _projective_rational_singular_points,
     radical,
@@ -265,6 +266,17 @@ class TestRegularizeEdges:
         assert mod.all_collisions() == []
         [tower] = mod.towers
         assert [d.kodaira.tag for d in tower.divisors] == ["I0"]
+
+    def test_shared_conic_is_reported_not_a_gcd_failure(self):
+        # a and b share the conic q; the gcd on the way to that diagnosis
+        # used to stop with NotDivisibleError (a pseudo-remainder that owed
+        # a power of the leading coefficient)
+        q = parse("A1^2 + A2^2 - 2*A0^2")
+        fib = WeierstrassFibration(
+            q * parse("A0^2 + A1*A2"), q * parse("A0^4 + A1^4 + A2^4 + A0*A1*A2^2")
+        )
+        with pytest.raises(NotAnalyzableError, match="section divisors share a component"):
+            regularize(fib)
 
     def test_chart_consistency_is_checked(self):
         # the driver recomputes each exceptional triple in both charts; run

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -95,6 +96,35 @@ class TestAnalyze:
         joined = run("analyze", "--alpha=-1/2")
         assert spaced[0] == 0
         assert spaced == joined
+
+
+# First 16 hex digits of the sha256 of the `analyze` stdout, pinned when
+# the elimination kernels moved to integer arithmetic: outputs must stay
+# byte-identical.
+GOLDEN_ANALYZE = {
+    "1": "8daf0c34e5fe00d8",
+    "7/3": "a81240e581b9a16e",
+    "-5/9": "7c1e486fafcb0bd4",
+    "101/13": "d1b677322b244f47",
+    "12345/678": "f8cf69bcb4595d78",
+    "999/1000": "c03e205b19394132",
+    "1000003/999983": "f3591d3eb1353ff0",
+}
+GOLDEN_ANALYZE_MD = {"1": "8dd15e2ec0d69b35", "7/3": "2f9e65702f69360b"}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("alpha", sorted(GOLDEN_ANALYZE))
+    def test_json(self, run, alpha):
+        code, out, _ = run("analyze", f"--alpha={alpha}")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_ANALYZE[alpha]
+
+    @pytest.mark.parametrize("alpha", sorted(GOLDEN_ANALYZE_MD))
+    def test_markdown(self, run, alpha):
+        code, out, _ = run("analyze", f"--alpha={alpha}", "--format", "md")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_ANALYZE_MD[alpha]
 
 
 class TestBlowupDemo:

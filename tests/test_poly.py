@@ -2,7 +2,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import bareiss_resultant, from_sympy, to_sympy
+from hypothesis import example, given, settings, strategies as st
 
 from fibrant.poly import (
     INFINITE_ORDER,
@@ -18,6 +19,7 @@ from fibrant.poly import (
     is_squarefree,
     parse,
     primitive_integer,
+    pseudo_remainder,
     rational_roots,
     resultant,
     squarefree_part,
@@ -428,3 +430,128 @@ def test_rational_roots_against_divisor_enumeration(case, extra):
     if zeros:
         expected = sorted(expected + [(F(0), zeros)])
     assert rational_roots(poly) == expected
+
+
+# -- pseudo-remainders and the subresultant gcd ----------------------------------
+
+
+def test_pseudo_remainder_owes_the_full_power():
+    # one reduction step drops the degree in x from 3 to 0, so lc(g) is
+    # applied once by the step and once more as the power still owed
+    f, g = -(x**3), 4 * x**2 * y + 2 * y**3 + 3 * x**2
+    lead = 4 * y + 3
+    r = pseudo_remainder(f, g, "x")
+    assert r.degree_in("x") < g.degree_in("x")
+    exact_divide(lead**2 * f - r, g)
+    assert r == lead * (2 * y**3) * x
+
+
+@given(st.integers(-3, 3), st.integers(1, 4), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_pseudo_remainder_identity(c, df, dg):
+    f = (x + c * y) ** df * (x - y) + c * x * y + 1
+    g = (c * y + 1) * x**dg + y**2 * x + c
+    r = pseudo_remainder(f, g, "x")
+    e = f.degree_in("x") - g.degree_in("x") + 1
+    assert r.degree_in("x") < g.degree_in("x")
+    exact_divide(g.leading_coefficient_in("x") ** max(e, 0) * f - r, g)
+
+
+small_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def polys_in(draw, names, max_terms=4, max_exp=2):
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        exp = tuple(draw(st.integers(0, max_exp)) for _ in names)
+        terms[exp] = terms.get(exp, F(0)) + draw(small_coeffs)
+    return MultiPoly(names, terms)
+
+
+@st.composite
+def planted_gcd_pairs(draw):
+    names = ("x", "y", "z")[: draw(st.sampled_from((2, 3)))]
+    common = draw(polys_in(names, max_terms=3))
+    return common * draw(polys_in(names)), common * draw(polys_in(names))
+
+
+@given(planted_gcd_pairs())
+@example((-(x**3), 4 * x**2 * y + 2 * y**3 + 3 * x**2))
+@settings(max_examples=80, deadline=None)
+def test_gcd_multivariate_against_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    p, q = pair
+    ours = gcd_multivariate(p, q)
+    names = tuple(sorted(set(p.variables) | set(q.variables))) or ("x",)
+    theirs = sympy.gcd(to_sympy(sympy, p), to_sympy(sympy, q))
+    assert equal_up_to_unit(ours, from_sympy(sympy, theirs, names))
+    if not ours.is_zero():
+        exact_divide(p, ours)
+        exact_divide(q, ours)
+
+
+# -- the trusted constructor and the integer kernels -------------------------------
+
+VARIABLE_POOL = ("w", "x", "y", "z")
+
+
+@st.composite
+def small_polys(draw, max_exp=2):
+    names = tuple(draw(st.lists(st.sampled_from(VARIABLE_POOL), min_size=1, max_size=4, unique=True)))
+    return draw(polys_in(names, max_exp=max_exp))
+
+
+def assert_canonical(r):
+    """Kernel output is exactly what full validation would build."""
+    assert isinstance(r, MultiPoly)
+    assert list(r.variables) == sorted(set(r.variables))
+    assert all(type(c) is F and c != 0 for c in r.terms.values())
+    assert all(len(e) == len(r.variables) for e in r.terms)
+    assert all(any(e[i] for e in r.terms) for i in range(len(r.variables)))
+    rebuilt = MultiPoly(r.variables, r.terms)
+    assert (rebuilt.variables, rebuilt.terms) == (r.variables, r.terms)
+
+
+@given(small_polys(), small_polys(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_kernels_build_canonical_polynomials(p, q, data):
+    for r in (p + q, p - q, p * q, -p, p**2, 3 * p, q * F(1, 2)):
+        assert_canonical(r)
+    for var in VARIABLE_POOL:
+        assert_canonical(p.derivative(var))
+        for c in p.as_univariate(var):
+            assert_canonical(c)
+        if not q.is_zero():
+            assert_canonical(pseudo_remainder(p, q, var))
+    product = p * q
+    if not q.is_zero():
+        quotient = exact_divide(product, q)
+        assert_canonical(quotient)
+        assert quotient == p
+    if not q.is_constant() and not p.is_zero():
+        k, cofactor = extract_power(product, q)
+        assert_canonical(cofactor)
+        assert k >= 1 and q**k * cofactor == product
+    mapped = data.draw(st.lists(st.sampled_from(p.variables or ("x",)), unique=True))
+    mapping = {v: data.draw(st.one_of(small_polys(max_exp=1), small_coeffs)) for v in mapped}
+    image = p.substitute(mapping)
+    assert_canonical(image)
+    point = {v: data.draw(small_coeffs) for v in VARIABLE_POOL}
+    values = {v: (m.evaluate(point) if isinstance(m, MultiPoly) else m) for v, m in mapping.items()}
+    assert image.evaluate(point) == p.evaluate({**point, **values})
+    shifted = p.shift({v: point[v] for v in mapped})
+    assert_canonical(shifted)
+    assert shifted.substitute({v: MultiPoly.variable(v) - point[v] for v in mapped}) == p
+
+
+@given(small_polys(), small_polys(), st.sampled_from(VARIABLE_POOL))
+@settings(max_examples=60, deadline=None)
+def test_resultant_against_bareiss_oracle(p, q, var):
+    if p.degree_in(var) < 1 or q.degree_in(var) < 1:
+        with pytest.raises(ValueError):
+            resultant(p, q, var)
+        return
+    r = resultant(p, q, var)
+    assert_canonical(r)
+    assert r == bareiss_resultant(p, q, var)

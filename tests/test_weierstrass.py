@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from conftest import from_sympy, to_sympy
+from hypothesis import given, settings, strategies as st
 
 from fibrant.blowup import regularize
 from fibrant.monodromy import SL2Z
-from fibrant.poly import INFINITE_ORDER, MultiPoly, extract_power, parse
+from fibrant.poly import INFINITE_ORDER, MultiPoly, equal_up_to_unit, extract_power, parse
 from fibrant.weierstrass import (
     GenericityError,
     KodairaType,
@@ -12,11 +14,13 @@ from fibrant.weierstrass import (
     NotInTableError,
     OrderTriple,
     WeierstrassFibration,
+    _gcd_homogeneous,
     check_genericity,
     kodaira_classify,
     kodaira_monodromy,
     normalize_condition_C,
     order_triple_along,
+    radical,
     reduce_triple_mod,
 )
 
@@ -257,3 +261,42 @@ class TestFromStrings:
         )
         assert fib.alpha == F(3, 2)
         assert fib.a.total_degree() == 4 and fib.b.total_degree() == 6
+
+
+# -- the gcd's homogeneous users against sympy ------------------------------------
+
+PLANE = ("A0", "A1", "A2")
+
+
+@st.composite
+def homogeneous_forms(draw, degree):
+    """A nonzero form of the given degree in A0, A1, A2 with small coefficients."""
+    monomials = [(i, j, degree - i - j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monomials), max_size=len(monomials)))
+    if not any(coeffs):
+        coeffs[draw(st.integers(0, len(monomials) - 1))] = 1
+    return MultiPoly(PLANE, {m: F(c, draw(st.integers(1, 3))) for m, c in zip(monomials, coeffs)})
+
+
+@given(
+    homogeneous_forms(1), homogeneous_forms(2), homogeneous_forms(2), homogeneous_forms(1),
+    st.integers(1, 2), st.integers(0, 2),
+)
+@settings(max_examples=40, deadline=None)
+def test_gcd_homogeneous_against_sympy(common, f, g, line, k, j):
+    sympy = pytest.importorskip("sympy")
+    p = common**k * f * line**j
+    q = common * g * A0**j
+    ours = _gcd_homogeneous(p, q)
+    theirs = sympy.gcd(to_sympy(sympy, p), to_sympy(sympy, q))
+    assert ours.is_homogeneous()
+    assert equal_up_to_unit(ours, from_sympy(sympy, theirs, PLANE))
+
+
+@given(homogeneous_forms(1), homogeneous_forms(2), homogeneous_forms(1), st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_radical_against_sympy(f, g, line, i, j):
+    sympy = pytest.importorskip("sympy")
+    p = f**i * g**j * line
+    theirs = sympy.sqf_part(to_sympy(sympy, p), *sympy.symbols(PLANE))
+    assert equal_up_to_unit(radical(p), from_sympy(sympy, theirs, PLANE))
