@@ -1,36 +1,31 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a map from exponent vectors to nonzero ``Fraction``
-coefficients, together with the ordered tuple of variable names the
-exponents refer to.  The representation is canonical: variables are
-sorted by name, variables that do not occur are pruned, and zero
-coefficients are never stored.  Two ``MultiPoly`` objects are equal
-exactly when they are the same polynomial.
+A ``MultiPoly`` stores one form, the integer-primitive one (Knuth, TAOCP
+vol. 2, 4.6.1), p = content * P: ``variables`` is the sorted tuple of the
+variables that occur, ``content`` a positive ``Fraction`` (0 for the zero
+polynomial) and ``ints`` maps exponent tuples aligned to ``variables`` to
+the nonzero integer coefficients of P, whose gcd is 1.  The form is
+canonical, with the sign in ``ints``, so ``__eq__`` compares it directly.
+``terms`` is a read-only {exponent: ``Fraction``} view of content * P,
+built on first use and cached for the text format and other readers.
 
-The public constructor ``MultiPoly(variables, terms)`` validates and
-canonicalizes whatever it is given.  The kernels build their results
-through the private trusted constructor ``_new`` instead: their output
-is canonical by construction (exponents aligned to a sorted variable
-tuple), so it only drops zero coefficients and prunes unused variables.
-
-The elimination kernels work in the integer-primitive form of a
-polynomial, p = c * P with c a rational content and P an integer
-polynomial of content 1, so that their inner loops multiply and divide
-integers and no ``Fraction`` is built until the result is.  On that form
-run products and powers, exact division (by Gauss's lemma, P / Q is an
-integer polynomial whenever Q is primitive and divides P), maximal-power
-extraction, the accumulation of ``substitute``, and the subresultant
-pseudo-remainder sequence of the gcd (W. S. Brown, "On Euclid's
-algorithm and the computation of polynomial greatest common divisors",
-JACM 18, 1971).  Resultants are computed by evaluation and
-interpolation (G. E. Collins, "The calculation of multivariate
-polynomial resultants", JACM 18, 1971): the variables that remain after
-elimination are set, one at a time, to integer points where neither
-leading coefficient vanishes; the univariate integer resultants come
-from the subresultant sequence and are interpolated back (Newton form)
-up to a degree bound read off the Sylvester matrix.  Taylor recentering
-into homogeneous components and exact rational-root extraction for
-univariate polynomials complete the toolkit.
+The public constructor ``MultiPoly(variables, terms)`` validates its
+input and converts it once.  The kernels build their results through the
+one private constructor ``_make``, from integer coefficients and a
+content given as an integer numerator/denominator pair; it moves the gcd
+and sign of the integers into the content and prunes unused variables,
+a step a kernel skips when its integers are primitive by construction
+(by Gauss's lemma a product of primitive polynomials is primitive).
+So every kernel computes on integers: sums over a common content
+denominator, products, powers, derivatives, ``substitute``, evaluation at
+a rational point, exact division (P / Q is integral whenever Q is
+primitive and divides P), power extraction and the subresultant
+pseudo-remainder sequence of the gcd (W. S. Brown, JACM 18, 1971).
+Resultants come from evaluation at integer points and Newton
+interpolation (G. E. Collins, JACM 18, 1971), up to a degree bound read
+off the Sylvester matrix.  Taylor recentering into homogeneous
+components and exact rational roots of univariate polynomials complete
+the toolkit.
 
 The text format round-trips bit-exactly, e.g.::
 
@@ -45,7 +40,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add, sub
+from operator import add, itemgetter, sub
+from types import MappingProxyType
 
 Rational = Fraction
 Exponent = tuple[int, ...]
@@ -70,7 +66,7 @@ def _coerce_coeff(value) -> Fraction:
 class MultiPoly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "content", "ints", "_terms")
 
     def __init__(self, variables=(), terms=None):
         variables = tuple(variables)
@@ -85,13 +81,30 @@ class MultiPoly:
                 raise ValueError("exponent arity does not match variable list")
             if any(e < 0 for e in exp):
                 raise ValueError("negative exponent")
-            clean[exp] = clean.get(exp, Fraction(0)) + coeff
+            clean[exp] = clean.get(exp, 0) + coeff
+        clean = {e: c for e, c in clean.items() if c}
         variables, clean = _canonicalize(variables, clean)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
+        den = math.lcm(*[c.denominator for c in clean.values()])
+        ints = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        built = _make(variables, ints, 1, den)
+        _SET_VARIABLES(self, built.variables)
+        _SET_CONTENT(self, built.content)
+        _SET_INTS(self, built.ints)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def terms(self):
+        """Read-only {exponent: nonzero Fraction} view of content * ints."""
+        try:
+            return self._terms
+        except AttributeError:
+            pass
+        num, den = self.content.numerator, self.content.denominator
+        view = MappingProxyType({e: Fraction(c * num, den) for e, c in self.ints.items()})
+        _SET_VIEW(self, view)
+        return view
 
     # -- constructors ------------------------------------------------------
 
@@ -101,11 +114,12 @@ class MultiPoly:
 
     @staticmethod
     def const(value) -> "MultiPoly":
-        return _new((), {(): _coerce_coeff(value)})
+        value = _coerce_coeff(value)
+        return _make((), {(): 1}, value.numerator, value.denominator, primitive=True)
 
     @staticmethod
     def variable(name: str) -> "MultiPoly":
-        return _new((name,), {(1,): Fraction(1)})
+        return _make((name,), {(1,): 1}, primitive=True)
 
     @staticmethod
     def monomial(coeff, powers: dict) -> "MultiPoly":
@@ -116,7 +130,7 @@ class MultiPoly:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def is_constant(self) -> bool:
         return not self.variables
@@ -124,36 +138,39 @@ class MultiPoly:
     def constant_value(self) -> Fraction:
         if self.variables:
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
+        return self.content if self.ints.get((), 1) > 0 else -self.content
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.ints:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.ints))
 
     def degree_in(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.ints:
             return -1
         if var not in self.variables:
             return 0
         i = self.variables.index(var)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.ints)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(set(map(sum, self.ints))) <= 1
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.ints)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (
+            self.variables == other.variables
+            and self.content == other.content
+            and self.ints == other.ints
+        )
 
     __hash__ = None
 
@@ -166,43 +183,38 @@ class MultiPoly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        names, a, b = _aligned(self, other)
-        out = dict(a)
-        for exp, coeff in b.items():
-            out[exp] = out.get(exp, 0) + coeff
-        return _new(names, out)
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(self.variables, {e: -c for e, c in self.terms.items()})
+        return _scale(self, -1, 1)
 
     def __sub__(self, other):
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other):
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _combine(other, self, -1)
 
     def __mul__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
+        if not isinstance(other, MultiPoly):
+            if isinstance(other, (int, Fraction)):
+                return _scale(self, other.numerator, other.denominator)
             return NotImplemented
-        if not self.terms or not other.terms:
-            return _ZERO
-        if not other.variables or not self.variables:
-            poly, scalar = (self, other) if not other.variables else (other, self)
-            c = scalar.terms[()]
-            return _new(poly.variables, {e: k * c for e, k in poly.terms.items()})
-        names, a, b = _aligned(self, other)
-        ca, ia = _int_form(a)
-        cb, ib = _int_form(b)
-        return _from_int(names, _imul(ia, ib), ca * cb)
+        if not other.variables:
+            return _scale(self, *_scalar(other))
+        if not self.variables:
+            return _scale(other, *_scalar(self))
+        names = _union(self, other)
+        c, d = self.content, other.content
+        num, den = c.numerator * d.numerator, c.denominator * d.denominator
+        return _make(names, _imul(_over(self, names), _over(other, names)), num, den, primitive=True)
 
     __rmul__ = __mul__
 
@@ -212,11 +224,12 @@ class MultiPoly:
         if exponent < 0:
             raise ValueError("negative polynomial exponent")
         if exponent == 0:
-            return _new((), {(): Fraction(1)})
-        if not self.terms:
-            return _ZERO
-        content, ints = _int_form(self.terms)
-        return _from_int(self.variables, _ipow(ints, exponent), content**exponent)
+            return _ONE
+        if exponent == 1 or not self.ints:
+            return self
+        c = self.content
+        num, den = c.numerator**exponent, c.denominator**exponent
+        return _make(self.variables, _ipow(self.ints, exponent), num, den, primitive=True)
 
     # -- calculus and substitution ----------------------------------------
 
@@ -228,20 +241,20 @@ class MultiPoly:
             return _ZERO
         i = self.variables.index(var)
         out = {}
-        for exp, coeff in self.terms.items():
+        for exp, coeff in self.ints.items():
             k = exp[i]
             if k:
                 out[exp[:i] + (k - 1,) + exp[i + 1:]] = coeff * k
-        return _new(self.variables, out)
+        return _make(self.variables, out, self.content.numerator, self.content.denominator)
 
     def substitute(self, mapping: dict) -> "MultiPoly":
         """Exact composition: replace variables by polynomials or rationals.
 
         Variables of the mapping that do not occur in the polynomial are
-        ignored; unmapped variables are left alone.  Each image is taken
-        in integer-primitive form; every term becomes a rational scalar
-        times a product of cached integer powers, and all terms are added
-        into one integer dict over the common denominator.
+        ignored; unmapped variables are left alone.  Every term becomes an
+        integer numerator/denominator pair times a product of cached
+        integer powers of the images, and all terms are added into one
+        integer dict over the common denominator.
         """
         images = {}
         for var in self.variables:
@@ -255,38 +268,44 @@ class MultiPoly:
         names = tuple(sorted(names))
         index = {v: i for i, v in enumerate(names)}
         one = (0,) * len(names)
-        factors = []  # per variable: (content, {k: integer image^k})
+        factors = []  # per variable: (num, den, {k: integer image^k} or None for a scalar)
         for var in self.variables:
             img = images.get(var)
             if img is None:
                 unit = [0] * len(names)
                 unit[index[var]] = 1
-                content, ints = 1, {tuple(unit): 1}
-            elif img.terms:
-                content, ints = _int_form(_embed(img, names))
+                factors.append((1, 1, {0: {one: 1}, 1: {tuple(unit): 1}}))
+            elif img.variables:
+                c = img.content
+                factors.append((c.numerator, c.denominator, {0: {one: 1}, 1: _over(img, names)}))
             else:
-                content, ints = 0, {}
-            factors.append((content, {0: {one: 1}, 1: ints}))
+                factors.append((*_scalar(img), None))
         scaled = []
-        for exp, coeff in self.terms.items():
-            product = {one: 1}
-            for k, (content, powers) in zip(exp, factors):
+        for exp, num in self.ints.items():
+            den = 1
+            product = None
+            for k, (fnum, fden, powers) in zip(exp, factors):
                 if k:
-                    if content != 1:
-                        coeff *= content**k
-                    product = _imul(product, _cached_power(powers, k))
-            if coeff:
-                scaled.append((coeff, product))
+                    if fnum != 1:
+                        num *= fnum**k
+                    if fden != 1:
+                        den *= fden**k
+                    if powers is not None:
+                        power = _cached_power(powers, k)
+                        product = power if product is None else _imul(product, power)
+            if num:
+                scaled.append((num, den, product or {one: 1}))
         if not scaled:
             return _ZERO
-        den = math.lcm(*[s.denominator for s, _ in scaled])
+        common = math.lcm(*[den for _, den, _ in scaled])
         acc = {}
         get = acc.get
-        for s, product in scaled:
-            m = s.numerator * (den // s.denominator)
+        for num, den, product in scaled:
+            m = num * (common // den)
             for e, c in product.items():
                 acc[e] = get(e, 0) + m * c
-        return _from_int(names, acc, Fraction(1, den))
+        acc = {e: k for e, k in acc.items() if k}
+        return _make(names, acc, self.content.numerator, self.content.denominator * common)
 
     def shift(self, point: dict) -> "MultiPoly":
         """Recenter: substitute v -> v + point[v] for each listed variable."""
@@ -298,22 +317,38 @@ class MultiPoly:
     def evaluate(self, assignment: dict):
         """Evaluate at a full assignment.
 
-        Exact ``Fraction`` result when every value is rational; otherwise
-        standard complex/float arithmetic.
+        Exact ``Fraction`` result when every value is rational: with
+        v = n_v / d_v and D_v the degree in v, every term is an integer
+        times n_v^k * d_v^(D_v - k) over the common denominator
+        prod d_v^D_v.  Otherwise standard complex/float arithmetic.
         """
         missing = [v for v in self.variables if v not in assignment]
         if missing:
             raise KeyError(f"missing assignment for {missing}")
         values = [assignment[v] for v in self.variables]
-        exact = all(isinstance(v, (int, Fraction)) for v in values)
-        total = Fraction(0) if exact else 0.0
-        for exp, coeff in self.terms.items():
-            term = coeff if exact else complex(coeff)
-            for v, e in zip(values, exp):
-                if e:
-                    term = term * v**e
-            total = total + term
-        return total
+        if not all(isinstance(v, (int, Fraction)) for v in values):
+            total = 0.0
+            for exp, coeff in self.terms.items():
+                term = complex(coeff)
+                for v, e in zip(values, exp):
+                    if e:
+                        term = term * v**e
+                total = total + term
+            return total
+        num, den = self.content.numerator, self.content.denominator
+        if not any(values):
+            return Fraction(num * self.ints.get((0,) * len(values), 0), den)
+        weights = []
+        for v, top in zip(values, map(max, zip(*self.ints))):
+            n, d = v.numerator, v.denominator
+            weights.append([n**k * d ** (top - k) for k in range(top + 1)])
+            den *= d**top
+        total = 0
+        for exp, coeff in self.ints.items():
+            for row, k in zip(weights, exp):
+                coeff *= row[k]
+            total += coeff
+        return Fraction(num * total, den)
 
     # -- univariate views ---------------------------------------------------
 
@@ -327,42 +362,64 @@ class MultiPoly:
         i = self.variables.index(var)
         rest = self.variables[:i] + self.variables[i + 1:]
         buckets = [dict() for _ in range(d + 1)]
-        for exp, coeff in self.terms.items():
+        for exp, coeff in self.ints.items():
             buckets[exp[i]][exp[:i] + exp[i + 1:]] = coeff
-        return [_new(rest, b) for b in buckets]
+        num, den = self.content.numerator, self.content.denominator
+        return [_make(rest, b, num, den) for b in buckets]
 
     def leading_coefficient_in(self, var: str) -> "MultiPoly":
         coeffs = self.as_univariate(var)
         return coeffs[-1] if coeffs else _ZERO
 
 
-_ZERO = object.__new__(MultiPoly)
-object.__setattr__(_ZERO, "variables", ())
-object.__setattr__(_ZERO, "terms", {})
-
 _SET_VARIABLES = MultiPoly.variables.__set__
-_SET_TERMS = MultiPoly.terms.__set__
+_SET_CONTENT = MultiPoly.content.__set__
+_SET_INTS = MultiPoly.ints.__set__
+_SET_VIEW = MultiPoly._terms.__set__
 
 
-def _new(variables: tuple, terms: dict) -> MultiPoly:
-    """Trusted constructor for kernel output that is canonical by construction.
+def _make(variables: tuple, ints: dict, num: int = 1, den: int = 1, primitive: bool = False):
+    """The private constructor: the polynomial (num / den) * ints.
 
-    ``variables`` must be sorted and distinct, every exponent aligned to
-    it and every coefficient a ``Fraction``; zero coefficients are
-    dropped and variables that no longer occur are pruned.
+    ``variables`` is sorted and distinct, every exponent of ``ints`` is
+    aligned to it, no coefficient is zero and den > 0.  The gcd and the
+    sign of the integers are moved into the content and variables that
+    no longer occur are pruned.  With ``primitive`` the caller vouches
+    that ``ints`` is nonempty, has gcd 1 and uses every variable, so only
+    the sign of num is moved.
     """
-    terms = {e: c for e, c in terms.items() if c}
-    if not terms:
+    if not num:
         return _ZERO
-    if variables:
-        used = [i for i, column in enumerate(zip(*terms)) if any(column)]
-        if len(used) < len(variables):
-            variables = tuple(variables[i] for i in used)
-            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+    if not primitive:
+        if not ints:
+            return _ZERO
+        g = math.gcd(*ints.values())
+        if num < 0:
+            num, g = -num, -g
+        if g != 1:
+            ints = {e: c // g for e, c in ints.items()}
+            num *= abs(g)
+        if variables:
+            used = [i for i, column in enumerate(zip(*ints)) if any(column)]
+            if len(used) < len(variables):
+                variables = tuple(variables[i] for i in used)
+                ints = {tuple(e[i] for i in used): c for e, c in ints.items()}
+    elif num < 0:
+        num = -num
+        ints = {e: -c for e, c in ints.items()}
     poly = object.__new__(MultiPoly)
     _SET_VARIABLES(poly, variables)
-    _SET_TERMS(poly, terms)
+    _SET_CONTENT(poly, _UNIT if num == den == 1 else Fraction(num, den))
+    _SET_INTS(poly, ints)
     return poly
+
+
+_UNIT = Fraction(1)
+_ZERO = object.__new__(MultiPoly)
+_SET_VARIABLES(_ZERO, ())
+_SET_CONTENT(_ZERO, Fraction(0))
+_SET_INTS(_ZERO, {})
+_ONE = MultiPoly.const(1)
 
 
 def _IDENT_OK(name: str) -> bool:
@@ -400,25 +457,67 @@ def _coerce_poly_strict(value) -> MultiPoly:
     return poly
 
 
-def _aligned(p: MultiPoly, q: MultiPoly):
+# -- kernels on the stored form ----------------------------------------------
+#
+# An integer polynomial is a dict {exponent tuple: nonzero int} whose
+# exponents are aligned to a variable tuple held by the caller.
+
+
+def _scalar(p: MultiPoly):
+    """(numerator, denominator) of the value of a constant polynomial."""
+    c = p.content
+    return c.numerator * p.ints.get((), 0), c.denominator
+
+
+def _scale(p: MultiPoly, num: int, den: int) -> MultiPoly:
+    """p * (num / den), for den > 0."""
+    c = p.content
+    return _make(p.variables, p.ints, c.numerator * num, c.denominator * den, primitive=True)
+
+
+def _union(p: MultiPoly, q: MultiPoly) -> tuple:
     if p.variables == q.variables:
-        return p.variables, p.terms, q.terms
-    union = tuple(sorted(set(p.variables) | set(q.variables)))
-    return union, _embed(p, union), _embed(q, union)
+        return p.variables
+    return tuple(sorted({*p.variables, *q.variables}))
 
 
-def _embed(p: MultiPoly, union):
-    if p.variables == union:
-        return p.terms
-    index = {v: i for i, v in enumerate(union)}
-    n = len(union)
-    out = {}
-    for exp, coeff in p.terms.items():
-        ne = [0] * n
-        for i, v in enumerate(p.variables):
-            ne[index[v]] = exp[i]
-        out[tuple(ne)] = coeff
-    return out
+def _over(p: MultiPoly, names: tuple) -> dict:
+    """p.ints with its exponents written over ``names``, a sorted superset of p.variables."""
+    if p.variables == names:
+        return p.ints
+    if not p.variables:
+        return {(0,) * len(names): c for c in p.ints.values()}
+    # names has at least two entries here, so itemgetter returns tuples.
+    pad = len(p.variables)
+    where = {v: i for i, v in enumerate(p.variables)}
+    take = itemgetter(*[where.get(v, pad) for v in names])
+    return {take(e + (0,)): c for e, c in p.ints.items()}
+
+
+def _combine(p: MultiPoly, q: MultiPoly, sign: int) -> MultiPoly:
+    """p + sign * q, summed as integers over the common content denominator."""
+    if not q.ints:
+        return p
+    if not p.ints:
+        return q if sign > 0 else -q
+    names = _union(p, q)
+    pn, pd = p.content.numerator, p.content.denominator
+    qn, qd = q.content.numerator, q.content.denominator
+    g = math.gcd(pd, qd)
+    ma, mb = pn * (qd // g), sign * qn * (pd // g)
+    h = math.gcd(ma, mb)
+    ma //= h
+    mb //= h
+    a = _over(p, names)
+    out = dict(a) if ma == 1 else {e: ma * c for e, c in a.items()}
+    get = out.get
+    for e, c in _over(q, names).items():
+        value = get(e, 0) + mb * c
+        if value:
+            out[e] = value
+        else:
+            del out[e]
+    return _make(names, out, h, pd // g * qd)
 
 
 def _cached_power(cache: dict, k: int) -> dict:
@@ -431,33 +530,6 @@ def _cached_power(cache: dict, k: int) -> dict:
         result = _imul(result, cache[1])
     cache[k] = result
     return result
-
-
-# -- integer-primitive form ---------------------------------------------------
-#
-# An integer polynomial is a dict {exponent tuple: nonzero int} whose
-# exponents are aligned to a variable tuple held by the caller.
-
-
-def _int_form(terms: dict):
-    """(content, integer terms) of nonempty ``Fraction`` terms.
-
-    The content is a positive rational and the integer terms have gcd 1,
-    so terms = content * integer terms.
-    """
-    values = terms.values()
-    den = math.lcm(*[c.denominator for c in values])
-    nums = [c.numerator * (den // c.denominator) for c in values]
-    g = math.gcd(*nums)
-    return Fraction(g, den), dict(zip(terms, [n // g for n in nums]))
-
-
-def _from_int(variables: tuple, ints: dict, content) -> MultiPoly:
-    """The polynomial content * ints, through the trusted constructor."""
-    num, den = content.numerator, content.denominator
-    if den == 1:
-        return _new(variables, {e: Fraction(c * num) for e, c in ints.items()})
-    return _new(variables, {e: Fraction(c * num, den) for e, c in ints.items()})
 
 
 def _imul(a: dict, b: dict) -> dict:
@@ -529,15 +601,14 @@ def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return _ZERO
     if q.is_constant():
-        c = q.terms[()]
-        return _new(p.variables, {e: k / c for e, k in p.terms.items()})
-    names, ptab, qtab = _aligned(p, q)
-    cp, ip = _int_form(ptab)
-    cq, iq = _int_form(qtab)
-    quotient = _idiv(ip, iq)
+        num, den = _scalar(q)
+        return _scale(p, den if num > 0 else -den, abs(num))
+    names = _union(p, q)
+    quotient = _idiv(_over(p, names), _over(q, names))
     if quotient is None:
         raise NotDivisibleError(format_poly(q) + " does not divide " + format_poly(p))
-    return _from_int(names, quotient, cp / cq)
+    cp, cq = p.content, q.content
+    return _make(names, quotient, cp.numerator * cq.denominator, cp.denominator * cq.numerator)
 
 
 def extract_power(p: MultiPoly, q: MultiPoly):
@@ -551,19 +622,28 @@ def extract_power(p: MultiPoly, q: MultiPoly):
         raise ValueError("extract_power needs a non-constant divisor")
     if p.is_zero():
         return INFINITE_ORDER, _ZERO
-    names, ptab, qtab = _aligned(p, q)
-    cp, ip = _int_form(ptab)
-    cq, iq = _int_form(qtab)
-    k = 0
-    while True:
-        quotient = _idiv(ip, iq)
-        if quotient is None:
-            break
-        ip = quotient
-        k += 1
+    names = _union(p, q)
+    ip, iq = _over(p, names), _over(q, names)
+    if len(iq) == 1:
+        # A monomial divisor u * m (u = +-1): the order is read off the exponents.
+        (qexp, unit), = iq.items()
+        k = min(min(e[i] for e in ip) // d for i, d in enumerate(qexp) if d)
+        if k:
+            shift = [k * d for d in qexp]
+            ip = {tuple(map(sub, e, shift)): c for e, c in ip.items()}
+    else:
+        unit, k = 1, 0
+        while True:
+            quotient = _idiv(ip, iq)
+            if quotient is None:
+                break
+            ip = quotient
+            k += 1
     if not k:
         return 0, p
-    return k, _from_int(names, ip, cp / cq**k)
+    cp, cq = p.content, q.content
+    num, den = unit**k * cp.numerator * cq.denominator**k, cp.denominator * cq.numerator**k
+    return k, _make(names, ip, num, den)
 
 
 # -- resultants --------------------------------------------------------------
@@ -581,16 +661,16 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     m, n = f.degree_in(var), g.degree_in(var)
     if m < 1 or n < 1:
         raise ValueError("resultant needs positive degree in the variable")
-    names, ftab, gtab = _aligned(f, g)
+    names = _union(f, g)
     i = names.index(var)
-    cf, fi = _int_form(ftab)
-    cg, gi = _int_form(gtab)
 
     def var_first(p):
-        return {(e[i],) + e[:i] + e[i + 1:]: c for e, c in p.items()}
+        return {(e[i],) + e[:i] + e[i + 1:]: c for e, c in _over(p, names).items()}
 
-    ints = _iresultant(var_first(fi), var_first(gi), m, n)
-    return _from_int(names[:i] + names[i + 1:], ints, cf**n * cg**m)
+    ints = _iresultant(var_first(f), var_first(g), m, n)
+    cf, cg = f.content, g.content
+    num, den = cf.numerator**n * cg.numerator**m, cf.denominator**n * cg.denominator**m
+    return _make(names[:i] + names[i + 1:], ints, num, den)
 
 
 def _iresultant(f: dict, g: dict, m: int, n: int) -> dict:
@@ -674,12 +754,13 @@ def pseudo_remainder(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     df, dg = f.degree_in(var), g.degree_in(var)
     if df < dg:
         return f
-    names, ftab, gtab = _aligned(f, g)
+    names = _union(f, g)
     if var not in names:
         return _ZERO
-    cf, fi = _int_form(ftab)
-    cg, gi = _int_form(gtab)
-    return _from_int(names, _iprem(fi, gi, names.index(var)), cf * cg ** (df - dg + 1))
+    owed = df - dg + 1
+    cf, cg = f.content, g.content
+    num, den = cf.numerator * cg.numerator**owed, cf.denominator * cg.denominator**owed
+    return _make(names, _iprem(_over(f, names), _over(g, names), names.index(var)), num, den)
 
 
 def _leading_in(p: dict, i: int, degree: int, shift: int) -> dict:
@@ -734,10 +815,10 @@ def gcd_multivariate(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if q.is_zero():
         return _normalize_gcd(p)
     if p.is_constant() or q.is_constant():
-        return MultiPoly.const(1)
+        return _ONE
     shared = [v for v in p.variables if v in q.variables]
     if not shared:
-        return MultiPoly.const(1)
+        return _ONE
     var = shared[-1]
     return gcd_univariate(p, q, var)
 
@@ -759,21 +840,22 @@ def gcd_univariate(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     if f.degree_in(var) == 0 or g.degree_in(var) == 0:
         return _normalize_gcd(gcd_multivariate(content_in(f, var), content_in(g, var)))
     if len(f.variables) == 1 and len(g.variables) == 1:
-        a, b = _int_coeffs(f, var), _int_coeffs(g, var)
+        a, b = _int_coeffs(f), _int_coeffs(g)
         last = _subresultant_list(*((a, b) if len(a) >= len(b) else (b, a)))[0]
-        return _normalize_gcd(_new((var,), {(j,): Fraction(c) for j, c in enumerate(last)}))
+        return _normalize_gcd(_make((var,), {(j,): c for j, c in enumerate(last) if c}))
     cf = content_in(f, var)
     cg = content_in(g, var)
     cont = gcd_multivariate(cf, cg)
-    names, ftab, gtab = _aligned(exact_divide(f, cf), exact_divide(g, cg))
+    fp, gp = exact_divide(f, cf), exact_divide(g, cg)
+    names = _union(fp, gp)
     i = names.index(var)
-    a, b = _int_form(ftab)[1], _int_form(gtab)[1]
+    a, b = _over(fp, names), _over(gp, names)
     if max(e[i] for e in a) < max(e[i] for e in b):
         a, b = b, a
     last = _subresultant_prs(a, b, i)
     if not max(e[i] for e in last):
         return _normalize_gcd(cont)
-    return _normalize_gcd(cont * primitive_part_in(_from_int(names, last, Fraction(1)), var))
+    return _normalize_gcd(cont * primitive_part_in(_make(names, last), var))
 
 
 def _subresultant_prs(a: dict, b: dict, i: int) -> dict:
@@ -850,10 +932,10 @@ def _normalize_gcd(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return _ZERO
     if p.is_constant():
-        return MultiPoly.const(1)
+        return _ONE
     if len(p.variables) == 1:
-        lead = p.terms[max(p.terms, key=_grlex_key)]
-        return exact_divide(p, MultiPoly.const(lead))
+        lead = p.ints[max(p.ints)]
+        return _make(p.variables, p.ints, 1 if lead > 0 else -1, abs(lead), primitive=True)
     prim, _ = primitive_integer(p)
     return prim
 
@@ -884,11 +966,11 @@ def homogeneous_components(p: MultiPoly, point=None) -> list:
         p = p.shift(point)
     if p.is_zero():
         return [_ZERO]
-    d = p.total_degree()
-    buckets = [dict() for _ in range(d + 1)]
-    for exp, coeff in p.terms.items():
+    buckets = [dict() for _ in range(p.total_degree() + 1)]
+    for exp, coeff in p.ints.items():
         buckets[sum(exp)][exp] = coeff
-    return [_new(p.variables, b) for b in buckets]
+    num, den = p.content.numerator, p.content.denominator
+    return [_make(p.variables, b, num, den) for b in buckets]
 
 
 # -- integer utilities for rational root extraction --------------------------
@@ -902,11 +984,13 @@ def primitive_integer(p: MultiPoly):
     """
     if p.is_zero():
         return _ZERO, Fraction(1)
-    unit, ints = _int_form(p.terms)
+    unit, ints = p.content, p.ints
     if ints[max(ints, key=_grlex_key)] < 0:
         unit = -unit
         ints = {e: -c for e, c in ints.items()}
-    return _from_int(p.variables, ints, Fraction(1)), unit
+    elif unit == 1:
+        return p, unit
+    return _make(p.variables, ints, primitive=True), unit
 
 
 def equal_up_to_unit(p: MultiPoly, q: MultiPoly) -> bool:
@@ -916,10 +1000,12 @@ def equal_up_to_unit(p: MultiPoly, q: MultiPoly) -> bool:
     return primitive_integer(p)[0] == primitive_integer(q)[0]
 
 
-def _int_coeffs(p: MultiPoly, var: str) -> list:
-    prim, _ = primitive_integer(p)
-    coeffs = prim.as_univariate(var)
-    return [int(c.constant_value()) if not c.is_zero() else 0 for c in coeffs]
+def _int_coeffs(p: MultiPoly) -> list:
+    """Ascending integer coefficients of a univariate p, with content 1 and positive lead."""
+    coeffs = [0] * (max(p.ints)[0] + 1)
+    for (j,), c in p.ints.items():
+        coeffs[j] = c
+    return coeffs if coeffs[-1] > 0 else [-c for c in coeffs]
 
 
 def rational_roots(p: MultiPoly) -> list:
@@ -938,7 +1024,7 @@ def rational_roots(p: MultiPoly) -> list:
     if len(p.variables) != 1:
         raise ValueError("rational_roots expects a univariate polynomial")
     var = p.variables[0]
-    vals = _int_coeffs(p, var)
+    vals = _int_coeffs(p)
     roots = []
     k = 0
     while vals[k] == 0:
@@ -948,8 +1034,8 @@ def rational_roots(p: MultiPoly) -> list:
         vals = vals[k:]
     if len(vals) == 1:
         return sorted(roots)
-    poly = _new((var,), {(i,): Fraction(c) for i, c in enumerate(vals)})
-    sf = _int_coeffs(squarefree_part(poly, var), var)
+    poly = _make((var,), {(i,): c for i, c in enumerate(vals) if c}, primitive=True)
+    sf = _int_coeffs(squarefree_part(poly, var))
     found = {
         cand
         for cand in _padic_candidates(sf)

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fibrant
 from fibrant.cli import main
 
 
@@ -206,3 +211,26 @@ class TestInputValidation:
     def test_version_key_present(self, run):
         _, out, _ = run("classify-triple", "0", "0", "1")
         assert "version" in json.loads(out)
+
+
+def test_cli_import_loads_only_stdlib_and_fibrant():
+    """fibrant is stdlib-only: importing the CLI pulls in nothing else."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import fibrant.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    src = str(Path(fibrant.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = done.stdout.split()
+    assert "fibrant.cli" in loaded
+    foreign = [
+        name
+        for name in loaded
+        if name.split(".")[0] != "fibrant" and name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert foreign == []

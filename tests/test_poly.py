@@ -331,10 +331,10 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
-@given(polys(), st.integers(0, 3), st.integers(1, 2))
-@settings(max_examples=40, deadline=None)
-def test_extract_power_reconstructs(p, extra, qdeg):
-    q = (x + 1) ** qdeg if qdeg == 1 else x * y + 1
+@given(polys(), st.integers(0, 3), st.sampled_from(["x + 1", "x*y + 1", "-2*x*y^2", "(3/5)*y"]))
+@settings(max_examples=60, deadline=None)
+def test_extract_power_reconstructs(p, extra, divisor):
+    q = parse(divisor)
     value = p * q**extra
     if value.is_zero():
         return
@@ -503,21 +503,54 @@ def small_polys(draw, max_exp=2):
 
 
 def assert_canonical(r):
-    """Kernel output is exactly what full validation would build."""
+    """Kernel output is the stored form that full validation would build.
+
+    A nonzero polynomial is content * ints with a positive rational
+    content, nonzero integer coefficients of gcd 1 and no unused
+    variable; the zero polynomial has no variables, content 0 and no
+    coefficients.  ``terms`` is the Fraction view of content * ints.
+    """
     assert isinstance(r, MultiPoly)
     assert list(r.variables) == sorted(set(r.variables))
-    assert all(type(c) is F and c != 0 for c in r.terms.values())
-    assert all(len(e) == len(r.variables) for e in r.terms)
-    assert all(any(e[i] for e in r.terms) for i in range(len(r.variables)))
+    if r.is_zero():
+        assert (r.variables, r.content, r.ints) == ((), 0, {})
+    else:
+        assert type(r.content) is F and r.content > 0
+        assert all(type(c) is int and c != 0 for c in r.ints.values())
+        assert math.gcd(*r.ints.values()) == 1
+        assert all(len(e) == len(r.variables) for e in r.ints)
+        assert all(any(e[i] for e in r.ints) for i in range(len(r.variables)))
+    assert all(type(c) is F for c in r.terms.values())
+    assert r.terms == {e: r.content * c for e, c in r.ints.items()}
     rebuilt = MultiPoly(r.variables, r.terms)
-    assert (rebuilt.variables, rebuilt.terms) == (r.variables, r.terms)
+    assert (rebuilt.variables, rebuilt.content, rebuilt.ints) == (r.variables, r.content, r.ints)
+
+
+def fraction_sum(p, q, scale):
+    """p + scale * q, added term by term in Fractions and built by the public constructor."""
+    names = tuple(sorted(set(p.variables) | set(q.variables)))
+    out = {}
+    for poly, factor in ((p, 1), (q, scale)):
+        for e, c in poly.terms.items():
+            powers = dict(zip(poly.variables, e))
+            key = tuple(powers.get(v, 0) for v in names)
+            out[key] = out.get(key, 0) + factor * c
+    return MultiPoly(names, out)
 
 
 @given(small_polys(), small_polys(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_kernels_build_canonical_polynomials(p, q, data):
-    for r in (p + q, p - q, p * q, -p, p**2, 3 * p, q * F(1, 2)):
+    for r in (p + q, p - q, p * q, -p, p**2, 3 * p, q * F(1, 2), p * F(-5, 7), p * 0):
         assert_canonical(r)
+    scale = data.draw(st.fractions(min_value=-9, max_value=9, max_denominator=11))
+    for sign in (1, -1):
+        combined = p + sign * scale * q
+        assert_canonical(combined)
+        assert combined == fraction_sum(p, q, sign * scale)
+    assert_canonical(primitive_integer(p)[0])
+    for part in homogeneous_components(p):
+        assert_canonical(part)
     for var in VARIABLE_POOL:
         assert_canonical(p.derivative(var))
         for c in p.as_univariate(var):
@@ -543,6 +576,77 @@ def test_kernels_build_canonical_polynomials(p, q, data):
     shifted = p.shift({v: point[v] for v in mapped})
     assert_canonical(shifted)
     assert shifted.substitute({v: MultiPoly.variable(v) - point[v] for v in mapped}) == p
+    constant = p.substitute(point)
+    assert_canonical(constant)
+    assert constant.is_constant() and constant.constant_value() == p.evaluate(point)
+    for zero in (0, F(0), MultiPoly.zero()):
+        image = p.substitute({v: zero for v in mapped})
+        assert_canonical(image)
+        assert image == p.substitute({v: MultiPoly.const(0) for v in mapped})
+    assert_canonical(p.substitute({v: 0 for v in VARIABLE_POOL}))
+
+
+def evaluate_by_terms(p, point):
+    """The exact value, term by term in Fractions."""
+    total = F(0)
+    for exp, coeff in p.terms.items():
+        for v, e in zip(p.variables, exp):
+            coeff *= F(point[v]) ** e
+        total += coeff
+    return total
+
+
+rational_values = st.one_of(
+    st.just(0),
+    st.just(F(0)),
+    st.booleans(),
+    st.integers(-50, 50),
+    small_coeffs,
+    st.builds(F, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+
+
+@given(small_polys(max_exp=3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_evaluate_against_fraction_oracle(p, data):
+    point = {v: data.draw(rational_values) for v in VARIABLE_POOL}
+    value = p.evaluate(point)
+    assert type(value) is F
+    assert value == evaluate_by_terms(p, point)
+    origin = p.evaluate(dict.fromkeys(VARIABLE_POOL, 0))
+    assert type(origin) is F and origin == evaluate_by_terms(p, dict.fromkeys(VARIABLE_POOL, 0))
+
+
+def test_evaluate_float_and_complex_path():
+    # Values pinned from the term-by-term complex evaluation.
+    p = parse("(1/3)*x^3*y - (2/7)*x*y^2 + (5/11)*y^3 - x + 5")
+    assert p.evaluate({"x": 0.1 + 2j, "y": -1.5}) == 3.901123376623377 + 0.6842857142857142j
+    assert p.evaluate({"x": 0.25, "y": F(3, 7)}) == 4.774893155314074 + 0j
+    assert p.evaluate({"x": 1j, "y": 2}) == 8.636363636363637 - 2.8095238095238093j
+    assert MultiPoly.zero().evaluate({}) == 0 and type(MultiPoly.zero().evaluate({})) is F
+
+
+@given(small_polys(), st.fractions(min_value=-9, max_value=9).filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_equality_and_terms_view(p, unit):
+    view = p.terms
+    assert all(type(c) is F for c in view.values())
+    assert MultiPoly(p.variables, view) == p
+    assert p.terms is view
+    with pytest.raises(TypeError):
+        view[(0,) * len(p.variables)] = F(1)
+    # The same polynomial from the public constructor and from kernels.
+    assert MultiPoly(p.variables + ("t",), {e + (0,): c for e, c in view.items()}) == p
+    assert (p * unit) * (1 / unit) == p
+    assert p + MultiPoly.zero() == p and MultiPoly.zero() + p == p
+    assert exact_divide(p * (x + 1), x + 1) == p
+    assert p.substitute({}) == p and p.shift({}) == p
+    if not p.is_zero():
+        assert equal_up_to_unit(p * unit, p)
+        assert equal_up_to_unit(p, MultiPoly(p.variables, {e: unit * c for e, c in view.items()}))
+        assert (p * unit == p) == (unit == 1)
+        prim, scale = primitive_integer(p * unit)
+        assert prim * scale == p * unit and prim.content == 1
 
 
 @given(small_polys(), small_polys(), st.sampled_from(VARIABLE_POOL))
