@@ -19,13 +19,21 @@ a step a kernel skips when its integers are primitive by construction
 So every kernel computes on integers: sums over a common content
 denominator, products, powers, derivatives, ``substitute``, evaluation at
 a rational point, exact division (P / Q is integral whenever Q is
-primitive and divides P), power extraction and the subresultant
-pseudo-remainder sequence of the gcd (W. S. Brown, JACM 18, 1971).
-Resultants come from evaluation at integer points and Newton
-interpolation (G. E. Collins, JACM 18, 1971), up to a degree bound read
-off the Sylvester matrix.  Taylor recentering into homogeneous
-components and exact rational roots of univariate polynomials complete
-the toolkit.
+primitive and divides P) and power extraction.
+
+Gcds and resultants set one variable at a time to a single large
+integer xi, so the work falls to CPython's big-integer arithmetic, and
+read the answer off the balanced xi-adic digits of the result.  The gcd
+is the heuristic GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7,
+1989) with xi >= 2 * min(|f|_inf, |g|_inf) + 2; a candidate is returned
+only when it divides both inputs exactly, and after six failed points
+the subresultant pseudo-remainder sequence (W. S. Brown, JACM 18, 1971)
+takes over.  A resultant needs one point per variable, a power of two
+xi > 2H with H Hadamard's bound over the unit torus,
+H^2 = (sum_j |f_j|_1^2)^n * (sum_j |g_j|_1^2)^m for the coefficients
+f_j, g_j of the eliminated variable, which bounds every coefficient of
+the resultant.  Taylor recentering into homogeneous components and
+exact rational roots of univariate polynomials complete the toolkit.
 
 The text format round-trips bit-exactly, e.g.::
 
@@ -251,10 +259,12 @@ class MultiPoly:
         """Exact composition: replace variables by polynomials or rationals.
 
         Variables of the mapping that do not occur in the polynomial are
-        ignored; unmapped variables are left alone.  Every term becomes an
-        integer numerator/denominator pair times a product of cached
-        integer powers of the images, and all terms are added into one
-        integer dict over the common denominator.
+        ignored; unmapped variables are left alone.  An image with one
+        term (a constant, a variable or a monomial) is an integer
+        numerator/denominator pair times an exponent shift.  Every term
+        becomes such a pair and shift times a product of cached integer
+        powers of the images with several terms, and all terms are added
+        into one integer dict over the common denominator.
         """
         images = {}
         for var in self.variables:
@@ -268,42 +278,56 @@ class MultiPoly:
         names = tuple(sorted(names))
         index = {v: i for i, v in enumerate(names)}
         one = (0,) * len(names)
-        factors = []  # per variable: (num, den, {k: integer image^k} or None for a scalar)
+        factors = []  # per variable: (num, den, exponent shift, {k: image^k} or None)
         for var in self.variables:
             img = images.get(var)
             if img is None:
                 unit = [0] * len(names)
                 unit[index[var]] = 1
-                factors.append((1, 1, {0: {one: 1}, 1: {tuple(unit): 1}}))
-            elif img.variables:
-                c = img.content
-                factors.append((c.numerator, c.denominator, {0: {one: 1}, 1: _over(img, names)}))
+                factors.append((1, 1, tuple(unit), None))
+                continue
+            c = img.content
+            if len(img.ints) == 1:
+                (exp, sign), = _over(img, names).items()
+                factors.append((sign * c.numerator, c.denominator, exp if any(exp) else one, None))
+            elif img.ints:
+                factors.append((c.numerator, c.denominator, one, {0: {one: 1}, 1: _over(img, names)}))
             else:
-                factors.append((*_scalar(img), None))
+                factors.append((0, 1, one, None))
         scaled = []
         for exp, num in self.ints.items():
             den = 1
+            shift = one
             product = None
-            for k, (fnum, fden, powers) in zip(exp, factors):
+            for k, (fnum, fden, step, powers) in zip(exp, factors):
                 if k:
                     if fnum != 1:
                         num *= fnum**k
                     if fden != 1:
                         den *= fden**k
+                    if step is not one:
+                        shift = tuple(s + k * t for s, t in zip(shift, step))
                     if powers is not None:
                         power = _cached_power(powers, k)
                         product = power if product is None else _imul(product, power)
             if num:
-                scaled.append((num, den, product or {one: 1}))
+                scaled.append((num, den, shift, product))
         if not scaled:
             return _ZERO
-        common = math.lcm(*[den for _, den, _ in scaled])
+        common = math.lcm(*[den for _, den, _, _ in scaled])
         acc = {}
         get = acc.get
-        for num, den, product in scaled:
+        for num, den, shift, product in scaled:
             m = num * (common // den)
-            for e, c in product.items():
-                acc[e] = get(e, 0) + m * c
+            if product is None:
+                acc[shift] = get(shift, 0) + m
+            elif shift is one:
+                for e, c in product.items():
+                    acc[e] = get(e, 0) + m * c
+            else:
+                for e, c in product.items():
+                    e = tuple(map(add, e, shift))
+                    acc[e] = get(e, 0) + m * c
         acc = {e: k for e, k in acc.items() if k}
         return _make(names, acc, self.content.numerator, self.content.denominator * common)
 
@@ -311,8 +335,9 @@ class MultiPoly:
         """Recenter: substitute v -> v + point[v] for each listed variable."""
         mapping = {}
         for var, value in point.items():
-            mapping[var] = MultiPoly.variable(var) + MultiPoly.const(value)
-        return self.substitute(mapping)
+            if value:
+                mapping[var] = MultiPoly.variable(var) + MultiPoly.const(value)
+        return self.substitute(mapping) if mapping else self
 
     def evaluate(self, assignment: dict):
         """Evaluate at a full assignment.
@@ -654,9 +679,9 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
 
     With f = cf * F and g = cg * G in integer-primitive form,
     res(f, g) = cf^deg(g) * cg^deg(f) * res(F, G), and the integer
-    resultant is found by evaluation and interpolation over the
-    remaining variables.  Exact; both inputs must have positive degree in
-    ``var``.
+    resultant is found by evaluating the remaining variables, one at a
+    time, at a single large integer.  Exact; both inputs must have
+    positive degree in ``var``.
     """
     m, n = f.degree_in(var), g.degree_in(var)
     if m < 1 or n < 1:
@@ -676,10 +701,14 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
 def _iresultant(f: dict, g: dict, m: int, n: int) -> dict:
     """res_x(f, g) for integer polynomials whose first variable is x.
 
-    m and n are the degrees in x.  The last variable is set to integer
-    points t where neither degree drops, so the Sylvester matrix and its
-    determinant specialize; one more such value than the degree bound
-    determines the resultant.
+    m and n are the degrees in x.  The last variable y is set to one
+    power of two xi > 2H, where H is Hadamard's bound over the unit
+    torus, H^2 = (sum_j |f_j|_1^2)^n * (sum_j |g_j|_1^2)^m for the
+    coefficients f_j, g_j of x^j.  No coefficient of the resultant
+    exceeds H, so the balanced xi-adic digits of the specialized
+    resultant are its coefficients in y.  The degrees in x survive:
+    xi > 1 + |f_m|_1, Cauchy's bound on the roots of each coefficient
+    of f_m in y, and likewise for g_n.
     """
     if len(next(iter(f))) == 1:
         a, b = [0] * (m + 1), [0] * (n + 1)
@@ -692,53 +721,52 @@ def _iresultant(f: dict, g: dict, m: int, n: int) -> dict:
         if len(last) > 1:
             return {}
         return {(): sign * prs_sign * (last[0] ** d // h ** (d - 1))}
-    # Sylvester degree bounds: row maxima, and entries weighted by x-degree
-    # (the coefficient of x^j in f has y-degree at most deg_{x,y} f - j).
-    bound = min(
-        n * max(e[-1] for e in f) + m * max(e[-1] for e in g),
-        n * max(e[0] + e[-1] for e in f) + m * max(e[0] + e[-1] for e in g) - m * n,
-    )
-    points, values = [], []
-    t = 0
-    while len(points) <= bound:
-        fe, ge = _eval_last(f, t), _eval_last(g, t)
-        if fe and ge and max(e[0] for e in fe) == m and max(e[0] for e in ge) == n:
-            points.append(t)
-            values.append(_iresultant(fe, ge, m, n))
-        t = -t if t > 0 else 1 - t
-    return _interpolate_last(points, values)
+    bound = math.isqrt(_row_norms(f, m) ** n * _row_norms(g, n) ** m) + 1
+    xi = 2 << bound.bit_length()
+    return _xi_adic(_iresultant(_eval_last(f, xi), _eval_last(g, xi), m, n), xi)
+
+
+def _row_norms(p: dict, degree: int) -> int:
+    """sum_j |p_j|_1^2 over the coefficients p_j of x^j, x the first variable."""
+    norms = [0] * (degree + 1)
+    for e, c in p.items():
+        norms[e[0]] += abs(c)
+    return sum(v * v for v in norms)
 
 
 def _eval_last(p: dict, t: int) -> dict:
     """Set the last variable of an integer polynomial to t."""
+    powers = [1]
+    for _ in range(max(e[-1] for e in p)):
+        powers.append(powers[-1] * t)
     out = {}
     get = out.get
     for e, c in p.items():
         head = e[:-1]
-        out[head] = get(head, 0) + c * t ** e[-1]
+        out[head] = get(head, 0) + c * powers[e[-1]]
     return {e: c for e, c in out.items() if c}
 
 
-def _interpolate_last(points: list, values: list) -> dict:
-    """Integer polynomial in one more (last) variable y with value values[k] at y = points[k].
+def _xi_adic(p: dict, xi: int) -> dict:
+    """The integer polynomial in one more (last) variable with value p at xi.
 
-    Newton divided differences at integer points of an integer polynomial
-    are integers, so every division is exact.  The Newton form is then
-    expanded by Horner's rule, dense in y.
+    Its coefficients are the balanced xi-adic digits, in (-xi/2, xi/2], of
+    the coefficients of p; for a power of two they are bit fields.
     """
-    coeffs = list(values)
-    for j in range(1, len(points)):
-        for k in range(len(points) - 1, j - 1, -1):
-            step = points[k] - points[k - j]
-            coeffs[k] = {e: c // step for e, c in _iadd(coeffs[k], coeffs[k - 1], -1).items()}
-    dense = [coeffs[-1]]
-    for k in range(len(points) - 2, -1, -1):
-        shifted = [{}] + dense  # y * dense
-        for d, part in enumerate(dense):
-            shifted[d] = _iadd(shifted[d], part, -points[k])
-        shifted[0] = _iadd(shifted[0], coeffs[k])
-        dense = shifted
-    return {e + (d,): c for d, part in enumerate(dense) for e, c in part.items()}
+    bits, half = xi.bit_length() - 1, xi >> 1
+    mask = xi - 1 if xi == 1 << bits else 0
+    out = {}
+    for e, c in p.items():
+        k = 0
+        while c:
+            c, d = (c >> bits, c & mask) if mask else divmod(c, xi)
+            if d > half:
+                d -= xi
+                c += 1
+            if d:
+                out[e + (k,)] = d
+            k += 1
+    return out
 
 
 # -- gcd via pseudo-remainder sequences ---------------------------------------
@@ -809,7 +837,7 @@ def primitive_part_in(p: MultiPoly, var: str) -> MultiPoly:
 
 
 def gcd_multivariate(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Normalized gcd over Q[x1..xn] (subresultant PRS, recursing on contents)."""
+    """Normalized gcd over Q[x1..xn] (GCDHEU, the subresultant PRS as fallback)."""
     if p.is_zero():
         return _normalize_gcd(q)
     if q.is_zero():
@@ -824,11 +852,12 @@ def gcd_multivariate(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
 
 def gcd_univariate(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """gcd of f and g viewed as univariate in ``var``.
+    """gcd of f and g, the subresultant PRS in ``var`` as fallback.
 
-    Coefficients in the remaining variables are handled through content
-    and primitive part; the remainder sequence is the subresultant PRS
-    on the integer-primitive parts, whose exact divisions keep
+    The heuristic gcd ``_heu_gcd`` runs first.  Should it fail, the
+    coefficients in the remaining variables are handled through content
+    and primitive part, and the remainder sequence is the subresultant
+    PRS on the integer-primitive parts, whose exact divisions keep
     coefficient growth polynomial.  The result is monic when univariate
     over Q, otherwise primitive with a sign-normalized leading
     coefficient.
@@ -837,6 +866,53 @@ def gcd_univariate(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         return _normalize_gcd(g)
     if g.is_zero():
         return _normalize_gcd(f)
+    names = _union(f, g)
+    h = _heu_gcd(_over(f, names), _over(g, names))
+    if h is None:
+        return _prs_gcd(f, g, var)
+    return _normalize_gcd(_make(names, h))
+
+
+def _heu_gcd(f: dict, g: dict):
+    """gcd of two nonzero integer polynomials over one variable tuple, or None.
+
+    GCDHEU (B. W. Char, K. O. Geddes, G. H. Gonnet, J. Symbolic Comput. 7,
+    1989): with the integer contents removed, the last variable is set to
+    an integer xi >= 2 * min(|f|_inf, |g|_inf) + 2 and the gcd of the
+    images is found recursively, down to an integer gcd.  The primitive
+    part of the polynomial read off its balanced xi-adic digits is the
+    gcd of the primitive parts if and only if it divides both, which is
+    checked by exact division.  None after six points without success,
+    at this level or below.
+    """
+    if not next(iter(f)):
+        return {(): math.gcd(f[()], g[()])}
+    cf, cg = math.gcd(*f.values()), math.gcd(*g.values())
+    if cf > 1:
+        f = {e: c // cf for e, c in f.items()}
+    if cg > 1:
+        g = {e: c // cg for e, c in g.items()}
+    content = math.gcd(cf, cg)
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
+    for _ in range(6):
+        fe, ge = _eval_last(f, xi), _eval_last(g, xi)
+        if fe and ge:
+            image = _heu_gcd(fe, ge)
+            if image is None:
+                return None
+            h = _xi_adic(image, xi)
+            if len(h) == 1 and not any(next(iter(h))):
+                return {next(iter(h)): content}
+            k = math.gcd(*h.values())
+            h = {e: c // k for e, c in h.items()}
+            if _idiv(f, h) is not None and _idiv(g, h) is not None:
+                return {e: content * c for e, c in h.items()}
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _prs_gcd(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
+    """Normalized gcd of nonzero f and g by the subresultant PRS in ``var``."""
     if f.degree_in(var) == 0 or g.degree_in(var) == 0:
         return _normalize_gcd(gcd_multivariate(content_in(f, var), content_in(g, var)))
     if len(f.variables) == 1 and len(g.variables) == 1:
@@ -885,7 +961,7 @@ def _subresultant_prs(a: dict, b: dict, i: int) -> dict:
 def _subresultant_list(a: list, b: list):
     """The subresultant PRS of ``_subresultant_prs`` on ascending integer lists.
 
-    Univariate gcds and the evaluated resultants take this path, which
+    Univariate resultants and the PRS of univariate gcds take this path, which
     runs several times faster on plain lists than on dicts.  Returns
     (last, d, h, sign): the last nonzero remainder, the degree of the one
     before it, the scale h of the sequence and (-1)^(sum of deg a * deg b

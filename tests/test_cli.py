@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import fibrant
+from fibrant import poly
 from fibrant.cli import main
 
 
@@ -45,6 +46,21 @@ class TestClassifyTriple:
 
     def test_negative_order_rejected(self, run):
         assert_rejected(run("classify-triple", "-1", "0", "0"), "-1")
+
+    @pytest.mark.parametrize("triple", [("1", "1", "1"), ("4", "6", "11"), ("2", "3", "5")])
+    def test_inconsistent_triple_rejected(self, run, triple):
+        # N must be min(3L, 2K), and at least that when 3L = 2K.
+        assert_rejected(run("classify-triple", *triple), "(" + ", ".join(triple) + ")")
+
+    @pytest.mark.parametrize(
+        "triple, reduced, tag", [(("6", "9", "18"), [2, 3, 6], "I0*"), (("5", "5", "10"), [5, 5, 10], "II*")]
+    )
+    def test_consistent_edge_triples_classify(self, run, triple, reduced, tag):
+        code, out, _ = run("classify-triple", *triple)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["reduced"] == reduced
+        assert payload["kodaira"]["tag"] == tag
 
 
 class TestCollide:
@@ -130,6 +146,52 @@ class TestGoldenOutput:
         code, out, _ = run("analyze", f"--alpha={alpha}", "--format", "md")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_ANALYZE_MD[alpha]
+
+    @pytest.mark.parametrize("alpha", sorted(GOLDEN_ANALYZE))
+    def test_json_through_prs_fallback(self, run, monkeypatch, alpha):
+        # Every gcd through the subresultant PRS gives the same output.
+        monkeypatch.setattr(poly, "_heu_gcd", lambda f, g: None)
+        code, out, _ = run("analyze", f"--alpha={alpha}")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_ANALYZE[alpha]
+
+    @pytest.mark.parametrize("alpha", sorted(GOLDEN_ANALYZE))
+    def test_eliminations_take_the_fast_paths(self, run, monkeypatch, alpha):
+        """No gcd falls back to the PRS; each resultant evaluates once per level.
+
+        A fallback would leave the output unchanged and only cost time, so
+        it is counted here instead.
+        """
+        heu, prs, iresultant = poly._heu_gcd, poly._prs_gcd, poly._iresultant
+        counts = {"heu": 0, "prs": 0}
+        chains = []  # per top-level resultant: [variables, calls of _iresultant]
+        depth = [0]
+
+        def counted(name, inner):
+            def wrapper(*args):
+                counts[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        def chained(f, g, m, n):
+            if not depth[0]:
+                chains.append([len(next(iter(f))), 0])
+            chains[-1][1] += 1
+            depth[0] += 1
+            try:
+                return iresultant(f, g, m, n)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(poly, "_heu_gcd", counted("heu", heu))
+        monkeypatch.setattr(poly, "_prs_gcd", counted("prs", prs))
+        monkeypatch.setattr(poly, "_iresultant", chained)
+        code, _, _ = run("analyze", f"--alpha={alpha}")
+        assert code == 0
+        assert counts["heu"] > 0 and counts["prs"] == 0
+        assert any(variables == 2 for variables, _ in chains)
+        assert all(calls == variables for variables, calls in chains)
 
 
 class TestBlowupDemo:

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from conftest import bareiss_resultant, from_sympy, to_sympy
 from hypothesis import example, given, settings, strategies as st
 
+from fibrant import poly
 from fibrant.poly import (
     INFINITE_ORDER,
     MultiPoly,
@@ -461,11 +463,11 @@ small_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 @st.composite
-def polys_in(draw, names, max_terms=4, max_exp=2):
+def polys_in(draw, names, max_terms=4, max_exp=2, coeffs=small_coeffs):
     terms = {}
     for _ in range(draw(st.integers(1, max_terms))):
         exp = tuple(draw(st.integers(0, max_exp)) for _ in names)
-        terms[exp] = terms.get(exp, F(0)) + draw(small_coeffs)
+        terms[exp] = terms.get(exp, F(0)) + draw(coeffs)
     return MultiPoly(names, terms)
 
 
@@ -489,6 +491,48 @@ def test_gcd_multivariate_against_sympy(pair):
     if not ours.is_zero():
         exact_divide(p, ours)
         exact_divide(q, ours)
+    with mock.patch.object(poly, "_heu_gcd", lambda f, g: None):
+        assert gcd_multivariate(p, q) == ours
+
+
+# Coefficients of up to 220 bits, so the evaluation points are large.
+wide_coeffs = st.one_of(small_coeffs, st.integers(-(2**220), 2**220).map(F))
+
+
+@st.composite
+def heuristic_gcd_cases(draw):
+    """Pairs in 1-3 variables: a planted factor, coprime, or one dividing the other."""
+    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    common = draw(polys_in(names, max_terms=3, coeffs=wide_coeffs))
+    p = draw(polys_in(names, coeffs=wide_coeffs))
+    q = draw(polys_in(names, coeffs=wide_coeffs))
+    kind = draw(st.sampled_from(("planted", "coprime", "divides")))
+    if kind == "planted":
+        return common * p, common * q
+    if kind == "divides":
+        return common, common * q
+    return p, q
+
+
+@given(heuristic_gcd_cases())
+@example((x**2 - 1, x**2 + 2 * x + 1))
+@example((F(2**200 + 7) * x * y + 3, 5 * x * y + F(3, 2**201)))
+@settings(max_examples=80, deadline=None)
+def test_heuristic_gcd_against_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    p, q = pair
+    names = tuple(sorted(set(p.variables) | set(q.variables))) or ("x",)
+    theirs = from_sympy(sympy, sympy.gcd(to_sympy(sympy, p), to_sympy(sympy, q)), names)
+    ours = gcd_multivariate(p, q)
+    assert equal_up_to_unit(ours, theirs)
+    if p.is_zero() or q.is_zero():
+        return
+    # The heuristic itself, where it answers, gives the gcd of the stored
+    # integer forms, whose contents are 1.
+    heu = poly._heu_gcd(poly._over(p, names), poly._over(q, names))
+    if heu is not None:
+        assert equal_up_to_unit(MultiPoly(names, heu), theirs)
+        assert math.gcd(*heu.values()) == 1
 
 
 # -- the trusted constructor and the integer kernels -------------------------------
@@ -647,6 +691,35 @@ def test_equality_and_terms_view(p, unit):
         assert (p * unit == p) == (unit == 1)
         prim, scale = primitive_integer(p * unit)
         assert prim * scale == p * unit and prim.content == 1
+
+
+@st.composite
+def trivariate_resultant_pairs(draw):
+    """Pairs in x, y, z of positive degree in x; some with an x-leading
+    coefficient that vanishes at small integers y."""
+    names = ("x", "y", "z")
+    pair = []
+    for _ in range(2):
+        p = draw(polys_in(names, max_terms=4, coeffs=st.one_of(small_coeffs, st.integers(-(2**40), 2**40).map(F))))
+        if draw(st.booleans()):
+            lead = MultiPoly.const(1)
+            for root in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=2)):
+                lead = lead * (y - root)
+            p = p + lead * x ** (p.degree_in("x") + 1)
+        if p.degree_in("x") < 1:
+            p = p + x
+        pair.append(p)
+    return pair
+
+
+@given(trivariate_resultant_pairs())
+@example([(y - 1) * (y + 2) * x**2 + parse("z") * x + y, (y - 1) * x + parse("z^2 - 3")])
+@settings(max_examples=40, deadline=None)
+def test_trivariate_resultant_against_bareiss_oracle(pair):
+    p, q = pair
+    r = resultant(p, q, "x")
+    assert_canonical(r)
+    assert r == bareiss_resultant(p, q, "x")
 
 
 @given(small_polys(), small_polys(), st.sampled_from(VARIABLE_POOL))
