@@ -7,9 +7,10 @@ from .weierstrass import (
     KodairaType,
     OrderTriple,
     WeierstrassFibration,
+    collide,
     kodaira_classify,
 )
-from .miranda import analyze_lagrange_family, collide
+from .miranda import analyze_lagrange_family
 
 __all__ = [
     "MultiPoly",

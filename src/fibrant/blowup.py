@@ -14,17 +14,20 @@ Weierstrass data); the rescaling exponents are recorded.
 ``regularize`` is the driver: it walks the singular points of the
 reduced discriminant, blows up every point that is not a node of the
 reduced total transform or whose colliding fiber types are off the
-collision table, and returns the full registry of exceptional divisors,
-their order triples and fiber types, and the certified collisions.
-Non-rational singular points are handled through the transverse-contact
-device: at a transverse intersection of the degree-4 and degree-6
-divisors the sections themselves serve as local coordinates, so one
-abstract germ (a, b) = (s1, s2) covers the whole cluster.
+collision table (``weierstrass.collide``), and returns the full registry
+of exceptional divisors, their order triples and fiber types, and the
+certified collisions.  The blow-ups over one center form a ``Tower``,
+which records whether the center is a rational point (and which) or a
+transverse contact.  Non-rational singular points are handled through
+the transverse-contact device: at a transverse intersection of the
+degree-4 and degree-6 divisors the sections themselves serve as local
+coordinates, so one abstract germ (a, b) = (s1, s2) covers the whole
+cluster.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .planecurve import (
@@ -48,12 +51,15 @@ from .poly import (
 )
 from .weierstrass import (
     KodairaType,
+    MirandaFiber,
     NotAnalyzableError,
+    NotOnListError,
     OrderTriple,
     WeierstrassFibration,
     _gcd_homogeneous,
     _normalize_projective,
     check_genericity,
+    collide,
     kodaira_classify,
     normalize_condition_C,
     order_triple_along,
@@ -196,9 +202,10 @@ class CollisionRecord:
     pair: tuple            # divisor names
     chart_coords: tuple | None
     point: tuple | None    # rational pair, or None for a certified cluster
-    fiber: object          # miranda.MirandaFiber
+    fiber: MirandaFiber
     count: int = 1
     cluster_eliminant: MultiPoly | None = None
+    where: str = ""        # the site in words, as the report names it
 
     def to_json(self):
         out = {
@@ -222,26 +229,33 @@ class BlowupEvent:
     new_coords: tuple      # (chart A coords, chart B coords)
     t_values: tuple        # ((coord, t), ...) from both charts
 
-    def to_json(self):
-        return {
-            "center": self.center_label,
-            "point": [str(c) for c in self.center],
-            "chart": list(self.chart_coords),
-            "charts_created": [list(c) for c in self.new_coords],
-            "fiber_rescalings": [[c, t] for c, t in self.t_values],
-        }
-
 
 @dataclass
 class Tower:
     """All blow-up data over one center of the original base plane."""
 
     label: str
-    count: int                      # identical copies (cluster size)
+    kind: str                       # "contact" (of the section divisors) or "point"
+    point: tuple | None = None      # projective center of a "point" tower
+    count: int = 1                  # identical copies (cluster size)
     events: list = field(default_factory=list)
     divisors: list = field(default_factory=list)
     collisions: list = field(default_factory=list)
     charts: list = field(default_factory=list)   # final LocalModels
+
+    def over(self, site: str) -> tuple:
+        """(divisors, collisions) of one copy of the tower, with its
+        exceptional divisors named after ``site``."""
+        names = {d.name: f"{d.name}({site})" for d in self.divisors}
+        divisors = [
+            DivisorRecord(names[d.name], f"exceptional divisor over {site}", d.triple, d.kodaira)
+            for d in self.divisors
+        ]
+        collisions = [
+            replace(c, pair=tuple(names.get(n, n) for n in c.pair), where=f"over {site}")
+            for c in self.collisions
+        ]
+        return divisors, collisions
 
 
 @dataclass
@@ -262,12 +276,6 @@ class BaseModification:
         if key not in self.singular_points:
             self.singular_points.append(key)
 
-    def all_divisors(self):
-        out = list(self.component_divisors)
-        for tower in self.towers:
-            out.extend(tower.divisors)
-        return out
-
     def all_collisions(self):
         out = list(self.node_collisions)
         for tower in self.towers:
@@ -276,14 +284,6 @@ class BaseModification:
 
     def blow_up_count(self):
         return sum(len(t.events) for t in self.towers)
-
-    def to_json(self):
-        return {
-            "divisors": [d.to_json() for d in self.all_divisors()],
-            "collisions": [c.to_json() for c in self.all_collisions()],
-            "events": [e.to_json() for t in self.towers for e in t.events],
-            "notes": list(self.notes),
-        }
 
 
 # -- the local driver ---------------------------------------------------------
@@ -301,12 +301,10 @@ class _TowerDriver:
     """Blows up one center until the reduced total transform has only
     nodes with collision types on the collision table."""
 
-    def __init__(self, label, collide, types, budget):
-        self.label = label
-        self.collide = collide          # miranda.collide
+    def __init__(self, tower, types, budget):
+        self.tower = tower
         self.types = dict(types)        # divisor name -> KodairaType
         self.budget = budget
-        self.tower = Tower(label, 1)
         self.counter = 0
 
     def run(self, model: LocalModel, divisors: dict) -> Tower:
@@ -359,10 +357,8 @@ class _TowerDriver:
         self._blow_up(task, point)
 
     def _try_collide(self, pair):
-        from .miranda import NotOnListError
-
         try:
-            return self.collide(self.types[pair[0]], self.types[pair[1]])
+            return collide(self.types[pair[0]], self.types[pair[1]])
         except NotOnListError:
             return None
 
@@ -371,7 +367,7 @@ class _TowerDriver:
     def _blow_up(self, task, point):
         if len(self.tower.events) >= self.budget:
             raise BlowupBudgetError(
-                f"center {self.label}: blow-up budget exceeded at chart "
+                f"center {self.tower.label}: blow-up budget exceeded at chart "
                 f"{task.model.coords}, germ {format_poly(task.model.delta())[:120]}"
             )
         self.counter += 1
@@ -381,7 +377,7 @@ class _TowerDriver:
         model_b = pull_back_fibration(raw_b)
         self.tower.events.append(
             BlowupEvent(
-                self.label,
+                self.tower.label,
                 task.model.coords,
                 point,
                 (model_a.coords, model_b.coords),
@@ -394,7 +390,7 @@ class _TowerDriver:
         triple_b = exceptional_order_triple(model_b)
         if triple_a.as_tuple() != triple_b.as_tuple():
             raise NotAnalyzableError(
-                f"chart inconsistency over {self.label}: "
+                f"chart inconsistency over {self.tower.label}: "
                 f"{triple_a.as_tuple()} vs {triple_b.as_tuple()}"
             )
         ktype = kodaira_classify(triple_a)
@@ -402,7 +398,7 @@ class _TowerDriver:
         self.tower.divisors.append(
             DivisorRecord(
                 exc_name,
-                f"exceptional divisor over {self.label}",
+                f"exceptional divisor over {self.tower.label}",
                 triple_a,
                 ktype,
             )
@@ -454,7 +450,7 @@ class _TowerDriver:
             restriction = germ.substitute({exc_var: Fraction(0)})
             if restriction.is_zero():
                 raise NotAnalyzableError(
-                    f"divisor {name} contains the exceptional divisor over {self.label}"
+                    f"divisor {name} contains the exceptional divisor over {self.tower.label}"
                 )
             if restriction.is_constant():
                 continue
@@ -477,7 +473,7 @@ class _TowerDriver:
         if not is_squarefree(leftover, other_var):
             raise NotAnalyzableError(
                 f"non-rational tangency of {name} with {task.exceptional} "
-                f"over {self.label}: eliminant {format_poly(leftover)} not squarefree"
+                f"over {self.tower.label}: eliminant {format_poly(leftover)} not squarefree"
             )
         for other_name, other_germ in task.divisors.items():
             if other_name in (name, task.exceptional):
@@ -490,7 +486,7 @@ class _TowerDriver:
             g = gcd_univariate(leftover, other_restriction, other_var)
             if not g.is_constant():
                 raise NotAnalyzableError(
-                    f"non-rational collision of three divisors over {self.label}"
+                    f"non-rational collision of three divisors over {self.tower.label}"
                 )
         if exc_type.is_smooth():
             return
@@ -498,7 +494,7 @@ class _TowerDriver:
         if fiber is None:
             raise NotAnalyzableError(
                 f"non-rational off-table collision ({name}, {task.exceptional}) "
-                f"over {self.label}"
+                f"over {self.tower.label}"
             )
         self.tower.collisions.append(
             CollisionRecord(
@@ -537,8 +533,6 @@ def regularize(fib: WeierstrassFibration, budget: int = DEFAULT_BLOWUP_BUDGET) -
     colliding fiber pair is on the collision table, and returns the full
     divisor/collision registry.
     """
-    from . import miranda
-
     if fib.alpha is not None:
         check_genericity(fib.alpha)
     mod = BaseModification()
@@ -624,9 +618,8 @@ def _residual_singularities(fib, residual, types, mod, budget):
                 )
         elif rep.kind == "cusp":
             _verify_contact_point(fib, chart, rep.point)
-            _run_contact_tower(
-                fib, f"contact point {tuple(map(str, rep.point))}", 1, types, mod, budget
-            )
+            label = f"contact point {tuple(map(str, rep.point))}"
+            mod.towers.append(contact_tower(label, types, budget))
         else:
             raise NotAnalyzableError(
                 f"residual curve has a {rep.kind} singular point at {rep.point}; "
@@ -635,8 +628,7 @@ def _residual_singularities(fib, residual, types, mod, budget):
     cluster = locus.eliminant_squarefree
     if cluster is not None and cluster.total_degree() > 0:
         count = _certify_contact_cluster(fib, cluster, locus.eliminant_variable)
-        _run_contact_tower(fib, "contact cluster", count, types, mod, budget)
-        return cluster
+        mod.towers.append(contact_tower("contact cluster", types, budget, count))
     return cluster
 
 
@@ -691,27 +683,27 @@ def _node_fiber_or_tower(fib, pair, types, chart, point, germs, mod, budget):
     ``germs`` maps the divisor names through the node to their affine
     equations in the chart; off-table pairs get a tower at the node.
     """
-    from . import miranda
-
     try:
-        return miranda.collide(types[pair[0]], types[pair[1]])
-    except miranda.NotOnListError:
-        pass
+        return collide(types[pair[0]], types[pair[1]])
+    except NotOnListError:
+        mod.towers.append(_point_tower(fib, chart, point, germs, types, budget))
+        return None
+
+
+def _point_tower(fib, chart, point, germs, types, budget):
+    """Tower over a rational point of the base plane, given in ``chart``;
+    ``germs`` maps divisor names to their affine equations there."""
     center = (Fraction(point[0]), Fraction(point[1]))
-    x, y = chart.coords
-    shift = {x: center[0], y: center[1]}
-    a_loc = chart.dehomogenize(fib.a).shift(shift)
-    b_loc = chart.dehomogenize(fib.b).shift(shift)
-    model = LocalModel((x, y), a_loc, b_loc)
-    driver = _TowerDriver(
-        f"point ({':'.join(str(c) for c in chart.to_projective(point))})",
-        miranda.collide,
-        {**types},
-        budget,
+    shift = dict(zip(chart.coords, center))
+    model = LocalModel(
+        chart.coords,
+        chart.dehomogenize(fib.a).shift(shift),
+        chart.dehomogenize(fib.b).shift(shift),
     )
-    tower = driver.run(model, {name: germ.shift(shift) for name, germ in germs.items()})
-    mod.towers.append(tower)
-    return None
+    projective = chart.to_projective(center)
+    tower = Tower(f"point ({':'.join(map(str, projective))})", "point", projective)
+    germs = {name: germ.shift(shift) for name, germ in germs.items()}
+    return _TowerDriver(tower, types, budget).run(model, germs)
 
 
 def _certify_contact_cluster(fib, cluster, var):
@@ -756,28 +748,21 @@ def _strip_lines(p):
     return out
 
 
-def _run_contact_tower(fib, label, count, types, mod, budget):
-    """Tower over a transverse contact of the section divisors.
+def contact_tower(label, types, budget, count=1) -> Tower:
+    """Tower over ``count`` transverse contacts of the section divisors.
 
     There the sections themselves are local coordinates, so the germ is
     exactly (a, b) = (s1, s2) with the cuspidal discriminant
     s1^3 - 27 s2^2; the tower is independent of the contact point.
+    ``types`` gives the Kodaira type of the residual curve "Q~".
     """
-    from . import miranda
-
     model = LocalModel(("s1", "s2"), MultiPoly.variable("s1"), MultiPoly.variable("s2"))
-    qgerm = model.delta()
-    driver = _TowerDriver(label, miranda.collide, {**types}, budget)
-    tower = driver.run(model, {"Q~": qgerm})
-    tower.count = count
-    mod.towers.append(tower)
-    return tower
+    tower = Tower(label, "contact", count=count)
+    return _TowerDriver(tower, types, budget).run(model, {"Q~": model.delta()})
 
 
 def _line_curve_crossings(fib, residual, var, line_name, types, mod, budget):
     """Process the intersection points of a discriminant line with the curve."""
-    from . import miranda
-
     restriction = residual.substitute({var: Fraction(0)})
     if restriction.is_zero():
         raise NotAnalyzableError("line is contained in the residual curve")
@@ -805,7 +790,7 @@ def _line_curve_crossings(fib, residual, var, line_name, types, mod, budget):
                 raise NotAnalyzableError(
                     f"non-rational tangency of the residual with {var} = 0"
                 )
-            fiber = miranda.collide(types[line_name], types["Q~"])
+            fiber = collide(types[line_name], types["Q~"])
             mod.node_collisions.append(
                 CollisionRecord(
                     (line_name, "Q~"),
@@ -823,13 +808,10 @@ def _third(var, other):
 
 
 def _handle_line_point(fib, residual, var, line_name, point, contact, types, mod, budget):
-    from . import miranda
-
     mod.record_singular_point(tuple(point[v] for v in PROJECTIVE_VARS))
     label_pt = tuple(str(point[v]) for v in ("A0", "A1", "A2"))
     chart_index = next(i for i, v in enumerate(("A0", "A1", "A2")) if point[v] != 0)
     chart = AffineChart.standard(chart_index)
-    xvar, yvar = chart.coords
     pivot = ("A0", "A1", "A2")[chart_index]
     others = [v for v in ("A0", "A1", "A2") if v != pivot]
     center = (point[others[0]] / point[pivot], point[others[1]] / point[pivot])
@@ -848,15 +830,7 @@ def _handle_line_point(fib, residual, var, line_name, point, contact, types, mod
             )
         return
     # tangential: blow up
-    shift = {xvar: center[0], yvar: center[1]}
-    a_loc = chart.dehomogenize(fib.a).shift(shift)
-    b_loc = chart.dehomogenize(fib.b).shift(shift)
-    model = LocalModel((xvar, yvar), a_loc, b_loc)
-    driver = _TowerDriver(
-        f"point ({':'.join(label_pt)})", miranda.collide, {**types}, budget
-    )
-    tower = driver.run(model, {name: germ.shift(shift) for name, germ in germs.items()})
-    mod.towers.append(tower)
+    mod.towers.append(_point_tower(fib, chart, center, germs, types, budget))
 
 
 def _line_line_crossing(fib, var1, var2, line_names, types, mod, budget):

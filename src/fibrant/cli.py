@@ -20,6 +20,7 @@ from .weierstrass import (
     KodairaType,
     NotAnalyzableError,
     OrderTriple,
+    collide,
     kodaira_classify,
     reduce_triple_mod,
 )
@@ -151,33 +152,21 @@ def cmd_classify_triple(args) -> int:
 
 
 def cmd_collide(args) -> int:
-    from .miranda import collide
-
     fiber = collide(_checked(KodairaType, args.type1), _checked(KodairaType, args.type2))
     _emit({"collision": fiber.to_json()})
     return 0
 
 
 def cmd_blowup_demo(args) -> int:
-    from . import miranda
-    from .blowup import LocalModel, _TowerDriver
+    from .blowup import contact_tower, regularize
     from .lagrange import build_global_sections
 
     if args.site == "cusp":
-        model = LocalModel(
-            ("s1", "s2"), MultiPoly.variable("s1"), MultiPoly.variable("s2")
-        )
-        driver = _TowerDriver(
-            "cusp", miranda.collide, {"Q~": KodairaType("I1")}, _budget()
-        )
-        tower = driver.run(model, {"Q~": model.delta()})
+        tower = contact_tower("cusp", {"Q~": KodairaType("I1")}, _budget())
     else:
-        fib = build_global_sections(args.alpha)
-        from .blowup import regularize
-
-        mod = regularize(fib, budget=_budget())
-        target = "(0:1:0)" if args.site == "p010" else "(0:0:1)"
-        tower = next(t for t in mod.towers if target in t.label)
+        mod = regularize(build_global_sections(args.alpha), budget=_budget())
+        target = (0, 1, 0) if args.site == "p010" else (0, 0, 1)
+        tower = next(t for t in mod.towers if t.point == target)
     final_step = max(len(ch.history) for ch in tower.charts)
     charts = [ch for ch in tower.charts if len(ch.history) == final_step]
     payload = {

@@ -10,6 +10,19 @@ The classification of fibers over smooth points of the reduced
 discriminant is Kodaira's table, keyed by the vanishing orders (L, K, N)
 of (a, b, Delta) along a component.  Orders may be infinite (a section
 identically zero along the component).
+
+Over a node where two discriminant components meet, the fiber is not of
+Kodaira type in general; it is classified by Miranda's collision table
+(rows I+I, I+I* for even and odd multiplicative index, II+IV, II+I0*,
+II+IV*, IV+I0*, III+I0*) as an explicit multiplicity-labeled dual graph,
+usually a contraction of a Kodaira fiber.  The table's Kodaira column is
+the type of the sum of the two types' minimal order triples.
+
+Index bookkeeping for the I_{M1} + I_{M2}* rows: the drawn fiber has
+M2 + floor(M1/2) + 1 components of multiplicity two, i.e. the dual graph
+of the star type with index M2 + floor(M1/2) when M1 is even; that index
+is what the pipeline reports.  The table's "corresponding Kodaira type"
+column (the contraction source I_{M1+M2}*) is kept alongside.
 """
 
 from __future__ import annotations
@@ -85,15 +98,18 @@ class OrderTriple:
 
 
 def reduce_triple_mod(t: OrderTriple) -> OrderTriple:
-    """Subtract (4, 6, 12) while L >= 4, K >= 6 and N >= 12."""
-    L, K, N = t.as_tuple()
-    while L >= 4 and K >= 6 and N >= 12:
-        if L == INFINITE_ORDER and K == INFINITE_ORDER and N == INFINITE_ORDER:
-            raise ValueError("discriminant vanishes identically along the divisor")
-        L = L - 4 if L != INFINITE_ORDER else L
-        K = K - 6 if K != INFINITE_ORDER else K
-        N = N - 12 if N != INFINITE_ORDER else N
-    return OrderTriple(L, K, N)
+    """Subtract (4, 6, 12) as often as L >= 4, K >= 6 and N >= 12 allow.
+
+    Infinite orders stay infinite; three infinite orders raise ValueError.
+    """
+    steps = (4, 6, 12)
+    finite = [v // s for v, s in zip(t.as_tuple(), steps) if v != INFINITE_ORDER]
+    if not finite:
+        raise ValueError("discriminant vanishes identically along the divisor")
+    k = min(finite)
+    return OrderTriple(
+        *(v if v == INFINITE_ORDER else v - s * k for v, s in zip(t.as_tuple(), steps))
+    )
 
 
 # -- dual graphs ----------------------------------------------------------------
@@ -218,6 +234,17 @@ class KodairaType:
             return int(self.tag[1:-1])
         return None
 
+    def minimal_triple(self) -> OrderTriple:
+        """The least orders (L, K, N) on this type's row of Kodaira's table."""
+        n, row = self.multiplicative_index(), "I{}"
+        if n is None:
+            n, row = self.star_index(), "I{}*"
+        if n is None:
+            row = self.tag
+        for tag, (low_l, _), (low_k, _), (low_n, _), shift in _KODAIRA_ROWS:
+            if tag == row:
+                return OrderTriple(low_l, low_k, low_n if n is None else n + shift)
+
     def to_json(self):
         return {
             "tag": self.tag,
@@ -251,6 +278,23 @@ _FIXED_TYPES = {
 }
 
 
+# Kodaira's table, one row per fiber type: the tag, then the (least,
+# greatest) orders L, K and N of the row.  "{}" in a tag stands for N
+# minus the row's last entry.
+_KODAIRA_ROWS = (
+    ("I0", (0, INFINITE_ORDER), (0, INFINITE_ORDER), (0, 0), 0),
+    ("I{}", (0, 0), (0, 0), (1, INFINITE_ORDER), 0),
+    ("II", (1, INFINITE_ORDER), (1, 1), (2, 2), 0),
+    ("III", (1, 1), (2, INFINITE_ORDER), (3, 3), 0),
+    ("IV", (2, INFINITE_ORDER), (2, 2), (4, 4), 0),
+    ("I0*", (2, INFINITE_ORDER), (3, INFINITE_ORDER), (6, 6), 0),
+    ("I{}*", (2, 2), (3, 3), (7, INFINITE_ORDER), 6),
+    ("IV*", (3, INFINITE_ORDER), (4, 4), (8, 8), 0),
+    ("III*", (3, 3), (5, INFINITE_ORDER), (9, 9), 0),
+    ("II*", (4, INFINITE_ORDER), (5, 5), (10, 10), 0),
+)
+
+
 def kodaira_classify(t: OrderTriple) -> KodairaType:
     """Classify an order triple by Kodaira's table.
 
@@ -261,26 +305,9 @@ def kodaira_classify(t: OrderTriple) -> KodairaType:
     L, K, N = t.as_tuple()
     if L >= 4 and K >= 6:
         raise NeedsNormalizationError(f"triple {t.as_tuple()} needs (4,6,12) reduction")
-    if N == 0:
-        return KodairaType("I0")
-    if L == 0 and K == 0 and N >= 1:
-        return KodairaType(f"I{N}")
-    if L >= 1 and K == 1 and N == 2:
-        return KodairaType("II")
-    if L == 1 and K >= 2 and N == 3:
-        return KodairaType("III")
-    if L >= 2 and K == 2 and N == 4:
-        return KodairaType("IV")
-    if L >= 2 and K >= 3 and N == 6:
-        return KodairaType("I0*")
-    if L == 2 and K == 3 and N >= 7:
-        return KodairaType(f"I{N - 6}*")
-    if L >= 3 and K == 4 and N == 8:
-        return KodairaType("IV*")
-    if L == 3 and K >= 5 and N == 9:
-        return KodairaType("III*")
-    if L >= 4 and K == 5 and N == 10:
-        return KodairaType("II*")
+    for tag, (l0, l1), (k0, k1), (n0, n1), shift in _KODAIRA_ROWS:
+        if l0 <= L <= l1 and k0 <= K <= k1 and n0 <= N <= n1:
+            return KodairaType(tag.format(N - shift))
     raise NotInTableError(f"triple {t.as_tuple()} matches no Kodaira row")
 
 
@@ -302,6 +329,87 @@ def kodaira_monodromy(k: KodairaType) -> monodromy.SL2Z:
         "II*": monodromy.SL2Z(0, -1, 1, 1),
     }
     return table[tag]
+
+
+# -- Miranda's collision table ----------------------------------------------------
+
+
+class NotOnListError(ValueError):
+    """Colliding pair outside the collision table: blow up further."""
+
+
+@dataclass(frozen=True)
+class MirandaFiber:
+    """The fiber over a node where two discriminant components collide."""
+
+    pair: tuple                  # (KodairaType, KodairaType), sorted
+    dual_graph: DualGraph
+    kodaira_label: str           # contraction source (table column)
+    label: str                   # pipeline-facing label
+    contracted: str              # description of the contracted components
+
+    def component_count(self) -> int:
+        return self.dual_graph.component_count()
+
+    def to_json(self):
+        return {
+            "pair": [k.tag for k in self.pair],
+            "dual_graph": self.dual_graph.to_json(),
+            "kodaira_label": self.kodaira_label,
+            "label": self.label,
+            "contracted": self.contracted,
+        }
+
+
+# The rows of the table with two additive types: the dual graph of the
+# fiber and what it contracts of the Kodaira fiber named in the table.
+_ADDITIVE_COLLISIONS = {
+    ("I0*", "II"): (DualGraph.chain(1, 2, 3), "two of the three multiplicity-(1,2) arms"),
+    ("II", "IV"): (DualGraph.chain(1, 2), "3 components with multiplicity 1"),
+    ("II", "IV*"): (DualGraph.chain(1, 2, 3, 4, 2), "the multiplicity-(3,4,5,6) chain segment"),
+    ("I0*", "IV"): (DualGraph.chain(1, 2, 4, 2), "the multiplicity-(3,3,4,5,6) components"),
+    ("I0*", "III"): (DualGraph.chain(1, 2, 3, 2, 1), "the multiplicity-(2,3,4) components"),
+}
+
+
+def collide(k1: KodairaType, k2: KodairaType) -> MirandaFiber:
+    """Classify the fiber over a node where two component types meet.
+
+    Symmetric in the two types; a smooth branch (I0) returns the other
+    type unchanged.  Pairs outside the table raise NotOnListError, which
+    signals the blow-up driver to keep modifying the base.  The table's
+    Kodaira column is the type of the summed minimal order triples.
+    """
+    pair = tuple(sorted((k1, k2), key=lambda k: k.tag))
+    tags = tuple(k.tag for k in pair)
+    n1, n2 = k1.multiplicative_index(), k2.multiplicative_index()
+    s1, s2 = k1.star_index(), k2.star_index()
+    label = "{}"  # the table's Kodaira column unless a row names another
+    if k1.is_smooth() or k2.is_smooth():
+        graph = (k2 if k1.is_smooth() else k1).dual_graph()
+        contracted = "none (smooth branch)"
+    elif n1 is not None and n2 is not None:
+        graph, contracted = DualGraph.cycle(*([1] * (n1 + n2))), "none"
+    elif (n1 is not None and s2 is not None) or (n2 is not None and s1 is not None):
+        m1, m2 = (n1, s2) if n1 is not None else (n2, s1)
+        if m1 % 2 == 0:
+            graph = DualGraph.star_chain((2,) * (m2 + m1 // 2 + 1), (1, 1), (1, 1))
+            label = f"I{m2 + m1 // 2}*"
+            contracted = f"{m1 // 2} components with multiplicity 2"
+        else:
+            graph = DualGraph.star_chain((2,) * (m2 + (m1 - 1) // 2 + 1), (1, 1), ())
+            label = "{} (contracted)"
+            contracted = (
+                f"{(m1 - 1) // 2} components with multiplicity 2 and "
+                "2 components with multiplicity 1"
+            )
+    elif tags in _ADDITIVE_COLLISIONS:
+        graph, contracted = _ADDITIVE_COLLISIONS[tags]
+    else:
+        raise NotOnListError(f"collision {tags} is not on the list")
+    triples = (k1.minimal_triple().as_tuple(), k2.minimal_triple().as_tuple())
+    source = kodaira_classify(OrderTriple(*map(sum, zip(*triples)))).tag
+    return MirandaFiber(pair, graph, source, label.format(source), contracted)
 
 
 # -- the fibration datatype -------------------------------------------------------

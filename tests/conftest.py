@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from fibrant.poly import MultiPoly, exact_divide, extract_power
+from fibrant.poly import INFINITE_ORDER, MultiPoly, exact_divide, extract_power
+from fibrant.weierstrass import (
+    KodairaType,
+    NeedsNormalizationError,
+    NotInTableError,
+    OrderTriple,
+)
 
 
 def fulton_multiplicity(f, g, x="x", y="y", depth=0):
@@ -109,6 +115,46 @@ def from_sympy(sympy, expr, names):
     """A sympy expression in the given variable names as a MultiPoly."""
     poly = sympy.Poly(expr, *(sympy.Symbol(v) for v in names))
     return MultiPoly(names, {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()})
+
+
+def kodaira_classify_oracle(t):
+    """Kodaira's table as a chain of row tests (oracle only)."""
+    L, K, N = t.as_tuple()
+    if L >= 4 and K >= 6:
+        raise NeedsNormalizationError(f"triple {t.as_tuple()} needs (4,6,12) reduction")
+    if N == 0:
+        return KodairaType("I0")
+    if L == 0 and K == 0 and N >= 1:
+        return KodairaType(f"I{N}")
+    if L >= 1 and K == 1 and N == 2:
+        return KodairaType("II")
+    if L == 1 and K >= 2 and N == 3:
+        return KodairaType("III")
+    if L >= 2 and K == 2 and N == 4:
+        return KodairaType("IV")
+    if L >= 2 and K >= 3 and N == 6:
+        return KodairaType("I0*")
+    if L == 2 and K == 3 and N >= 7:
+        return KodairaType(f"I{N - 6}*")
+    if L >= 3 and K == 4 and N == 8:
+        return KodairaType("IV*")
+    if L == 3 and K >= 5 and N == 9:
+        return KodairaType("III*")
+    if L >= 4 and K == 5 and N == 10:
+        return KodairaType("II*")
+    raise NotInTableError(f"triple {t.as_tuple()} matches no Kodaira row")
+
+
+def reduce_triple_mod_oracle(t):
+    """Subtract (4, 6, 12) one step at a time (oracle only)."""
+    L, K, N = t.as_tuple()
+    while L >= 4 and K >= 6 and N >= 12:
+        if L == INFINITE_ORDER and K == INFINITE_ORDER and N == INFINITE_ORDER:
+            raise ValueError("discriminant vanishes identically along the divisor")
+        L = L - 4 if L != INFINITE_ORDER else L
+        K = K - 6 if K != INFINITE_ORDER else K
+        N = N - 12 if N != INFINITE_ORDER else N
+    return OrderTriple(L, K, N)
 
 
 @pytest.fixture(scope="session")

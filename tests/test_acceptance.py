@@ -23,7 +23,7 @@ from fibrant.lagrange import (
     shifted_weierstrass_residual,
     tau_transform,
 )
-from fibrant.miranda import analyze_lagrange_family, collide
+from fibrant.miranda import analyze_lagrange_family
 from fibrant.monodromy import (
     STANDARD_CUSP_PARTNER,
     T,
@@ -45,6 +45,7 @@ from fibrant.weierstrass import (
     GenericityError,
     KodairaType,
     OrderTriple,
+    collide,
     kodaira_classify,
     reduce_triple_mod,
 )

@@ -2,7 +2,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from fibrant import miranda
 from fibrant.blowup import (
     BlowupBudgetError,
     LocalModel,

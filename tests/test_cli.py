@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,15 @@ class TestClassifyTriple:
 
     def test_negative_order_rejected(self, run):
         assert_rejected(run("classify-triple", "-1", "0", "0"), "-1")
+
+    def test_large_orders_reduce_at_once(self, run):
+        start = time.perf_counter()
+        code, out, _ = run("classify-triple", "4000000000", "6000000000", "12000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["reduced"] == [0, 0, 0]
+        assert payload["kodaira"]["tag"] == "I0"
 
     @pytest.mark.parametrize("triple", [("1", "1", "1"), ("4", "6", "11"), ("2", "3", "5")])
     def test_inconsistent_triple_rejected(self, run, triple):
@@ -132,9 +142,39 @@ GOLDEN_ANALYZE = {
     "1000003/999983": "f3591d3eb1353ff0",
 }
 GOLDEN_ANALYZE_MD = {"1": "8dd15e2ec0d69b35", "7/3": "2f9e65702f69360b"}
+# Pinned before the collision table moved next to the Kodaira types.
+GOLDEN_BLOWUP_DEMO = {
+    "cusp": "2ddf40178cc1860e",
+    "p010": "f67f215112ce0bbe",
+    "p001": "a43dcb9a16536c07",
+}
+# One pair per row of the collision table, and the smooth pass-through.
+GOLDEN_COLLIDE = {
+    ("I1", "I4"): "16809f12511baf56",
+    ("I4", "I2*"): "72d3d879a6f50b75",
+    ("I3", "I1*"): "23a537db4a31de0a",
+    ("II", "IV"): "645676f5144ea34b",
+    ("II", "I0*"): "428487937f3eec0c",
+    ("II", "IV*"): "ee5c5e1c64166643",
+    ("IV", "I0*"): "70a86cda85593fc0",
+    ("III", "I0*"): "6f5afd623b74bc07",
+    ("I0", "IV*"): "755d9862c3cbb73d",
+}
 
 
 class TestGoldenOutput:
+    @pytest.mark.parametrize("site", sorted(GOLDEN_BLOWUP_DEMO))
+    def test_blowup_demo(self, run, site):
+        code, out, _ = run("blowup-demo", site)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_BLOWUP_DEMO[site]
+
+    @pytest.mark.parametrize("pair", sorted(GOLDEN_COLLIDE))
+    def test_collide(self, run, pair):
+        code, out, _ = run("collide", *pair)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_COLLIDE[pair]
+
     @pytest.mark.parametrize("alpha", sorted(GOLDEN_ANALYZE))
     def test_json(self, run, alpha):
         code, out, _ = run("analyze", f"--alpha={alpha}")

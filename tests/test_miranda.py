@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibrant.lagrange import build_global_sections
-from fibrant.miranda import (
+from fibrant.miranda import analyze_lagrange_family
+from fibrant.poly import parse
+from fibrant.weierstrass import (
+    DualGraph,
+    GenericityError,
+    KodairaType,
     MirandaFiber,
     NotOnListError,
-    analyze_lagrange_family,
     collide,
+    kodaira_monodromy,
 )
-from fibrant.poly import parse
-from fibrant.weierstrass import DualGraph, GenericityError, KodairaType
 
 
 def K(tag):
@@ -63,6 +66,18 @@ class TestCollide:
         fiber = collide(K("I0"), K("IV*"))
         assert fiber.label == "IV*"
         assert fiber.dual_graph.canonical() == K("IV*").dual_graph().canonical()
+
+    @pytest.mark.parametrize(
+        "t1,t2",
+        [(f"I{n}", f"I{m}") for n in range(5) for m in range(5)]
+        + [(f"I{n}", f"I{m}*") for n in range(5) for m in range(4)]
+        + [("II", "I0*"), ("II", "IV"), ("II", "IV*"), ("IV", "I0*"), ("III", "I0*")]
+        + [("I0", t) for t in ("II", "III", "IV", "IV*", "III*", "II*")],
+    )
+    def test_monodromy_product_is_kodaira_column(self, t1, t2):
+        fiber = collide(K(t1), K(t2))
+        product = kodaira_monodromy(K(t1)) * kodaira_monodromy(K(t2))
+        assert product == kodaira_monodromy(K(fiber.kodaira_label))
 
     def test_off_list(self):
         with pytest.raises(NotOnListError):

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from conftest import from_sympy, to_sympy
+from conftest import from_sympy, kodaira_classify_oracle, reduce_triple_mod_oracle, to_sympy
 from hypothesis import given, settings, strategies as st
 
 from fibrant.blowup import regularize
@@ -167,6 +167,26 @@ class TestKodairaTable:
         with pytest.raises(NotInTableError):
             kodaira_classify(OrderTriple(1, 1, 3))
 
+    def test_table_matches_row_chain(self):
+        """Same tag, or the same exception class, as the oracle's row tests."""
+
+        def outcome(classify, t):
+            try:
+                return classify(t).tag
+            except ValueError as exc:
+                return type(exc)
+
+        for L in [*range(14), INFINITE_ORDER]:
+            for K in [*range(20), INFINITE_ORDER]:
+                for N in [*range(40), INFINITE_ORDER]:
+                    t = OrderTriple(L, K, N)
+                    assert outcome(kodaira_classify, t) == outcome(kodaira_classify_oracle, t), t
+
+    def test_minimal_triple_classifies_back(self):
+        tags = ["I0", "I1", "I7", "II", "III", "IV", "I0*", "I1*", "I5*", "IV*", "III*", "II*"]
+        for tag in tags:
+            assert kodaira_classify(KodairaType(tag).minimal_triple()).tag == tag
+
     def test_component_data(self):
         assert KodairaType("I0*").component_count() == 5
         i3s = KodairaType("I3*")
@@ -217,6 +237,20 @@ class TestReduceTripleMod:
 
     def test_one_step(self):
         assert reduce_triple_mod(OrderTriple(6, 9, 18)).as_tuple() == (2, 3, 6)
+
+    def test_matches_stepwise_oracle(self):
+        values = [*range(31), INFINITE_ORDER]
+        for L in values:
+            for K in values:
+                for N in values:
+                    t = OrderTriple(L, K, N)
+                    try:
+                        expected = reduce_triple_mod_oracle(t)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            reduce_triple_mod(t)
+                        continue
+                    assert reduce_triple_mod(t) == expected, t
 
 
 class TestMonodromyRepresentatives:
