@@ -11,11 +11,15 @@ rescaled until no coordinate power u^4 divides the degree-4 section
 jointly with u^6 dividing the degree-6 one (the minimality condition for
 Weierstrass data); the rescaling exponents are recorded.
 
-``regularize`` is the driver: it walks the singular points of the
-reduced discriminant, blows up every point that is not a node of the
-reduced total transform or whose colliding fiber types are off the
-collision table (``weierstrass.collide``), and returns the full registry
-of exceptional divisors, their order triples and fiber types, and the
+``regularize`` is the driver.  It walks the singular points of the
+reduced discriminant (those of the residual curve, then its crossings
+with the lines, then the line-line crossings) and applies one rule at
+each rational point, following Miranda, "Smooth models for elliptic
+threefolds" (1983): a transverse crossing whose pair of fiber types is
+on the collision table (``weierstrass.collide``) is kept as a node
+collision, and anything else is blown up until the reduced total
+transform has only such crossings.  It returns the registry of
+exceptional divisors, their order triples and fiber types, and the
 certified collisions.  The blow-ups over one center form a ``Tower``,
 which records whether the center is a rational point (and which) or a
 transverse contact.  Non-rational singular points are handled through
@@ -106,19 +110,6 @@ class LocalModel:
     def delta(self) -> MultiPoly:
         return self.a**3 - 27 * self.b**2
 
-    def composed_map(self) -> dict:
-        """Original chart coordinates as polynomials in the current ones."""
-        mapping = None
-        for step in self.history:
-            sub = step.substitution()
-            if mapping is None:
-                mapping = sub
-            else:
-                mapping = {k: poly.substitute(sub) for k, poly in mapping.items()}
-        if mapping is None:
-            return {c: MultiPoly.variable(c) for c in self.coords}
-        return mapping
-
 
 def blow_up_point(model: LocalModel, center, names=None) -> tuple:
     """Blow up a rational point of the chart; returns (chart A, chart B).
@@ -201,7 +192,7 @@ class DivisorRecord:
 class CollisionRecord:
     pair: tuple            # divisor names
     chart_coords: tuple | None
-    point: tuple | None    # rational pair, or None for a certified cluster
+    point: tuple | None    # rational point in chart_coords, or None for a cluster
     fiber: MirandaFiber
     count: int = 1
     cluster_eliminant: MultiPoly | None = None
@@ -222,15 +213,6 @@ class CollisionRecord:
 
 
 @dataclass
-class BlowupEvent:
-    center_label: str
-    chart_coords: tuple
-    center: tuple
-    new_coords: tuple      # (chart A coords, chart B coords)
-    t_values: tuple        # ((coord, t), ...) from both charts
-
-
-@dataclass
 class Tower:
     """All blow-up data over one center of the original base plane."""
 
@@ -238,7 +220,7 @@ class Tower:
     kind: str                       # "contact" (of the section divisors) or "point"
     point: tuple | None = None      # projective center of a "point" tower
     count: int = 1                  # identical copies (cluster size)
-    events: list = field(default_factory=list)
+    blow_ups: int = 0
     divisors: list = field(default_factory=list)
     collisions: list = field(default_factory=list)
     charts: list = field(default_factory=list)   # final LocalModels
@@ -276,15 +258,6 @@ class BaseModification:
         if key not in self.singular_points:
             self.singular_points.append(key)
 
-    def all_collisions(self):
-        out = list(self.node_collisions)
-        for tower in self.towers:
-            out.extend(tower.collisions)
-        return out
-
-    def blow_up_count(self):
-        return sum(len(t.events) for t in self.towers)
-
 
 # -- the local driver ---------------------------------------------------------
 
@@ -305,7 +278,6 @@ class _TowerDriver:
         self.tower = tower
         self.types = dict(types)        # divisor name -> KodairaType
         self.budget = budget
-        self.counter = 0
 
     def run(self, model: LocalModel, divisors: dict) -> Tower:
         task = _ChartTask(model, divisors, scan_all=False, exceptional=None)
@@ -342,11 +314,8 @@ class _TowerDriver:
             if len(branches) > 2:
                 self._blow_up(task, point)
                 return
-            if len(branches) == 1:
-                pair = (branches[0][0], branches[0][0])
-            else:
-                pair = (branches[0][0], branches[1][0])
-            fiber = self._try_collide(pair)
+            pair = (branches[0][0], branches[-1][0])
+            fiber = _collide_or_none(self.types, pair)
             if fiber is None:
                 self._blow_up(task, point)
                 return
@@ -356,35 +325,19 @@ class _TowerDriver:
             return
         self._blow_up(task, point)
 
-    def _try_collide(self, pair):
-        try:
-            return collide(self.types[pair[0]], self.types[pair[1]])
-        except NotOnListError:
-            return None
-
     # -- blowing up --------------------------------------------------------
 
     def _blow_up(self, task, point):
-        if len(self.tower.events) >= self.budget:
+        if self.tower.blow_ups >= self.budget:
             raise BlowupBudgetError(
                 f"center {self.tower.label}: blow-up budget exceeded at chart "
                 f"{task.model.coords}, germ {format_poly(task.model.delta())[:120]}"
             )
-        self.counter += 1
-        exc_name = f"E{self.counter}"
+        self.tower.blow_ups += 1
+        exc_name = f"E{self.tower.blow_ups}"
         raw_a, raw_b = blow_up_point(task.model, point)
         model_a = pull_back_fibration(raw_a)
         model_b = pull_back_fibration(raw_b)
-        self.tower.events.append(
-            BlowupEvent(
-                self.tower.label,
-                task.model.coords,
-                point,
-                (model_a.coords, model_b.coords),
-                tuple(model_a.t_record[len(task.model.t_record):])
-                + tuple(model_b.t_record[len(task.model.t_record):]),
-            )
-        )
         # order triple of the new exceptional divisor, checked in both charts
         triple_a = exceptional_order_triple(model_a)
         triple_b = exceptional_order_triple(model_b)
@@ -490,22 +443,32 @@ class _TowerDriver:
                 )
         if exc_type.is_smooth():
             return
-        fiber = self._try_collide((name, task.exceptional))
-        if fiber is None:
-            raise NotAnalyzableError(
-                f"non-rational off-table collision ({name}, {task.exceptional}) "
-                f"over {self.tower.label}"
-            )
+        pair = (name, task.exceptional)
         self.tower.collisions.append(
-            CollisionRecord(
-                (name, task.exceptional),
-                task.model.coords,
-                None,
-                fiber,
-                count=max(leftover.total_degree(), 0),
-                cluster_eliminant=leftover,
-            )
+            _cluster_record(self.types, pair, leftover, f"over {self.tower.label}")
         )
+
+
+def _collide_or_none(types, pair):
+    """Collision fiber of a pair of divisor names, or None off the table."""
+    try:
+        return collide(types[pair[0]], types[pair[1]])
+    except NotOnListError:
+        return None
+
+
+def _cluster_record(types, pair, eliminant, site, where=""):
+    """Collision record for the non-rational crossings of ``pair`` cut out
+    by ``eliminant``.  Only rational points are blown up, so an off-table
+    pair there is not analyzable."""
+    fiber = _collide_or_none(types, pair)
+    if fiber is None:
+        raise NotAnalyzableError(
+            f"non-rational off-table collision ({pair[0]}, {pair[1]}) {site}"
+        )
+    return CollisionRecord(
+        pair, None, None, fiber, eliminant.total_degree(), eliminant, where
+    )
 
 
 def _classify_product(product, point, coords):
@@ -535,107 +498,167 @@ def regularize(fib: WeierstrassFibration, budget: int = DEFAULT_BLOWUP_BUDGET) -
     """
     if fib.alpha is not None:
         check_genericity(fib.alpha)
-    mod = BaseModification()
-    lines, residual = fib.reduced_discriminant()
+    return _Regularizer(fib, budget).run()
 
-    types = {}
-    line_names = {}
-    for var, mult in lines:
-        name = "L~" if var == "A0" else f"L~({var})"
-        line_names[var] = name
-        triple = order_triple_along(fib.a, fib.b, MultiPoly.variable(var))
-        ktype = kodaira_classify(triple)
-        types[name] = ktype
-        mod.component_divisors.append(
-            DivisorRecord(name, f"line {var} = 0 (multiplicity {mult} in the discriminant)", triple, ktype)
-        )
-    residual_name = None
-    if not residual.is_constant():
-        residual = radical(residual)
-        mod.residual_degree = residual.total_degree()
-        residual_name = "Q~"
-        triple = order_triple_along(fib.a, fib.b, residual)
-        ktype = kodaira_classify(triple)
-        types[residual_name] = ktype
-        mod.component_divisors.append(
-            DivisorRecord(
-                residual_name,
-                f"residual discriminant curve (degree {residual.total_degree()})",
-                triple,
-                ktype,
+
+class _Regularizer:
+    """One run of ``regularize``: the fibration, the discriminant
+    components (homogeneous equation and Kodaira type by name), the
+    registry being built and the per-center blow-up budget."""
+
+    def __init__(self, fib, budget):
+        self.fib = fib
+        self.budget = budget
+        self.mod = BaseModification()
+        self.equations = {}
+        self.types = {}
+
+    def run(self) -> BaseModification:
+        lines, residual = self.fib.reduced_discriminant()
+        line_names = {var: "L~" if var == "A0" else f"L~({var})" for var, _ in lines}
+        for var, mult in lines:
+            self._add_component(
+                line_names[var],
+                MultiPoly.variable(var),
+                f"line {var} = 0 (multiplicity {mult} in the discriminant)",
             )
-        )
-
-    # 1. singular points of the residual curve
-    cusp_cluster = None
-    if residual_name is not None:
-        cusp_cluster = _residual_singularities(fib, residual, types, mod, budget)
-
-    # 2. crossings of the residual with the lines
-    if residual_name is not None:
-        for var, _ in lines:
-            _line_curve_crossings(fib, residual, var, line_names[var], types, mod, budget)
-
-    # 3. line-line crossings
-    for i, (var1, _) in enumerate(lines):
-        for var2, _ in lines[i + 1:]:
-            _line_line_crossing(fib, var1, var2, line_names, types, mod, budget)
-
-    if cusp_cluster is not None:
-        mod.notes.append(
-            "contact-point cluster eliminant: " + format_poly(cusp_cluster)
-        )
-    return mod
-
-
-def _residual_singularities(fib, residual, types, mod, budget):
-    """Handle Sing(residual): nodes collide, contact points get towers.
-
-    Singular points are located on the A0 != 0 chart after certifying
-    that the singular system has no solution on the line A0 = 0 (its
-    gradient restrictions share no common zero there).
-    """
-    _certify_no_singularities_at_infinity(residual)
-    chart = AffineChart.standard(0)
-    affine = chart.dehomogenize(residual)
-    locus = rational_singular_points(affine, chart)
-    for rep in locus.points:
-        mod.record_singular_point(chart.to_projective(rep.point))
-        if rep.kind == "node":
-            fiber = _node_fiber_or_tower(
-                fib,
-                ("Q~", "Q~"),
-                types,
-                chart,
-                rep.point,
-                {"Q~": affine},
-                mod,
-                budget,
+        if not residual.is_constant():
+            residual = radical(residual)
+            self.mod.residual_degree = residual.total_degree()
+            self._add_component(
+                "Q~", residual, f"residual discriminant curve (degree {residual.total_degree()})"
             )
-            if fiber is not None:
-                mod.node_collisions.append(
-                    CollisionRecord(("Q~", "Q~"), chart.coords, rep.point, fiber)
+            self._residual_singularities()
+            for var, _ in lines:
+                self._line_curve_crossings(var, line_names[var])
+        for i, (var1, _) in enumerate(lines):
+            for var2, _ in lines[i + 1:]:
+                vertex = tuple(Fraction(v not in (var1, var2)) for v in PROJECTIVE_VARS)
+                self._site(vertex, (line_names[var1], line_names[var2]), transverse=True)
+        return self.mod
+
+    def _add_component(self, name, equation, origin):
+        triple = order_triple_along(self.fib.a, self.fib.b, equation)
+        ktype = kodaira_classify(triple)
+        self.equations[name] = equation
+        self.types[name] = ktype
+        self.mod.component_divisors.append(DivisorRecord(name, origin, triple, ktype))
+
+    def _site(self, point, names, transverse):
+        """Keep a transverse crossing with an on-table pair of fiber types
+        as a node collision; blow up anything else.
+
+        ``point`` is a rational projective point and ``names`` are the
+        discriminant components through it: one for a node of the
+        residual curve, two for a crossing.  A node of the residual is
+        reported in the chart where it was located, a crossing in
+        projective coordinates.
+        """
+        self.mod.record_singular_point(point)
+        index = next(i for i, c in enumerate(point) if c != 0)
+        chart = AffineChart.standard(index)
+        center = tuple(c / point[index] for i, c in enumerate(point) if i != index)
+        pair = (names[0], names[-1])
+        fiber = _collide_or_none(self.types, pair) if transverse else None
+        if fiber is None:
+            self.mod.towers.append(self._point_tower(chart, center, names))
+        elif len(names) == 1:
+            self.mod.node_collisions.append(
+                CollisionRecord(
+                    pair, chart.coords, center, fiber, where="node of the residual curve"
                 )
-        elif rep.kind == "cusp":
-            _verify_contact_point(fib, chart, rep.point)
-            label = f"contact point {tuple(map(str, rep.point))}"
-            mod.towers.append(contact_tower(label, types, budget))
-        else:
-            raise NotAnalyzableError(
-                f"residual curve has a {rep.kind} singular point at {rep.point}; "
-                "only nodes and transverse-contact cusps are certified"
             )
-    cluster = locus.eliminant_squarefree
-    if cluster is not None and cluster.total_degree() > 0:
-        count = _certify_contact_cluster(fib, cluster, locus.eliminant_variable)
-        mod.towers.append(contact_tower("contact cluster", types, budget, count))
-    return cluster
+        else:
+            self.mod.node_collisions.append(
+                CollisionRecord(
+                    pair, PROJECTIVE_VARS, point, fiber, where="crossing on the discriminant"
+                )
+            )
+
+    def _point_tower(self, chart, center, names):
+        """Tower over a rational point of the base plane, given in ``chart``,
+        through the discriminant components ``names``."""
+        shift = dict(zip(chart.coords, center))
+        model = LocalModel(
+            chart.coords,
+            chart.dehomogenize(self.fib.a).shift(shift),
+            chart.dehomogenize(self.fib.b).shift(shift),
+        )
+        projective = chart.to_projective(center)
+        tower = Tower(f"point ({':'.join(map(str, projective))})", "point", projective)
+        germs = {name: chart.dehomogenize(self.equations[name]).shift(shift) for name in names}
+        return _TowerDriver(tower, self.types, self.budget).run(model, germs)
+
+    def _residual_singularities(self):
+        """Sites at Sing(residual): nodes, and contact points, which get towers.
+
+        Singular points are located on the A0 != 0 chart after certifying
+        that the singular system has no solution on the line A0 = 0 (its
+        gradient restrictions share no common zero there).
+        """
+        residual = self.equations["Q~"]
+        _certify_no_singularities_at_infinity(residual)
+        chart = AffineChart.standard(0)
+        locus = rational_singular_points(chart.dehomogenize(residual), chart)
+        for rep in locus.points:
+            if rep.kind == "node":
+                self._site(chart.to_projective(rep.point), ("Q~",), transverse=True)
+            elif rep.kind == "cusp":
+                self.mod.record_singular_point(chart.to_projective(rep.point))
+                _verify_contact_point(self.fib, chart, rep.point)
+                label = f"contact point {tuple(map(str, rep.point))}"
+                self.mod.towers.append(contact_tower(label, self.types, self.budget))
+            else:
+                raise NotAnalyzableError(
+                    f"residual curve has a {rep.kind} singular point at {rep.point}; "
+                    "only nodes and transverse-contact cusps are certified"
+                )
+        cluster = locus.eliminant_squarefree
+        if cluster is not None:
+            count = _certify_contact_cluster(self.fib, cluster)
+            self.mod.towers.append(contact_tower("contact cluster", self.types, self.budget, count))
+            self.mod.notes.append("contact-point cluster eliminant: " + format_poly(cluster))
+
+    def _line_curve_crossings(self, var, line_name):
+        """Sites where the line ``var`` = 0 meets the residual curve."""
+        restriction = self.equations["Q~"].substitute({var: Fraction(0)})
+        if restriction.is_zero():
+            raise NotAnalyzableError("line is contained in the residual curve")
+        names = (line_name, "Q~")
+        # the restriction is homogeneous in the two other coordinates;
+        # vertex points show up as powers of those coordinates
+        first, second = (v for v in PROJECTIVE_VARS if v != var)
+        for other in (first, second):
+            k, restriction = extract_power(restriction, MultiPoly.variable(other))
+            if k:
+                vertex = tuple(Fraction(v not in (var, other)) for v in PROJECTIVE_VARS)
+                self._site(vertex, names, transverse=k == 1)
+        if restriction.is_constant():
+            return
+        leftover = restriction.substitute({first: Fraction(1)})
+        for root, mult in rational_roots(leftover):
+            point = {var: Fraction(0), first: Fraction(1), second: root}
+            self._site(tuple(point[v] for v in PROJECTIVE_VARS), names, transverse=mult == 1)
+            leftover = exact_divide(
+                leftover, (MultiPoly.variable(second) - MultiPoly.const(root)) ** mult
+            )
+        if not leftover.is_constant():
+            if not is_squarefree(leftover, second):
+                raise NotAnalyzableError(
+                    f"non-rational tangency of the residual with {var} = 0"
+                )
+            self.mod.node_collisions.append(
+                _cluster_record(
+                    self.types, names, leftover, f"on the line {var} = 0",
+                    where="crossing on the discriminant",
+                )
+            )
 
 
 def _certify_no_singularities_at_infinity(residual):
     """Prove that the residual curve is smooth along the line A0 = 0."""
     restrictions = []
-    for var in ("A0", "A1", "A2"):
+    for var in PROJECTIVE_VARS:
         part = residual.derivative(var).substitute({"A0": Fraction(0)})
         if part.is_zero():
             continue
@@ -677,38 +700,12 @@ def _verify_contact_point(fib, chart, point):
         )
 
 
-def _node_fiber_or_tower(fib, pair, types, chart, point, germs, mod, budget):
-    """Collision fiber at a node, or None after an off-table pair is blown up.
-
-    ``germs`` maps the divisor names through the node to their affine
-    equations in the chart; off-table pairs get a tower at the node.
-    """
-    try:
-        return collide(types[pair[0]], types[pair[1]])
-    except NotOnListError:
-        mod.towers.append(_point_tower(fib, chart, point, germs, types, budget))
-        return None
-
-
-def _point_tower(fib, chart, point, germs, types, budget):
-    """Tower over a rational point of the base plane, given in ``chart``;
-    ``germs`` maps divisor names to their affine equations there."""
-    center = (Fraction(point[0]), Fraction(point[1]))
-    shift = dict(zip(chart.coords, center))
-    model = LocalModel(
-        chart.coords,
-        chart.dehomogenize(fib.a).shift(shift),
-        chart.dehomogenize(fib.b).shift(shift),
-    )
-    projective = chart.to_projective(center)
-    tower = Tower(f"point ({':'.join(map(str, projective))})", "point", projective)
-    germs = {name: germ.shift(shift) for name, germ in germs.items()}
-    return _TowerDriver(tower, types, budget).run(model, germs)
-
-
-def _certify_contact_cluster(fib, cluster, var):
+def _certify_contact_cluster(fib, cluster):
     """The non-rational singular points must be the transverse contacts of
-    the section divisors; certified through the contact eliminant."""
+    the section divisors; certified through the contact eliminant.
+
+    ``cluster`` is the squarefree eliminant of those points in the second
+    coordinate of the A0 chart."""
     a_tilde = _strip_lines(fib.a)
     b_tilde = _strip_lines(fib.b)
     chart = AffineChart.standard(0)
@@ -731,12 +728,11 @@ def _certify_contact_cluster(fib, cluster, var):
             "contact eliminant of the section divisors is not squarefree; "
             "transversality of the contact points is not certified"
         )
-    cluster_named = cluster.substitute({cluster.variables[0]: MultiPoly.variable(y)}) if cluster.variables else cluster
-    if not equal_up_to_unit(cluster_named, reduced):
+    if not equal_up_to_unit(cluster, reduced):
         raise NotAnalyzableError(
             "non-rational singular points of the residual do not match the "
             "transverse contact locus of the section divisors: "
-            f"{format_poly(cluster_named)} vs {format_poly(reduced)}"
+            f"{format_poly(cluster)} vs {format_poly(reduced)}"
         )
     return max(reduced.total_degree(), 0)
 
@@ -759,106 +755,3 @@ def contact_tower(label, types, budget, count=1) -> Tower:
     model = LocalModel(("s1", "s2"), MultiPoly.variable("s1"), MultiPoly.variable("s2"))
     tower = Tower(label, "contact", count=count)
     return _TowerDriver(tower, types, budget).run(model, {"Q~": model.delta()})
-
-
-def _line_curve_crossings(fib, residual, var, line_name, types, mod, budget):
-    """Process the intersection points of a discriminant line with the curve."""
-    restriction = residual.substitute({var: Fraction(0)})
-    if restriction.is_zero():
-        raise NotAnalyzableError("line is contained in the residual curve")
-    # the restriction is homogeneous in the two other coordinates;
-    # vertex points show up as powers of those coordinates
-    others = [v for v in ("A0", "A1", "A2") if v != var]
-    for other in others:
-        k, restriction = extract_power(restriction, MultiPoly.variable(other))
-        if k == 0:
-            continue
-        # vanishing coordinate `other` names the vertex point
-        point = {var: Fraction(0), other: Fraction(0), _third(var, other): Fraction(1)}
-        _handle_line_point(fib, residual, var, line_name, point, int(k), types, mod, budget)
-    if not restriction.is_constant():
-        third = others[1]
-        leftover = restriction.substitute({others[0]: Fraction(1)})
-        for root, mult in rational_roots(leftover):
-            point = {var: Fraction(0), others[0]: Fraction(1), third: root}
-            _handle_line_point(fib, residual, var, line_name, point, mult, types, mod, budget)
-            leftover = exact_divide(
-                leftover, (MultiPoly.variable(third) - MultiPoly.const(root)) ** mult
-            )
-        if not leftover.is_constant():
-            if not is_squarefree(leftover, third):
-                raise NotAnalyzableError(
-                    f"non-rational tangency of the residual with {var} = 0"
-                )
-            fiber = collide(types[line_name], types["Q~"])
-            mod.node_collisions.append(
-                CollisionRecord(
-                    (line_name, "Q~"),
-                    None,
-                    None,
-                    fiber,
-                    count=max(leftover.total_degree(), 0),
-                    cluster_eliminant=leftover,
-                )
-            )
-
-
-def _third(var, other):
-    return next(v for v in ("A0", "A1", "A2") if v not in (var, other))
-
-
-def _handle_line_point(fib, residual, var, line_name, point, contact, types, mod, budget):
-    mod.record_singular_point(tuple(point[v] for v in PROJECTIVE_VARS))
-    label_pt = tuple(str(point[v]) for v in ("A0", "A1", "A2"))
-    chart_index = next(i for i, v in enumerate(("A0", "A1", "A2")) if point[v] != 0)
-    chart = AffineChart.standard(chart_index)
-    pivot = ("A0", "A1", "A2")[chart_index]
-    others = [v for v in ("A0", "A1", "A2") if v != pivot]
-    center = (point[others[0]] / point[pivot], point[others[1]] / point[pivot])
-    germs = {
-        line_name: chart.dehomogenize(MultiPoly.variable(var)),
-        "Q~": chart.dehomogenize(residual),
-    }
-    if contact == 1:
-        # transverse crossing: a node of the reduced discriminant
-        fiber = _node_fiber_or_tower(
-            fib, (line_name, "Q~"), types, chart, center, germs, mod, budget
-        )
-        if fiber is not None:
-            mod.node_collisions.append(
-                CollisionRecord((line_name, "Q~"), ("A0", "A1", "A2"), label_pt, fiber)
-            )
-        return
-    # tangential: blow up
-    mod.towers.append(_point_tower(fib, chart, center, germs, types, budget))
-
-
-def _line_line_crossing(fib, var1, var2, line_names, types, mod, budget):
-    third = _third(var1, var2)
-    point = {var1: Fraction(0), var2: Fraction(0), third: Fraction(1)}
-    mod.record_singular_point(tuple(point[v] for v in PROJECTIVE_VARS))
-    chart_index = ("A0", "A1", "A2").index(third)
-    chart = AffineChart.standard(chart_index)
-    germs = {
-        line_names[var1]: chart.dehomogenize(MultiPoly.variable(var1)),
-        line_names[var2]: chart.dehomogenize(MultiPoly.variable(var2)),
-    }
-    fiber = _node_fiber_or_tower(
-        fib,
-        (line_names[var1], line_names[var2]),
-        types,
-        chart,
-        (Fraction(0), Fraction(0)),
-        germs,
-        mod,
-        budget,
-    )
-    if fiber is not None:
-        mod.node_collisions.append(
-            CollisionRecord(
-                (line_names[var1], line_names[var2]),
-                ("A0", "A1", "A2"),
-                tuple(str(point[v]) for v in ("A0", "A1", "A2")),
-                fiber,
-            )
-        )

@@ -171,7 +171,7 @@ def cmd_blowup_demo(args) -> int:
     charts = [ch for ch in tower.charts if len(ch.history) == final_step]
     payload = {
         "site": args.site,
-        "blow_ups": len(tower.events),
+        "blow_ups": tower.blow_ups,
         "divisors": [d.to_json() for d in tower.divisors],
         "collisions": [c.to_json() for c in tower.collisions],
         "final_charts": [

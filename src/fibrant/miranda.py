@@ -9,10 +9,10 @@ presentation, and returns them as a ``ClassificationReport``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .blowup import BaseModification, DEFAULT_BLOWUP_BUDGET, DivisorRecord, regularize
+from .blowup import DEFAULT_BLOWUP_BUDGET, regularize
 from .monodromy import Presentation, build_presentation
 from .weierstrass import check_genericity
 
@@ -28,18 +28,11 @@ class ClassificationReport:
     node_count: int
     cusp_count: int
     quintic_degree: int
-    modification: BaseModification
     notes: list = field(default_factory=list)
     presentation: Presentation = field(init=False)
 
     def __post_init__(self):
         self.presentation = build_presentation(self)
-
-    def divisor(self, name: str) -> DivisorRecord:
-        for d in self.divisors:
-            if d.name == name:
-                return d
-        raise KeyError(name)
 
     def structure(self):
         """Parameter-independent shape of the report, for equality checks."""
@@ -102,11 +95,8 @@ def analyze_lagrange_family(
     node_count = 0
     for rec in mod.node_collisions:
         if rec.pair == ("Q~", "Q~"):
-            where = "node of the residual curve"
             node_count += rec.count
-        else:
-            where = "crossing on the discriminant"
-        collisions.extend([replace(rec, where=where, count=1)] * rec.count)
+        collisions.extend([rec] * rec.count)
 
     cusp_count = 0
     for tower in mod.towers:
@@ -136,6 +126,5 @@ def analyze_lagrange_family(
         node_count=node_count,
         cusp_count=cusp_count,
         quintic_degree=mod.residual_degree,
-        modification=mod,
         notes=notes,
     )

@@ -132,28 +132,24 @@ def _bounded_unimodular(bound: int):
                         yield SL2Z(p, q, r, s)
 
 
-def solve_node_relation(a: SL2Z, bound: int = 25, conj_bound: int | None = None) -> list:
+def solve_node_relation(a: SL2Z, bound: int = 25) -> list:
     """All bounded B conjugate to T with A B = B A."""
-    conj_bound = bound if conj_bound is None else conj_bound
     found = []
     for b in _bounded_unimodular(bound):
         if b.trace() != 2 or b == SL2Z.identity():
             continue
         if a * b != b * a:
             continue
-        if is_conjugate_to_T(b, conj_bound):
+        if is_conjugate_to_T(b, bound):
             found.append(b)
     return found
 
 
-def solve_cusp_relation(
-    a: SL2Z, bound: int = 25, distinct: bool = False, conj_bound: int | None = None
-) -> list:
+def solve_cusp_relation(a: SL2Z, bound: int = 25, distinct: bool = False) -> list:
     """All bounded B conjugate to T with A B A = B A B.
 
     With ``distinct`` set, the degenerate solution B = A is excluded.
     """
-    conj_bound = bound if conj_bound is None else conj_bound
     found = []
     for b in _bounded_unimodular(bound):
         if b.trace() != 2 or b == SL2Z.identity():
@@ -162,7 +158,7 @@ def solve_cusp_relation(
             continue
         if a * b * a != b * a * b:
             continue
-        if is_conjugate_to_T(b, conj_bound):
+        if is_conjugate_to_T(b, bound):
             found.append(b)
     return found
 

@@ -12,7 +12,7 @@ every step exact over the rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import (
@@ -96,7 +96,6 @@ class SingularPointReport:
     point: tuple | None
     kind: str  # smooth | node | cusp | tacnode | multiplicity_ge_3 | unresolved
     multiplicity: int = 0
-    detail: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -104,16 +103,10 @@ class SingularLocus:
     """Rational singular points plus eliminant data for the rest."""
 
     points: list
-    eliminant: MultiPoly | None
+    # squarefree polynomial in the second chart coordinate whose roots
+    # include the second coordinates of the singular points that are not
+    # rational; None if there are none
     eliminant_squarefree: MultiPoly | None
-    eliminant_variable: str | None
-    notes: list = field(default_factory=list)
-
-    def nonrational_count(self) -> int:
-        """Number of distinct non-rational singular points certified."""
-        if self.eliminant_squarefree is None:
-            return 0
-        return max(self.eliminant_squarefree.total_degree(), 0)
 
 
 @dataclass
@@ -147,9 +140,9 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
     """Solve f = f_x = f_y = 0 over the rationals on an affine chart.
 
     All rational solutions are returned as classified reports.  Solutions
-    that are not rational are accounted for by the residual eliminant in
-    the second chart coordinate (reported raw and as a squarefree part),
-    never located numerically.
+    that are not rational are accounted for by a squarefree eliminant in
+    the second chart coordinate whose roots include their second
+    coordinates; they are never located numerically.
     """
     x, y = _curve_vars(f, chart)
     if f.is_zero():
@@ -163,7 +156,6 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
             f"{format_poly(common)}); reduce the input first"
         )
 
-    notes = []
     candidates = set()
 
     # Components that are lines of constant x or constant y show up as
@@ -173,10 +165,8 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
     core = f
     if not content_x.is_constant():
         core = exact_divide(core, content_x)
-        notes.append("split off constant-x content " + format_poly(content_x))
     if not content_y.is_constant():
         core = exact_divide(core, content_y)
-        notes.append("split off constant-y content " + format_poly(content_y))
 
     eliminant = None
     if core.degree_in(x) >= 1 and core.degree_in(y) >= 1:
@@ -185,38 +175,49 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
         # core depends on a single variable; squarefree, so smooth lines
         eliminant = MultiPoly.const(1)
 
-    line_roots_y = rational_roots(content_x) if not content_x.is_constant() else []
-    line_roots_x = rational_roots(content_y) if not content_y.is_constant() else []
+    line_roots_y, irrational_y = _split_rational_roots(content_x, y)
+    line_roots_x, irrational_x = _split_rational_roots(content_y, x)
+    # second coordinates of singular points that are not rational, by the
+    # lines through them: horizontal lines y = c with c irrational meet the
+    # vertical lines and the core, vertical ones x = c meet the horizontal
+    # lines at every root of content_x and the core where Res_x vanishes
+    unlocated = []
+    if not irrational_y.is_constant() and (
+        not content_y.is_constant() or not core.is_constant()
+    ):
+        unlocated.append(irrational_y)
+    if not irrational_x.is_constant():
+        unlocated.append(content_x)
+        if not core.is_constant():
+            unlocated.append(resultant(irrational_x, core, x))
 
     # line-line crossings
     for rx, _ in line_roots_x:
         for ry, _ in line_roots_y:
             candidates.add((rx, ry))
 
-    leftover = None
+    leftover = MultiPoly.const(1)
     if eliminant is not None and not eliminant.is_constant():
-        leftover = eliminant
-        for root, mult in rational_roots(eliminant):
+        roots, leftover = _split_rational_roots(eliminant, y)
+        for root, _ in roots:
             # locate rational x for this y by intersecting the specializations
-            for pt in _points_over_root(core, fx, fy, x, y, root):
-                candidates.add(pt)
-            leftover = exact_divide(
-                leftover, (MultiPoly.variable(y) - MultiPoly.const(root)) ** mult
-            )
+            xs, rest = _split_rational_roots(_singular_locus_over_root(core, fx, fy, y, root), x)
+            candidates.update((rx, root) for rx, _ in xs)
+            if not rest.is_constant():
+                unlocated.append(MultiPoly.variable(y) - MultiPoly.const(root))
     if eliminant is not None and eliminant.is_zero():
         raise NonReducedCurveError("degenerate elimination; reduce the input first")
 
     # line-core crossings
     for ry, _ in line_roots_y:
-        restricted = core.substitute({y: Fraction(ry)})
-        if not restricted.is_constant():
-            for rx, _ in rational_roots(restricted):
-                candidates.add((rx, ry))
+        xs, rest = _split_rational_roots(core.substitute({y: Fraction(ry)}), x)
+        candidates.update((rx, ry) for rx, _ in xs)
+        if not rest.is_constant():
+            unlocated.append(MultiPoly.variable(y) - MultiPoly.const(ry))
     for rx, _ in line_roots_x:
-        restricted = core.substitute({x: Fraction(rx)})
-        if not restricted.is_constant():
-            for ry, _ in rational_roots(restricted):
-                candidates.add((rx, ry))
+        ys, rest = _split_rational_roots(core.substitute({x: Fraction(rx)}), y)
+        candidates.update((rx, ry) for ry, _ in ys)
+        unlocated.append(rest)
 
     reports = []
     for pt in sorted(candidates):
@@ -224,21 +225,13 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
         if f.evaluate(values) == 0 and fx.evaluate(values) == 0 and fy.evaluate(values) == 0:
             reports.append(classify_double_point(f, pt, vars=(x, y)))
 
+    for part in unlocated:
+        leftover = leftover * part
     leftover_sf = None
-    if leftover is not None and not leftover.is_constant():
+    if not leftover.is_constant():
         prim, _ = primitive_integer(leftover)
-        leftover = prim
-        leftover_sf, _ = primitive_integer(squarefree_part(leftover, y))
-    elif leftover is not None:
-        leftover = None
-
-    return SingularLocus(
-        points=reports,
-        eliminant=leftover,
-        eliminant_squarefree=leftover_sf,
-        eliminant_variable=y,
-        notes=notes,
-    )
+        leftover_sf, _ = primitive_integer(squarefree_part(prim, y))
+    return SingularLocus(points=reports, eliminant_squarefree=leftover_sf)
 
 
 def _singular_eliminant(core: MultiPoly, x: str, y: str) -> MultiPoly:
@@ -257,28 +250,30 @@ def _singular_eliminant(core: MultiPoly, x: str, y: str) -> MultiPoly:
     return elim
 
 
-def _points_over_root(core, fx, fy, x, y, root):
-    """Rational x-coordinates of singular points with the given y value."""
+def _singular_locus_over_root(core, fx, fy, y, root):
+    """Polynomial in x whose roots are the x-coordinates of the singular
+    points with y = root."""
     restrictions = []
     for p in (core, fx, fy):
         s = p.substitute({y: Fraction(root)})
-        if s.is_zero():
-            continue
-        restrictions.append(s)
-    if not restrictions:
-        return []
-    g = _gcd_many(restrictions)
-    if g.is_constant():
-        return []
-    if g.degree_in(x) < 1:
-        return []
-    return [(rx, root) for rx, _ in rational_roots(g)]
+        if not s.is_zero():
+            restrictions.append(s)
+    return _gcd_many(restrictions) if restrictions else MultiPoly.const(1)
+
+
+def _split_rational_roots(p: MultiPoly, var: str):
+    """(rational roots with multiplicities, the cofactor free of them) of a
+    univariate polynomial in ``var``."""
+    roots = rational_roots(p)
+    for root, mult in roots:
+        p = exact_divide(p, (MultiPoly.variable(var) - MultiPoly.const(root)) ** mult)
+    return roots, p
 
 
 # -- double point classification ---------------------------------------------
 
 
-def classify_double_point(f: MultiPoly, point, vars=None, max_depth: int = 3) -> SingularPointReport:
+def classify_double_point(f: MultiPoly, point, vars=None) -> SingularPointReport:
     """Classify a singular rational point of the curve f = 0.
 
     Nodes are recognized by a nondegenerate quadratic part.  A rank-one
@@ -303,16 +298,8 @@ def classify_double_point(f: MultiPoly, point, vars=None, max_depth: int = 3) ->
     if mult >= 3:
         return SingularPointReport((px, py), "multiplicity_ge_3", mult)
 
-    a_index = _a_index(germ, x, y, max_depth)
-    if a_index == 1:
-        return SingularPointReport((px, py), "node", 2, {"a_index": 1})
-    if a_index == 2:
-        return SingularPointReport((px, py), "cusp", 2, {"a_index": 2})
-    if a_index == 3:
-        return SingularPointReport((px, py), "tacnode", 2, {"a_index": 3})
-    return SingularPointReport(
-        (px, py), "unresolved", 2, {"depth": max_depth, "a_index": a_index}
-    )
+    kind = {1: "node", 2: "cusp", 3: "tacnode"}.get(_a_index(germ, x, y), "unresolved")
+    return SingularPointReport((px, py), kind, 2)
 
 
 def _quadratic_data(quad: MultiPoly, x: str, y: str):
@@ -328,11 +315,11 @@ def _quadratic_data(quad: MultiPoly, x: str, y: str):
     return a, b, c
 
 
-def _a_index(germ: MultiPoly, x: str, y: str, max_depth: int):
-    """A_k index of a multiplicity-2 germ at the origin, or None if deeper."""
-    depth = 0
+def _a_index(germ: MultiPoly, x: str, y: str):
+    """A_k index of a multiplicity-2 germ at the origin, or None if it
+    takes more than three blow-ups."""
     current = germ
-    while depth < max_depth:
+    for depth in range(3):
         comps = homogeneous_components(current)
         quad = comps[2] if len(comps) > 2 else MultiPoly.zero()
         a, b, c = _quadratic_data(quad, x, y)
@@ -366,7 +353,6 @@ def _a_index(germ: MultiPoly, x: str, y: str, max_depth: int):
             return 2 * (depth + 1)
         if mult2 >= 3:
             return None
-        depth += 1
         current = strict
     return None
 

@@ -129,12 +129,6 @@ class MultiPoly:
     def variable(name: str) -> "MultiPoly":
         return _make((name,), {(1,): 1}, primitive=True)
 
-    @staticmethod
-    def monomial(coeff, powers: dict) -> "MultiPoly":
-        """Build coeff * prod(v**e) from a {name: exponent} map."""
-        names = tuple(powers)
-        return MultiPoly(names, {tuple(powers[v] for v in names): coeff})
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -770,25 +764,6 @@ def _xi_adic(p: dict, xi: int) -> dict:
 
 
 # -- gcd via pseudo-remainder sequences ---------------------------------------
-
-
-def pseudo_remainder(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """prem(f, g): remainder of lc(g)^(deg f - deg g + 1) * f by g in var.
-
-    Returns f itself when deg f < deg g.
-    """
-    if g.is_zero():
-        raise ZeroDivisionError("pseudo-division by zero")
-    df, dg = f.degree_in(var), g.degree_in(var)
-    if df < dg:
-        return f
-    names = _union(f, g)
-    if var not in names:
-        return _ZERO
-    owed = df - dg + 1
-    cf, cg = f.content, g.content
-    num, den = cf.numerator * cg.numerator**owed, cf.denominator * cg.denominator**owed
-    return _make(names, _iprem(_over(f, names), _over(g, names), names.index(var)), num, den)
 
 
 def _leading_in(p: dict, i: int, degree: int, shift: int) -> dict:

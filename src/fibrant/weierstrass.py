@@ -42,6 +42,7 @@ from .poly import (
     MultiPoly,
     exact_divide,
     extract_power,
+    format_poly,
     gcd_multivariate,
     parse,
 )
@@ -488,7 +489,7 @@ class WeierstrassFibration:
     def j_invariant(self):
         """Functional invariant a^3 / Delta as unreduced and reduced pairs."""
         num = self.a**3
-        den = self._delta
+        den = self.discriminant()
         g = _gcd_homogeneous(num, den)
         reduced = (exact_divide(num, g), exact_divide(den, g))
         return {"unreduced": (num, den), "reduced": reduced, "gcd": g}
@@ -557,7 +558,7 @@ class WeierstrassFibration:
 
     def reduced_discriminant(self):
         """(line factors with multiplicity, residual curve) of Delta."""
-        residual = self._delta
+        residual = self.discriminant()
         lines = []
         for var in PROJECTIVE_VARS:
             k, residual = extract_power(residual, MultiPoly.variable(var))
@@ -574,12 +575,18 @@ class WeierstrassFibration:
             if k >= 1:
                 reduced = rest * MultiPoly.variable(var)
         try:
-            return _projective_rational_singular_points(reduced)
+            points, eliminants = _projective_rational_singular_points(reduced)
         except NonReducedCurveError as exc:
             raise NotAnalyzableError(
                 "the degree-6 section has a repeated non-linear factor; "
                 f"its singular locus is not certified: {exc}"
             ) from exc
+        if eliminants:
+            raise NotAnalyzableError(
+                "the degree-6 section may have singular points that are not rational "
+                f"(eliminant {format_poly(eliminants[0])}); its singular locus is not certified"
+            )
+        return points
 
 
 def radical(p: MultiPoly) -> MultiPoly:
@@ -595,15 +602,19 @@ def radical(p: MultiPoly) -> MultiPoly:
 
 
 def _projective_rational_singular_points(curve: MultiPoly):
-    """Rational singular points of a reduced plane projective curve."""
+    """Rational singular points of a reduced plane projective curve, and
+    the eliminants the charts leave for candidates that are not rational."""
     seen = set()
     points = []
+    eliminants = []
     for idx in range(3):
         chart = AffineChart.standard(idx)
         affine = chart.dehomogenize(curve)
         if affine.is_constant():
             continue
         locus = rational_singular_points(affine, chart)
+        if locus.eliminant_squarefree is not None:
+            eliminants.append(locus.eliminant_squarefree)
         for rep in locus.points:
             proj = chart.to_projective(rep.point)
             key = _normalize_projective(proj)
@@ -611,7 +622,7 @@ def _projective_rational_singular_points(curve: MultiPoly):
                 continue
             seen.add(key)
             points.append(key)
-    return points
+    return points, eliminants
 
 
 def _normalize_projective(pt):

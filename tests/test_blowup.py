@@ -27,6 +27,23 @@ def cusp_model():
     return LocalModel(("s1", "s2"), s1, s2)
 
 
+def composed_map(model):
+    """Original chart coordinates as polynomials in the model's coordinates."""
+    mapping = {c: MultiPoly.variable(c) for c in model.history[0].parent_coords}
+    for step in model.history:
+        sub = step.substitution()
+        mapping = {k: poly.substitute(sub) for k, poly in mapping.items()}
+    return mapping
+
+
+def all_collisions(mod):
+    return list(mod.node_collisions) + [c for t in mod.towers for c in t.collisions]
+
+
+def blow_up_count(mod):
+    return sum(t.blow_ups for t in mod.towers)
+
+
 class TestBlowUpPoint:
     def test_first_chart_of_cuspidal_germ(self):
         chart_a, chart_b = blow_up_point(cusp_model(), (0, 0))
@@ -105,7 +122,7 @@ class TestHistory:
         a1, _ = blow_up_point(cusp_model(), (0, 0))
         _, b2 = blow_up_point(a1, (0, 0))
         a3, _ = blow_up_point(b2, (0, 0))
-        mapping = a3.composed_map()
+        mapping = composed_map(a3)
         # push a random final-chart point forward and invert step by step
         final = {a3.coords[0]: F(3, 7), a3.coords[1]: F(5, 2)}
         image = {
@@ -175,7 +192,7 @@ class TestRegularizeLagrange:
         }
         # after the extra blow-ups no collision survives in this zone
         assert tower.collisions == []
-        assert len(tower.events) == 4
+        assert tower.blow_ups == 4
 
     def test_normalized_germs_at_vertex_001(self, modification):
         # the final chart containing the line transform: a = u^2 * (1/12 + ...),
@@ -230,7 +247,7 @@ class TestRegularizeLagrange:
 
     def test_blow_up_count(self, modification):
         # 3 at the contact germ, 2 at (0:0:1), 4 at (0:1:0)
-        assert modification.blow_up_count() == 9
+        assert blow_up_count(modification) == 9
 
     def test_cluster_eliminant_note(self, modification):
         assert any("3*a2^4" in note for note in modification.notes)
@@ -242,8 +259,8 @@ class TestRegularizeEdges:
         A0, A1, A2 = (MultiPoly.variable(v) for v in ("A0", "A1", "A2"))
         fib = WeierstrassFibration(A0**4 + A1**4 + A2**4, MultiPoly.zero())
         mod = regularize(fib)
-        assert mod.blow_up_count() == 0
-        assert mod.all_collisions() == []
+        assert blow_up_count(mod) == 0
+        assert all_collisions(mod) == []
         [q] = mod.component_divisors
         assert q.kodaira.tag == "III"  # triple (1, inf, 3)
 
@@ -261,8 +278,8 @@ class TestRegularizeEdges:
         mod = regularize(fib)
         tags = {d.name: d.kodaira.tag for d in mod.component_divisors}
         assert tags == {"L~": "I0*", "L~(A1)": "I0*"}
-        assert mod.blow_up_count() == 1
-        assert mod.all_collisions() == []
+        assert blow_up_count(mod) == 1
+        assert all_collisions(mod) == []
         [tower] = mod.towers
         assert [d.kodaira.tag for d in tower.divisors] == ["I0"]
 
@@ -277,6 +294,15 @@ class TestRegularizeEdges:
         with pytest.raises(NotAnalyzableError, match="section divisors share a component"):
             regularize(fib)
 
+    def test_off_table_nonrational_line_crossing_is_not_analyzable(self):
+        # the line A0 = 0 (type II) meets the residual curve (type II) at
+        # three non-rational points; II + II is off the collision table
+        fib = WeierstrassFibration(
+            MultiPoly.zero(), parse("A0*A1^2*(A2^3 + A0^3 + 2*A1^3 + A0*A1*A2)")
+        )
+        with pytest.raises(NotAnalyzableError, match=r"\(L~, Q~\)"):
+            regularize(fib)
+
     def test_chart_consistency_is_checked(self):
         # the driver recomputes each exceptional triple in both charts; run
         # a tower and confirm the recorded triples match a direct recompute
@@ -286,13 +312,64 @@ class TestRegularizeEdges:
         assert ta.as_tuple() == tb.as_tuple()
 
 
+class TestPlantedSites:
+    """Sites the Lagrange family never reaches: transverse line-curve and
+    line-line crossings, and a rational contact point."""
+
+    def test_line_crossings(self):
+        fib = WeierstrassFibration(
+            MultiPoly.zero(),
+            parse("A0*A1^2*(A2^3 - A2*A0^2 - A2*A1^2 + A0^2*A1 + A0*A1^2)"),
+        )
+        mod = regularize(fib)
+        tags = {d.name: d.kodaira.tag for d in mod.component_divisors}
+        assert tags == {"L~": "II", "L~(A1)": "IV", "Q~": "II"}
+        nodes = [
+            (c.pair, tuple(F(x) for x in c.point), c.fiber.label)
+            for c in mod.node_collisions
+        ]
+        assert nodes == [
+            (("L~(A1)", "Q~"), (1, 0, 0), "I0*"),
+            (("L~(A1)", "Q~"), (1, 0, -1), "I0*"),
+            (("L~(A1)", "Q~"), (1, 0, 1), "I0*"),
+            (("L~", "L~(A1)"), (0, 0, 1), "I0*"),
+        ]
+        # II + II is off the table: one blow-up separates L~ and Q~
+        towers = [(t.label, tuple(t.point), len(t.divisors)) for t in mod.towers]
+        assert towers == [
+            ("point (0:1:0)", (0, 1, 0), 1),
+            ("point (0:1:-1)", (0, 1, -1), 1),
+            ("point (0:1:1)", (0, 1, 1), 1),
+        ]
+        for tower in mod.towers:
+            assert [d.kodaira.tag for d in tower.divisors] == ["IV"]
+            pairs = {tuple(sorted(c.pair)): c.fiber.label for c in tower.collisions}
+            assert pairs == {("E1", "L~"): "I0*", ("E1", "Q~"): "I0*"}
+        assert mod.singular_points == [
+            (0, 1, 0), (0, 1, -1), (0, 1, 1), (1, 0, 0), (1, 0, -1), (1, 0, 1), (0, 0, 1)
+        ]
+
+    def test_rational_contact_point(self):
+        fib = WeierstrassFibration(
+            parse("A0^3*A1 + A2^4 + A1^4"), parse("A0^5*A2 + A1^6 + A2^6")
+        )
+        mod = regularize(fib)
+        towers = [(t.label, t.kind, t.count, len(t.divisors)) for t in mod.towers]
+        assert towers == [
+            ("contact point ('0', '0')", "contact", 1, 3),
+            ("contact cluster", "contact", 23, 3),
+        ]
+        assert mod.node_collisions == []
+        assert mod.singular_points == [(1, 0, 0)]
+
+
 def _three_chart_singular_points(fib):
     """Rational singular points of the reduced discriminant on all three charts."""
     lines, residual = fib.reduced_discriminant()
     reduced = radical(residual)
     for var, _ in lines:
         reduced = reduced * MultiPoly.variable(var)
-    return reduced, _projective_rational_singular_points(reduced)
+    return reduced, _projective_rational_singular_points(reduced)[0]
 
 
 class TestRecordedSingularPoints:

@@ -1,4 +1,4 @@
-"""The package's import graph, read from the source: no module cycles."""
+"""The package's source, read with ``ast``: no module cycles, no dead API."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,17 @@ from pathlib import Path
 import fibrant
 
 PACKAGE = Path(fibrant.__file__).resolve().parent
+BENCH = PACKAGE.parents[1] / "bench"
+
+# Library features kept without a caller in the pipeline or the benchmark.
+KEEP = {
+    "j_invariant",
+    "smoothness_certificate",
+    "intersection_multiplicity",
+    "euler_poisson_rhs",
+    "kodaira_monodromy",
+    "from_strings",
+}
 
 
 def import_graph() -> dict:
@@ -70,3 +81,44 @@ def test_no_import_cycle():
 def test_cycle_finder():
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b"}, "b": set()}) is None
+
+
+def public_functions() -> list:
+    """(module, qualified name) of each public function and method."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                found.append((path.stem, node.name))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                found += [
+                    (path.stem, f"{node.name}.{item.name}")
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+    return [(m, q) for m, q in found if not q.split(".")[-1].startswith("_")]
+
+
+def used_names(paths) -> set:
+    """Names read, called or imported anywhere in the given files."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+    return names
+
+
+def test_every_public_function_has_a_caller():
+    assert BENCH.is_dir(), "run the tests from a source checkout"
+    used = used_names([*PACKAGE.glob("*.py"), *BENCH.glob("*.py")])
+    dead = [
+        f"{module}.{name}"
+        for module, name in public_functions()
+        if name.split(".")[-1] not in used | KEEP
+    ]
+    assert dead == []

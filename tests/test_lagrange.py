@@ -30,7 +30,9 @@ def random_phase_poly(rng, terms=4):
     out = MultiPoly.zero()
     for _ in range(terms):
         powers = {rng.choice(names): rng.randint(0, 2) for _ in range(2)}
-        out = out + MultiPoly.monomial(F(rng.randint(-3, 3)), powers)
+        variables = tuple(powers)
+        exponents = tuple(powers[v] for v in variables)
+        out = out + MultiPoly(variables, {exponents: F(rng.randint(-3, 3))})
     return out
 
 

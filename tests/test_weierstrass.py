@@ -11,6 +11,7 @@ from fibrant.weierstrass import (
     GenericityError,
     KodairaType,
     NeedsNormalizationError,
+    NotAnalyzableError,
     NotInTableError,
     OrderTriple,
     WeierstrassFibration,
@@ -98,6 +99,15 @@ class TestTotalSpaceSingularities:
         # cube of a smooth curve, no isolated singular points
         fib = WeierstrassFibration(A0**4 + A1**4 + A2**4, MultiPoly.zero())
         assert fib.total_space_singularities(regularize(fib).singular_points) == []
+
+    def test_nonrational_singularities_of_b_are_not_dropped(self):
+        # A2 = 0 meets the conic factor of b at (1 : +-sqrt(2) : 0), where
+        # a vanishes too: the total space is singular there
+        fib = WeierstrassFibration(
+            parse("(A1^2 - 2*A0^2)*(A0^2 + A1*A2 + A2^2)"), parse("(A1^2 - 2*A0^2)*A2^4")
+        )
+        with pytest.raises(NotAnalyzableError, match="not certified"):
+            fib.total_space_singularities([])
 
 
 class TestOrderTriples:
