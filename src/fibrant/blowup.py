@@ -34,24 +34,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .planecurve import (
-    PROJECTIVE_VARS,
-    AffineChart,
-    classify_double_point,
-    rational_singular_points,
-)
+from .planecurve import PROJECTIVE_VARS, AffineChart, rational_singular_points
 from .poly import (
     MultiPoly,
     equal_up_to_unit,
-    exact_divide,
     extract_power,
     format_poly,
     gcd_univariate,
     is_squarefree,
     primitive_integer,
-    rational_roots,
+    radical,
     resultant,
-    squarefree_part,
+    split_rational_roots,
+    strip_coordinate_lines,
 )
 from .weierstrass import (
     KodairaType,
@@ -67,10 +62,10 @@ from .weierstrass import (
     kodaira_classify,
     normalize_condition_C,
     order_triple_along,
-    radical,
 )
 
-DEFAULT_BLOWUP_BUDGET = 12
+# Blow-ups allowed over one center of the base plane.
+BLOWUP_BUDGET = 12
 
 
 class BlowupBudgetError(NotAnalyzableError):
@@ -111,20 +106,16 @@ class LocalModel:
         return self.a**3 - 27 * self.b**2
 
 
-def blow_up_point(model: LocalModel, center, names=None) -> tuple:
+def blow_up_point(model: LocalModel, center) -> tuple:
     """Blow up a rational point of the chart; returns (chart A, chart B).
 
     The fibration germs are substituted raw; apply
     ``pull_back_fibration`` to restore the minimality condition.
-    ``names`` optionally supplies the two coordinate pairs.
     """
     c = (Fraction(center[0]), Fraction(center[1]))
-    if names is None:
-        depth = len(model.history) + 1
-        names = ((f"x{depth}", f"y{depth}"), (f"p{depth}", f"q{depth}"))
-    (na, nb) = names
-    step_a = BlowupStep(c, "A", model.coords, na)
-    step_b = BlowupStep(c, "B", model.coords, nb)
+    depth = len(model.history) + 1
+    step_a = BlowupStep(c, "A", model.coords, (f"x{depth}", f"y{depth}"))
+    step_b = BlowupStep(c, "B", model.coords, (f"p{depth}", f"q{depth}"))
     out = []
     for step in (step_a, step_b):
         sub = step.substitution()
@@ -274,10 +265,9 @@ class _TowerDriver:
     """Blows up one center until the reduced total transform has only
     nodes with collision types on the collision table."""
 
-    def __init__(self, tower, types, budget):
+    def __init__(self, tower, types):
         self.tower = tower
         self.types = dict(types)        # divisor name -> KodairaType
-        self.budget = budget
 
     def run(self, model: LocalModel, divisors: dict) -> Tower:
         task = _ChartTask(model, divisors, scan_all=False, exceptional=None)
@@ -328,7 +318,7 @@ class _TowerDriver:
     # -- blowing up --------------------------------------------------------
 
     def _blow_up(self, task, point):
-        if self.tower.blow_ups >= self.budget:
+        if self.tower.blow_ups >= BLOWUP_BUDGET:
             raise BlowupBudgetError(
                 f"center {self.tower.label}: blow-up budget exceeded at chart "
                 f"{task.model.coords}, germ {format_poly(task.model.delta())[:120]}"
@@ -407,13 +397,8 @@ class _TowerDriver:
                 )
             if restriction.is_constant():
                 continue
-            leftover = restriction
-            for root, mult in rational_roots(restriction):
-                points.add(root)
-                leftover = exact_divide(
-                    leftover,
-                    (MultiPoly.variable(other_var) - MultiPoly.const(root)) ** mult,
-                )
+            roots, leftover = split_rational_roots(restriction)
+            points.update(root for root, _ in roots)
             if not leftover.is_constant():
                 self._handle_cluster(task, name, leftover, exc_var, other_var)
         for root in sorted(points):
@@ -472,43 +457,49 @@ def _cluster_record(types, pair, eliminant, site, where=""):
 
 
 def _classify_product(product, point, coords):
-    """'smooth', 'node', or 'blow' for the reduced union of local branches."""
-    values = dict(zip(coords, (Fraction(point[0]), Fraction(point[1]))))
-    grads = [product.derivative(c) for c in coords]
-    grad_vals = [
-        g.evaluate({v: values.get(v, Fraction(0)) for v in g.variables}) for g in grads
-    ]
-    if any(v != 0 for v in grad_vals):
+    """'smooth', 'node', or 'blow' for the reduced union of local branches.
+
+    At a singular point the curve has a node exactly when its Hessian is
+    nondegenerate, f_xy^2 != f_xx * f_yy; all second derivatives vanish
+    at a point of multiplicity >= 3."""
+    values = dict(zip(coords, point))
+
+    def at(p):
+        return p.evaluate({v: values.get(v, Fraction(0)) for v in p.variables})
+
+    x, y = coords
+    fx, fy = product.derivative(x), product.derivative(y)
+    if at(fx) != 0 or at(fy) != 0:
         return "smooth"
-    report = classify_double_point(product, point, vars=coords)
-    return "node" if report.kind == "node" else "blow"
+    if at(fx.derivative(y)) ** 2 != at(fx.derivative(x)) * at(fy.derivative(y)):
+        return "node"
+    return "blow"
 
 
 # -- the global driver -----------------------------------------------------------
 
 
-def regularize(fib: WeierstrassFibration, budget: int = DEFAULT_BLOWUP_BUDGET) -> BaseModification:
+def regularize(fib: WeierstrassFibration) -> BaseModification:
     """Blow up the base plane until the discriminant data is collision-clean.
 
     Locates all singular points of the reduced discriminant and all
-    component collisions, blows up (within ``budget`` per center) until
-    every singularity of the reduced total transform is a node whose
-    colliding fiber pair is on the collision table, and returns the full
-    divisor/collision registry.
+    component collisions, blows up (at most ``BLOWUP_BUDGET`` times per
+    center) until every singularity of the reduced total transform is a
+    node whose colliding fiber pair is on the collision table, and
+    returns the full divisor/collision registry.
     """
     if fib.alpha is not None:
         check_genericity(fib.alpha)
-    return _Regularizer(fib, budget).run()
+    return _Regularizer(fib).run()
 
 
 class _Regularizer:
     """One run of ``regularize``: the fibration, the discriminant
-    components (homogeneous equation and Kodaira type by name), the
-    registry being built and the per-center blow-up budget."""
+    components (homogeneous equation and Kodaira type by name) and the
+    registry being built."""
 
-    def __init__(self, fib, budget):
+    def __init__(self, fib):
         self.fib = fib
-        self.budget = budget
         self.mod = BaseModification()
         self.equations = {}
         self.types = {}
@@ -587,7 +578,7 @@ class _Regularizer:
         projective = chart.to_projective(center)
         tower = Tower(f"point ({':'.join(map(str, projective))})", "point", projective)
         germs = {name: chart.dehomogenize(self.equations[name]).shift(shift) for name in names}
-        return _TowerDriver(tower, self.types, self.budget).run(model, germs)
+        return _TowerDriver(tower, self.types).run(model, germs)
 
     def _residual_singularities(self):
         """Sites at Sing(residual): nodes, and contact points, which get towers.
@@ -607,7 +598,7 @@ class _Regularizer:
                 self.mod.record_singular_point(chart.to_projective(rep.point))
                 _verify_contact_point(self.fib, chart, rep.point)
                 label = f"contact point {tuple(map(str, rep.point))}"
-                self.mod.towers.append(contact_tower(label, self.types, self.budget))
+                self.mod.towers.append(contact_tower(label, self.types))
             else:
                 raise NotAnalyzableError(
                     f"residual curve has a {rep.kind} singular point at {rep.point}; "
@@ -616,7 +607,7 @@ class _Regularizer:
         cluster = locus.eliminant_squarefree
         if cluster is not None:
             count = _certify_contact_cluster(self.fib, cluster)
-            self.mod.towers.append(contact_tower("contact cluster", self.types, self.budget, count))
+            self.mod.towers.append(contact_tower("contact cluster", self.types, count))
             self.mod.notes.append("contact-point cluster eliminant: " + format_poly(cluster))
 
     def _line_curve_crossings(self, var, line_name):
@@ -628,20 +619,16 @@ class _Regularizer:
         # the restriction is homogeneous in the two other coordinates;
         # vertex points show up as powers of those coordinates
         first, second = (v for v in PROJECTIVE_VARS if v != var)
-        for other in (first, second):
-            k, restriction = extract_power(restriction, MultiPoly.variable(other))
-            if k:
-                vertex = tuple(Fraction(v not in (var, other)) for v in PROJECTIVE_VARS)
-                self._site(vertex, names, transverse=k == 1)
+        orders, restriction = strip_coordinate_lines(restriction)
+        for other, k in orders.items():
+            vertex = tuple(Fraction(v not in (var, other)) for v in PROJECTIVE_VARS)
+            self._site(vertex, names, transverse=k == 1)
         if restriction.is_constant():
             return
-        leftover = restriction.substitute({first: Fraction(1)})
-        for root, mult in rational_roots(leftover):
+        roots, leftover = split_rational_roots(restriction.substitute({first: Fraction(1)}))
+        for root, mult in roots:
             point = {var: Fraction(0), first: Fraction(1), second: root}
             self._site(tuple(point[v] for v in PROJECTIVE_VARS), names, transverse=mult == 1)
-            leftover = exact_divide(
-                leftover, (MultiPoly.variable(second) - MultiPoly.const(root)) ** mult
-            )
         if not leftover.is_constant():
             if not is_squarefree(leftover, second):
                 raise NotAnalyzableError(
@@ -682,8 +669,8 @@ def _certify_no_singularities_at_infinity(residual):
 
 def _verify_contact_point(fib, chart, point):
     """A cusp of the residual must be a transverse contact of the sections."""
-    fa = chart.dehomogenize(_strip_lines(fib.a))
-    fb = chart.dehomogenize(_strip_lines(fib.b))
+    fa = chart.dehomogenize(strip_coordinate_lines(fib.a)[1])
+    fb = chart.dehomogenize(strip_coordinate_lines(fib.b)[1])
     x, y = chart.coords
     values = {x: Fraction(point[0]), y: Fraction(point[1])}
 
@@ -706,23 +693,17 @@ def _certify_contact_cluster(fib, cluster):
 
     ``cluster`` is the squarefree eliminant of those points in the second
     coordinate of the A0 chart."""
-    a_tilde = _strip_lines(fib.a)
-    b_tilde = _strip_lines(fib.b)
     chart = AffineChart.standard(0)
-    fa = chart.dehomogenize(a_tilde)
-    fb = chart.dehomogenize(b_tilde)
+    fa = chart.dehomogenize(strip_coordinate_lines(fib.a)[1])
+    fb = chart.dehomogenize(strip_coordinate_lines(fib.b)[1])
     x, y = chart.coords
     if fa.degree_in(x) < 1 or fb.degree_in(x) < 1:
         raise NotAnalyzableError("section divisors do not eliminate; cannot certify cluster")
     contact = resultant(fa, fb, x)
     if contact.is_zero():
         raise NotAnalyzableError("section divisors share a component")
-    contact_sf, _ = primitive_integer(squarefree_part(contact, y))
-    reduced = contact_sf
-    for root, _ in rational_roots(contact_sf):
-        reduced = exact_divide(
-            reduced, MultiPoly.variable(y) - MultiPoly.const(root)
-        )
+    contact_sf, _ = primitive_integer(radical(contact))
+    _, reduced = split_rational_roots(contact_sf)
     if not is_squarefree(contact, y):
         raise NotAnalyzableError(
             "contact eliminant of the section divisors is not squarefree; "
@@ -737,14 +718,7 @@ def _certify_contact_cluster(fib, cluster):
     return max(reduced.total_degree(), 0)
 
 
-def _strip_lines(p):
-    out = p
-    for var in PROJECTIVE_VARS:
-        _, out = extract_power(out, MultiPoly.variable(var))
-    return out
-
-
-def contact_tower(label, types, budget, count=1) -> Tower:
+def contact_tower(label, types, count=1) -> Tower:
     """Tower over ``count`` transverse contacts of the section divisors.
 
     There the sections themselves are local coordinates, so the germ is
@@ -754,4 +728,4 @@ def contact_tower(label, types, budget, count=1) -> Tower:
     """
     model = LocalModel(("s1", "s2"), MultiPoly.variable("s1"), MultiPoly.variable("s2"))
     tower = Tower(label, "contact", count=count)
-    return _TowerDriver(tower, types, budget).run(model, {"Q~": model.delta()})
+    return _TowerDriver(tower, types).run(model, {"Q~": model.delta()})

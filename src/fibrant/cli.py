@@ -2,19 +2,40 @@
 
 All rationals cross the boundary as strings like "3/2"; nothing is ever
 parsed as a float.  Exit codes: 0 success, 2 rejected input (including
-parameters on the excluded degeneracy locus), 1 internal error.
+parameters on the excluded degeneracy locus), 1 an input the analysis
+cannot certify.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .poly import format_poly, MultiPoly, extract_power
+from .blowup import contact_tower, regularize
+from .lagrange import (
+    TopParams,
+    build_global_sections,
+    casimirs,
+    directional_derivative,
+    first_integrals,
+    integral_residuals,
+    lie_poisson_bracket,
+    quotient_cubic_residual,
+    sample_fiber_point,
+    shifted_weierstrass_residual,
+)
+from .miranda import analyze_lagrange_family
+from .monodromy import (
+    STANDARD_CUSP_PARTNER,
+    T,
+    normalize_pair,
+    solve_cusp_relation,
+    solve_node_relation,
+)
+from .poly import format_poly, strip_coordinate_lines
 from .weierstrass import (
     GenericityError,
     KodairaType,
@@ -65,17 +86,6 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
-def _budget() -> int:
-    value = os.environ.get("FIBRANT_BLOWUP_BUDGET")
-    if value is None:
-        from .blowup import DEFAULT_BLOWUP_BUDGET
-
-        return DEFAULT_BLOWUP_BUDGET
-    if not value.strip().isdecimal():
-        raise InputError(f"FIBRANT_BLOWUP_BUDGET must be a non-negative integer, got {value!r}")
-    return int(value)
-
-
 def _emit(payload: dict):
     payload = {"version": __version__, **payload}
     _validate_json(payload)
@@ -102,9 +112,7 @@ def _validate_json(obj):
 
 
 def cmd_analyze(args) -> int:
-    from .miranda import analyze_lagrange_family
-
-    report = analyze_lagrange_family(args.alpha, budget=_budget())
+    report = analyze_lagrange_family(args.alpha)
     if args.format == "json":
         _emit({"report": report.to_json()})
         return 0
@@ -158,13 +166,10 @@ def cmd_collide(args) -> int:
 
 
 def cmd_blowup_demo(args) -> int:
-    from .blowup import contact_tower, regularize
-    from .lagrange import build_global_sections
-
     if args.site == "cusp":
-        tower = contact_tower("cusp", {"Q~": KodairaType("I1")}, _budget())
+        tower = contact_tower("cusp", {"Q~": KodairaType("I1")})
     else:
-        mod = regularize(build_global_sections(args.alpha), budget=_budget())
+        mod = regularize(build_global_sections(args.alpha))
         target = (0, 1, 0) if args.site == "p010" else (0, 0, 1)
         tower = next(t for t in mod.towers if t.point == target)
     final_step = max(len(ch.history) for ch in tower.charts)
@@ -191,26 +196,14 @@ def cmd_blowup_demo(args) -> int:
 
 
 def _factor_display(model):
-    delta = model.delta()
-    factors = []
-    for coord in model.coords:
-        k, delta = extract_power(delta, MultiPoly.variable(coord))
-        if k:
-            factors.append([coord, int(k)])
+    orders, delta = strip_coordinate_lines(model.delta())
+    factors = [[coord, orders[coord]] for coord in model.coords if coord in orders]
     if not delta.is_constant() or delta.constant_value() != 1:
         factors.append([format_poly(delta), 1])
     return factors
 
 
 def cmd_bracket_check(args) -> int:
-    from .lagrange import (
-        TopParams,
-        casimirs,
-        directional_derivative,
-        first_integrals,
-        lie_poisson_bracket,
-    )
-
     params = _checked(TopParams, args.m)
     integrals = first_integrals(params)
     names = ["H1", "H2", "H3", "H4"]
@@ -239,14 +232,6 @@ def cmd_bracket_check(args) -> int:
 
 
 def cmd_sample_fiber(args) -> int:
-    from .lagrange import (
-        TopParams,
-        integral_residuals,
-        quotient_cubic_residual,
-        sample_fiber_point,
-        shifted_weierstrass_residual,
-    )
-
     _checked(TopParams, args.m, args.a)
     if args.count < 0:
         raise InputError(f"--count must be non-negative, got {args.count}")
@@ -286,18 +271,10 @@ def cmd_sample_fiber(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
-    from .monodromy import (
-        STANDARD_CUSP_PARTNER,
-        T,
-        normalize_pair,
-        solve_cusp_relation,
-        solve_node_relation,
-    )
-
     if args.bound < 0:
         raise InputError(f"--bound must be non-negative, got {args.bound}")
     node = solve_node_relation(T, args.bound)
-    cusp = solve_cusp_relation(T, args.bound, distinct=True)
+    cusp = solve_cusp_relation(T, args.bound)
     normal_forms = sorted({str(normalize_pair(b).to_json()) for b in cusp})
     b0 = STANDARD_CUSP_PARTNER
     _emit(

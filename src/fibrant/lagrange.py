@@ -183,11 +183,17 @@ def build_global_sections(alpha) -> WeierstrassFibration:
 # -- numeric level-set sampling --------------------------------------------------
 
 
+# A sample is accepted when every integral residual is below SAMPLE_TOL;
+# SAMPLE_RETRIES draws are tried before giving up.
+SAMPLE_TOL = 1e-10
+SAMPLE_RETRIES = 100
+
+
 class SamplingError(RuntimeError):
     """No nondegenerate sample found within the retry budget."""
 
 
-def sample_fiber_point(h3, h4, a_cas, m, seed=0, tol=1e-10, retries=100):
+def sample_fiber_point(h3, h4, a_cas, m, seed=0):
     """Complex phase point (Gamma, Omega) on a joint level set.
 
     Construction: Gamma3 and a complex angle parametrize Gamma with
@@ -198,7 +204,7 @@ def sample_fiber_point(h3, h4, a_cas, m, seed=0, tol=1e-10, retries=100):
     """
     h3f, h4f, af, mf = (complex(Fraction(v)) for v in (h3, h4, a_cas, m))
     rng = random.Random(seed)
-    for _ in range(retries):
+    for _ in range(SAMPLE_RETRIES):
         gamma3 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         theta = complex(rng.uniform(0, 6.28318530717958647), rng.uniform(-0.5, 0.5))
         r2 = 1 - gamma3 * gamma3
@@ -215,7 +221,7 @@ def sample_fiber_point(h3, h4, a_cas, m, seed=0, tol=1e-10, retries=100):
         omega1 = lam * gamma[0] - mu * gamma[1]
         omega2 = lam * gamma[1] + mu * gamma[0]
         point = (gamma, (omega1, omega2, omega3))
-        if max(abs(x) for x in integral_residuals(point, h3, h4, a_cas, m)) < tol:
+        if max(abs(x) for x in integral_residuals(point, h3, h4, a_cas, m)) < SAMPLE_TOL:
             return point
     raise SamplingError("no nondegenerate sample within retry budget")
 

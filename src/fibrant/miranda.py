@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .blowup import DEFAULT_BLOWUP_BUDGET, regularize
+from .blowup import regularize
+from .lagrange import build_global_sections
 from .monodromy import Presentation, build_presentation
 from .weierstrass import check_genericity
 
@@ -74,9 +75,7 @@ def _collision_json(c) -> dict:
     return out
 
 
-def analyze_lagrange_family(
-    alpha, budget: int = DEFAULT_BLOWUP_BUDGET
-) -> ClassificationReport:
+def analyze_lagrange_family(alpha) -> ClassificationReport:
     """Classify every singular fiber of the Lagrange-top fibration.
 
     Builds the global sections for the given parameter, decomposes the
@@ -84,11 +83,9 @@ def analyze_lagrange_family(
     generic and collision fibers, lists the total-space singularities and
     attaches the monodromy presentation.
     """
-    from .lagrange import build_global_sections
-
     alpha = check_genericity(Fraction(alpha))
     fib = build_global_sections(alpha)
-    mod = regularize(fib, budget=budget)
+    mod = regularize(fib)
 
     divisors = list(mod.component_divisors)
     collisions = []

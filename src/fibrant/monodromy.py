@@ -145,16 +145,14 @@ def solve_node_relation(a: SL2Z, bound: int = 25) -> list:
     return found
 
 
-def solve_cusp_relation(a: SL2Z, bound: int = 25, distinct: bool = False) -> list:
-    """All bounded B conjugate to T with A B A = B A B.
-
-    With ``distinct`` set, the degenerate solution B = A is excluded.
-    """
+def solve_cusp_relation(a: SL2Z, bound: int = 25) -> list:
+    """All bounded B != A conjugate to T with A B A = B A B; B = A
+    satisfies the relation trivially."""
     found = []
     for b in _bounded_unimodular(bound):
         if b.trace() != 2 or b == SL2Z.identity():
             continue
-        if distinct and b == a:
+        if b == a:
             continue
         if a * b * a != b * a * b:
             continue

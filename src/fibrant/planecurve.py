@@ -25,9 +25,9 @@ from .poly import (
     homogeneous_components,
     format_poly,
     primitive_integer,
-    rational_roots,
+    radical,
     resultant,
-    squarefree_part,
+    split_rational_roots,
 )
 
 PROJECTIVE_VARS = ("A0", "A1", "A2")
@@ -117,16 +117,6 @@ class SmoothnessCertificate:
     reason: str = ""
 
 
-def _curve_vars(f: MultiPoly, chart: AffineChart | None):
-    if chart is not None:
-        return chart.coords
-    if len(f.variables) == 2:
-        return f.variables
-    if len(f.variables) == 1:
-        return (f.variables[0], "_aux")
-    raise ValueError("expected a bivariate affine curve")
-
-
 def _gcd_many(polys):
     acc = MultiPoly.zero()
     for p in polys:
@@ -144,7 +134,7 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
     the second chart coordinate whose roots include their second
     coordinates; they are never located numerically.
     """
-    x, y = _curve_vars(f, chart)
+    x, y = chart.coords
     if f.is_zero():
         raise ValueError("zero polynomial is not a curve")
     fx = f.derivative(x)
@@ -175,8 +165,8 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
         # core depends on a single variable; squarefree, so smooth lines
         eliminant = MultiPoly.const(1)
 
-    line_roots_y, irrational_y = _split_rational_roots(content_x, y)
-    line_roots_x, irrational_x = _split_rational_roots(content_y, x)
+    line_roots_y, irrational_y = split_rational_roots(content_x)
+    line_roots_x, irrational_x = split_rational_roots(content_y)
     # second coordinates of singular points that are not rational, by the
     # lines through them: horizontal lines y = c with c irrational meet the
     # vertical lines and the core, vertical ones x = c meet the horizontal
@@ -198,10 +188,10 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
 
     leftover = MultiPoly.const(1)
     if eliminant is not None and not eliminant.is_constant():
-        roots, leftover = _split_rational_roots(eliminant, y)
+        roots, leftover = split_rational_roots(eliminant)
         for root, _ in roots:
             # locate rational x for this y by intersecting the specializations
-            xs, rest = _split_rational_roots(_singular_locus_over_root(core, fx, fy, y, root), x)
+            xs, rest = split_rational_roots(_singular_locus_over_root(core, fx, fy, y, root))
             candidates.update((rx, root) for rx, _ in xs)
             if not rest.is_constant():
                 unlocated.append(MultiPoly.variable(y) - MultiPoly.const(root))
@@ -210,12 +200,12 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
 
     # line-core crossings
     for ry, _ in line_roots_y:
-        xs, rest = _split_rational_roots(core.substitute({y: Fraction(ry)}), x)
+        xs, rest = split_rational_roots(core.substitute({y: Fraction(ry)}))
         candidates.update((rx, ry) for rx, _ in xs)
         if not rest.is_constant():
             unlocated.append(MultiPoly.variable(y) - MultiPoly.const(ry))
     for rx, _ in line_roots_x:
-        ys, rest = _split_rational_roots(core.substitute({x: Fraction(rx)}), y)
+        ys, rest = split_rational_roots(core.substitute({x: Fraction(rx)}))
         candidates.update((rx, ry) for ry, _ in ys)
         unlocated.append(rest)
 
@@ -223,14 +213,14 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
     for pt in sorted(candidates):
         values = {x: pt[0], y: pt[1]}
         if f.evaluate(values) == 0 and fx.evaluate(values) == 0 and fy.evaluate(values) == 0:
-            reports.append(classify_double_point(f, pt, vars=(x, y)))
+            reports.append(classify_double_point(f, pt, (x, y)))
 
     for part in unlocated:
         leftover = leftover * part
     leftover_sf = None
     if not leftover.is_constant():
         prim, _ = primitive_integer(leftover)
-        leftover_sf, _ = primitive_integer(squarefree_part(prim, y))
+        leftover_sf, _ = primitive_integer(radical(prim))
     return SingularLocus(points=reports, eliminant_squarefree=leftover_sf)
 
 
@@ -261,19 +251,10 @@ def _singular_locus_over_root(core, fx, fy, y, root):
     return _gcd_many(restrictions) if restrictions else MultiPoly.const(1)
 
 
-def _split_rational_roots(p: MultiPoly, var: str):
-    """(rational roots with multiplicities, the cofactor free of them) of a
-    univariate polynomial in ``var``."""
-    roots = rational_roots(p)
-    for root, mult in roots:
-        p = exact_divide(p, (MultiPoly.variable(var) - MultiPoly.const(root)) ** mult)
-    return roots, p
-
-
 # -- double point classification ---------------------------------------------
 
 
-def classify_double_point(f: MultiPoly, point, vars=None) -> SingularPointReport:
+def classify_double_point(f: MultiPoly, point, vars) -> SingularPointReport:
     """Classify a singular rational point of the curve f = 0.
 
     Nodes are recognized by a nondegenerate quadratic part.  A rank-one
@@ -282,8 +263,6 @@ def classify_double_point(f: MultiPoly, point, vars=None) -> SingularPointReport
     strict transform a tacnode.  Deeper singularities are reported as
     unresolved, and multiplicity >= 3 is labeled as such.
     """
-    if vars is None:
-        vars = _curve_vars(f, None)
     x, y = vars
     px, py = Fraction(point[0]), Fraction(point[1])
     germ = f.shift({x: px, y: py})
@@ -360,7 +339,7 @@ def _a_index(germ: MultiPoly, x: str, y: str):
 # -- intersection multiplicity ------------------------------------------------
 
 
-def intersection_multiplicity(f: MultiPoly, g: MultiPoly, point, vars=None) -> int:
+def intersection_multiplicity(f: MultiPoly, g: MultiPoly, point, vars) -> int:
     """Local intersection number of two curves at a rational point.
 
     Shears x -> x + lambda*y are tried for lambda = 0, 1, 2, ... until the
@@ -369,13 +348,6 @@ def intersection_multiplicity(f: MultiPoly, g: MultiPoly, point, vars=None) -> i
     interest); the multiplicity is then the vanishing order of the
     y-resultant at the sheared x-coordinate.
     """
-    if vars is None:
-        allv = tuple(sorted(set(f.variables) | set(g.variables)))
-        if len(allv) > 2:
-            raise ValueError("expected curves in two variables")
-        while len(allv) < 2:
-            allv = allv + ("_aux%d" % len(allv),)
-        vars = allv
     x, y = vars
     px, py = Fraction(point[0]), Fraction(point[1])
     values = {x: px, y: py}
@@ -402,7 +374,7 @@ def intersection_multiplicity(f: MultiPoly, g: MultiPoly, point, vars=None) -> i
         if _shear_is_generic(F, G, x, y, qx, py):
             res = resultant(F, G, y)
             k, _ = extract_power(res, xv - MultiPoly.const(qx))
-            return int(k)
+            return k
         lam += 1
         if lam > 64:
             raise RuntimeError("no generic shear found (unexpected)")
@@ -420,12 +392,8 @@ def _shear_is_generic(F, G, x, y, qx, qy) -> bool:
     Fline = F.substitute({x: qx})
     Gline = G.substitute({x: qx})
     h = gcd_univariate(Fline, Gline, y)
-    k, rest = extract_power(h, yv_minus(y, qy)) if not h.is_constant() else (0, h)
+    k, rest = extract_power(h, MultiPoly.variable(y) - qy) if not h.is_constant() else (0, h)
     return h.is_constant() or (k >= 1 and rest.is_constant())
-
-
-def yv_minus(y, c):
-    return MultiPoly.variable(y) - MultiPoly.const(c)
 
 
 # -- smoothness certificates ---------------------------------------------------
@@ -439,7 +407,7 @@ def smoothness_certificate(f: MultiPoly, chart: AffineChart) -> SmoothnessCertif
     is computed, a nonzero constant eliminant being a proof of smoothness
     (the resultant lies in the elimination ideal of the system).
     """
-    x, y = _curve_vars(f, chart)
+    x, y = chart.coords
     fx = f.derivative(x)
     fy = f.derivative(y)
     for d in (fx, fy):

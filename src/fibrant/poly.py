@@ -32,7 +32,7 @@ takes over.  A resultant needs one point per variable, a power of two
 xi > 2H with H Hadamard's bound over the unit torus,
 H^2 = (sum_j |f_j|_1^2)^n * (sum_j |g_j|_1^2)^m for the coefficients
 f_j, g_j of the eliminated variable, which bounds every coefficient of
-the resultant.  Taylor recentering into homogeneous components and
+the resultant.  Homogeneous components, coordinate-line stripping and
 exact rational roots of univariate polynomials complete the toolkit.
 
 The text format round-trips bit-exactly, e.g.::
@@ -665,6 +665,21 @@ def extract_power(p: MultiPoly, q: MultiPoly):
     return k, _make(names, ip, num, den)
 
 
+def strip_coordinate_lines(p: MultiPoly):
+    """({var: k}, p / prod(var^k)) for the maximal power k of each variable
+    dividing p; only positive orders are listed, in variable order."""
+    orders = {}
+    for i, var in enumerate(p.variables):
+        k = min(e[i] for e in p.ints)
+        if k:
+            orders[var] = k
+    if not orders:
+        return orders, p
+    shift = [orders.get(var, 0) for var in p.variables]
+    ints = {tuple(map(sub, e, shift)): c for e, c in p.ints.items()}
+    return orders, _make(p.variables, ints, p.content.numerator, p.content.denominator)
+
+
 # -- resultants --------------------------------------------------------------
 
 
@@ -1001,20 +1016,9 @@ def _grlex_key(exp: Exponent):
 # -- homogeneous components --------------------------------------------------
 
 
-def homogeneous_components(p: MultiPoly, point=None) -> list:
-    """Split p (optionally recentered at ``point``) by total degree.
-
-    ``point`` may be a mapping {var: value} or a sequence aligned with
-    ``p.variables``.  Returns [p_0, p_1, ..., p_d] with sum(p_i) equal to
-    the recentered polynomial; missing degrees are zero polynomials.
-    """
-    if point is not None:
-        if not isinstance(point, dict):
-            values = list(point)
-            if len(values) != len(p.variables):
-                raise ValueError("point arity does not match variables")
-            point = dict(zip(p.variables, values))
-        p = p.shift(point)
+def homogeneous_components(p: MultiPoly) -> list:
+    """Split p by total degree: [p_0, p_1, ..., p_d] with sum(p_i) = p;
+    missing degrees are zero polynomials."""
     if p.is_zero():
         return [_ZERO]
     buckets = [dict() for _ in range(p.total_degree() + 1)]
@@ -1086,7 +1090,7 @@ def rational_roots(p: MultiPoly) -> list:
     if len(vals) == 1:
         return sorted(roots)
     poly = _make((var,), {(i,): c for i, c in enumerate(vals) if c}, primitive=True)
-    sf = _int_coeffs(squarefree_part(poly, var))
+    sf = _int_coeffs(radical(poly))
     found = {
         cand
         for cand in _padic_candidates(sf)
@@ -1108,6 +1112,15 @@ def rational_roots(p: MultiPoly) -> list:
         if mult:
             roots.append((root, mult))
     return sorted(roots)
+
+
+def split_rational_roots(p: MultiPoly):
+    """(rational roots with multiplicities, the cofactor free of them) of a
+    univariate polynomial."""
+    roots = rational_roots(p)
+    for root, mult in roots:
+        p = exact_divide(p, (MultiPoly.variable(p.variables[0]) - root) ** mult)
+    return roots, p
 
 
 def _padic_candidates(sf: list) -> list:
@@ -1169,11 +1182,15 @@ def _horner_pq(coeffs: list, p: int, q: int) -> int:
     return total
 
 
-def squarefree_part(p: MultiPoly, var: str) -> MultiPoly:
-    """p divided by gcd(p, dp/dvar): same roots, all simple."""
-    g = gcd_univariate(p, p.derivative(var), var)
-    if g.is_constant():
+def radical(p: MultiPoly) -> MultiPoly:
+    """Squarefree part of a polynomial: p / gcd(p, all partials)."""
+    if p.is_zero() or p.is_constant():
         return p
+    g = p
+    for v in p.variables:
+        g = gcd_multivariate(g, p.derivative(v))
+        if g.is_constant():
+            return p
     return exact_divide(p, g)
 
 

@@ -45,6 +45,7 @@ from .poly import (
     format_poly,
     gcd_multivariate,
     parse,
+    strip_coordinate_lines,
 )
 
 
@@ -196,20 +197,15 @@ class KodairaType:
         self._data()  # validate
 
     def _data(self):
-        tag = self.tag
-        if tag in _FIXED_TYPES:
-            return _FIXED_TYPES[tag]
-        if tag.startswith("I") and tag.endswith("*") and tag[1:-1].isdigit():
-            n = int(tag[1:-1])
-            graph = DualGraph.star_chain((2,) * (n + 1))
-            return {"graph": graph}
-        if tag.startswith("I") and tag[1:].isdigit():
-            n = int(tag[1:])
-            if n == 0:
-                return _FIXED_TYPES["I0"]
-            graph = DualGraph.cycle(*([1] * n))
-            return {"graph": graph}
-        raise ValueError(f"unknown Kodaira tag {tag!r}")
+        if self.tag in _FIXED_TYPES:
+            return _FIXED_TYPES[self.tag]
+        n = self.multiplicative_index()
+        if n is not None:
+            return {"graph": DualGraph.cycle(*([1] * n))}
+        n = self.star_index()
+        if n is not None:
+            return {"graph": DualGraph.star_chain((2,) * (n + 1))}
+        raise ValueError(f"unknown Kodaira tag {self.tag!r}")
 
     def dual_graph(self) -> DualGraph:
         return self._data()["graph"]
@@ -225,15 +221,11 @@ class KodairaType:
 
     def multiplicative_index(self):
         """n for I_n fibers, None otherwise."""
-        if self.tag.startswith("I") and self.tag[1:].isdigit():
-            return int(self.tag[1:])
-        return None
+        return _tag_index(self.tag, "")
 
     def star_index(self):
         """n for I_n* fibers, None otherwise."""
-        if self.tag.startswith("I") and self.tag.endswith("*") and self.tag[1:-1].isdigit():
-            return int(self.tag[1:-1])
-        return None
+        return _tag_index(self.tag, "*")
 
     def minimal_triple(self) -> OrderTriple:
         """The least orders (L, K, N) on this type's row of Kodaira's table."""
@@ -253,6 +245,15 @@ class KodairaType:
             "multiplicities": list(self.multiplicities()),
             "dual_graph": self.dual_graph().to_json(),
         }
+
+
+def _tag_index(tag: str, suffix: str):
+    """n when ``tag`` is exactly f"I{n}{suffix}" for an ASCII integer n >= 0
+    written without leading zeros, else None."""
+    digits = tag[1:len(tag) - len(suffix)]
+    if digits.isascii() and digits.isdigit() and tag == f"I{int(digits)}{suffix}":
+        return int(digits)
+    return None
 
 
 _E6 = DualGraph.tree(
@@ -456,7 +457,7 @@ class TotalSpaceSingularity:
 class WeierstrassFibration:
     """Sections (a, b) of degrees (4, 6) over the plane, with Delta not 0."""
 
-    def __init__(self, a: MultiPoly, b: MultiPoly, alpha=None, m=None):
+    def __init__(self, a: MultiPoly, b: MultiPoly, alpha=None):
         if not a.is_zero() and (not a.is_homogeneous() or a.total_degree() != 4):
             raise ValueError("a must be homogeneous of degree 4 (or zero)")
         if not b.is_zero() and (not b.is_homogeneous() or b.total_degree() != 6):
@@ -470,17 +471,12 @@ class WeierstrassFibration:
         self.a = a
         self.b = b
         self.alpha = None if alpha is None else Fraction(alpha)
-        self.m = None if m is None else Fraction(m)
         self._delta = delta
 
     @staticmethod
-    def from_strings(a_text: str, b_text: str, alpha=None, m=None) -> "WeierstrassFibration":
-        params = {}
-        if alpha is not None:
-            params["alpha"] = Fraction(alpha)
-        if m is not None:
-            params["m"] = Fraction(m)
-        return WeierstrassFibration(parse(a_text, params), parse(b_text, params), alpha, m)
+    def from_strings(a_text: str, b_text: str, alpha=None) -> "WeierstrassFibration":
+        params = {} if alpha is None else {"alpha": Fraction(alpha)}
+        return WeierstrassFibration(parse(a_text, params), parse(b_text, params), alpha)
 
     def discriminant(self) -> MultiPoly:
         """a^3 - 27 b^2, homogeneous of degree 12."""
@@ -513,7 +509,7 @@ class WeierstrassFibration:
         for i, var in enumerate(PROJECTIVE_VARS):
             line = MultiPoly.variable(var)
             la, _ = extract_power(self.a, line)
-            lb, _ = extract_power(self.b, line) if not self.b.is_zero() else (INFINITE_ORDER, None)
+            lb, _ = extract_power(self.b, line)
             if la >= 1 and lb >= 2:
                 marker_lines.append(i)
                 results.append(
@@ -558,22 +554,15 @@ class WeierstrassFibration:
 
     def reduced_discriminant(self):
         """(line factors with multiplicity, residual curve) of Delta."""
-        residual = self.discriminant()
-        lines = []
-        for var in PROJECTIVE_VARS:
-            k, residual = extract_power(residual, MultiPoly.variable(var))
-            if k:
-                lines.append((var, int(k)))
-        return lines, residual
+        orders, residual = strip_coordinate_lines(self.discriminant())
+        return list(orders.items()), residual
 
     def _rational_b_singularities(self):
         if self.b.is_zero():
             return []
-        reduced = self.b
-        for var in PROJECTIVE_VARS:
-            k, rest = extract_power(reduced, MultiPoly.variable(var))
-            if k >= 1:
-                reduced = rest * MultiPoly.variable(var)
+        orders, reduced = strip_coordinate_lines(self.b)
+        for var in orders:
+            reduced = reduced * MultiPoly.variable(var)
         try:
             points, eliminants = _projective_rational_singular_points(reduced)
         except NonReducedCurveError as exc:
@@ -587,18 +576,6 @@ class WeierstrassFibration:
                 f"(eliminant {format_poly(eliminants[0])}); its singular locus is not certified"
             )
         return points
-
-
-def radical(p: MultiPoly) -> MultiPoly:
-    """Squarefree part of a polynomial: p / gcd(p, all partials)."""
-    if p.is_zero() or p.is_constant():
-        return p
-    g = p
-    for v in p.variables:
-        g = gcd_multivariate(g, p.derivative(v))
-        if g.is_constant():
-            return p
-    return exact_divide(p, g)
 
 
 def _projective_rational_singular_points(curve: MultiPoly):
@@ -637,13 +614,9 @@ def _normalize_projective(pt):
 
 def order_triple_along(a: MultiPoly, b: MultiPoly, component: MultiPoly) -> OrderTriple:
     """Vanishing orders of (a, b, a^3 - 27b^2) along an irreducible component."""
-    la, _ = extract_power(a, component) if not a.is_zero() else (INFINITE_ORDER, None)
-    lb, _ = extract_power(b, component) if not b.is_zero() else (INFINITE_ORDER, None)
-    delta = a**3 - 27 * b**2
-    ln, _ = extract_power(delta, component) if not delta.is_zero() else (INFINITE_ORDER, None)
-    la = la if la == INFINITE_ORDER else int(la)
-    lb = lb if lb == INFINITE_ORDER else int(lb)
-    ln = ln if ln == INFINITE_ORDER else int(ln)
+    la, _ = extract_power(a, component)
+    lb, _ = extract_power(b, component)
+    ln, _ = extract_power(a**3 - 27 * b**2, component)
     return OrderTriple(la, lb, ln)
 
 
@@ -655,14 +628,13 @@ def normalize_condition_C(a: MultiPoly, b: MultiPoly, var: str):
     (a', b', t).
     """
     u = MultiPoly.variable(var)
-    ka, _ = extract_power(a, u) if not a.is_zero() else (INFINITE_ORDER, None)
-    kb, _ = extract_power(b, u) if not b.is_zero() else (INFINITE_ORDER, None)
+    ka, _ = extract_power(a, u)
+    kb, _ = extract_power(b, u)
     if ka == INFINITE_ORDER and kb == INFINITE_ORDER:
         raise ValueError("both sections vanish identically")
     t_a = ka // 4 if ka != INFINITE_ORDER else INFINITE_ORDER
     t_b = kb // 6 if kb != INFINITE_ORDER else INFINITE_ORDER
     t = min(t_a, t_b)
-    t = int(t)
     if t == 0:
         return a, b, 0
     a2 = a if a.is_zero() else exact_divide(a, u ** (4 * t))
@@ -677,13 +649,11 @@ def _gcd_homogeneous(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if q.is_zero():
         return p
     result = MultiPoly.const(1)
-    for var in PROJECTIVE_VARS:
-        v = MultiPoly.variable(var)
-        kp, p = extract_power(p, v)
-        kq, q = extract_power(q, v)
-        k = min(kp, kq)
-        if k:
-            result = result * v ** int(k)
+    orders_p, p = strip_coordinate_lines(p)
+    orders_q, q = strip_coordinate_lines(q)
+    for var, k in orders_p.items():
+        if var in orders_q:
+            result = result * MultiPoly.variable(var) ** min(k, orders_q[var])
     chart = AffineChart(0, ("x1", "x2"))
     pa = chart.dehomogenize(p)
     qa = chart.dehomogenize(q)

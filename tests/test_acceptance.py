@@ -316,8 +316,8 @@ def test_criterion_10_monodromy(criterion):
     ok = solve_node_relation(T, 10) == [T]
     ok &= solve_node_relation(T, 25) == [T]
 
-    sols10 = solve_cusp_relation(T, 10, distinct=True)
-    sols25 = solve_cusp_relation(T, 25, distinct=True)
+    sols10 = solve_cusp_relation(T, 10)
+    sols25 = solve_cusp_relation(T, 25)
     ok &= all(normalize_pair(b) == b0 for b in sols10)
     ok &= all(normalize_pair(b) == b0 for b in sols25)
     ok &= {normalize_pair(b) for b in sols10} == {normalize_pair(b) for b in sols25}

@@ -1,7 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fibrant import blowup
 from fibrant.blowup import (
     BlowupBudgetError,
     LocalModel,
@@ -11,12 +13,12 @@ from fibrant.blowup import (
     regularize,
 )
 from fibrant.lagrange import build_global_sections
-from fibrant.poly import MultiPoly, extract_power, format_poly, parse
+from fibrant.planecurve import classify_double_point
+from fibrant.poly import MultiPoly, extract_power, format_poly, parse, radical
 from fibrant.weierstrass import (
     NotAnalyzableError,
     WeierstrassFibration,
     _projective_rational_singular_points,
-    radical,
 )
 
 s1 = MultiPoly.variable("s1")
@@ -253,6 +255,22 @@ class TestRegularizeLagrange:
         assert any("3*a2^4" in note for note in modification.notes)
 
 
+@given(st.lists(st.integers(-2, 2), min_size=7, max_size=7), st.integers(-2, 2), st.integers(-2, 2))
+@settings(max_examples=80, deadline=None)
+def test_hessian_node_test_matches_the_classifier(coeffs, cx, cy):
+    # a germ singular at (cx, cy): quadratic and cubic terms only, recentered
+    monomials = ("x^2", "x*y", "y^2", "x^3", "x^2*y", "x*y^2", "y^3")
+    germ = MultiPoly.zero()
+    for c, m in zip(coeffs, monomials):
+        germ = germ + c * parse(m)
+    if germ.is_zero():
+        return
+    f = germ.shift({"x": F(-cx), "y": F(-cy)})
+    kind = classify_double_point(f, (cx, cy), ("x", "y")).kind
+    expected = "node" if kind == "node" else "blow"
+    assert blowup._classify_product(f, (F(cx), F(cy)), ("x", "y")) == expected
+
+
 class TestRegularizeEdges:
     def test_idempotent_on_regular_model(self):
         # smooth reduced discriminant: a smooth quartic cubed
@@ -264,9 +282,10 @@ class TestRegularizeEdges:
         [q] = mod.component_divisors
         assert q.kodaira.tag == "III"  # triple (1, inf, 3)
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
+        monkeypatch.setattr(blowup, "BLOWUP_BUDGET", 1)
         with pytest.raises(BlowupBudgetError):
-            regularize(build_global_sections(1), budget=1)
+            regularize(build_global_sections(1))
 
     def test_off_table_line_crossing_is_blown_up(self):
         # two multiple lines of type I0* cross; that pair is off the

@@ -87,6 +87,10 @@ class TestCollide:
     def test_unknown_tag_rejected(self, run):
         assert_rejected(run("collide", "I1", "foo"), "'foo'")
 
+    @pytest.mark.parametrize("pair", [("I00", "II"), ("I01", "I1"), ("I1", "I002*"), ("I\uff11", "I1")])
+    def test_non_canonical_tag_rejected(self, run, pair):
+        assert_rejected(run("collide", *pair), "unknown Kodaira tag")
+
 
 class TestAnalyze:
     def test_json_contains_line_divisor(self, run):
@@ -111,16 +115,6 @@ class TestAnalyze:
         _, first, _ = run("analyze", "--alpha", "1")
         _, second, _ = run("analyze", "--alpha", "1")
         assert first == second
-
-    def test_budget_env(self, run, monkeypatch):
-        monkeypatch.setenv("FIBRANT_BLOWUP_BUDGET", "1")
-        code, _, err = run("analyze", "--alpha", "1")
-        assert code == 1
-        assert "budget" in err
-
-    def test_malformed_budget_env_rejected(self, run, monkeypatch):
-        monkeypatch.setenv("FIBRANT_BLOWUP_BUDGET", "x")
-        assert_rejected(run("analyze", "--alpha", "1"), "FIBRANT_BLOWUP_BUDGET")
 
     def test_negative_alpha_as_separate_token(self, run):
         spaced = run("analyze", "--alpha", "-1/2")

@@ -70,8 +70,21 @@ def find_cycle(graph: dict):
 
 def test_graph_sees_function_local_imports():
     graph = import_graph()
-    assert "lagrange" in graph["miranda"]  # imported inside analyze_lagrange_family
+    assert "lagrange" in graph["miranda"]  # from .lagrange import build_global_sections
     assert "__init__" in graph["cli"]      # from . import __version__
+
+
+def test_imports_only_at_module_level():
+    nested = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        nested += [
+            f"{path.stem}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
+    assert nested == []
 
 
 def test_no_import_cycle():

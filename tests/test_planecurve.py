@@ -98,14 +98,14 @@ class TestRationalSingularPoints:
 
 class TestClassifyDoublePoint:
     def test_cuspidal_discriminant_germ(self):
-        report = classify_double_point(parse("s1^3 - 27*s2^2"), (0, 0))
+        report = classify_double_point(parse("s1^3 - 27*s2^2"), (0, 0), ("s1", "s2"))
         assert report.kind == "cusp"
 
     def test_node(self):
-        assert classify_double_point(parse("x^2 - y^2"), (0, 0)).kind == "node"
+        assert classify_double_point(parse("x^2 - y^2"), (0, 0), ("x", "y")).kind == "node"
 
     def test_tacnode(self):
-        report = classify_double_point(parse("x^2 - y^4"), (0, 0))
+        report = classify_double_point(parse("x^2 - y^4"), (0, 0), ("x", "y"))
         assert report.kind == "tacnode"
         # oracle: one blow-up of x^2 - y^4 leaves a plain node
         total = parse("x^2 - y^4").substitute(
@@ -113,25 +113,25 @@ class TestClassifyDoublePoint:
         )
         k, strict = extract_power(total, MultiPoly.variable("y"))
         assert k == 2
-        assert classify_double_point(strict, (0, 0)).kind == "node"
+        assert classify_double_point(strict, (0, 0), ("x", "y")).kind == "node"
 
     def test_unit_factor_invariance(self):
         f = parse("x^2 - y^3")
         unit = parse("1 + x + 7*y")  # nonvanishing at the origin
-        assert classify_double_point(f, (0, 0)).kind == "cusp"
-        assert classify_double_point(f * unit, (0, 0), vars=("x", "y")).kind == "cusp"
+        assert classify_double_point(f, (0, 0), ("x", "y")).kind == "cusp"
+        assert classify_double_point(f * unit, (0, 0), ("x", "y")).kind == "cusp"
 
     def test_triple_point(self):
-        report = classify_double_point(parse("x^3 - y^3 + x^4"), (0, 0))
+        report = classify_double_point(parse("x^3 - y^3 + x^4"), (0, 0), ("x", "y"))
         assert report.kind == "multiplicity_ge_3" and report.multiplicity == 3
 
     def test_smooth_point_rejected(self):
         with pytest.raises(ValueError):
-            classify_double_point(parse("x - y^2"), (0, 0))
+            classify_double_point(parse("x - y^2"), (0, 0), ("x", "y"))
 
     def test_off_curve_rejected(self):
         with pytest.raises(ValueError):
-            classify_double_point(parse("x^2 - y^2 + 1"), (0, 0))
+            classify_double_point(parse("x^2 - y^2 + 1"), (0, 0), ("x", "y"))
 
 
 class TestIntersectionMultiplicity:

@@ -21,9 +21,11 @@ from fibrant.poly import (
     is_squarefree,
     parse,
     primitive_integer,
+    radical,
     rational_roots,
     resultant,
-    squarefree_part,
+    split_rational_roots,
+    strip_coordinate_lines,
 )
 
 x = MultiPoly.variable("x")
@@ -121,6 +123,12 @@ class TestExtractPower:
         k, rest = extract_power(MultiPoly.zero(), x)
         assert k == INFINITE_ORDER and rest.is_zero()
 
+    def test_strip_coordinate_lines(self):
+        orders, rest = strip_coordinate_lines(parse("(2/3)*x^3*s2*(s1 + s2)"))
+        assert orders == {"s2": 1, "x": 3} and rest == parse("(2/3)*(s1 + s2)")
+        assert strip_coordinate_lines(x + 1) == ({}, x + 1)
+        assert strip_coordinate_lines(MultiPoly.zero()) == ({}, MultiPoly.zero())
+
     def test_lagrange_discriminant_line_power(self, lagrange_fibration):
         delta = lagrange_fibration.discriminant()
         k, rest = extract_power(delta, MultiPoly.variable("A0"))
@@ -193,7 +201,7 @@ class TestHomogeneousComponents:
     def test_node_recentering(self, quintic_alpha1):
         # degree-1 part vanishes at a double point of the residual curve
         affine = quintic_alpha1.substitute({"A0": F(1)})
-        parts = homogeneous_components(affine, {"A1": F(1), "A2": F(9, 4)})
+        parts = homogeneous_components(affine.shift({"A1": F(1), "A2": F(9, 4)}))
         assert parts[0].is_zero() and parts[1].is_zero()
         assert not parts[2].is_zero()
 
@@ -202,7 +210,7 @@ class TestHomogeneousComponents:
         assert [format_poly(c) for c in parts] == ["0", "0", "x^2"]
 
     def test_shifted_square(self):
-        parts = homogeneous_components((x - 1) ** 2, [F(1)])
+        parts = homogeneous_components(((x - 1) ** 2).shift({"x": F(1)}))
         assert [format_poly(c) for c in parts] == ["0", "0", "x^2"]
 
     @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2))
@@ -210,7 +218,7 @@ class TestHomogeneousComponents:
     def test_components_sum_back(self, a, b, c):
         p = a * x**3 + b * x * y + c
         point = {"x": F(1), "y": F(-2)}
-        parts = homogeneous_components(p, point)
+        parts = homogeneous_components(p.shift(point))
         total = MultiPoly.zero()
         for part in parts:
             total = total + part
@@ -278,10 +286,16 @@ class TestRoots:
         as_lead = (5**3 * 17**3 * x - 2) * (3**13 * x + 1) * (n * x**2 + 1)
         assert rational_roots(as_lead) == [(F(-1, 3**13), 1), (F(2, 5**3 * 17**3), 1)]
 
+    def test_split_rational_roots(self):
+        roots, rest = split_rational_roots(parse("(x - 1)^2*(2*x + 3)*(x^2 + 2)"))
+        assert roots == [(F(-3, 2), 1), (F(1), 2)]
+        assert equal_up_to_unit(rest, parse("x^2 + 2"))
+        assert split_rational_roots(MultiPoly.const(3)) == ([], MultiPoly.const(3))
+
     def test_squarefree_tools(self):
         p = parse("(x - 1)^2*(x + 2)")
         assert not is_squarefree(p, "x")
-        assert equal_up_to_unit(squarefree_part(p, "x"), parse("(x - 1)*(x + 2)"))
+        assert equal_up_to_unit(radical(p), parse("(x - 1)*(x + 2)"))
 
 
 class TestTextFormat:

@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from fibrant.blowup import regularize
 from fibrant.monodromy import SL2Z
-from fibrant.poly import INFINITE_ORDER, MultiPoly, equal_up_to_unit, extract_power, parse
+from fibrant.poly import (
+    INFINITE_ORDER,
+    MultiPoly,
+    equal_up_to_unit,
+    extract_power,
+    parse,
+    radical,
+)
 from fibrant.weierstrass import (
     GenericityError,
     KodairaType,
@@ -21,7 +28,6 @@ from fibrant.weierstrass import (
     kodaira_monodromy,
     normalize_condition_C,
     order_triple_along,
-    radical,
     reduce_triple_mod,
 )
 
@@ -206,6 +212,11 @@ class TestKodairaTable:
         assert KodairaType("II*").component_count() == 9
         assert KodairaType("I5").component_count() == 5
         assert sum(KodairaType("II*").multiplicities()) == 30
+
+    @pytest.mark.parametrize("tag", ["I00", "I01", "I002*", "I\uff11", "I\u00b2", "I", "I*", "I-1", "V"])
+    def test_non_canonical_tag_rejected(self, tag):
+        with pytest.raises(ValueError, match="unknown Kodaira tag"):
+            KodairaType(tag)
 
     def test_star_has_n_plus_1_double_components(self):
         for n in range(1, 6):
