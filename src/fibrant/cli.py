@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import __version__
 from .blowup import contact_tower, regularize
 from .lagrange import (
+    SamplingError,
     TopParams,
     build_global_sections,
     casimirs,
@@ -348,7 +349,7 @@ def main(argv=None) -> int:
     except (GenericityError, InputError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 2
-    except (NotAnalyzableError, ValueError) as exc:
+    except (NotAnalyzableError, SamplingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

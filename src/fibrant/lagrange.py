@@ -5,7 +5,10 @@ Phase-space polynomials live in the six variables (G1, G2, G3, M1, M2,
 M3) for the body-frame gravity direction and angular momentum.  The
 inertia normalization is J1 = J2 = 1 and J3 = 1 + m, with the center of
 mass along the symmetry axis and chi = (0, 0, -1), so the angular
-velocity is Omega = (M1, M2, M3/(1+m)).
+velocity is Omega = (M1, M2, M3/(1+m)).  The Lie-Poisson bracket of
+e(3)* is the table of structure constants ``E3_STRUCTURE``, evaluated by
+``poly.poisson_bracket``, and along the Euler-Poisson flow a function F
+changes at the rate dF/dt = {F, H3}, one bracket with the energy.
 
 The quotient of an energy-momentum level set by its circle action is an
 affine cubic; ``tau_transform`` and ``g2_g3`` carry the level values to
@@ -20,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import MultiPoly, parse
+from .poly import MultiPoly, parse, poisson_bracket
 from .weierstrass import WeierstrassFibration
 
 GAMMA_VARS = ("G1", "G2", "G3")
@@ -43,10 +46,6 @@ class TopParams:
         return -2 * self.a_cas
 
 
-def _grad(poly: MultiPoly, names) -> tuple:
-    return tuple(poly.derivative(v) for v in names)
-
-
 def _cross(u, v):
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -55,63 +54,42 @@ def _cross(u, v):
     )
 
 
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+# The Lie-Poisson structure of e(3)*, one entry per pair (x, y) with x < y:
+# {M_i, M_j} = -eps_ijk M_k, {G_i, M_j} = -eps_ijk G_k, and the G commute.
+E3_STRUCTURE = {
+    ("M1", "M2"): ((-1, "M3"),), ("M1", "M3"): ((1, "M2"),), ("M2", "M3"): ((-1, "M1"),),
+    ("G1", "M2"): ((-1, "G3"),), ("G1", "M3"): ((1, "G2"),),
+    ("G2", "M1"): ((1, "G3"),), ("G2", "M3"): ((-1, "G1"),),
+    ("G3", "M1"): ((-1, "G2"),), ("G3", "M2"): ((1, "G1"),),
+}
 
 
 def lie_poisson_bracket(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Lie-Poisson bracket on the dual of the Euclidean Lie algebra.
-
-    {F,G} = -<G, grad_M F x grad_G G> - <G, grad_G F x grad_M G>
-            - <M, grad_M F x grad_M G>
-    with G the gravity vector and M the momentum vector.
-    """
-    gamma = tuple(MultiPoly.variable(v) for v in GAMMA_VARS)
-    mom = tuple(MultiPoly.variable(v) for v in MOMENTUM_VARS)
-    f_g, f_m = _grad(f, GAMMA_VARS), _grad(f, MOMENTUM_VARS)
-    g_g, g_m = _grad(g, GAMMA_VARS), _grad(g, MOMENTUM_VARS)
-    return -(
-        _dot(gamma, _cross(f_m, g_g))
-        + _dot(gamma, _cross(f_g, g_m))
-        + _dot(mom, _cross(f_m, g_m))
-    )
+    """Lie-Poisson bracket on the dual of the Euclidean Lie algebra e(3)."""
+    return poisson_bracket(f, g, E3_STRUCTURE)
 
 
 def casimirs() -> tuple:
     """C1 = <Gamma, Gamma> and C2 = <Gamma, M>."""
-    gamma = tuple(MultiPoly.variable(v) for v in GAMMA_VARS)
-    mom = tuple(MultiPoly.variable(v) for v in MOMENTUM_VARS)
-    return _dot(gamma, gamma), _dot(gamma, mom)
+    c1 = MultiPoly(GAMMA_VARS, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+    diagonal = {(1, 0, 0, 1, 0, 0): 1, (0, 1, 0, 0, 1, 0): 1, (0, 0, 1, 0, 0, 1): 1}
+    return c1, MultiPoly(GAMMA_VARS + MOMENTUM_VARS, diagonal)
+
+
+def _energy(m) -> MultiPoly:
+    """H3 = (M1^2 + M2^2 + M3^2 / (1 + m)) / 2 - G3."""
+    half = Fraction(1, 2)
+    return MultiPoly(
+        ("G3", "M1", "M2", "M3"),
+        {(1, 0, 0, 0): -1, (0, 2, 0, 0): half, (0, 0, 2, 0): half, (0, 0, 0, 2): half / (1 + m)},
+    )
 
 
 def first_integrals(params: TopParams) -> tuple:
-    """The four commuting integrals (H1, H2, H3, H4) in (Gamma, M)."""
-    m = params.m
-    g1, g2, g3 = (MultiPoly.variable(v) for v in GAMMA_VARS)
-    m1, m2, m3 = (MultiPoly.variable(v) for v in MOMENTUM_VARS)
-    h1 = g1**2 + g2**2 + g3**2
-    h2 = g1 * m1 + g2 * m2 + g3 * m3
-    h3 = (
-        Fraction(1, 2) * (m1**2 + m2**2 + Fraction(1, 1 + m) * m3**2)
-        - g3
-    )
-    h4 = Fraction(1, 1 + m) * m3
-    return h1, h2, h3, h4
-
-
-def euler_poisson_rhs_poly(params: TopParams) -> tuple:
-    """The vector field (Gamma', M') = (Gamma x Omega, M x Omega + Gamma x chi)
-    as six polynomials in (Gamma, M), with chi = (0, 0, -1)."""
-    m = params.m
-    gamma = tuple(MultiPoly.variable(v) for v in GAMMA_VARS)
-    mom = tuple(MultiPoly.variable(v) for v in MOMENTUM_VARS)
-    omega = (mom[0], mom[1], Fraction(1, 1 + m) * mom[2])
-    chi = (MultiPoly.const(0), MultiPoly.const(0), MultiPoly.const(-1))
-    dgamma = _cross(gamma, omega)
-    dmom = tuple(
-        a + b for a, b in zip(_cross(mom, omega), _cross(gamma, chi))
-    )
-    return dgamma + dmom
+    """The four commuting integrals (H1, H2, H3, H4) in (Gamma, M): the two
+    Casimirs, the energy and the axial momentum M3 / (1 + m)."""
+    h1, h2 = casimirs()
+    return h1, h2, _energy(params.m), Fraction(1, 1 + params.m) * MultiPoly.variable("M3")
 
 
 def euler_poisson_rhs(point, params: TopParams) -> tuple:
@@ -130,13 +108,8 @@ def euler_poisson_rhs(point, params: TopParams) -> tuple:
 
 
 def directional_derivative(h: MultiPoly, params: TopParams) -> MultiPoly:
-    """Derivative of an integral along the equations of motion (exact)."""
-    rhs = euler_poisson_rhs_poly(params)
-    names = GAMMA_VARS + MOMENTUM_VARS
-    total = MultiPoly.zero()
-    for name, component in zip(names, rhs):
-        total = total + h.derivative(name) * component
-    return total
+    """Exact dh/dt along the Euler-Poisson flow: the bracket {h, H3}."""
+    return lie_poisson_bracket(h, _energy(params.m))
 
 
 # -- parameter transforms ------------------------------------------------------

@@ -19,7 +19,9 @@ a step a kernel skips when its integers are primitive by construction
 So every kernel computes on integers: sums over a common content
 denominator, products, powers, derivatives, ``substitute``, evaluation at
 a rational point, exact division (P / Q is integral whenever Q is
-primitive and divides P) and power extraction.
+primitive and divides P), power extraction and ``poisson_bracket``, the
+linear Poisson bracket of a table of integer structure constants, summed
+over the partial derivatives of both integer parts at once.
 
 Gcds and resultants set one variable at a time to a single large
 integer xi, so the work falls to CPython's big-integer arithmetic, and
@@ -241,12 +243,7 @@ class MultiPoly:
             if not _IDENT_OK(var):
                 raise ValueError(f"invalid variable name {var!r}")
             return _ZERO
-        i = self.variables.index(var)
-        out = {}
-        for exp, coeff in self.ints.items():
-            k = exp[i]
-            if k:
-                out[exp[:i] + (k - 1,) + exp[i + 1:]] = coeff * k
+        out = _ipartial(self.ints, self.variables.index(var))
         return _make(self.variables, out, self.content.numerator, self.content.denominator)
 
     def substitute(self, mapping: dict) -> "MultiPoly":
@@ -576,6 +573,11 @@ def _iadd(a: dict, b: dict, scale: int = 1) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def _ipartial(p: dict, i: int) -> dict:
+    """The partial derivative of p in its i-th variable."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in p.items() if e[i]}
+
+
 def _idiv(p: dict, q: dict):
     """Exact quotient p / q in Z[x], or None when there is none.
 
@@ -678,6 +680,46 @@ def strip_coordinate_lines(p: MultiPoly):
     shift = [orders.get(var, 0) for var in p.variables]
     ints = {tuple(map(sub, e, shift)): c for e, c in p.ints.items()}
     return orders, _make(p.variables, ints, p.content.numerator, p.content.denominator)
+
+
+# -- linear Poisson brackets -------------------------------------------------
+
+
+def poisson_bracket(f: MultiPoly, g: MultiPoly, structure) -> MultiPoly:
+    """{f, g} = sum over the table of {x, y} * (f_x * g_y - f_y * g_x).
+
+    ``structure`` maps a pair of variable names (x, y), one entry per
+    unordered pair, to integer structure constants ((c, z), ...) with
+    {x, y} = sum c * z; then {y, x} = -{x, y}, and unlisted pairs commute.
+    The sum is taken on the integer parts and scaled once by the contents.
+    """
+    if any(type(c) is not int for consts in structure.values() for c, _ in consts):
+        raise TypeError("structure constants must be integers")
+    fv, gv = f.variables, g.variables
+    pairs = [(x, y, consts) for (x, y), consts in structure.items()
+             if (x in fv and y in gv) or (y in fv and x in gv)]
+    if not pairs:
+        return _ZERO
+    names = tuple(sorted({*fv, *gv, *(z for *_, consts in pairs for _, z in consts)}))
+    where = {v: i for i, v in enumerate(names)}
+    need = {where[v] for x, y, _ in pairs for v in (x, y)}
+    fi, gi = _over(f, names), _over(g, names)
+    df, dg = {i: _ipartial(fi, i) for i in need}, {i: _ipartial(gi, i) for i in need}
+    out = {}
+    get = out.get
+    for x, y, consts in pairs:
+        i, j = where[x], where[y]
+        shifts = [(c, where[z]) for c, z in consts]
+        for sign, a, b in ((1, df[i], dg[j]), (-1, df[j], dg[i])):
+            for ea, ca in a.items():
+                for eb, cb in b.items():
+                    e, cab = tuple(map(add, ea, eb)), sign * ca * cb
+                    for c, k in shifts:
+                        ek = e[:k] + (e[k] + 1,) + e[k + 1:]
+                        out[ek] = get(ek, 0) + c * cab
+    out = {e: v for e, v in out.items() if v}
+    c, d = f.content, g.content
+    return _make(names, out, c.numerator * d.numerator, c.denominator * d.denominator)
 
 
 # -- resultants --------------------------------------------------------------

@@ -280,6 +280,15 @@ class TestSampleFiber:
         args = ("sample-fiber", "--h3=1", "--h4=2", "--a=1", "--m=1")
         assert_rejected(run(*args, "--count=-1"), "-1")
 
+    def test_uncertifiable_level_set_is_an_error(self, run):
+        code, out, err = run(
+            "sample-fiber", "--h3", "1000000000000", "--h4", "1000000", "--a", "1000000000",
+            "--m", "1/2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: no nondegenerate sample within retry budget\n"
+
     def test_negative_values_as_separate_tokens(self, run):
         spaced = run("sample-fiber", "--h3", "-3/5", "--h4", "-2/7", "--a", "-1/3", "--m", "-1/2")
         joined = run("sample-fiber", "--h3=-3/5", "--h4=-2/7", "--a=-1/3", "--m=-1/2")

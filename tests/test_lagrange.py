@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -12,7 +13,6 @@ from fibrant.lagrange import (
     casimirs,
     directional_derivative,
     euler_poisson_rhs,
-    euler_poisson_rhs_poly,
     first_integrals,
     g2_g3,
     integral_residuals,
@@ -25,15 +25,69 @@ from fibrant.lagrange import (
 from fibrant.poly import MultiPoly, extract_power, parse
 
 
-def random_phase_poly(rng, terms=4):
-    names = GAMMA_VARS + MOMENTUM_VARS
+PHASE_VARS = GAMMA_VARS + MOMENTUM_VARS
+
+
+def random_phase_poly(rng, terms=4, denominators=(1,)):
     out = MultiPoly.zero()
     for _ in range(terms):
-        powers = {rng.choice(names): rng.randint(0, 2) for _ in range(2)}
+        powers = {rng.choice(PHASE_VARS): rng.randint(0, 2) for _ in range(2)}
         variables = tuple(powers)
         exponents = tuple(powers[v] for v in variables)
-        out = out + MultiPoly(variables, {exponents: F(rng.randint(-3, 3))})
+        coeff = F(rng.randint(-3, 3), rng.choice(denominators))
+        out = out + MultiPoly(variables, {exponents: coeff})
     return out
+
+
+# -- the bracket and the flow written out with cross products (oracle only) ----
+
+
+def _cross(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _grad(poly, names):
+    return tuple(poly.derivative(v) for v in names)
+
+
+def bracket_by_cross_products(f, g):
+    """{F,G} = -<G, grad_M F x grad_G G> - <G, grad_G F x grad_M G>
+    - <M, grad_M F x grad_M G>, with G the gravity vector and M the momentum."""
+    gamma = tuple(MultiPoly.variable(v) for v in GAMMA_VARS)
+    mom = tuple(MultiPoly.variable(v) for v in MOMENTUM_VARS)
+    f_g, f_m = _grad(f, GAMMA_VARS), _grad(f, MOMENTUM_VARS)
+    g_g, g_m = _grad(g, GAMMA_VARS), _grad(g, MOMENTUM_VARS)
+    return -(
+        _dot(gamma, _cross(f_m, g_g))
+        + _dot(gamma, _cross(f_g, g_m))
+        + _dot(mom, _cross(f_m, g_m))
+    )
+
+
+def euler_poisson_rhs_poly(params):
+    """(Gamma', M') = (Gamma x Omega, M x Omega + Gamma x chi) as six
+    polynomials in (Gamma, M), with chi = (0, 0, -1)."""
+    gamma = tuple(MultiPoly.variable(v) for v in GAMMA_VARS)
+    mom = tuple(MultiPoly.variable(v) for v in MOMENTUM_VARS)
+    omega = (mom[0], mom[1], F(1, 1 + params.m) * mom[2])
+    chi = (MultiPoly.const(0), MultiPoly.const(0), MultiPoly.const(-1))
+    dmom = tuple(a + b for a, b in zip(_cross(mom, omega), _cross(gamma, chi)))
+    return _cross(gamma, omega) + dmom
+
+
+def derivative_along_field(h, params):
+    return sum(
+        (h.derivative(n) * c for n, c in zip(PHASE_VARS, euler_poisson_rhs_poly(params))),
+        MultiPoly.zero(),
+    )
 
 
 class TestBracket:
@@ -67,6 +121,27 @@ class TestBracket:
             lhs = lie_poisson_bracket(f, g * h)
             rhs = lie_poisson_bracket(f, g) * h + g * lie_poisson_bracket(f, h)
             assert lhs == rhs
+
+    def test_matches_cross_product_oracle(self):
+        rng = random.Random(17)
+        nonzero = 0
+        for _ in range(120):
+            f = random_phase_poly(rng, denominators=(1, 2, 3, 7))
+            g = random_phase_poly(rng, denominators=(1, 5))
+            expected = bracket_by_cross_products(f, g)
+            assert lie_poisson_bracket(f, g) == expected
+            nonzero += not expected.is_zero()
+        assert nonzero >= 50
+
+    def test_coordinate_pairs_match_oracle(self):
+        nonzero = 0
+        for a, b in itertools.combinations(PHASE_VARS, 2):
+            xa, xb = MultiPoly.variable(a), MultiPoly.variable(b)
+            expected = bracket_by_cross_products(xa, xb)
+            assert lie_poisson_bracket(xa, xb) == expected
+            assert lie_poisson_bracket(xb, xa) == -expected
+            nonzero += not expected.is_zero()
+        assert nonzero == 9  # the three pairs of G commute
 
     @pytest.mark.parametrize("m", [F(0), F(1, 2), F(3)])
     def test_full_involution(self, m):
@@ -110,12 +185,29 @@ class TestEulerPoisson:
         for h in first_integrals(params):
             assert directional_derivative(h, params).is_zero()
 
+    @pytest.mark.parametrize("m", [F(0), F(5, 7), F(-3, 2), F(9)])
+    def test_coordinates_move_along_the_field(self, m):
+        params = TopParams(m=m)
+        field = euler_poisson_rhs_poly(params)
+        for name, component in zip(PHASE_VARS, field):
+            assert directional_derivative(MultiPoly.variable(name), params) == component
+
+    @pytest.mark.parametrize("m", [F(0), F(5, 7), F(-3, 2), F(9)])
+    def test_derivative_of_random_polys_along_field(self, m):
+        params = TopParams(m=m)
+        rng = random.Random(19)
+        for _ in range(12):
+            h = random_phase_poly(rng, denominators=(1, 2, 3))
+            expected = derivative_along_field(h, params)
+            assert directional_derivative(h, params) == expected
+            assert h.is_constant() or not expected.is_zero()
+
     def test_finite_difference_oracle(self):
         params = TopParams(m=F(1, 2))
         h3 = first_integrals(params)[2]
         rng = random.Random(3)
         eps = 1e-4
-        names = GAMMA_VARS + MOMENTUM_VARS
+        names = PHASE_VARS
         for _ in range(20):
             point = {n: rng.uniform(-1, 1) for n in names}
             rhs = [p.evaluate(point) for p in euler_poisson_rhs_poly(params)]
