@@ -1,15 +1,21 @@
 """Base-surface blow-up engine for Weierstrass fibration germs.
 
-A ``LocalModel`` is a fibration germ in a two-coordinate affine chart.
-Blowing up a rational center produces two charts,
+A ``LocalModel`` is a fibration germ (a, b) in a two-coordinate affine
+chart, together with its discriminant Delta = a^3 - 27 b^2.  Blowing up a
+rational center produces two charts,
 
     chart A:  (s1, s2) -> (c1 + u,   c2 + u*v)   (exceptional divisor u = 0)
     chart B:  (s1, s2) -> (c1 + u*v, c2 + v)     (exceptional divisor v = 0)
 
-after which the fibration germ is pulled back and fiber coordinates are
-rescaled until no coordinate power u^4 divides the degree-4 section
-jointly with u^6 dividing the degree-6 one (the minimality condition for
-Weierstrass data); the rescaling exponents are recorded.
+A center is shifted to the origin, where the charts are exponent maps,
+s1^i s2^j -> u^(i+j) v^j and u^i v^(i+j) (``poly.blow_up_chart``), that
+pull back a, b, Delta and the divisor germs without coefficient
+arithmetic.  Fiber coordinates are then rescaled until no coordinate
+power u^4 divides the degree-4 section jointly with u^6 dividing the
+degree-6 one (the minimality condition for Weierstrass data), and Delta
+by u^(12t) alongside; the rescaling exponents are recorded.  Delta is
+computed once per tower, at its root; orders along a divisor u = 0 are
+least exponents and divisions by powers of u are exponent shifts.
 
 ``regularize`` is the driver.  It walks the singular points of the
 reduced discriminant (those of the residual curve, then its crossings
@@ -37,8 +43,8 @@ from fractions import Fraction
 from .planecurve import PROJECTIVE_VARS, AffineChart, rational_singular_points
 from .poly import (
     MultiPoly,
+    blow_up_chart,
     equal_up_to_unit,
-    extract_power,
     format_poly,
     gcd_univariate,
     is_squarefree,
@@ -79,14 +85,10 @@ class BlowupStep:
     parent_coords: tuple
     coords: tuple
 
-    def substitution(self) -> dict:
-        """Parent coordinates as polynomials in this chart's coordinates."""
-        u = MultiPoly.variable(self.coords[0])
-        v = MultiPoly.variable(self.coords[1])
-        c1, c2 = (MultiPoly.const(c) for c in self.center)
-        if self.chart == "A":
-            return {self.parent_coords[0]: c1 + u, self.parent_coords[1]: c2 + u * v}
-        return {self.parent_coords[0]: c1 + u * v, self.parent_coords[1]: c2 + v}
+    def pull_back(self, p: MultiPoly) -> MultiPoly:
+        """p in the parent chart, written in this chart's coordinates."""
+        centred = p.shift(dict(zip(self.parent_coords, self.center)))
+        return blow_up_chart(centred, self.parent_coords, self.coords, self.chart)
 
     def exceptional_coord(self) -> str:
         return self.coords[0] if self.chart == "A" else self.coords[1]
@@ -94,62 +96,62 @@ class BlowupStep:
 
 @dataclass(frozen=True)
 class LocalModel:
-    """A fibration germ (a, b) in one affine chart of the (modified) base."""
+    """A fibration germ (a, b) in one affine chart of the (modified) base.
+
+    ``discriminant`` is a^3 - 27 b^2, computed here only when not given."""
 
     coords: tuple
     a: MultiPoly
     b: MultiPoly
     history: tuple = ()
     t_record: tuple = ()     # ((coord, t), ...) fiber rescalings applied
+    discriminant: MultiPoly | None = None
+
+    def __post_init__(self):
+        if self.discriminant is None:
+            object.__setattr__(self, "discriminant", self.a**3 - 27 * self.b**2)
 
     def delta(self) -> MultiPoly:
-        return self.a**3 - 27 * self.b**2
+        return self.discriminant
 
 
 def blow_up_point(model: LocalModel, center) -> tuple:
     """Blow up a rational point of the chart; returns (chart A, chart B).
 
-    The fibration germs are substituted raw; apply
-    ``pull_back_fibration`` to restore the minimality condition.
+    a, b and Delta are pulled back raw; apply ``pull_back_fibration`` to
+    restore the minimality condition.
     """
     c = (Fraction(center[0]), Fraction(center[1]))
     depth = len(model.history) + 1
-    step_a = BlowupStep(c, "A", model.coords, (f"x{depth}", f"y{depth}"))
-    step_b = BlowupStep(c, "B", model.coords, (f"p{depth}", f"q{depth}"))
-    out = []
-    for step in (step_a, step_b):
-        sub = step.substitution()
-        out.append(
-            LocalModel(
-                coords=step.coords,
-                a=model.a.substitute(sub),
-                b=model.b.substitute(sub),
-                history=model.history + (step,),
-                t_record=model.t_record,
-            )
+    steps = (
+        BlowupStep(c, "A", model.coords, (f"x{depth}", f"y{depth}")),
+        BlowupStep(c, "B", model.coords, (f"p{depth}", f"q{depth}")),
+    )
+    return tuple(
+        LocalModel(
+            step.coords, step.pull_back(model.a), step.pull_back(model.b),
+            model.history + (step,), model.t_record, step.pull_back(model.delta()),
         )
-    return tuple(out)
+        for step in steps
+    )
 
 
 def pull_back_fibration(model: LocalModel) -> LocalModel:
     """Rescale fiber coordinates along the chart axes (exceptional first).
 
-    Divides a by u^(4t) and b by u^(6t) for the maximal t along each
-    coordinate, recording every positive t.
+    Divides a by u^(4t), b by u^(6t) and Delta by u^(12t) for the maximal
+    t along each coordinate, recording every positive t.
     """
-    if not model.history:
-        order = model.coords
-    else:
-        exc = model.history[-1].exceptional_coord()
-        other = next(c for c in model.coords if c != exc)
-        order = (exc, other)
-    a, b = model.a, model.b
+    exc = model.history[-1].exceptional_coord() if model.history else model.coords[0]
+    order = (exc, *(c for c in model.coords if c != exc))
+    a, b, delta = model.a, model.b, model.delta()
     recorded = model.t_record
     for coord in order:
         a, b, t = normalize_condition_C(a, b, coord)
         if t:
+            delta = delta.divide_by_power(coord, 12 * t)
             recorded = recorded + ((coord, t),)
-    return LocalModel(model.coords, a, b, model.history, recorded)
+    return LocalModel(model.coords, a, b, model.history, recorded, delta)
 
 
 def exceptional_order_triple(model: LocalModel) -> OrderTriple:
@@ -157,7 +159,7 @@ def exceptional_order_triple(model: LocalModel) -> OrderTriple:
     if not model.history:
         raise ValueError("model has no blow-up history")
     coord = model.history[-1].exceptional_coord()
-    return order_triple_along(model.a, model.b, MultiPoly.variable(coord))
+    return OrderTriple(*(p.order_in(coord) for p in (model.a, model.b, model.delta())))
 
 
 # -- driver data -----------------------------------------------------------------
@@ -253,12 +255,12 @@ class BaseModification:
 # -- the local driver ---------------------------------------------------------
 
 
+@dataclass
 class _ChartTask:
-    def __init__(self, model, divisors, scan_all, exceptional):
-        self.model = model              # normalized LocalModel
-        self.divisors = divisors        # name -> germ in chart coords
-        self.scan_all = scan_all
-        self.exceptional = exceptional  # name of the fresh exceptional divisor
+    model: LocalModel       # normalized
+    divisors: dict          # name -> germ in chart coords
+    scan_all: bool
+    exceptional: str | None  # name of the fresh exceptional divisor
 
 
 class _TowerDriver:
@@ -278,17 +280,12 @@ class _TowerDriver:
 
     def _discriminant_branches(self, task, point):
         """Divisors of positive discriminant order passing through a point."""
-        branches = []
-        for name, germ in task.divisors.items():
-            ktype = self.types[name]
-            if ktype.is_smooth():
-                continue
-            value = germ.evaluate(
-                {v: dict(zip(task.model.coords, point)).get(v, Fraction(0)) for v in germ.variables}
-            )
-            if value == 0:
-                branches.append((name, germ))
-        return branches
+        at = _evaluator(task.model.coords, point)
+        return [
+            (name, germ)
+            for name, germ in task.divisors.items()
+            if not self.types[name].is_smooth() and at(germ) == 0
+        ]
 
     def _process_point(self, task, point):
         branches = self._discriminant_branches(task, point)
@@ -301,18 +298,11 @@ class _TowerDriver:
         if report == "smooth":
             return
         if report == "node":
-            if len(branches) > 2:
-                self._blow_up(task, point)
-                return
             pair = (branches[0][0], branches[-1][0])
-            fiber = _collide_or_none(self.types, pair)
-            if fiber is None:
-                self._blow_up(task, point)
+            fiber = _collide_or_none(self.types, pair) if len(branches) <= 2 else None
+            if fiber is not None:
+                self.tower.collisions.append(CollisionRecord(pair, task.model.coords, point, fiber))
                 return
-            self.tower.collisions.append(
-                CollisionRecord(pair, task.model.coords, point, fiber)
-            )
-            return
         self._blow_up(task, point)
 
     # -- blowing up --------------------------------------------------------
@@ -325,12 +315,9 @@ class _TowerDriver:
             )
         self.tower.blow_ups += 1
         exc_name = f"E{self.tower.blow_ups}"
-        raw_a, raw_b = blow_up_point(task.model, point)
-        model_a = pull_back_fibration(raw_a)
-        model_b = pull_back_fibration(raw_b)
+        model_a, model_b = map(pull_back_fibration, blow_up_point(task.model, point))
         # order triple of the new exceptional divisor, checked in both charts
-        triple_a = exceptional_order_triple(model_a)
-        triple_b = exceptional_order_triple(model_b)
+        triple_a, triple_b = exceptional_order_triple(model_a), exceptional_order_triple(model_b)
         if triple_a.as_tuple() != triple_b.as_tuple():
             raise NotAnalyzableError(
                 f"chart inconsistency over {self.tower.label}: "
@@ -339,40 +326,27 @@ class _TowerDriver:
         ktype = kodaira_classify(triple_a)
         self.types[exc_name] = ktype
         self.tower.divisors.append(
-            DivisorRecord(
-                exc_name,
-                f"exceptional divisor over {self.tower.label}",
-                triple_a,
-                ktype,
-            )
+            DivisorRecord(exc_name, f"exceptional divisor over {self.tower.label}", triple_a, ktype)
         )
         task_a = _ChartTask(
-            model_a,
-            self._transform_divisors(task, point, model_a, exc_name, "A"),
-            scan_all=True,
-            exceptional=exc_name,
+            model_a, self._transform_divisors(task, model_a, exc_name), True, exc_name
         )
         task_b = _ChartTask(
-            model_b,
-            self._transform_divisors(task, point, model_b, exc_name, "B"),
-            scan_all=False,
-            exceptional=exc_name,
+            model_b, self._transform_divisors(task, model_b, exc_name), False, exc_name
         )
-        self.tower.charts.append(model_a)
-        self.tower.charts.append(model_b)
+        self.tower.charts += [model_a, model_b]
         self._scan_chart(task_a)
         self._scan_chart(task_b)
 
-    def _transform_divisors(self, task, point, model, exc_name, chart):
+    def _transform_divisors(self, task, model, exc_name):
         step = model.history[-1]
-        sub = step.substitution()
         exc_var = step.exceptional_coord()
         new = {}
         for name, germ in task.divisors.items():
-            pulled = germ.substitute(sub)
+            pulled = step.pull_back(germ)
             if pulled.is_zero():
                 continue
-            _, strict = extract_power(pulled, MultiPoly.variable(exc_var))
+            strict = pulled.divide_by_power(exc_var, pulled.order_in(exc_var))
             if strict.is_constant():
                 continue  # divisor not visible in this chart
             new[name] = strict
@@ -390,7 +364,7 @@ class _TowerDriver:
         for name, germ in task.divisors.items():
             if name == task.exceptional:
                 continue
-            restriction = germ.substitute({exc_var: Fraction(0)})
+            restriction = germ.at_zero(exc_var)
             if restriction.is_zero():
                 raise NotAnalyzableError(
                     f"divisor {name} contains the exceptional divisor over {self.tower.label}"
@@ -418,7 +392,7 @@ class _TowerDriver:
                 continue
             if self.types[other_name].is_smooth():
                 continue
-            other_restriction = other_germ.substitute({exc_var: Fraction(0)})
+            other_restriction = other_germ.at_zero(exc_var)
             if other_restriction.is_constant():
                 continue
             g = gcd_univariate(leftover, other_restriction, other_var)
@@ -459,21 +433,26 @@ def _cluster_record(types, pair, eliminant, site, where=""):
 def _classify_product(product, point, coords):
     """'smooth', 'node', or 'blow' for the reduced union of local branches.
 
-    At a singular point the curve has a node exactly when its Hessian is
-    nondegenerate, f_xy^2 != f_xx * f_yy; all second derivatives vanish
-    at a point of multiplicity >= 3."""
-    values = dict(zip(coords, point))
-
-    def at(p):
-        return p.evaluate({v: values.get(v, Fraction(0)) for v in p.variables})
-
-    x, y = coords
-    fx, fy = product.derivative(x), product.derivative(y)
-    if at(fx) != 0 or at(fy) != 0:
+    Read off the 2-jet c10 x + c01 y + c20 x^2 + c11 x y + c02 y^2 of the
+    product at the point (integer coefficients; the content is positive):
+    the curve is singular there when c10 = c01 = 0, with a node exactly
+    when the Hessian is nondegenerate, c11^2 != 4 c20 c02, and never at a
+    point of multiplicity >= 3, where the whole 2-jet vanishes."""
+    germ = product.shift(dict(zip(coords, point)))
+    jet = dict.fromkeys([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], 0)
+    for e, c in germ.ints.items():
+        if sum(e) <= 2:
+            powers = dict(zip(germ.variables, e))
+            jet[powers.get(coords[0], 0), powers.get(coords[1], 0)] = c
+    if jet[1, 0] or jet[0, 1]:
         return "smooth"
-    if at(fx.derivative(y)) ** 2 != at(fx.derivative(x)) * at(fy.derivative(y)):
-        return "node"
-    return "blow"
+    return "node" if jet[1, 1] ** 2 != 4 * jet[2, 0] * jet[0, 2] else "blow"
+
+
+def _evaluator(coords, point):
+    """p -> the value of p at ``point``, a rational point of the chart ``coords``."""
+    values = dict(zip(coords, map(Fraction, point)))
+    return lambda p: p.evaluate({v: values.get(v, Fraction(0)) for v in p.variables})
 
 
 # -- the global driver -----------------------------------------------------------
@@ -612,7 +591,7 @@ class _Regularizer:
 
     def _line_curve_crossings(self, var, line_name):
         """Sites where the line ``var`` = 0 meets the residual curve."""
-        restriction = self.equations["Q~"].substitute({var: Fraction(0)})
+        restriction = self.equations["Q~"].at_zero(var)
         if restriction.is_zero():
             raise NotAnalyzableError("line is contained in the residual curve")
         names = (line_name, "Q~")
@@ -644,12 +623,8 @@ class _Regularizer:
 
 def _certify_no_singularities_at_infinity(residual):
     """Prove that the residual curve is smooth along the line A0 = 0."""
-    restrictions = []
-    for var in PROJECTIVE_VARS:
-        part = residual.derivative(var).substitute({"A0": Fraction(0)})
-        if part.is_zero():
-            continue
-        restrictions.append(part)
+    parts = (residual.derivative(var).at_zero("A0") for var in PROJECTIVE_VARS)
+    restrictions = [part for part in parts if not part.is_zero()]
     if not restrictions:
         raise NotAnalyzableError("residual curve is singular along A0 = 0")
     g = restrictions[0]
@@ -658,7 +633,7 @@ def _certify_no_singularities_at_infinity(residual):
         if g.is_constant():
             return
     # a common factor survives; its zeros are candidate singular points
-    value = residual.substitute({"A0": Fraction(0)})
+    value = residual.at_zero("A0")
     if _gcd_homogeneous(g, value).is_constant():
         return
     raise NotAnalyzableError(
@@ -672,11 +647,7 @@ def _verify_contact_point(fib, chart, point):
     fa = chart.dehomogenize(strip_coordinate_lines(fib.a)[1])
     fb = chart.dehomogenize(strip_coordinate_lines(fib.b)[1])
     x, y = chart.coords
-    values = {x: Fraction(point[0]), y: Fraction(point[1])}
-
-    def at(p):
-        return p.evaluate({v: values.get(v, Fraction(0)) for v in p.variables})
-
+    at = _evaluator(chart.coords, point)
     jacobian = at(fa.derivative(x)) * at(fb.derivative(y)) - at(fa.derivative(y)) * at(
         fb.derivative(x)
     )

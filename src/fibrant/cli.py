@@ -9,6 +9,7 @@ cannot certify.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -293,6 +294,7 @@ def cmd_monodromy(args) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+@functools.cache  # built on first use; every later call in the process reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fibrant",
@@ -342,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
     except (GenericityError, InputError) as exc:

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .poly import (
     MultiPoly,
+    blow_up_chart,
     content_in,
     exact_divide,
     extract_power,
@@ -55,12 +56,9 @@ class AffineChart:
 
     def dehomogenize(self, p: MultiPoly) -> MultiPoly:
         """Restrict a homogeneous polynomial in (A0,A1,A2) to this chart."""
-        mapping = {}
         others = [v for v in PROJECTIVE_VARS if v != PROJECTIVE_VARS[self.index]]
-        mapping[PROJECTIVE_VARS[self.index]] = MultiPoly.const(1)
-        mapping[others[0]] = MultiPoly.variable(self.coords[0])
-        mapping[others[1]] = MultiPoly.variable(self.coords[1])
-        return p.substitute(mapping)
+        mapping = dict(zip(others, map(MultiPoly.variable, self.coords)))
+        return p.substitute({**mapping, PROJECTIVE_VARS[self.index]: MultiPoly.const(1)})
 
     def homogenize(self, f: MultiPoly, degree: int) -> MultiPoly:
         """Inverse of dehomogenize for polynomials of affine degree <= degree."""
@@ -80,12 +78,8 @@ class AffineChart:
         return out
 
     def to_projective(self, point) -> tuple:
-        x, y = (Fraction(point[0]), Fraction(point[1]))
-        coords = [None, None, None]
-        coords[self.index] = Fraction(1)
-        others = [i for i in range(3) if i != self.index]
-        coords[others[0]] = x
-        coords[others[1]] = y
+        coords = [Fraction(point[0]), Fraction(point[1])]
+        coords.insert(self.index, Fraction(1))
         return tuple(coords)
 
 
@@ -236,8 +230,7 @@ def _singular_eliminant(core: MultiPoly, x: str, y: str) -> MultiPoly:
             parts.append(resultant(core, other, x))
         else:
             parts.append(other)  # already free of x
-    elim = _gcd_many(parts)
-    return elim
+    return _gcd_many(parts)
 
 
 def _singular_locus_over_root(core, fx, fy, y, root):
@@ -304,22 +297,14 @@ def _a_index(germ: MultiPoly, x: str, y: str):
         a, b, c = _quadratic_data(quad, x, y)
         if b * b - 4 * a * c != 0:
             return 2 * depth + 1  # nondegenerate: node here
-        # rank-one quadratic part: single (rational) tangent direction
-        if a != 0:
-            # tangent x = -(b/2a) y: visible in the chart (x,y) = (u v, v)
-            slope = -b / (2 * a)
-            total = current.substitute(
-                {x: MultiPoly.variable(x) * MultiPoly.variable(y), y: MultiPoly.variable(y)}
-            )
-            k, strict = extract_power(total, MultiPoly.variable(y))
-            center = {x: slope, y: Fraction(0)}
-        else:
-            # quadratic part c*y^2: tangent y = 0, chart (x,y) = (u, u v)
-            total = current.substitute(
-                {x: MultiPoly.variable(x), y: MultiPoly.variable(x) * MultiPoly.variable(y)}
-            )
-            k, strict = extract_power(total, MultiPoly.variable(x))
-            center = {x: Fraction(0), y: Fraction(0)}
+        # rank-one quadratic part: single (rational) tangent direction.
+        # Tangent x = -(b/2a) y shows in the chart (x, y) = (u v, v); a
+        # quadratic part c*y^2 (tangent y = 0) in the chart (x, y) = (u, u v).
+        chart, exc = ("B", y) if a != 0 else ("A", x)
+        total = blow_up_chart(current, (x, y), (x, y), chart)
+        k = total.order_in(exc)
+        strict = total.divide_by_power(exc, k)
+        center = {x: -b / (2 * a) if a != 0 else Fraction(0), y: Fraction(0)}
         if k != 2:
             return None  # not a plain double-point transform
         strict = strict.shift(center)

@@ -19,9 +19,10 @@ a step a kernel skips when its integers are primitive by construction
 So every kernel computes on integers: sums over a common content
 denominator, products, powers, derivatives, ``substitute``, evaluation at
 a rational point, exact division (P / Q is integral whenever Q is
-primitive and divides P), power extraction and ``poisson_bracket``, the
+primitive and divides P), power extraction, ``poisson_bracket`` (the
 linear Poisson bracket of a table of integer structure constants, summed
-over the partial derivatives of both integer parts at once.
+over the partial derivatives of both integer parts at once) and
+``blow_up_chart``, a chart of a point blow-up as a map on exponents.
 
 Gcds and resultants set one variable at a time to a single large
 integer xi, so the work falls to CPython's big-integer arithmetic, and
@@ -158,6 +159,15 @@ class MultiPoly:
             return 0
         i = self.variables.index(var)
         return max(e[i] for e in self.ints)
+
+    def order_in(self, var: str):
+        """Least exponent of ``var``, the order along var = 0; INFINITE_ORDER for 0."""
+        if not self.ints:
+            return INFINITE_ORDER
+        if var not in self.variables:
+            return 0
+        i = self.variables.index(var)
+        return min(e[i] for e in self.ints)
 
     def is_homogeneous(self) -> bool:
         return len(set(map(sum, self.ints))) <= 1
@@ -324,11 +334,26 @@ class MultiPoly:
 
     def shift(self, point: dict) -> "MultiPoly":
         """Recenter: substitute v -> v + point[v] for each listed variable."""
-        mapping = {}
-        for var, value in point.items():
-            if value:
-                mapping[var] = MultiPoly.variable(var) + MultiPoly.const(value)
+        mapping = {var: MultiPoly.variable(var) + value for var, value in point.items() if value}
         return self.substitute(mapping) if mapping else self
+
+    def at_zero(self, var: str) -> "MultiPoly":
+        """The restriction to var = 0: the terms free of ``var``."""
+        if var not in self.variables:
+            return self
+        i = self.variables.index(var)
+        ints = {e: c for e, c in self.ints.items() if not e[i]}
+        return _make(self.variables, ints, self.content.numerator, self.content.denominator)
+
+    def divide_by_power(self, var: str, k: int) -> "MultiPoly":
+        """p / var^k as an exponent shift; NotDivisibleError unless var^k | p."""
+        if not k or not self.ints:
+            return self
+        if self.order_in(var) < k:
+            raise NotDivisibleError(f"{var}^{k} does not divide {format_poly(self)}")
+        i = self.variables.index(var)
+        ints = {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in self.ints.items()}
+        return _make(self.variables, ints, self.content.numerator, self.content.denominator)
 
     def evaluate(self, assignment: dict):
         """Evaluate at a full assignment.
@@ -670,16 +695,44 @@ def extract_power(p: MultiPoly, q: MultiPoly):
 def strip_coordinate_lines(p: MultiPoly):
     """({var: k}, p / prod(var^k)) for the maximal power k of each variable
     dividing p; only positive orders are listed, in variable order."""
-    orders = {}
-    for i, var in enumerate(p.variables):
-        k = min(e[i] for e in p.ints)
-        if k:
-            orders[var] = k
-    if not orders:
-        return orders, p
-    shift = [orders.get(var, 0) for var in p.variables]
-    ints = {tuple(map(sub, e, shift)): c for e, c in p.ints.items()}
-    return orders, _make(p.variables, ints, p.content.numerator, p.content.denominator)
+    orders = {var: k for var in p.variables if (k := p.order_in(var))}
+    for var, k in orders.items():
+        p = p.divide_by_power(var, k)
+    return orders, p
+
+
+def blow_up_chart(p: MultiPoly, coords: tuple, chart_coords: tuple, chart: str) -> MultiPoly:
+    """p pulled back to one chart of the blow-up of the origin of ``coords``.
+
+    With (x, y) = coords and (u, v) = chart_coords, chart "A" maps (u, v)
+    to (x, y) = (u, u*v) and chart "B" to (u*v, v), so x^i y^j becomes
+    u^(i+j) v^j or u^i v^(i+j).  Both maps are one-to-one on exponents:
+    the integer coefficients and the content stay as they are.  Other
+    variables are left alone; u and v may reuse the names x and y but must
+    not name another variable of p.
+    """
+    names = p.variables
+    if any(c in names and c not in coords for c in chart_coords):
+        raise ValueError(f"chart coordinates {chart_coords} already occur in the polynomial")
+    if coords[0] not in names and coords[1] not in names:
+        return p
+    pad = len(names)
+    where = dict(zip(names, range(pad)))
+    i, j = where.get(coords[0], pad), where.get(coords[1], pad)
+    # each new exponent is a sum of two old ones, pad reading as 0; a new
+    # coordinate with both sums at pad does not occur and is left out, so
+    # the result uses all its variables and keeps the content of p
+    u, v = chart_coords
+    sums = {u: (i, j), v: (j, pad)} if chart == "A" else {u: (i, pad), v: (i, j)}
+    sums = {w: s for w, s in sums.items() if min(s) < pad}
+    sums.update((w, (k, pad)) for w, k in where.items() if w not in coords)
+    out = tuple(sorted(sums))
+    recipe = [sums[w] for w in out]
+    ints = {}
+    for e, c in p.ints.items():
+        e += (0,)
+        ints[tuple([e[a] + e[b] for a, b in recipe])] = c
+    return _make(out, ints, p.content.numerator, p.content.denominator, primitive=True)
 
 
 # -- linear Poisson brackets -------------------------------------------------

@@ -507,10 +507,7 @@ class WeierstrassFibration:
         marker_lines = []
         # curve markers: coordinate lines contained in A along which B is singular
         for i, var in enumerate(PROJECTIVE_VARS):
-            line = MultiPoly.variable(var)
-            la, _ = extract_power(self.a, line)
-            lb, _ = extract_power(self.b, line)
-            if la >= 1 and lb >= 2:
+            if self.a.order_in(var) >= 1 and self.b.order_in(var) >= 2:
                 marker_lines.append(i)
                 results.append(
                     TotalSpaceSingularity(
@@ -624,22 +621,14 @@ def normalize_condition_C(a: MultiPoly, b: MultiPoly, var: str):
     """Divide out u^(4t) from a and u^(6t) from b for the maximal t.
 
     Enforces the minimality condition along the coordinate u: afterwards
-    no positive power u^4 divides a jointly with u^6 dividing b.  Returns
-    (a', b', t).
+    no positive power u^4 divides a jointly with u^6 dividing b.  Orders
+    are least exponents, the division an exponent shift; returns (a', b', t).
     """
-    u = MultiPoly.variable(var)
-    ka, _ = extract_power(a, u)
-    kb, _ = extract_power(b, u)
-    if ka == INFINITE_ORDER and kb == INFINITE_ORDER:
+    orders = [(a.order_in(var), 4), (b.order_in(var), 6)]
+    if all(k == INFINITE_ORDER for k, _ in orders):
         raise ValueError("both sections vanish identically")
-    t_a = ka // 4 if ka != INFINITE_ORDER else INFINITE_ORDER
-    t_b = kb // 6 if kb != INFINITE_ORDER else INFINITE_ORDER
-    t = min(t_a, t_b)
-    if t == 0:
-        return a, b, 0
-    a2 = a if a.is_zero() else exact_divide(a, u ** (4 * t))
-    b2 = b if b.is_zero() else exact_divide(b, u ** (6 * t))
-    return a2, b2, t
+    t = min(k // d for k, d in orders if k != INFINITE_ORDER)
+    return a.divide_by_power(var, 4 * t), b.divide_by_power(var, 6 * t), t
 
 
 def _gcd_homogeneous(p: MultiPoly, q: MultiPoly) -> MultiPoly:

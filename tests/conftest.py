@@ -47,6 +47,20 @@ def fulton_multiplicity(f, g, x="x", y="y", depth=0):
     return fulton_multiplicity(f, gnew, x, y, depth + 1)
 
 
+def chart_substitution(coords, chart_coords, chart, center=(0, 0)):
+    """The chart map of a point blow-up as an explicit substitution.
+
+    The parent coordinates (x, y) = ``coords`` as polynomials in the chart
+    coordinates (u, v): (c1 + u, c2 + u*v) in chart "A" and
+    (c1 + u*v, c2 + v) in chart "B", for the center (c1, c2).
+    """
+    u, v = (MultiPoly.variable(c) for c in chart_coords)
+    c1, c2 = (MultiPoly.const(c) for c in center)
+    if chart == "A":
+        return {coords[0]: c1 + u, coords[1]: c2 + u * v}
+    return {coords[0]: c1 + u * v, coords[1]: c2 + v}
+
+
 def sylvester_det_fractions(rows):
     """Determinant by plain fraction Gaussian elimination (oracle only)."""
     n = len(rows)

@@ -1,7 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
+from conftest import chart_substitution
 from hypothesis import given, settings, strategies as st
+from test_cli import GOLDEN_ANALYZE
 
 from fibrant import blowup
 from fibrant.blowup import (
@@ -16,7 +18,9 @@ from fibrant.lagrange import build_global_sections
 from fibrant.planecurve import classify_double_point
 from fibrant.poly import MultiPoly, extract_power, format_poly, parse, radical
 from fibrant.weierstrass import (
+    KodairaType,
     NotAnalyzableError,
+    OrderTriple,
     WeierstrassFibration,
     _projective_rational_singular_points,
 )
@@ -29,11 +33,16 @@ def cusp_model():
     return LocalModel(("s1", "s2"), s1, s2)
 
 
+def step_substitution(step):
+    """The oracle chart map of one blow-up step, as a substitution."""
+    return chart_substitution(step.parent_coords, step.coords, step.chart, step.center)
+
+
 def composed_map(model):
     """Original chart coordinates as polynomials in the model's coordinates."""
     mapping = {c: MultiPoly.variable(c) for c in model.history[0].parent_coords}
     for step in model.history:
-        sub = step.substitution()
+        sub = step_substitution(step)
         mapping = {k: poly.substitute(sub) for k, poly in mapping.items()}
     return mapping
 
@@ -76,7 +85,7 @@ class TestBlowUpPoint:
         chart_a = pull_back_fibration(chart_a)
         assert exceptional_order_triple(chart_a).as_tuple() == (0, 0, 0)
         # the discriminant pulls back through the substitution untouched
-        sub = chart_a.history[-1].substitution()
+        sub = step_substitution(chart_a.history[-1])
         assert chart_a.delta() == model.delta().substitute(sub)
 
 
@@ -98,12 +107,36 @@ class TestPullBack:
         model = cusp_model()
         chart_a, _ = blow_up_point(model, (0, 0))
         norm = pull_back_fibration(chart_a)
-        sub = chart_a.history[-1].substitution()
+        sub = step_substitution(chart_a.history[-1])
         pulled = model.delta().substitute(sub)
         scale = MultiPoly.const(1)
         for coord, t in norm.t_record:
             scale = scale * MultiPoly.variable(coord) ** (12 * t)
         assert norm.delta() * scale == pulled
+
+
+class TestCarriedDiscriminant:
+    @pytest.mark.parametrize("alpha", sorted(GOLDEN_ANALYZE))
+    def test_every_chart_of_every_tower(self, alpha):
+        # Delta is computed at the root of a tower and then only pulled
+        # back and divided by powers of u; it must stay a^3 - 27 b^2
+        mod = regularize(build_global_sections(F(alpha)))
+        labels = {t.label for t in mod.towers}
+        assert {"contact cluster", "point (0:1:0)", "point (0:0:1)"} <= labels
+        for tower in mod.towers:
+            assert tower.charts
+            for model in tower.charts:
+                assert model.delta() == model.a**3 - 27 * model.b**2
+
+    @pytest.mark.parametrize("center", [(0, 0), (1, 1), (F(-2, 3), 0), (0, F(5, 4))])
+    def test_raw_charts_against_the_substitution(self, center):
+        model = LocalModel(("s1", "s2"), s1**2 * s2 - 3 * s2**3, s1**3 + F(1, 2) * s2)
+        for chart in blow_up_point(model, center):
+            sub = step_substitution(chart.history[-1])
+            assert chart.a == model.a.substitute(sub)
+            assert chart.b == model.b.substitute(sub)
+            assert chart.delta() == model.delta().substitute(sub)
+            assert chart.delta() == chart.a**3 - 27 * chart.b**2
 
 
 class TestExceptionalTriples:
@@ -329,6 +362,18 @@ class TestRegularizeEdges:
         ta = exceptional_order_triple(pull_back_fibration(a1))
         tb = exceptional_order_triple(pull_back_fibration(b1))
         assert ta.as_tuple() == tb.as_tuple()
+
+    def test_chart_inconsistency_is_not_analyzable(self, monkeypatch):
+        # a chart B whose triple disagrees with chart A stops the tower
+        triple = blowup.exceptional_order_triple
+
+        def skewed(model):
+            t = triple(model)
+            return OrderTriple(t.L, t.K, t.N + 1) if model.history[-1].chart == "B" else t
+
+        monkeypatch.setattr(blowup, "exceptional_order_triple", skewed)
+        with pytest.raises(NotAnalyzableError, match="chart inconsistency over contact"):
+            blowup.contact_tower("contact", {"Q~": KodairaType("I1")})
 
 
 class TestPlantedSites:

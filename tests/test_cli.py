@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fibrant
-from fibrant import poly
+from fibrant import blowup, cli, poly
 from fibrant.cli import main
 
 
@@ -227,6 +227,66 @@ class TestGoldenOutput:
         assert any(variables == 2 for variables, _ in chains)
         assert all(calls == variables for variables, calls in chains)
 
+    @pytest.mark.parametrize("alpha", sorted(GOLDEN_ANALYZE))
+    def test_blow_ups_take_the_exponent_maps(self, run, monkeypatch, alpha):
+        """A blow-up at a chart origin divides nothing and substitutes
+        nothing, and each tower computes its discriminant once, at its root.
+
+        Either slowdown would leave the output unchanged, so it is counted here.
+        """
+        counts = {"towers": 0, "origin blow-ups": 0, "_idiv": 0, "substitute": 0}
+        at_origin = [False]  # inside the blow-up step of an origin center
+        roots = []  # blow-up history of each model that computes its own discriminant
+        run_tower, blow_up, scan = (
+            getattr(blowup._TowerDriver, name) for name in ("run", "_blow_up", "_scan_chart")
+        )
+        post_init = blowup.LocalModel.__post_init__
+
+        def counted(name, inner):
+            def wrapper(*args):
+                counts[name] += at_origin[0]
+                return inner(*args)
+
+            return wrapper
+
+        def flagged(inner, origin_of):
+            def wrapper(walker, task, *rest):
+                saved, at_origin[0] = at_origin[0], origin_of(rest)
+                try:
+                    return inner(walker, task, *rest)
+                finally:
+                    at_origin[0] = saved
+
+            return wrapper
+
+        def towers(walker, *args):
+            counts["towers"] += 1
+            return run_tower(walker, *args)
+
+        def origin(rest):
+            centered = not any(rest[0])
+            counts["origin blow-ups"] += centered
+            return centered
+
+        def computing(model):
+            if model.discriminant is None:
+                roots.append(model.history)
+            post_init(model)
+
+        monkeypatch.setattr(blowup._TowerDriver, "run", towers)
+        # root finding on the exceptional divisor may divide; it is not the blow-up step
+        monkeypatch.setattr(blowup._TowerDriver, "_blow_up", flagged(blow_up, origin))
+        monkeypatch.setattr(blowup._TowerDriver, "_scan_chart", flagged(scan, lambda rest: False))
+        monkeypatch.setattr(blowup.LocalModel, "__post_init__", computing)
+        monkeypatch.setattr(poly, "_idiv", counted("_idiv", poly._idiv))
+        monkeypatch.setattr(poly.MultiPoly, "substitute", counted("substitute", poly.MultiPoly.substitute))
+        code, out, _ = run("analyze", f"--alpha={alpha}")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_ANALYZE[alpha]
+        assert counts["towers"] == 3 and counts["origin blow-ups"] > 0
+        assert counts["_idiv"] == counts["substitute"] == 0
+        assert roots == [()] * counts["towers"]
+
 
 class TestBlowupDemo:
     def test_cusp_charts(self, run):
@@ -316,6 +376,33 @@ class TestInputValidation:
     def test_version_key_present(self, run):
         _, out, _ = run("classify-triple", "0", "0", "1")
         assert "version" in json.loads(out)
+
+
+class TestParserReuse:
+    """One parser serves every call in a process; no value carries over."""
+
+    SEQUENCE = (
+        ("analyze", "--alpha=1", "--format", "md"),
+        ("analyze", "--alpha=1"),
+        ("sample-fiber", "--h3=3/5", "--h4=2/7", "--a=1/3", "--m=1/2", "-n", "2", "--seed=5"),
+        ("sample-fiber", "--h3=3/5", "--h4=2/7", "--a=1/3", "--m=1/2"),
+        ("blowup-demo", "p001", "--alpha=7/3"),
+        ("blowup-demo", "p001"),
+    )
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_consecutive_calls_print_what_fresh_calls_print(self, run):
+        src = str(Path(fibrant.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        outputs = [run(*argv) for argv in self.SEQUENCE]
+        assert outputs[0][1] != outputs[1][1] and outputs[2][1] != outputs[3][1]
+        for argv, (code, out, err) in zip(self.SEQUENCE, outputs):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "fibrant.cli", *argv], env=env, capture_output=True, text=True
+            )
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_cli_import_loads_only_stdlib_and_fibrant():

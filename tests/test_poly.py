@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from conftest import bareiss_resultant, from_sympy, to_sympy
+from conftest import bareiss_resultant, chart_substitution, from_sympy, to_sympy
 from hypothesis import example, given, settings, strategies as st
 
 from fibrant import poly
@@ -11,6 +11,7 @@ from fibrant.poly import (
     INFINITE_ORDER,
     MultiPoly,
     NotDivisibleError,
+    blow_up_chart,
     equal_up_to_unit,
     exact_divide,
     extract_power,
@@ -862,3 +863,80 @@ def test_bracket_against_sympy(p, q, structure):
     r = poisson_bracket(p, q, structure)
     assert_canonical(r)
     assert r == bracket_by_sympy(sympy, p, q, structure)
+
+
+# -- blow-up charts as exponent maps ------------------------------------------------
+
+
+class TestBlowUpChart:
+    def test_cusp_charts(self):
+        cusp = s1**3 - 27 * s2**2
+        u, v = MultiPoly.variable("u"), MultiPoly.variable("v")
+        assert blow_up_chart(cusp, ("s1", "s2"), ("u", "v"), "A") == u**3 - 27 * u**2 * v**2
+        assert blow_up_chart(cusp, ("s1", "s2"), ("u", "v"), "B") == u**3 * v**3 - 27 * v**2
+
+    def test_unused_chart_coordinate_is_dropped(self):
+        # chart A sees y only through v, chart B sees x only through u
+        p = F(2, 3) * x**2 + 1
+        assert blow_up_chart(p, ("x", "y"), ("u", "v"), "A") == parse("(2/3)*u^2 + 1")
+        assert blow_up_chart(p, ("x", "y"), ("u", "v"), "B") == parse("(2/3)*u^2*v^2 + 1")
+        assert blow_up_chart(y, ("x", "y"), ("u", "v"), "B") == MultiPoly.variable("v")
+
+    def test_polynomial_free_of_the_coordinates_is_returned(self):
+        p = w**2 - 3
+        assert blow_up_chart(p, ("x", "y"), ("u", "v"), "A") is p
+        assert blow_up_chart(MultiPoly.zero(), ("x", "y"), ("u", "v"), "B").is_zero()
+
+    def test_chart_may_reuse_the_coordinate_names(self):
+        p = x**2 + x * y**3
+        assert blow_up_chart(p, ("x", "y"), ("x", "y"), "B") == x**2 * y**2 + x * y**4
+
+    def test_chart_coordinate_already_in_use(self):
+        with pytest.raises(ValueError, match="already occur"):
+            blow_up_chart(x + w, ("x", "y"), ("w", "v"), "A")
+
+
+CHART_NAMES = ("a", "m", "s", "u", "z")
+
+
+@given(
+    st.permutations(CHART_NAMES).flatmap(
+        lambda names: st.tuples(st.just(names), polys_in((names[0], names[1], names[4]), 6, 3))
+    ),
+    st.sampled_from("AB"),
+    st.just((0, 0)) | st.tuples(small_coeffs, small_coeffs),
+)
+@example((CHART_NAMES, parse("a^3 - 27*m^2 + (1/2)*z*a*m")), "A", (0, 0))
+@example((CHART_NAMES, parse("a^3 - 27*m^2 + (1/2)*z*a*m")), "B", (F(-1, 3), 2))
+@settings(max_examples=120, deadline=None)
+def test_blow_up_chart_matches_substitution(case, chart, center):
+    """Shift the center to the origin, then map exponents: the same as
+    substituting the chart map, with the third variable left alone."""
+    (x_name, y_name, u_name, v_name, _), p = case
+    coords, chart_coords = (x_name, y_name), (u_name, v_name)
+    pulled = blow_up_chart(p.shift(dict(zip(coords, center))), coords, chart_coords, chart)
+    assert_canonical(pulled)
+    assert pulled == p.substitute(chart_substitution(coords, chart_coords, chart, center))
+
+
+@given(small_polys(max_exp=3), st.sampled_from(VARIABLE_POOL), st.integers(0, 3))
+@settings(max_examples=120, deadline=None)
+def test_orders_and_exponent_shifts_match_extract_power(p, var, extra):
+    v = MultiPoly.variable(var)
+    p = p * v**extra
+    k, cofactor = extract_power(p, v)
+    assert p.order_in(var) == k
+    restriction = p.at_zero(var)
+    assert_canonical(restriction)
+    assert restriction == p.substitute({var: F(0)})
+    if p.is_zero():
+        assert p.divide_by_power(var, 2).is_zero()
+        return
+    assert p.divide_by_power(var, k) == cofactor
+    for j in range(k + 1):
+        shifted = p.divide_by_power(var, j)
+        assert_canonical(shifted)
+        assert extract_power(shifted, v) == (k - j, cofactor)
+        assert shifted * v**j == p
+    with pytest.raises(NotDivisibleError):
+        p.divide_by_power(var, k + 1)
