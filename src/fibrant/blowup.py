@@ -508,7 +508,7 @@ class _Regularizer:
         return self.mod
 
     def _add_component(self, name, equation, origin):
-        triple = order_triple_along(self.fib.a, self.fib.b, equation)
+        triple = order_triple_along(self.fib.a, self.fib.b, self.fib.discriminant(), equation)
         ktype = kodaira_classify(triple)
         self.equations[name] = equation
         self.types[name] = ktype

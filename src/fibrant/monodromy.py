@@ -1,17 +1,19 @@
-"""SL(2,Z) arithmetic and brute-force solving of monodromy relations.
+"""SL(2,Z) arithmetic and bounded solving of monodromy relations.
 
 Around a node of the branch curve the two local monodromy matrices
 commute; around a cusp they satisfy the braid relation ABA = BAB.  Both
 relations are solved exhaustively over matrices with bounded entries
 that are conjugate to T = [[1,1],[0,1]], which is the monodromy of a
-fiber with one vanishing cycle.  The solvers are bound-parametrized and
-exact; solutions of the braid relation normalize under the centralizer
-of T to the single representative [[1,0],[-1,1]].
+fiber with one vanishing cycle.  Conjugacy to T is decided by its closed
+form, so only the solvers take a bound; they are exact, and solutions
+of the braid relation normalize under the centralizer of T to the
+single representative [[1,0],[-1,1]].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 
 class NotUnimodularError(ValueError):
@@ -71,46 +73,19 @@ class SL2Z:
 T = SL2Z(1, 1, 0, 1)
 
 
-def is_conjugate_to_T(m: SL2Z, bound: int = 25) -> bool:
-    """Search for P with |entries| <= bound, det 1 and P m P^-1 = T.
+def is_conjugate_to_T(m: SL2Z) -> bool:
+    """Decide whether m is conjugate to T in SL(2,Z), by the closed form.
 
-    Necessary conditions (trace 2, m != I) prune the search; the
-    conjugation equation P m = T P is linear in P, so only the last row
-    (r, s) is enumerated and the first row solved from it.
+    A trace-2 matrix I + N != I is conjugate to T^n, where n = ±gcd of
+    the entries of N, with the sign of N12, or of -N21 when N12 = 0
+    (M. Newman, *Integral Matrices*, 1972, ch. VII).  So m ~ T exactly
+    when that gcd is 1 and the sign is positive.
     """
     if m.trace() != 2 or m == SL2Z.identity():
         return False
-    # P m = T P with P = [[p, q], [r, s]]:
-    #   rows 3,4:  r(a-1) + s c = 0,  r b + s(d-1) = 0
-    #   rows 1,2:  p(a-1) + q c = r,  p b + q(d-1) = s
-    a, b, c, d = m.a, m.b, m.c, m.d
-    for r in range(-bound, bound + 1):
-        for s in range(-bound, bound + 1):
-            if r * (a - 1) + s * c != 0 or r * b + s * (d - 1) != 0:
-                continue
-            for p in range(-bound, bound + 1):
-                rem = r - p * (a - 1)
-                if c != 0:
-                    if rem % c:
-                        continue
-                    q = rem // c
-                    if abs(q) > bound:
-                        continue
-                    if p * b + q * (d - 1) != s:
-                        continue
-                    if p * s - q * r != 1:
-                        continue
-                    return True
-                else:
-                    # c == 0 with trace 2 and det 1 forces a = d = 1
-                    if rem != 0:
-                        continue
-                    for q in range(-bound, bound + 1):
-                        if p * b + q * (d - 1) != s:
-                            continue
-                        if p * s - q * r == 1:
-                            return True
-    return False
+    if m.b < 0 or (m.b == 0 and m.c > 0):
+        return False
+    return gcd(m.a - 1, m.b, m.c, m.d - 1) == 1
 
 
 def _bounded_unimodular(bound: int):
@@ -132,33 +107,23 @@ def _bounded_unimodular(bound: int):
                         yield SL2Z(p, q, r, s)
 
 
+def _bounded_conjugates_of_T(bound: int):
+    """The matrices of ``_bounded_unimodular(bound)`` conjugate to T."""
+    return (m for m in _bounded_unimodular(bound) if is_conjugate_to_T(m))
+
+
 def solve_node_relation(a: SL2Z, bound: int = 25) -> list:
     """All bounded B conjugate to T with A B = B A."""
-    found = []
-    for b in _bounded_unimodular(bound):
-        if b.trace() != 2 or b == SL2Z.identity():
-            continue
-        if a * b != b * a:
-            continue
-        if is_conjugate_to_T(b, bound):
-            found.append(b)
-    return found
+    return [b for b in _bounded_conjugates_of_T(bound) if a * b == b * a]
 
 
 def solve_cusp_relation(a: SL2Z, bound: int = 25) -> list:
     """All bounded B != A conjugate to T with A B A = B A B; B = A
     satisfies the relation trivially."""
-    found = []
-    for b in _bounded_unimodular(bound):
-        if b.trace() != 2 or b == SL2Z.identity():
-            continue
-        if b == a:
-            continue
-        if a * b * a != b * a * b:
-            continue
-        if is_conjugate_to_T(b, bound):
-            found.append(b)
-    return found
+    return [
+        b for b in _bounded_conjugates_of_T(bound)
+        if b != a and a * b * a == b * a * b
+    ]
 
 
 class NotInFamilyError(ValueError):

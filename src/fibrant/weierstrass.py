@@ -609,11 +609,14 @@ def _normalize_projective(pt):
 # -- orders along components and condition-(C) normalization ----------------------
 
 
-def order_triple_along(a: MultiPoly, b: MultiPoly, component: MultiPoly) -> OrderTriple:
-    """Vanishing orders of (a, b, a^3 - 27b^2) along an irreducible component."""
+def order_triple_along(
+    a: MultiPoly, b: MultiPoly, delta: MultiPoly, component: MultiPoly
+) -> OrderTriple:
+    """Vanishing orders of (a, b, delta) along an irreducible component,
+    where delta is the discriminant a^3 - 27b^2 the caller already holds."""
     la, _ = extract_power(a, component)
     lb, _ = extract_power(b, component)
-    ln, _ = extract_power(a**3 - 27 * b**2, component)
+    ln, _ = extract_power(delta, component)
     return OrderTriple(la, lb, ln)
 
 

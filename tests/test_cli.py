@@ -154,6 +154,16 @@ GOLDEN_COLLIDE = {
     ("III", "I0*"): "6f5afd623b74bc07",
     ("I0", "IV*"): "755d9862c3cbb73d",
 }
+# Pinned with the bounded conjugator search: the bounded answer sets must
+# not depend on how conjugacy to T is decided.
+GOLDEN_MONODROMY = {
+    0: "7037572808fade5e",
+    1: "997044f796690613",
+    2: "e6528f9e0f66a4ee",
+    10: "58dca5e61f65da14",
+    25: "ae5c4f81e1f94521",
+    40: "a781d68e8122fea6",
+}
 
 
 class TestGoldenOutput:
@@ -168,6 +178,12 @@ class TestGoldenOutput:
         code, out, _ = run("collide", *pair)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_COLLIDE[pair]
+
+    @pytest.mark.parametrize("bound", sorted(GOLDEN_MONODROMY))
+    def test_monodromy(self, run, bound):
+        code, out, _ = run("monodromy", f"--bound={bound}")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_MONODROMY[bound]
 
     @pytest.mark.parametrize("alpha", sorted(GOLDEN_ANALYZE))
     def test_json(self, run, alpha):

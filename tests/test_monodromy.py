@@ -7,6 +7,7 @@ from fibrant.monodromy import (
     SL2Z,
     STANDARD_CUSP_PARTNER,
     T,
+    _bounded_unimodular,
     build_presentation,
     is_conjugate_to_T,
     normalize_pair,
@@ -15,6 +16,48 @@ from fibrant.monodromy import (
 )
 
 B0 = STANDARD_CUSP_PARTNER
+
+
+def bounded_conjugacy_search(m: SL2Z, bound: int) -> bool:
+    """Oracle: search for P with |entries| <= bound, det 1 and P m P^-1 = T.
+
+    Necessary conditions (trace 2, m != I) prune the search; the
+    conjugation equation P m = T P is linear in P, so only the last row
+    (r, s) is enumerated and the first row solved from it.
+    """
+    if m.trace() != 2 or m == SL2Z.identity():
+        return False
+    # P m = T P with P = [[p, q], [r, s]]:
+    #   rows 3,4:  r(a-1) + s c = 0,  r b + s(d-1) = 0
+    #   rows 1,2:  p(a-1) + q c = r,  p b + q(d-1) = s
+    a, b, c, d = m.a, m.b, m.c, m.d
+    for r in range(-bound, bound + 1):
+        for s in range(-bound, bound + 1):
+            if r * (a - 1) + s * c != 0 or r * b + s * (d - 1) != 0:
+                continue
+            for p in range(-bound, bound + 1):
+                rem = r - p * (a - 1)
+                if c != 0:
+                    if rem % c:
+                        continue
+                    q = rem // c
+                    if abs(q) > bound:
+                        continue
+                    if p * b + q * (d - 1) != s:
+                        continue
+                    if p * s - q * r != 1:
+                        continue
+                    return True
+                else:
+                    # c == 0 with trace 2 and det 1 forces a = d = 1
+                    if rem != 0:
+                        continue
+                    for q in range(-bound, bound + 1):
+                        if p * b + q * (d - 1) != s:
+                            continue
+                        if p * s - q * r == 1:
+                            return True
+    return False
 
 
 class TestArithmetic:
@@ -43,11 +86,47 @@ class TestConjugacy:
 
     def test_t_inverse_not_conjugate(self):
         # T and T^-1 lie in different conjugacy classes
-        assert not is_conjugate_to_T(T.inverse(), bound=50)
+        assert not is_conjugate_to_T(T.inverse())
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            SL2Z(1, 0, 1, 1),  # N12 = 0 and -N21 = -1: conjugate to T^-1
+            SL2Z(1, 2, 0, 1),  # entries of m - I have gcd 2: T^2
+            SL2Z(-1, -1, 0, -1),  # -T, trace -2
+        ],
+    )
+    def test_other_classes_not_conjugate(self, m):
+        assert not is_conjugate_to_T(m)
 
     def test_random_conjugates(self):
         p = SL2Z(2, 1, 1, 1)
         assert is_conjugate_to_T(p * T * p.inverse())
+
+
+class TestConjugacyOracle:
+    """The closed form agrees with the bounded search at bound 40."""
+
+    def test_bounded_trace_two_matrices(self):
+        trace_two = [m for m in _bounded_unimodular(6) if m.trace() == 2]
+        assert len(trace_two) == 53
+        for m in trace_two:
+            assert is_conjugate_to_T(m) == bounded_conjugacy_search(m, 40), m
+
+    @pytest.mark.parametrize("n", range(-3, 4))
+    def test_conjugates_of_powers(self, n):
+        conjugators = [
+            SL2Z.identity(),
+            SL2Z(2, 1, 1, 1),
+            SL2Z(0, -1, 1, 0),
+            SL2Z(3, 2, 4, 3),
+            SL2Z(1, 0, -2, 1),
+            SL2Z(-2, 3, 1, -2),
+        ]
+        for p in conjugators:
+            m = p * T**n * p.inverse()
+            assert is_conjugate_to_T(m) == bounded_conjugacy_search(m, 40), (p, n)
+            assert is_conjugate_to_T(m) == (n == 1)
 
 
 class TestNodeRelation:

@@ -118,29 +118,32 @@ class TestTotalSpaceSingularities:
 
 class TestOrderTriples:
     def test_lagrange_line(self, lagrange_fibration):
-        t = order_triple_along(lagrange_fibration.a, lagrange_fibration.b, A0)
+        a, b = lagrange_fibration.a, lagrange_fibration.b
+        t = order_triple_along(a, b, a**3 - 27 * b**2, A0)
         assert t.as_tuple() == (2, 3, 7)
         assert kodaira_classify(t).tag == "I1*"
 
     def test_local_model_along_s1(self):
         s1, s2 = MultiPoly.variable("s1"), MultiPoly.variable("s2")
-        t = order_triple_along(s1, s2, s1)
+        t = order_triple_along(s1, s2, s1**3 - 27 * s2**2, s1)
         assert t.as_tuple() == (1, 0, 0)
 
     def test_first_cusp_chart(self):
         s1, s2 = MultiPoly.variable("s1"), MultiPoly.variable("s2")
-        t = order_triple_along(s1, s1 * s2, s1)
+        t = order_triple_along(s1, s1 * s2, s1**3 - 27 * (s1 * s2) ** 2, s1)
         assert t.as_tuple() == (1, 1, 2)
         assert kodaira_classify(t).tag == "II"
 
     def test_consistency_rule(self, lagrange_fibration):
         lines, residual = lagrange_fibration.reduced_discriminant()
+        a, b = lagrange_fibration.a, lagrange_fibration.b
         for comp in [A0, residual]:
-            t = order_triple_along(lagrange_fibration.a, lagrange_fibration.b, comp)
+            t = order_triple_along(a, b, a**3 - 27 * b**2, comp)
             assert t.is_consistent()
 
     def test_infinite_order(self):
-        t = order_triple_along(MultiPoly.zero(), MultiPoly.variable("s1"), MultiPoly.variable("s1"))
+        zero, s1 = MultiPoly.zero(), MultiPoly.variable("s1")
+        t = order_triple_along(zero, s1, zero**3 - 27 * s1**2, s1)
         assert t.L == INFINITE_ORDER
 
 
