@@ -37,6 +37,7 @@ cluster.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -695,8 +696,22 @@ def contact_tower(label, types, count=1) -> Tower:
     There the sections themselves are local coordinates, so the germ is
     exactly (a, b) = (s1, s2) with the cuspidal discriminant
     s1^3 - 27 s2^2; the tower is independent of the contact point.
-    ``types`` gives the Kodaira type of the residual curve "Q~".
+    ``types`` gives the Kodaira type of the residual curve "Q~".  The
+    tower is built once per type in a process; each call gets its own
+    lists and records, named after ``label``.
     """
+    cached = _contact_tower(types["Q~"])
+    origin = f"exceptional divisor over {label}"
+    return Tower(
+        label, "contact", count=count, blow_ups=cached.blow_ups,
+        divisors=[replace(d, origin=origin) for d in cached.divisors],
+        collisions=[replace(c) for c in cached.collisions],
+        charts=list(cached.charts),
+    )
+
+
+@functools.cache
+def _contact_tower(residual_type: KodairaType) -> Tower:
     model = LocalModel(("s1", "s2"), MultiPoly.variable("s1"), MultiPoly.variable("s2"))
-    tower = Tower(label, "contact", count=count)
-    return _TowerDriver(tower, types).run(model, {"Q~": model.delta()})
+    driver = _TowerDriver(Tower("contact", "contact"), {"Q~": residual_type})
+    return driver.run(model, {"Q~": model.delta()})

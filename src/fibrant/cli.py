@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .blowup import contact_tower, regularize
@@ -89,25 +89,32 @@ def _rational(text: str) -> Fraction:
 
 
 def _emit(payload: dict):
-    payload = {"version": __version__, **payload}
-    _validate_json(payload)
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(_write_json({"version": __version__, **payload}))
 
 
-def _validate_json(obj):
-    """Reject anything that would not serialize deterministically."""
+def _write_json(obj, indent="\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, for values that
+    serialize deterministically: anything else (a float, a non-string
+    key, a value of any other type) raises TypeError."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        for key, value in obj.items():
+        for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"non-string JSON key {key!r}")
-            _validate_json(value)
-    elif isinstance(obj, (list, tuple)):
-        for value in obj:
-            _validate_json(value)
-    elif isinstance(obj, float):
+        items = [encode_basestring_ascii(k) + ": " + _write_json(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [_write_json(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(obj, float):
         raise TypeError("floats are not emitted; use exact rational strings")
-    elif obj is not None and not isinstance(obj, (str, int, bool)):
-        raise TypeError(f"non-JSON value {obj!r}")
+    raise TypeError(f"non-JSON value {obj!r}")
 
 
 # -- subcommands -------------------------------------------------------------

@@ -19,6 +19,7 @@ compactifies the family into a fibration over the projective plane.
 from __future__ import annotations
 
 import cmath
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,15 +143,20 @@ def build_global_sections(alpha) -> WeierstrassFibration:
     the degree-6 one to g3 (in the coordinates a1 = A1/A0, a2 = A2/A0).
     """
     alpha = Fraction(alpha)
-    phi = parse(
-        "A0^2*(A0^2 + (1/12)*A2^2 - (alpha/4)*A0*A1)", {"alpha": alpha}
-    )
-    psi = parse(
-        "A0^3*((1/216)*A2^3 + (1/16)*A0*A1^2 - (alpha/48)*A0*A1*A2"
-        " - (1/6)*A0^2*A2 + (alpha^2/16)*A0^3)",
-        {"alpha": alpha},
-    )
+    phi, psi = (t.substitute({"alpha": alpha}) for t in _section_templates())
     return WeierstrassFibration(phi, psi, alpha=alpha)
+
+
+@functools.cache
+def _section_templates() -> tuple:
+    """The two sections with alpha as a variable, parsed on first use."""
+    return (
+        parse("A0^2*(A0^2 + (1/12)*A2^2 - (alpha/4)*A0*A1)"),
+        parse(
+            "A0^3*((1/216)*A2^3 + (1/16)*A0*A1^2 - (alpha/48)*A0*A1*A2"
+            " - (1/6)*A0^2*A2 + (alpha^2/16)*A0^3)"
+        ),
+    )
 
 
 # -- numeric level-set sampling --------------------------------------------------

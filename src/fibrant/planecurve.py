@@ -182,7 +182,7 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
 
     leftover = MultiPoly.const(1)
     if eliminant is not None and not eliminant.is_constant():
-        roots, leftover = split_rational_roots(eliminant)
+        roots, leftover = split_rational_roots(radical(eliminant))
         for root, _ in roots:
             # locate rational x for this y by intersecting the specializations
             xs, rest = split_rational_roots(_singular_locus_over_root(core, fx, fy, y, root))

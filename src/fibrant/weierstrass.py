@@ -421,8 +421,13 @@ def check_genericity(alpha: Fraction):
     """Reject parameter values where the branch-point analysis degenerates.
 
     The four transverse contact points of the degree-4 and degree-6
-    divisors collapse exactly on the vanishing locus of
-    -3^10 a^4 (a^2+16)^3 (a+4)^3 (a-4)^3, i.e. at a in {0, 4, -4} over Q.
+    divisors of the Lagrange family lie over the roots of their contact
+    eliminant E = 3 a2^4 - alpha^2 a2^3 + 72 a2^2 - 108 alpha^2 a2
+    + 27 alpha^4 + 432, and collapse exactly on the vanishing locus of
+    disc_{a2}(E) = -3^9 alpha^4 (alpha-4)^3 (alpha+4)^3 (alpha^2+16)^3,
+    i.e. at alpha in {0, 4, -4} over Q.  A node of the residual curve,
+    at (a1, a2) = (-+alpha, alpha^2/4 -+ 2), meets a contact point only
+    there or where alpha^2 = 48, which has no rational point.
     """
     alpha = Fraction(alpha)
     if alpha in (0, 4, -4):
@@ -501,7 +506,10 @@ class WeierstrassFibration:
         The latter are taken from ``discriminant_singular_points``, the
         rational points ``blowup.regularize`` certified (projective triples).
         Non-isolated loci along shared components are reported as curve
-        markers (detected along the coordinate lines).
+        markers (detected along the coordinate lines).  A marker covers its
+        whole line, so Sing(b) is searched only in the chart off the first
+        marker line (in all three charts without one), and a singular point
+        of b that is not rational refuses the call only in the searched charts.
         """
         results = []
         marker_lines = []
@@ -535,7 +543,7 @@ class WeierstrassFibration:
                 )
             )
         # isolated points with fiber point (0:0:1): Sing(B) meeting A
-        for pt in self._rational_b_singularities():
+        for pt in self._rational_b_singularities(marker_lines[:1] or range(3)):
             if on_marker(pt):
                 continue
             aval = self.a.evaluate(dict(zip(PROJECTIVE_VARS, pt)))
@@ -554,14 +562,14 @@ class WeierstrassFibration:
         orders, residual = strip_coordinate_lines(self.discriminant())
         return list(orders.items()), residual
 
-    def _rational_b_singularities(self):
+    def _rational_b_singularities(self, charts):
         if self.b.is_zero():
             return []
         orders, reduced = strip_coordinate_lines(self.b)
         for var in orders:
             reduced = reduced * MultiPoly.variable(var)
         try:
-            points, eliminants = _projective_rational_singular_points(reduced)
+            points, eliminants = _projective_rational_singular_points(reduced, charts)
         except NonReducedCurveError as exc:
             raise NotAnalyzableError(
                 "the degree-6 section has a repeated non-linear factor; "
@@ -575,13 +583,14 @@ class WeierstrassFibration:
         return points
 
 
-def _projective_rational_singular_points(curve: MultiPoly):
-    """Rational singular points of a reduced plane projective curve, and
-    the eliminants the charts leave for candidates that are not rational."""
+def _projective_rational_singular_points(curve: MultiPoly, charts=range(3)):
+    """Rational singular points of a reduced plane projective curve in the
+    union of the standard affine ``charts``, and the eliminants those
+    charts leave for candidates that are not rational."""
     seen = set()
     points = []
     eliminants = []
-    for idx in range(3):
+    for idx in charts:
         chart = AffineChart.standard(idx)
         affine = chart.dehomogenize(curve)
         if affine.is_constant():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fibrant import blowup, lagrange
 from fibrant.poly import INFINITE_ORDER, MultiPoly, exact_divide, extract_power
 from fibrant.weierstrass import (
     KodairaType,
@@ -169,6 +170,14 @@ def reduce_triple_mod_oracle(t):
         K = K - 6 if K != INFINITE_ORDER else K
         N = N - 12 if N != INFINITE_ORDER else N
     return OrderTriple(L, K, N)
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches():
+    """Every test builds the contact tower and parses the section templates
+    itself, so a test that patches their internals sees them run."""
+    blowup._contact_tower.cache_clear()
+    lagrange._section_templates.cache_clear()
 
 
 @pytest.fixture(scope="session")

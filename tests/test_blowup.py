@@ -15,6 +15,7 @@ from fibrant.blowup import (
     regularize,
 )
 from fibrant.lagrange import build_global_sections
+from fibrant.miranda import analyze_lagrange_family
 from fibrant.planecurve import classify_double_point
 from fibrant.poly import MultiPoly, extract_power, format_poly, parse, radical
 from fibrant.weierstrass import (
@@ -374,6 +375,40 @@ class TestRegularizeEdges:
         monkeypatch.setattr(blowup, "exceptional_order_triple", skewed)
         with pytest.raises(NotAnalyzableError, match="chart inconsistency over contact"):
             blowup.contact_tower("contact", {"Q~": KodairaType("I1")})
+
+
+class TestContactTowerCache:
+    """The contact tower is built once per type of Q~ in a process; every
+    caller gets its own copy."""
+
+    def test_second_analyze_builds_no_contact_tower(self, monkeypatch):
+        kinds = []
+        run = blowup._TowerDriver.run
+
+        def counted(driver, *args):
+            kinds.append(driver.tower.kind)
+            return run(driver, *args)
+
+        monkeypatch.setattr(blowup._TowerDriver, "run", counted)
+        analyze_lagrange_family(1)
+        assert sorted(kinds) == ["contact", "point", "point"]
+        analyze_lagrange_family(F(7, 3))
+        assert kinds[3:] == ["point", "point"]
+
+    def test_returned_tower_is_the_callers(self):
+        types = {"Q~": KodairaType("I1")}
+        first = blowup.contact_tower("p", types)
+        sizes = (first.blow_ups, len(first.divisors), len(first.collisions), len(first.charts))
+        first.divisors.append(first.divisors[0])
+        first.collisions.append(first.collisions[0])
+        first.charts.append(first.charts[0])
+        first.divisors[0].origin = "changed"
+        first.collisions[0].count = 9
+        again = blowup.contact_tower("q", types, count=4)
+        assert (again.blow_ups, len(again.divisors), len(again.collisions), len(again.charts)) == sizes
+        assert (again.label, again.kind, again.count) == ("q", "contact", 4)
+        assert {d.origin for d in again.divisors} == {"exceptional divisor over q"}
+        assert {c.count for c in again.collisions} == {1}
 
 
 class TestPlantedSites:

@@ -1,12 +1,16 @@
+import functools
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fibrant
 from fibrant import blowup, cli, poly
@@ -304,6 +308,50 @@ class TestGoldenOutput:
         assert roots == [()] * counts["towers"]
 
 
+# Where the report gives a point in a1 / A1 coordinates: the index of a1
+# in the chart point of a residual node, of A1 in a projective crossing.
+A1_INDEX = {"node of the residual curve": 0, "crossing on the discriminant": 1}
+
+
+def _report_up_to_a1_sign(report, sign):
+    """The ``analyze`` report with alpha and every a1 / A1 coordinate times
+    ``sign``; the collisions at points of the base plane and the
+    total-space points as sorted lists, since negating a1 reorders them."""
+
+    def scaled(point, i):
+        return point[:i] + [str(sign * Fraction(point[i]))] + point[i + 1:]
+
+    key = functools.partial(json.dumps, sort_keys=True)
+    sites, towers = [], []
+    for c in report["collisions"]:
+        i = A1_INDEX.get(c["where"])
+        if i is None:
+            towers.append(c)
+        else:
+            sites.append({**c, "point": scaled(c["point"], i)} if "point" in c else c)
+    points = [
+        {**s, "base_point": scaled(s["base_point"], 1)} if "base_point" in s else s
+        for s in report["total_space_singularities"]
+    ]
+    return {
+        **report,
+        "alpha": str(sign * Fraction(report["alpha"])),
+        "collisions": [sorted(sites, key=key), towers],
+        "total_space_singularities": sorted(points, key=key),
+    }
+
+
+@pytest.mark.parametrize("alpha", ["1", "7/3", "-5/9", "101/13"])
+def test_alpha_sign_symmetry(run, alpha):
+    """alpha -> -alpha, a1 -> -a1 fixes both sections, so the report at
+    -alpha is the report at alpha with every a1 / A1 coordinate negated."""
+    reports = [
+        json.loads(run("analyze", f"--alpha={value}")[1])["report"]
+        for value in (alpha, -Fraction(alpha))
+    ]
+    assert _report_up_to_a1_sign(reports[0], -1) == _report_up_to_a1_sign(reports[1], 1)
+
+
 class TestBlowupDemo:
     def test_cusp_charts(self, run):
         code, out, _ = run("blowup-demo", "cusp")
@@ -382,6 +430,61 @@ class TestMonodromyCommand:
 
     def test_negative_bound_rejected(self, run):
         assert_rejected(run("monodromy", "--bound=-3"), "-3")
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**40), 10**40), st.text()
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(st.text(), children),
+    ),
+    max_leaves=30,
+)
+
+
+class TestWriteJson:
+    """``cli._write_json`` prints what ``json.dumps(sort_keys=True, indent=2)`` prints."""
+
+    @given(JSON_VALUES)
+    @example({"k\u00e9y": ['"quoted"', "tab\there\n", "\x00\x1f\x7f", "\u2603\U0001f600\ud800"]})
+    @example({"b": [True, False, None, -(2**100), 0], "a": {}, "": [[], ()]})
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dumps(self, obj):
+        assert cli._write_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"a": [1, 0.5]}, "floats are not emitted"),
+            ({"a": {1: "x"}}, "non-string JSON key 1"),
+            ([Fraction(1, 2)], "non-JSON value Fraction(1, 2)"),
+            ({"a": {"x"}}, "non-JSON value {'x'}"),
+        ],
+    )
+    def test_rejects_what_would_not_serialize_deterministically(self, obj, message):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            cli._write_json(obj)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--alpha=1"),
+            ("classify-triple", "2", "3", "7"),
+            ("collide", "I4", "I2*"),
+            ("blowup-demo", "cusp"),
+            ("bracket-check", "--m=1/2"),
+            ("sample-fiber", "--h3=3/5", "--h4=2/7", "--a=1/3", "--m=1/2", "-n", "2"),
+            ("monodromy", "--bound=10"),
+        ],
+    )
+    def test_every_subcommand_prints_canonical_json(self, run, argv):
+        code, out, _ = run(*argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 class TestInputValidation:

@@ -5,6 +5,7 @@ from conftest import from_sympy, kodaira_classify_oracle, reduce_triple_mod_orac
 from hypothesis import given, settings, strategies as st
 
 from fibrant.blowup import regularize
+from fibrant.lagrange import build_global_sections
 from fibrant.monodromy import SL2Z
 from fibrant.poly import (
     INFINITE_ORDER,
@@ -13,6 +14,7 @@ from fibrant.poly import (
     extract_power,
     parse,
     radical,
+    strip_coordinate_lines,
 )
 from fibrant.weierstrass import (
     GenericityError,
@@ -23,6 +25,7 @@ from fibrant.weierstrass import (
     OrderTriple,
     WeierstrassFibration,
     _gcd_homogeneous,
+    _projective_rational_singular_points,
     check_genericity,
     kodaira_classify,
     kodaira_monodromy,
@@ -114,6 +117,49 @@ class TestTotalSpaceSingularities:
         )
         with pytest.raises(NotAnalyzableError, match="not certified"):
             fib.total_space_singularities([])
+
+    @pytest.mark.parametrize("alpha", [F(1), F(7, 3), F(-5, 9), F(101, 13)])
+    def test_lagrange_sing_b_matches_three_chart_oracle(self, alpha):
+        # Sing(b) is searched only off the marker line A0 = 0
+        fib = build_global_sections(alpha)
+        oracle, eliminants = _projective_rational_singular_points(_reduced_b(fib))
+        assert eliminants == [] and (0, 1, 0) in oracle
+        assert fib._rational_b_singularities([0]) == [pt for pt in oracle if pt[0] != 0]
+
+    def test_sing_b_off_a_marker_line(self):
+        # b = A1^3 C for a nodal cubic C with its node at (0:1:0), where a
+        # vanishes, and rational crossings with the marker line A1 = 0
+        fib = WeierstrassFibration(A1 * A0**3, A1**3 * parse("A1*(A0^2 - A2^2) + A0*A2*(A0 + 2*A2)"))
+        oracle, eliminants = _projective_rational_singular_points(_reduced_b(fib))
+        assert eliminants == [] and len(oracle) == 4
+        off_marker = fib._rational_b_singularities([1])
+        assert off_marker == [pt for pt in oracle if pt[1] != 0] == [(0, 1, 0)]
+        assert [s.to_json() for s in fib.total_space_singularities([])] == MARKED_NODE
+
+    def test_nonrational_sing_b_on_a_marker_line_is_covered(self):
+        # C also meets the marker line A1 = 0 where A0^2 - A0 A2 + A2^2 = 0:
+        # singular points of b that are not rational, but the curve marker
+        # covers them, so the call is not refused
+        fib = WeierstrassFibration(A1 * A0**3, A1**3 * parse("A1*(A0^2 - A2^2) + A0^3 + A2^3"))
+        reduced = _reduced_b(fib)
+        assert _projective_rational_singular_points(reduced)[1] != []
+        assert _projective_rational_singular_points(reduced, [1])[1] == []
+        assert [s.to_json() for s in fib.total_space_singularities([])] == MARKED_NODE
+
+
+# Total-space singularities of both planted fibrations with the marker A1 = 0.
+MARKED_NODE = [
+    {"kind": "curve", "fiber_point": ["0", "0", "1"], "base_curve": "A1 = 0"},
+    {"kind": "isolated", "fiber_point": ["0", "0", "1"], "base_point": ["0", "1", "0"]},
+]
+
+
+def _reduced_b(fib):
+    """The degree-6 section with each coordinate line factor taken once."""
+    orders, reduced = strip_coordinate_lines(fib.b)
+    for var in orders:
+        reduced = reduced * MultiPoly.variable(var)
+    return reduced
 
 
 class TestOrderTriples:
@@ -307,6 +353,27 @@ class TestGenericity:
     @pytest.mark.parametrize("alpha", [1, 2, F(3, 2), -5])
     def test_accepted(self, alpha):
         assert check_genericity(F(alpha)) == F(alpha)
+
+    def test_locus_of_the_contact_eliminant(self):
+        # the facts the check_genericity docstring states
+        sympy = pytest.importorskip("sympy")
+        alpha, a2 = sympy.symbols("alpha a2")
+        e = 3 * a2**4 - alpha**2 * a2**3 + 72 * a2**2 - 108 * alpha**2 * a2 + 27 * alpha**4 + 432
+        locus = -(3**9) * alpha**4 * (alpha - 4) ** 3 * (alpha + 4) ** 3 * (alpha**2 + 16) ** 3
+        assert sympy.expand(sympy.discriminant(e, a2) - locus) == 0
+        # the nodes of the residual curve lie on a2 = alpha^2/4 +- 2
+        plus = sympy.resultant(4 * a2 - alpha**2 - 8, e, a2)
+        minus = sympy.resultant(4 * a2 - alpha**2 + 8, e, a2)
+        assert sympy.expand(plus + (alpha - 4) ** 3 * (alpha + 4) ** 3 * (alpha**2 + 48)) == 0
+        assert sympy.expand(minus + (alpha**2 - 48) * (alpha**2 + 16) ** 3) == 0
+        assert sympy.sqrt(48).is_rational is False
+        for value in (F(1), F(1, 2), F(7, 3)):
+            notes = regularize(build_global_sections(value)).notes
+            printed = next(n for n in notes if n.startswith("contact-point cluster eliminant: "))
+            expected = e.subs(alpha, sympy.Rational(value.numerator, value.denominator))
+            assert equal_up_to_unit(
+                parse(printed.split(": ")[1]), from_sympy(sympy, expected, ("a2",))
+            )
 
 
 class TestFromStrings:
