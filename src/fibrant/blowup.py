@@ -41,18 +41,25 @@ import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .planecurve import PROJECTIVE_VARS, AffineChart, rational_singular_points
+from .planecurve import (
+    PROJECTIVE_VARS,
+    AffineChart,
+    normalize_projective,
+    rational_singular_points,
+    two_jet,
+)
 from .poly import (
     MultiPoly,
     blow_up_chart,
     equal_up_to_unit,
     format_poly,
+    gcd_multivariate,
     gcd_univariate,
     is_squarefree,
     primitive_integer,
     radical,
+    rational_roots,
     resultant,
-    split_rational_roots,
     strip_coordinate_lines,
 )
 from .weierstrass import (
@@ -62,8 +69,6 @@ from .weierstrass import (
     NotOnListError,
     OrderTriple,
     WeierstrassFibration,
-    _gcd_homogeneous,
-    _normalize_projective,
     check_genericity,
     collide,
     kodaira_classify,
@@ -248,7 +253,7 @@ class BaseModification:
     residual_degree: int = 0    # of the reduced residual curve; 0 if none
 
     def record_singular_point(self, point):
-        key = _normalize_projective(point)
+        key = normalize_projective(point)
         if key not in self.singular_points:
             self.singular_points.append(key)
 
@@ -372,7 +377,7 @@ class _TowerDriver:
                 )
             if restriction.is_constant():
                 continue
-            roots, leftover = split_rational_roots(restriction)
+            roots, leftover = rational_roots(restriction)
             points.update(root for root, _ in roots)
             if not leftover.is_constant():
                 self._handle_cluster(task, name, leftover, exc_var, other_var)
@@ -439,12 +444,7 @@ def _classify_product(product, point, coords):
     the curve is singular there when c10 = c01 = 0, with a node exactly
     when the Hessian is nondegenerate, c11^2 != 4 c20 c02, and never at a
     point of multiplicity >= 3, where the whole 2-jet vanishes."""
-    germ = product.shift(dict(zip(coords, point)))
-    jet = dict.fromkeys([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], 0)
-    for e, c in germ.ints.items():
-        if sum(e) <= 2:
-            powers = dict(zip(germ.variables, e))
-            jet[powers.get(coords[0], 0), powers.get(coords[1], 0)] = c
+    jet = two_jet(product.shift(dict(zip(coords, point))), *coords)
     if jet[1, 0] or jet[0, 1]:
         return "smooth"
     return "node" if jet[1, 1] ** 2 != 4 * jet[2, 0] * jet[0, 2] else "blow"
@@ -605,7 +605,7 @@ class _Regularizer:
             self._site(vertex, names, transverse=k == 1)
         if restriction.is_constant():
             return
-        roots, leftover = split_rational_roots(restriction.substitute({first: Fraction(1)}))
+        roots, leftover = rational_roots(restriction.substitute({first: Fraction(1)}))
         for root, mult in roots:
             point = {var: Fraction(0), first: Fraction(1), second: root}
             self._site(tuple(point[v] for v in PROJECTIVE_VARS), names, transverse=mult == 1)
@@ -630,12 +630,12 @@ def _certify_no_singularities_at_infinity(residual):
         raise NotAnalyzableError("residual curve is singular along A0 = 0")
     g = restrictions[0]
     for part in restrictions[1:]:
-        g = _gcd_homogeneous(g, part)
+        g = gcd_multivariate(g, part)
         if g.is_constant():
             return
     # a common factor survives; its zeros are candidate singular points
     value = residual.at_zero("A0")
-    if _gcd_homogeneous(g, value).is_constant():
+    if gcd_multivariate(g, value).is_constant():
         return
     raise NotAnalyzableError(
         "residual curve may be singular on the line A0 = 0 "
@@ -675,7 +675,7 @@ def _certify_contact_cluster(fib, cluster):
     if contact.is_zero():
         raise NotAnalyzableError("section divisors share a component")
     contact_sf, _ = primitive_integer(radical(contact))
-    _, reduced = split_rational_roots(contact_sf)
+    _, reduced = rational_roots(contact_sf)
     if not is_squarefree(contact, y):
         raise NotAnalyzableError(
             "contact eliminant of the section divisors is not squarefree; "

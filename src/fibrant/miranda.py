@@ -15,7 +15,6 @@ from fractions import Fraction
 from .blowup import regularize
 from .lagrange import build_global_sections
 from .monodromy import Presentation, build_presentation
-from .weierstrass import check_genericity
 
 
 @dataclass
@@ -81,9 +80,10 @@ def analyze_lagrange_family(alpha) -> ClassificationReport:
     Builds the global sections for the given parameter, decomposes the
     discriminant, regularizes the base by blow-ups, classifies all
     generic and collision fibers, lists the total-space singularities and
-    attaches the monodromy presentation.
+    attaches the monodromy presentation.  ``regularize`` rejects a
+    nongeneric alpha.
     """
-    alpha = check_genericity(Fraction(alpha))
+    alpha = Fraction(alpha)
     fib = build_global_sections(alpha)
     mod = regularize(fib)
 

@@ -27,8 +27,8 @@ from .poly import (
     format_poly,
     primitive_integer,
     radical,
+    rational_roots,
     resultant,
-    split_rational_roots,
 )
 
 PROJECTIVE_VARS = ("A0", "A1", "A2")
@@ -60,27 +60,18 @@ class AffineChart:
         mapping = dict(zip(others, map(MultiPoly.variable, self.coords)))
         return p.substitute({**mapping, PROJECTIVE_VARS[self.index]: MultiPoly.const(1)})
 
-    def homogenize(self, f: MultiPoly, degree: int) -> MultiPoly:
-        """Inverse of dehomogenize for polynomials of affine degree <= degree."""
-        others = [v for v in PROJECTIVE_VARS if v != PROJECTIVE_VARS[self.index]]
-        out = MultiPoly.zero()
-        x, y = self.coords
-        xi = MultiPoly.variable(others[0])
-        yi = MultiPoly.variable(others[1])
-        hi = MultiPoly.variable(PROJECTIVE_VARS[self.index])
-        for exp, coeff in f.terms.items():
-            powers = dict(zip(f.variables, exp))
-            dx = powers.get(x, 0)
-            dy = powers.get(y, 0)
-            if dx + dy > degree:
-                raise ValueError("affine degree exceeds homogenization degree")
-            out = out + MultiPoly.const(coeff) * xi**dx * yi**dy * hi ** (degree - dx - dy)
-        return out
-
     def to_projective(self, point) -> tuple:
         coords = [Fraction(point[0]), Fraction(point[1])]
         coords.insert(self.index, Fraction(1))
         return tuple(coords)
+
+
+def normalize_projective(point) -> tuple:
+    """The representative of a projective point whose first nonzero entry is 1."""
+    for c in point:
+        if c != 0:
+            return tuple(Fraction(x) / Fraction(c) for x in point)
+    raise ValueError("projective point cannot be zero")
 
 
 @dataclass
@@ -159,8 +150,8 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
         # core depends on a single variable; squarefree, so smooth lines
         eliminant = MultiPoly.const(1)
 
-    line_roots_y, irrational_y = split_rational_roots(content_x)
-    line_roots_x, irrational_x = split_rational_roots(content_y)
+    line_roots_y, irrational_y = rational_roots(content_x)
+    line_roots_x, irrational_x = rational_roots(content_y)
     # second coordinates of singular points that are not rational, by the
     # lines through them: horizontal lines y = c with c irrational meet the
     # vertical lines and the core, vertical ones x = c meet the horizontal
@@ -182,10 +173,10 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
 
     leftover = MultiPoly.const(1)
     if eliminant is not None and not eliminant.is_constant():
-        roots, leftover = split_rational_roots(radical(eliminant))
+        roots, leftover = rational_roots(radical(eliminant))
         for root, _ in roots:
             # locate rational x for this y by intersecting the specializations
-            xs, rest = split_rational_roots(_singular_locus_over_root(core, fx, fy, y, root))
+            xs, rest = rational_roots(_singular_locus_over_root(core, fx, fy, y, root))
             candidates.update((rx, root) for rx, _ in xs)
             if not rest.is_constant():
                 unlocated.append(MultiPoly.variable(y) - MultiPoly.const(root))
@@ -194,12 +185,12 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
 
     # line-core crossings
     for ry, _ in line_roots_y:
-        xs, rest = split_rational_roots(core.substitute({y: Fraction(ry)}))
+        xs, rest = rational_roots(core.substitute({y: Fraction(ry)}))
         candidates.update((rx, ry) for rx, _ in xs)
         if not rest.is_constant():
             unlocated.append(MultiPoly.variable(y) - MultiPoly.const(ry))
     for rx, _ in line_roots_x:
-        ys, rest = split_rational_roots(core.substitute({x: Fraction(rx)}))
+        ys, rest = rational_roots(core.substitute({x: Fraction(rx)}))
         candidates.update((rx, ry) for ry, _ in ys)
         unlocated.append(rest)
 
@@ -274,17 +265,19 @@ def classify_double_point(f: MultiPoly, point, vars) -> SingularPointReport:
     return SingularPointReport((px, py), kind, 2)
 
 
-def _quadratic_data(quad: MultiPoly, x: str, y: str):
-    a = b = c = Fraction(0)
-    for exp, coeff in quad.terms.items():
-        powers = dict(zip(quad.variables, exp))
-        if powers.get(x, 0) == 2:
-            a = coeff
-        elif powers.get(y, 0) == 2:
-            c = coeff
-        else:
-            b = coeff
-    return a, b, c
+def two_jet(germ: MultiPoly, x: str, y: str) -> dict:
+    """The 2-jet of ``germ`` at the origin of the (x, y) plane as
+    {(i, j): c_ij} for i + j <= 2, absent terms 0.
+
+    The c_ij are the integer coefficients of the stored form, a positive
+    multiple of the rational ones, so every test of signs, ratios or
+    vanishing reads them directly."""
+    jet = dict.fromkeys([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], 0)
+    for e, c in germ.ints.items():
+        if sum(e) <= 2:
+            powers = dict(zip(germ.variables, e))
+            jet[powers.get(x, 0), powers.get(y, 0)] = c
+    return jet
 
 
 def _a_index(germ: MultiPoly, x: str, y: str):
@@ -292,9 +285,8 @@ def _a_index(germ: MultiPoly, x: str, y: str):
     takes more than three blow-ups."""
     current = germ
     for depth in range(3):
-        comps = homogeneous_components(current)
-        quad = comps[2] if len(comps) > 2 else MultiPoly.zero()
-        a, b, c = _quadratic_data(quad, x, y)
+        jet = two_jet(current, x, y)
+        a, b, c = jet[2, 0], jet[1, 1], jet[0, 2]
         if b * b - 4 * a * c != 0:
             return 2 * depth + 1  # nondegenerate: node here
         # rank-one quadratic part: single (rational) tangent direction.
@@ -304,7 +296,7 @@ def _a_index(germ: MultiPoly, x: str, y: str):
         total = blow_up_chart(current, (x, y), (x, y), chart)
         k = total.order_in(exc)
         strict = total.divide_by_power(exc, k)
-        center = {x: -b / (2 * a) if a != 0 else Fraction(0), y: Fraction(0)}
+        center = {x: Fraction(-b, 2 * a) if a != 0 else Fraction(0), y: Fraction(0)}
         if k != 2:
             return None  # not a plain double-point transform
         strict = strict.shift(center)

@@ -31,12 +31,16 @@ is the heuristic GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7,
 1989) with xi >= 2 * min(|f|_inf, |g|_inf) + 2; a candidate is returned
 only when it divides both inputs exactly, and after six failed points
 the subresultant pseudo-remainder sequence (W. S. Brown, JACM 18, 1971)
-takes over.  A resultant needs one point per variable, a power of two
-xi > 2H with H Hadamard's bound over the unit torus,
-H^2 = (sum_j |f_j|_1^2)^n * (sum_j |g_j|_1^2)^m for the coefficients
-f_j, g_j of the eliminated variable, which bounds every coefficient of
-the resultant.  Homogeneous components, coordinate-line stripping and
-exact rational roots of univariate polynomials complete the toolkit.
+takes over.  There is one PRS, on ascending coefficient lists: integers
+for univariate inputs, ``MultiPoly``s in the other variables (divided
+exactly by ``//``) for multivariate ones.  A resultant needs one point
+per variable, a power of two xi > 2H with H Hadamard's bound over the
+unit torus, H^2 = (sum_j |f_j|_1^2)^n * (sum_j |g_j|_1^2)^m for the
+coefficients f_j, g_j of the eliminated variable, which bounds every
+coefficient of the resultant; at the last level it runs the same PRS on
+integers.  Homogeneous components, coordinate-line stripping and exact
+rational roots of univariate polynomials, returned with the cofactor
+they leave, complete the toolkit.
 
 The text format round-trips bit-exactly, e.g.::
 
@@ -231,6 +235,14 @@ class MultiPoly:
         return _make(names, _imul(_over(self, names), _over(other, names)), num, den, primitive=True)
 
     __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        """The exact quotient, as ``exact_divide``: NotDivisibleError
+        unless ``other`` divides this polynomial."""
+        other = _coerce_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return exact_divide(self, other)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -589,15 +601,6 @@ def _ipow(base: dict, k: int) -> dict:
     return _cached_power({0: {(0,) * len(next(iter(base))): 1}, 1: base}, k)
 
 
-def _iadd(a: dict, b: dict, scale: int = 1) -> dict:
-    """a + scale * b."""
-    out = dict(a)
-    get = out.get
-    for e, c in b.items():
-        out[e] = get(e, 0) + scale * c
-    return {e: c for e, c in out.items() if c}
-
-
 def _ipartial(p: dict, i: int) -> dict:
     """The partial derivative of p in its i-th variable."""
     return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in p.items() if e[i]}
@@ -876,32 +879,6 @@ def _xi_adic(p: dict, xi: int) -> dict:
 # -- gcd via pseudo-remainder sequences ---------------------------------------
 
 
-def _leading_in(p: dict, i: int, degree: int, shift: int) -> dict:
-    """Coefficient of x_i^degree in p, multiplied by x_i^shift."""
-    return {e[:i] + (shift,) + e[i + 1:]: c for e, c in p.items() if e[i] == degree}
-
-
-def _iprem(a: dict, b: dict, i: int) -> dict:
-    """Integer pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b in x_i.
-
-    Each reduction step multiplies by lc(b) once; a step can lower the
-    degree by more than one, so the power still owed is applied at the end.
-    """
-    db = max(e[i] for e in b)
-    lead = _leading_in(b, i, db, 0)
-    r = a
-    owed = max(e[i] for e in a) - db + 1
-    while r:
-        dr = max(e[i] for e in r)
-        if dr < db:
-            break
-        r = _iadd(_imul(lead, r), _imul(_leading_in(r, i, dr, dr - db), b), -1)
-        owed -= 1
-    if owed > 0 and r:
-        r = _imul(r, _ipow(lead, owed))
-    return r
-
-
 def content_in(p: MultiPoly, var: str) -> MultiPoly:
     """gcd of the coefficients of p viewed as univariate in ``var``."""
     coeffs = [c for c in p.as_univariate(var) if not c.is_zero()]
@@ -1007,52 +984,31 @@ def _prs_gcd(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     cf = content_in(f, var)
     cg = content_in(g, var)
     cont = gcd_multivariate(cf, cg)
-    fp, gp = exact_divide(f, cf), exact_divide(g, cg)
-    names = _union(fp, gp)
-    i = names.index(var)
-    a, b = _over(fp, names), _over(gp, names)
-    if max(e[i] for e in a) < max(e[i] for e in b):
-        a, b = b, a
-    last = _subresultant_prs(a, b, i)
-    if not max(e[i] for e in last):
+    a, b = exact_divide(f, cf).as_univariate(var), exact_divide(g, cg).as_univariate(var)
+    last = _subresultant_list(*((a, b) if len(a) >= len(b) else (b, a)))[0]
+    if len(last) == 1:
         return _normalize_gcd(cont)
-    return _normalize_gcd(cont * primitive_part_in(_make(names, last), var))
-
-
-def _subresultant_prs(a: dict, b: dict, i: int) -> dict:
-    """Last nonzero remainder of the subresultant PRS of a, b in x_i.
-
-    a and b are integer polynomials with deg a >= deg b >= 1.  The
-    sequence stops at the first remainder that vanishes or is free of
-    x_i; in the first case the one returned is a gcd up to content.
-    """
-    da, db = max(e[i] for e in a), max(e[i] for e in b)
-    g = h = {(0,) * len(next(iter(a))): 1}
-    while db > 0:
-        delta = da - db
-        r = _iprem(a, b, i)
-        if not r:
-            break
-        a, b = b, _idiv(r, _imul(g, _ipow(h, delta)) if delta else g)
-        da, db = db, max(e[i] for e in b)
-        g = _leading_in(a, i, da, 0)
-        if delta == 1:
-            h = g
-        elif delta:
-            h = _idiv(_ipow(g, delta), _ipow(h, delta - 1))
-    return b
+    x = MultiPoly.variable(var)
+    h = _ZERO
+    for c in reversed(last):
+        h = h * x + c
+    return _normalize_gcd(cont * primitive_part_in(h, var))
 
 
 def _subresultant_list(a: list, b: list):
-    """The subresultant PRS of ``_subresultant_prs`` on ascending integer lists.
+    """The subresultant PRS of a and b, ascending coefficient lists with
+    deg a >= deg b >= 1 (W. S. Brown, JACM 18, 1971).
 
-    Univariate resultants and the PRS of univariate gcds take this path, which
-    runs several times faster on plain lists than on dicts.  Returns
-    (last, d, h, sign): the last nonzero remainder, the degree of the one
-    before it, the scale h of the sequence and (-1)^(sum of deg a * deg b
-    over the steps).  If ``last`` is a constant the resultant is
-    sign * last^d / h^(d - 1), otherwise it is 0 (H. Cohen, A Course in
-    Computational Algebraic Number Theory, Algorithm 3.3.7).
+    The coefficients are integers for univariate resultants and gcds, and
+    ``MultiPoly``s in the other variables for multivariate gcds, where
+    ``//`` is exact division.  Every division of the sequence is exact.
+    Returns (last, d, h, sign): the last nonzero remainder, the degree of
+    the one before it, the scale h of the sequence and (-1)^(sum of
+    deg a * deg b over the steps).  The sequence stops at the first
+    remainder that vanishes or is free of the variable; in the first case
+    ``last`` is a gcd up to content.  If ``last`` is a constant the
+    resultant is sign * last^d / h^(d - 1), otherwise it is 0 (H. Cohen,
+    A Course in Computational Algebraic Number Theory, Algorithm 3.3.7).
     """
     da, db = len(a) - 1, len(b) - 1
     g = h = sign = 1
@@ -1073,7 +1029,11 @@ def _subresultant_list(a: list, b: list):
 
 
 def _prem_list(a: list, b: list) -> list:
-    """lc(b)^(deg a - deg b + 1) * a mod b for ascending integer lists."""
+    """lc(b)^(deg a - deg b + 1) * a mod b for ascending coefficient lists.
+
+    Each reduction step multiplies by lc(b) once; a step can lower the
+    degree by more than one, so the power still owed is applied at the end.
+    """
     lead = b[-1]
     owed = len(a) - len(b) + 1
     r = list(a)
@@ -1158,64 +1118,34 @@ def _int_coeffs(p: MultiPoly) -> list:
     return coeffs if coeffs[-1] > 0 else [-c for c in coeffs]
 
 
-def rational_roots(p: MultiPoly) -> list:
-    """All rational roots of a univariate polynomial, with multiplicities.
+def rational_roots(p: MultiPoly):
+    """The rational roots of a univariate polynomial, split off.
 
     Candidates come from p-adic lifting of the squarefree part (Loos,
     SIAM J. Comput. 12, 1983) and are confirmed by integer Horner
     evaluation, so no integer is factored and no fraction arithmetic
-    happens in the search.  Returns a sorted list of (root, multiplicity)
-    pairs.
+    happens in the search.  Each confirmed root r is then split off by one
+    ``extract_power(p, x - r)``.  Returns (roots, cofactor): the sorted
+    (root, multiplicity) pairs and the cofactor free of rational roots,
+    with p = cofactor * prod (x - r)^m.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
     if p.is_constant():
-        return []
+        return [], p
     if len(p.variables) != 1:
         raise ValueError("rational_roots expects a univariate polynomial")
-    var = p.variables[0]
-    vals = _int_coeffs(p)
-    roots = []
-    k = 0
-    while vals[k] == 0:
-        k += 1
-    if k:
-        roots.append((Fraction(0), k))
-        vals = vals[k:]
-    if len(vals) == 1:
-        return sorted(roots)
-    poly = _make((var,), {(i,): c for i, c in enumerate(vals) if c}, primitive=True)
-    sf = _int_coeffs(radical(poly))
-    found = {
-        cand
-        for cand in _padic_candidates(sf)
-        if _horner_pq(sf, cand.numerator, cand.denominator) == 0
-    }
+    x = MultiPoly.variable(p.variables[0])
+    k, p = extract_power(p, x)
+    roots = [(Fraction(0), k)] if k else []
+    if p.is_constant():
+        return roots, p
+    sf = _int_coeffs(radical(p))
+    found = {c for c in _padic_candidates(sf) if not _horner_pq(sf, c.numerator, c.denominator)}
     for root in sorted(found):
-        mult = 0
-        current = [Fraction(c) for c in vals]
-        while len(current) > 1:
-            acc = Fraction(0)
-            quotient = []
-            for c in reversed(current):
-                acc = acc * root + c
-                quotient.append(acc)
-            if acc != 0:
-                break
-            current = quotient[:-1][::-1]
-            mult += 1
-        if mult:
-            roots.append((root, mult))
-    return sorted(roots)
-
-
-def split_rational_roots(p: MultiPoly):
-    """(rational roots with multiplicities, the cofactor free of them) of a
-    univariate polynomial."""
-    roots = rational_roots(p)
-    for root, mult in roots:
-        p = exact_divide(p, (MultiPoly.variable(p.variables[0]) - root) ** mult)
-    return roots, p
+        mult, p = extract_power(p, x - root)
+        roots.append((root, mult))
+    return sorted(roots), p
 
 
 def _padic_candidates(sf: list) -> list:

@@ -35,6 +35,7 @@ from .planecurve import (
     AffineChart,
     NonReducedCurveError,
     PROJECTIVE_VARS,
+    normalize_projective,
     rational_singular_points,
 )
 from .poly import (
@@ -491,7 +492,7 @@ class WeierstrassFibration:
         """Functional invariant a^3 / Delta as unreduced and reduced pairs."""
         num = self.a**3
         den = self.discriminant()
-        g = _gcd_homogeneous(num, den)
+        g = gcd_multivariate(num, den)
         reduced = (exact_divide(num, g), exact_divide(den, g))
         return {"unreduced": (num, den), "reduced": reduced, "gcd": g}
 
@@ -600,19 +601,12 @@ def _projective_rational_singular_points(curve: MultiPoly, charts=range(3)):
             eliminants.append(locus.eliminant_squarefree)
         for rep in locus.points:
             proj = chart.to_projective(rep.point)
-            key = _normalize_projective(proj)
+            key = normalize_projective(proj)
             if key in seen:
                 continue
             seen.add(key)
             points.append(key)
     return points, eliminants
-
-
-def _normalize_projective(pt):
-    for c in pt:
-        if c != 0:
-            return tuple(Fraction(x) / Fraction(c) for x in pt)
-    raise ValueError("projective point cannot be zero")
 
 
 # -- orders along components and condition-(C) normalization ----------------------
@@ -641,24 +635,3 @@ def normalize_condition_C(a: MultiPoly, b: MultiPoly, var: str):
         raise ValueError("both sections vanish identically")
     t = min(k // d for k, d in orders if k != INFINITE_ORDER)
     return a.divide_by_power(var, 4 * t), b.divide_by_power(var, 6 * t), t
-
-
-def _gcd_homogeneous(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """gcd of two homogeneous polynomials in the plane coordinates."""
-    if p.is_zero():
-        return q
-    if q.is_zero():
-        return p
-    result = MultiPoly.const(1)
-    orders_p, p = strip_coordinate_lines(p)
-    orders_q, q = strip_coordinate_lines(q)
-    for var, k in orders_p.items():
-        if var in orders_q:
-            result = result * MultiPoly.variable(var) ** min(k, orders_q[var])
-    chart = AffineChart(0, ("x1", "x2"))
-    pa = chart.dehomogenize(p)
-    qa = chart.dehomogenize(q)
-    g = gcd_multivariate(pa, qa)
-    if not g.is_constant():
-        result = result * chart.homogenize(g, g.total_degree())
-    return result

@@ -203,11 +203,21 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("alpha", sorted(GOLDEN_ANALYZE))
     def test_json_through_prs_fallback(self, run, monkeypatch, alpha):
-        # Every gcd through the subresultant PRS gives the same output.
+        # Every gcd through the subresultant PRS gives the same output, and
+        # the PRS runs on polynomial coefficients for multivariate gcds.
+        prs = poly._subresultant_list
+        calls = {"integer": 0, "multivariate": 0}
+
+        def counted(a, b):
+            calls["multivariate" if isinstance(a[0], poly.MultiPoly) else "integer"] += 1
+            return prs(a, b)
+
         monkeypatch.setattr(poly, "_heu_gcd", lambda f, g: None)
+        monkeypatch.setattr(poly, "_subresultant_list", counted)
         code, out, _ = run("analyze", f"--alpha={alpha}")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_ANALYZE[alpha]
+        assert calls["multivariate"] > 0 and calls["integer"] > 0
 
     @pytest.mark.parametrize("alpha", sorted(GOLDEN_ANALYZE))
     def test_eliminations_take_the_fast_paths(self, run, monkeypatch, alpha):

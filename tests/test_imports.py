@@ -1,4 +1,5 @@
-"""The package's source, read with ``ast``: no module cycles, no dead API."""
+"""The package's source, read with ``ast``: no module cycles, no private
+names shared between modules, no dead API."""
 
 import ast
 from pathlib import Path
@@ -89,6 +90,49 @@ def test_imports_only_at_module_level():
 
 def test_no_import_cycle():
     assert find_cycle(import_graph()) is None
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_imports(path: Path) -> list:
+    """"module:line name" for each underscore name that one module of the
+    package imports from another, or reads off a package module it imported."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    tree = ast.parse(path.read_text())
+    found, bound = [], set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1 or (node.module or "").startswith("fibrant"):
+            found += [(node.lineno, a.name) for a in node.names if is_private(a.name)]
+            if node.module in (None, "fibrant"):
+                bound |= {a.asname or a.name for a in node.names if a.name in modules}
+    found += [
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in bound and is_private(node.attr)
+    ]
+    return [f"{path.stem}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_no_private_names_across_modules():
+    assert [hit for path in sorted(PACKAGE.glob("*.py")) for hit in private_imports(path)] == []
+
+
+def test_private_import_finder(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from . import __version__, monodromy\n"
+        "from .poly import MultiPoly, _make\n"
+        "from fibrant.weierstrass import _hidden\n"
+        "x = monodromy._table, monodromy.SL2Z, MultiPoly._ints\n"
+    )
+    assert private_imports(source) == [
+        "probe:2 _make", "probe:3 _hidden", "probe:4 _table",
+    ]
 
 
 def test_cycle_finder():

@@ -26,7 +26,6 @@ from fibrant.poly import (
     radical,
     rational_roots,
     resultant,
-    split_rational_roots,
     strip_coordinate_lines,
 )
 
@@ -109,6 +108,22 @@ class TestExactDivide:
     def test_not_divisible(self):
         with pytest.raises(NotDivisibleError):
             exact_divide(x**2 + 1, x)
+
+    def test_floordiv_is_exact_division(self):
+        assert (x**2 - y**2) // (x - y) == x + y
+        assert (F(1, 3) * x**2 * y - x * y) // (2 * x * y) == F(1, 6) * x - F(1, 2)
+        assert (6 * x) // 4 == F(3, 2) * x
+        assert MultiPoly.zero() // (x + 1) == MultiPoly.zero()
+        with pytest.raises(NotDivisibleError):
+            (x**2 + 1) // x
+        with pytest.raises(NotDivisibleError):
+            (x**2 + y) // (x + y)
+        with pytest.raises(ZeroDivisionError):
+            x // MultiPoly.zero()
+        with pytest.raises(ZeroDivisionError):
+            x // 0
+        with pytest.raises(TypeError):
+            x // "x"
 
 
 class TestExtractPower:
@@ -260,39 +275,39 @@ class TestEvaluate:
 
 class TestRoots:
     def test_simple(self):
-        assert rational_roots(parse("x^3 - x")) == [(F(-1), 1), (F(0), 1), (F(1), 1)]
+        assert rational_roots(parse("x^3 - x"))[0] == [(F(-1), 1), (F(0), 1), (F(1), 1)]
 
     def test_multiplicity_and_fractions(self):
         p = parse("4*x^2 - 1") * parse("x - 3") ** 2
-        assert rational_roots(p) == [(F(-1, 2), 1), (F(1, 2), 1), (F(3), 2)]
+        assert rational_roots(p)[0] == [(F(-1, 2), 1), (F(1, 2), 1), (F(3), 2)]
 
     def test_no_rational_roots(self):
-        assert rational_roots(parse("x^2 - 2")) == []
+        assert rational_roots(parse("x^2 - 2"))[0] == []
 
     def test_big_coefficients(self):
         p = parse("x - 979113612375") * parse("3*x + 2")
-        roots = dict(rational_roots(p))
+        roots = dict(rational_roots(p)[0])
         assert roots[F(979113612375)] == 1 and roots[F(-2, 3)] == 1
 
     def test_roots_at_the_lifting_bound(self):
         # x - k has |an * k| = |a0 * an|, the largest numerator the lift must recover
         for k in range(-40, 41):
             if k:
-                assert rational_roots(x - k) == [(F(k), 1)]
-                assert rational_roots((7 * x - k) * (x**2 + 3)) == [(F(k, 7), 1)]
+                assert rational_roots(x - k)[0] == [(F(k), 1)]
+                assert rational_roots((7 * x - k) * (x**2 + 3))[0] == [(F(k, 7), 1)]
 
     def test_divisor_rich_integer(self):
         n = 979113612375
         assert n == 3**13 * 5**3 * 17**3
-        assert rational_roots((x - n) ** 2 * (x**2 + n)) == [(F(n), 2)]
+        assert rational_roots((x - n) ** 2 * (x**2 + n))[0] == [(F(n), 2)]
         as_lead = (5**3 * 17**3 * x - 2) * (3**13 * x + 1) * (n * x**2 + 1)
-        assert rational_roots(as_lead) == [(F(-1, 3**13), 1), (F(2, 5**3 * 17**3), 1)]
+        assert rational_roots(as_lead)[0] == [(F(-1, 3**13), 1), (F(2, 5**3 * 17**3), 1)]
 
     def test_split_rational_roots(self):
-        roots, rest = split_rational_roots(parse("(x - 1)^2*(2*x + 3)*(x^2 + 2)"))
+        roots, rest = rational_roots(parse("(x - 1)^2*(2*x + 3)*(x^2 + 2)"))
         assert roots == [(F(-3, 2), 1), (F(1), 2)]
         assert equal_up_to_unit(rest, parse("x^2 + 2"))
-        assert split_rational_roots(MultiPoly.const(3)) == ([], MultiPoly.const(3))
+        assert rational_roots(MultiPoly.const(3)) == ([], MultiPoly.const(3))
 
     def test_squarefree_tools(self):
         p = parse("(x - 1)^2*(x + 2)")
@@ -427,10 +442,10 @@ def test_rational_roots_high_height_against_sympy(case):
     prim, _ = primitive_integer(poly)
     coeffs = [c.constant_value().numerator for c in prim.as_univariate("x")]
     assert max(abs(c) for c in coeffs).bit_length() >= 300
-    assert rational_roots(poly) == expected
+    assert rational_roots(poly)[0] == expected
     sx = sympy.Symbol("x")
     oracle = sympy.roots(sympy.Poly(list(reversed(coeffs)), sx), filter="Q")
-    assert rational_roots(poly) == sorted((F(int(r.p), int(r.q)), m) for r, m in oracle.items())
+    assert rational_roots(poly)[0] == sorted((F(int(r.p), int(r.q)), m) for r, m in oracle.items())
 
 
 @given(planted(12, st.integers(1, 12), st.integers(1, 12)), st.lists(st.integers(-9, 9), min_size=0, max_size=3))
@@ -446,7 +461,23 @@ def test_rational_roots_against_divisor_enumeration(case, extra):
     expected = _roots_by_divisor_enumeration(coeffs[zeros:])
     if zeros:
         expected = sorted(expected + [(F(0), zeros)])
-    assert rational_roots(poly) == expected
+    assert rational_roots(poly)[0] == expected
+
+
+@given(planted(12, st.integers(1, 12), st.integers(1, 12)), st.lists(st.integers(-9, 9), min_size=0, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_rational_roots_split_off_the_cofactor_against_sympy(case, extra):
+    sympy = pytest.importorskip("sympy")
+    p, _ = case
+    p = p * sum((c * x ** (i + 1) for i, c in enumerate(extra)), MultiPoly.const(1))
+    roots, cofactor = rational_roots(p)
+    product = cofactor
+    for root, mult in roots:
+        product = product * (x - root) ** mult
+    assert product == p
+    sx = sympy.Symbol("x")
+    _, factors = sympy.factor_list(to_sympy(sympy, cofactor), sx)
+    assert all(sympy.degree(factor, sx) != 1 for factor, _ in factors)
 
 
 # -- pseudo-remainders and the subresultant gcd ----------------------------------
@@ -454,18 +485,13 @@ def test_rational_roots_against_divisor_enumeration(case, extra):
 
 def pseudo_remainder(f, g, var):
     """prem(f, g): remainder of lc(g)^(deg f - deg g + 1) * f by g in var,
-    computed by the integer kernel ``poly._iprem``; f itself when deg f < deg g."""
-    df, dg = f.degree_in(var), g.degree_in(var)
-    if df < dg:
+    computed by ``poly._prem_list`` on the coefficient lists in var; f
+    itself when deg f < deg g."""
+    if f.degree_in(var) < g.degree_in(var):
         return f
-    names = poly._union(f, g)
-    if var not in names:
-        return MultiPoly.zero()
-    owed = df - dg + 1
-    cf, cg = f.content, g.content
-    num, den = cf.numerator * cg.numerator**owed, cf.denominator * cg.denominator**owed
-    rem = poly._iprem(poly._over(f, names), poly._over(g, names), names.index(var))
-    return poly._make(names, rem, num, den)
+    rem = poly._prem_list(f.as_univariate(var), g.as_univariate(var))
+    v = MultiPoly.variable(var)
+    return sum((c * v**j for j, c in enumerate(rem)), MultiPoly.zero())
 
 
 def test_pseudo_remainder_owes_the_full_power():
@@ -500,6 +526,19 @@ def polys_in(draw, names, max_terms=4, max_exp=2, coeffs=small_coeffs):
         exp = tuple(draw(st.integers(0, max_exp)) for _ in names)
         terms[exp] = terms.get(exp, F(0)) + draw(coeffs)
     return MultiPoly(names, terms)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_pseudo_remainder_against_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    names = ("x", "y", "z")[: data.draw(st.sampled_from((2, 3)))]
+    f = data.draw(polys_in(names, max_terms=5, max_exp=3))
+    g = data.draw(polys_in(names, max_terms=4, max_exp=2))
+    if g.is_zero():
+        return
+    theirs = sympy.prem(to_sympy(sympy, f), to_sympy(sympy, g), *map(sympy.Symbol, names))
+    assert pseudo_remainder(f, g, "x") == from_sympy(sympy, theirs, names)
 
 
 @st.composite

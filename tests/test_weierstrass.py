@@ -12,6 +12,7 @@ from fibrant.poly import (
     MultiPoly,
     equal_up_to_unit,
     extract_power,
+    gcd_multivariate,
     parse,
     radical,
     strip_coordinate_lines,
@@ -24,7 +25,6 @@ from fibrant.weierstrass import (
     NotInTableError,
     OrderTriple,
     WeierstrassFibration,
-    _gcd_homogeneous,
     _projective_rational_singular_points,
     check_genericity,
     kodaira_classify,
@@ -412,7 +412,7 @@ def test_gcd_homogeneous_against_sympy(common, f, g, line, k, j):
     sympy = pytest.importorskip("sympy")
     p = common**k * f * line**j
     q = common * g * A0**j
-    ours = _gcd_homogeneous(p, q)
+    ours = gcd_multivariate(p, q)
     theirs = sympy.gcd(to_sympy(sympy, p), to_sympy(sympy, q))
     assert ours.is_homogeneous()
     assert equal_up_to_unit(ours, from_sympy(sympy, theirs, PLANE))
