@@ -54,9 +54,7 @@ from .poly import (
     equal_up_to_unit,
     format_poly,
     gcd_multivariate,
-    gcd_univariate,
     is_squarefree,
-    primitive_integer,
     radical,
     rational_roots,
     resultant,
@@ -265,7 +263,6 @@ class BaseModification:
 class _ChartTask:
     model: LocalModel       # normalized
     divisors: dict          # name -> germ in chart coords
-    scan_all: bool
     exceptional: str | None  # name of the fresh exceptional divisor
 
 
@@ -278,7 +275,7 @@ class _TowerDriver:
         self.types = dict(types)        # divisor name -> KodairaType
 
     def run(self, model: LocalModel, divisors: dict) -> Tower:
-        task = _ChartTask(model, divisors, scan_all=False, exceptional=None)
+        task = _ChartTask(model, divisors, exceptional=None)
         self._process_point(task, (Fraction(0), Fraction(0)))
         return self.tower
 
@@ -334,15 +331,11 @@ class _TowerDriver:
         self.tower.divisors.append(
             DivisorRecord(exc_name, f"exceptional divisor over {self.tower.label}", triple_a, ktype)
         )
-        task_a = _ChartTask(
-            model_a, self._transform_divisors(task, model_a, exc_name), True, exc_name
-        )
-        task_b = _ChartTask(
-            model_b, self._transform_divisors(task, model_b, exc_name), False, exc_name
-        )
         self.tower.charts += [model_a, model_b]
-        self._scan_chart(task_a)
-        self._scan_chart(task_b)
+        for model in (model_a, model_b):
+            self._scan_chart(
+                _ChartTask(model, self._transform_divisors(task, model, exc_name), exc_name)
+            )
 
     def _transform_divisors(self, task, model, exc_name):
         step = model.history[-1]
@@ -360,17 +353,22 @@ class _TowerDriver:
         return new
 
     def _scan_chart(self, task):
-        """Find every point of the new exceptional divisor needing action."""
-        exc_var = task.model.history[-1].exceptional_coord()
-        other_var = next(c for c in task.model.coords if c != exc_var)
-        if not task.scan_all:
+        """Find every point of the new exceptional divisor needing action.
+
+        Chart A sees all of that divisor but one point, the origin of
+        chart B, so chart B is scanned at its origin only."""
+        step = task.model.history[-1]
+        if step.chart == "B":
             self._process_point(task, (Fraction(0), Fraction(0)))
             return
+        exc_var = step.exceptional_coord()
+        restrictions = {
+            name: germ.at_zero(exc_var)
+            for name, germ in task.divisors.items()
+            if name != task.exceptional
+        }
         points = set()
-        for name, germ in task.divisors.items():
-            if name == task.exceptional:
-                continue
-            restriction = germ.at_zero(exc_var)
+        for name, restriction in restrictions.items():
             if restriction.is_zero():
                 raise NotAnalyzableError(
                     f"divisor {name} contains the exceptional divisor over {self.tower.label}"
@@ -379,39 +377,20 @@ class _TowerDriver:
                 continue
             roots, leftover = rational_roots(restriction)
             points.update(root for root, _ in roots)
-            if not leftover.is_constant():
-                self._handle_cluster(task, name, leftover, exc_var, other_var)
-        for root in sorted(points):
-            pt = (Fraction(0), root) if exc_var == task.model.coords[0] else (root, Fraction(0))
-            self._process_point(task, pt)
-
-    def _handle_cluster(self, task, name, leftover, exc_var, other_var):
-        """Certify non-rational crossings with the exceptional as nodes."""
-        exc_type = self.types[task.exceptional]
-        if not is_squarefree(leftover, other_var):
-            raise NotAnalyzableError(
-                f"non-rational tangency of {name} with {task.exceptional} "
-                f"over {self.tower.label}: eliminant {format_poly(leftover)} not squarefree"
+            if leftover.is_constant():
+                continue
+            others = [
+                r for other, r in restrictions.items()
+                if other != name and not self.types[other].is_smooth() and not r.is_constant()
+            ]
+            record = _crossing_record(
+                self.types, (name, task.exceptional), leftover,
+                f"over {self.tower.label}", others,
             )
-        for other_name, other_germ in task.divisors.items():
-            if other_name in (name, task.exceptional):
-                continue
-            if self.types[other_name].is_smooth():
-                continue
-            other_restriction = other_germ.at_zero(exc_var)
-            if other_restriction.is_constant():
-                continue
-            g = gcd_univariate(leftover, other_restriction, other_var)
-            if not g.is_constant():
-                raise NotAnalyzableError(
-                    f"non-rational collision of three divisors over {self.tower.label}"
-                )
-        if exc_type.is_smooth():
-            return
-        pair = (name, task.exceptional)
-        self.tower.collisions.append(
-            _cluster_record(self.types, pair, leftover, f"over {self.tower.label}")
-        )
+            if not self.types[task.exceptional].is_smooth():
+                self.tower.collisions.append(record)
+        for root in sorted(points):
+            self._process_point(task, (Fraction(0), root))
 
 
 def _collide_or_none(types, pair):
@@ -422,10 +401,21 @@ def _collide_or_none(types, pair):
         return None
 
 
-def _cluster_record(types, pair, eliminant, site, where=""):
-    """Collision record for the non-rational crossings of ``pair`` cut out
-    by ``eliminant``.  Only rational points are blown up, so an off-table
-    pair there is not analyzable."""
+def _crossing_record(types, pair, eliminant, site, others=(), where=""):
+    """Collision record for the crossings of the divisors ``pair`` at the
+    roots of ``eliminant``, a univariate polynomial with no rational root.
+
+    Only rational points are blown up, so these crossings are certified
+    here: transverse (``eliminant`` squarefree), off every other divisor
+    (coprime to each restriction in ``others``) and with an on-table pair
+    of fiber types; anything else is not analyzable."""
+    if not is_squarefree(eliminant):
+        raise NotAnalyzableError(
+            f"non-rational tangency of {pair[0]} with {pair[1]} {site}: "
+            f"eliminant {format_poly(eliminant)} not squarefree"
+        )
+    if any(not gcd_multivariate(eliminant, other).is_constant() for other in others):
+        raise NotAnalyzableError(f"non-rational collision of three divisors {site}")
     fiber = _collide_or_none(types, pair)
     if fiber is None:
         raise NotAnalyzableError(
@@ -571,12 +561,16 @@ class _Regularizer:
         _certify_no_singularities_at_infinity(residual)
         chart = AffineChart.standard(0)
         locus = rational_singular_points(chart.dehomogenize(residual), chart)
+        # the section divisors, lines stripped, as germs on the same chart
+        sections = [
+            chart.dehomogenize(strip_coordinate_lines(s)[1]) for s in (self.fib.a, self.fib.b)
+        ]
         for rep in locus.points:
             if rep.kind == "node":
                 self._site(chart.to_projective(rep.point), ("Q~",), transverse=True)
             elif rep.kind == "cusp":
                 self.mod.record_singular_point(chart.to_projective(rep.point))
-                _verify_contact_point(self.fib, chart, rep.point)
+                _verify_contact_point(sections, chart, rep.point)
                 label = f"contact point {tuple(map(str, rep.point))}"
                 self.mod.towers.append(contact_tower(label, self.types))
             else:
@@ -586,7 +580,7 @@ class _Regularizer:
                 )
         cluster = locus.eliminant_squarefree
         if cluster is not None:
-            count = _certify_contact_cluster(self.fib, cluster)
+            count = _certify_contact_cluster(sections, chart, cluster)
             self.mod.towers.append(contact_tower("contact cluster", self.types, count))
             self.mod.notes.append("contact-point cluster eliminant: " + format_poly(cluster))
 
@@ -610,12 +604,8 @@ class _Regularizer:
             point = {var: Fraction(0), first: Fraction(1), second: root}
             self._site(tuple(point[v] for v in PROJECTIVE_VARS), names, transverse=mult == 1)
         if not leftover.is_constant():
-            if not is_squarefree(leftover, second):
-                raise NotAnalyzableError(
-                    f"non-rational tangency of the residual with {var} = 0"
-                )
             self.mod.node_collisions.append(
-                _cluster_record(
+                _crossing_record(
                     self.types, names, leftover, f"on the line {var} = 0",
                     where="crossing on the discriminant",
                 )
@@ -643,10 +633,10 @@ def _certify_no_singularities_at_infinity(residual):
     )
 
 
-def _verify_contact_point(fib, chart, point):
-    """A cusp of the residual must be a transverse contact of the sections."""
-    fa = chart.dehomogenize(strip_coordinate_lines(fib.a)[1])
-    fb = chart.dehomogenize(strip_coordinate_lines(fib.b)[1])
+def _verify_contact_point(sections, chart, point):
+    """A cusp of the residual must be a transverse contact of the sections,
+    given as germs (fa, fb) on ``chart``."""
+    fa, fb = sections
     x, y = chart.coords
     at = _evaluator(chart.coords, point)
     jacobian = at(fa.derivative(x)) * at(fb.derivative(y)) - at(fa.derivative(y)) * at(
@@ -659,28 +649,26 @@ def _verify_contact_point(fib, chart, point):
         )
 
 
-def _certify_contact_cluster(fib, cluster):
+def _certify_contact_cluster(sections, chart, cluster):
     """The non-rational singular points must be the transverse contacts of
-    the section divisors; certified through the contact eliminant.
+    the section divisors, given as germs (fa, fb) on ``chart``; certified
+    through the contact eliminant.
 
     ``cluster`` is the squarefree eliminant of those points in the second
-    coordinate of the A0 chart."""
-    chart = AffineChart.standard(0)
-    fa = chart.dehomogenize(strip_coordinate_lines(fib.a)[1])
-    fb = chart.dehomogenize(strip_coordinate_lines(fib.b)[1])
-    x, y = chart.coords
+    coordinate of ``chart``."""
+    fa, fb = sections
+    x = chart.coords[0]
     if fa.degree_in(x) < 1 or fb.degree_in(x) < 1:
         raise NotAnalyzableError("section divisors do not eliminate; cannot certify cluster")
     contact = resultant(fa, fb, x)
     if contact.is_zero():
         raise NotAnalyzableError("section divisors share a component")
-    contact_sf, _ = primitive_integer(radical(contact))
-    _, reduced = rational_roots(contact_sf)
-    if not is_squarefree(contact, y):
+    if not is_squarefree(contact):
         raise NotAnalyzableError(
             "contact eliminant of the section divisors is not squarefree; "
             "transversality of the contact points is not certified"
         )
+    _, reduced = rational_roots(contact)
     if not equal_up_to_unit(cluster, reduced):
         raise NotAnalyzableError(
             "non-rational singular points of the residual do not match the "

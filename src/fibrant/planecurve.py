@@ -2,12 +2,13 @@
 
 Rational singular points are located by resultant elimination plus exact
 rational-root extraction; non-rational singular points are never located
-numerically, only certified through eliminant polynomials.  Double points
-are classified (node / cusp / tacnode) by recentering and, where the
-quadratic part degenerates, by blowing up and re-classifying the strict
-transform.  Intersection multiplicities are computed as vanishing orders
-of resultants after a shear making the projection generic, which keeps
-every step exact over the rationals.
+numerically, only certified through eliminant polynomials.  The
+multiplicity of a point is the least total degree of the recentred germ.
+Double points are classified (node / cusp / tacnode) by the 2-jet and,
+where the quadratic part degenerates, by blowing up and re-classifying
+the strict transform.  Intersection multiplicities are computed as
+vanishing orders of resultants after a shear making the projection
+generic, which keeps every step exact over the rationals.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .poly import (
     exact_divide,
     extract_power,
     gcd_multivariate,
-    gcd_univariate,
-    homogeneous_components,
     format_poly,
     primitive_integer,
     radical,
@@ -250,12 +249,11 @@ def classify_double_point(f: MultiPoly, point, vars) -> SingularPointReport:
     x, y = vars
     px, py = Fraction(point[0]), Fraction(point[1])
     germ = f.shift({x: px, y: py})
-    comps = homogeneous_components(germ)
-    if comps and not comps[0].is_zero():
-        raise ValueError("point does not lie on the curve")
-    mult = next((d for d, c in enumerate(comps) if not c.is_zero()), None)
-    if mult is None:
+    if germ.is_zero():
         raise ValueError("curve vanishes identically")
+    mult = min(map(sum, germ.ints))
+    if mult == 0:
+        raise ValueError("point does not lie on the curve")
     if mult == 1:
         raise ValueError("point is a smooth point, not singular")
     if mult >= 3:
@@ -300,10 +298,7 @@ def _a_index(germ: MultiPoly, x: str, y: str):
         if k != 2:
             return None  # not a plain double-point transform
         strict = strict.shift(center)
-        comps2 = homogeneous_components(strict)
-        mult2 = next((d for d, cpt in enumerate(comps2) if not cpt.is_zero()), None)
-        if mult2 is None:
-            return None
+        mult2 = min(map(sum, strict.ints))
         if mult2 <= 1:
             # strict transform smooth over (or missing) the center: chain ends
             return 2 * (depth + 1)
@@ -368,7 +363,7 @@ def _shear_is_generic(F, G, x, y, qx, qy) -> bool:
     # the line x = qx must meet the curves in no common point besides (qx, qy)
     Fline = F.substitute({x: qx})
     Gline = G.substitute({x: qx})
-    h = gcd_univariate(Fline, Gline, y)
+    h = gcd_multivariate(Fline, Gline)
     k, rest = extract_power(h, MultiPoly.variable(y) - qy) if not h.is_constant() else (0, h)
     return h.is_constant() or (k >= 1 and rest.is_constant())
 
@@ -390,10 +385,7 @@ def smoothness_certificate(f: MultiPoly, chart: AffineChart) -> SmoothnessCertif
     for d in (fx, fy):
         if d.is_constant() and not d.is_zero():
             return SmoothnessCertificate(True, reason="constant nonzero partial derivative")
-    try:
-        locus = rational_singular_points(f, chart)
-    except NonReducedCurveError:
-        raise
+    locus = rational_singular_points(f, chart)
     if locus.points:
         return SmoothnessCertificate(
             False,

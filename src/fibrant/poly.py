@@ -24,23 +24,25 @@ linear Poisson bracket of a table of integer structure constants, summed
 over the partial derivatives of both integer parts at once) and
 ``blow_up_chart``, a chart of a point blow-up as a map on exponents.
 
-Gcds and resultants set one variable at a time to a single large
-integer xi, so the work falls to CPython's big-integer arithmetic, and
-read the answer off the balanced xi-adic digits of the result.  The gcd
-is the heuristic GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7,
-1989) with xi >= 2 * min(|f|_inf, |g|_inf) + 2; a candidate is returned
-only when it divides both inputs exactly, and after six failed points
-the subresultant pseudo-remainder sequence (W. S. Brown, JACM 18, 1971)
-takes over.  There is one PRS, on ascending coefficient lists: integers
-for univariate inputs, ``MultiPoly``s in the other variables (divided
-exactly by ``//``) for multivariate ones.  A resultant needs one point
-per variable, a power of two xi > 2H with H Hadamard's bound over the
-unit torus, H^2 = (sum_j |f_j|_1^2)^n * (sum_j |g_j|_1^2)^m for the
+Gcds and resultants set one variable at a time to a single large integer
+xi, so the work falls to CPython's big-integer arithmetic, and read the
+answer off the balanced xi-adic digits of the result.  The one gcd,
+``gcd_multivariate``, is the heuristic GCDHEU (Char, Geddes and Gonnet,
+J. Symbolic Comput. 7, 1989) with xi >= 2 * min(|f|_inf, |g|_inf) + 2;
+a candidate is returned only when it divides both inputs exactly, and
+after six failed points the subresultant pseudo-remainder sequence
+(W. S. Brown, JACM 18, 1971) takes over in the last shared variable.
+There is one PRS, on ascending coefficient lists: integers for univariate
+inputs, ``MultiPoly``s in the other variables (divided exactly by
+``//``) for multivariate ones.  A resultant needs one point per
+variable, a power of two xi > 2H with H Hadamard's bound over the unit
+torus, H^2 = (sum_j |f_j|_1^2)^n * (sum_j |g_j|_1^2)^m for the
 coefficients f_j, g_j of the eliminated variable, which bounds every
 coefficient of the resultant; at the last level it runs the same PRS on
-integers.  Homogeneous components, coordinate-line stripping and exact
-rational roots of univariate polynomials, returned with the cofactor
-they leave, complete the toolkit.
+integers.  Coordinate-line stripping, the squarefree part and test (a
+gcd with each partial derivative in turn) and exact rational roots of
+univariate polynomials, returned with the cofactor they leave, complete
+the toolkit.
 
 The text format round-trips bit-exactly, e.g.::
 
@@ -892,14 +894,17 @@ def content_in(p: MultiPoly, var: str) -> MultiPoly:
     return _normalize_gcd(g)
 
 
-def primitive_part_in(p: MultiPoly, var: str) -> MultiPoly:
-    if p.is_zero():
-        return _ZERO
-    return exact_divide(p, content_in(p, var))
-
-
 def gcd_multivariate(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Normalized gcd over Q[x1..xn] (GCDHEU, the subresultant PRS as fallback)."""
+    """Normalized gcd over Q[x1..xn].
+
+    The heuristic gcd ``_heu_gcd`` runs first.  Should it fail, the
+    subresultant PRS runs in the last variable the inputs share: the
+    coefficients in the remaining variables are handled through content
+    and primitive part, and the remainder sequence runs on the
+    integer-primitive parts, whose exact divisions keep coefficient
+    growth polynomial.  The result is monic when univariate over Q,
+    otherwise primitive with a sign-normalized leading coefficient.
+    """
     if p.is_zero():
         return _normalize_gcd(q)
     if q.is_zero():
@@ -909,29 +914,10 @@ def gcd_multivariate(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     shared = [v for v in p.variables if v in q.variables]
     if not shared:
         return _ONE
-    var = shared[-1]
-    return gcd_univariate(p, q, var)
-
-
-def gcd_univariate(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """gcd of f and g, the subresultant PRS in ``var`` as fallback.
-
-    The heuristic gcd ``_heu_gcd`` runs first.  Should it fail, the
-    coefficients in the remaining variables are handled through content
-    and primitive part, and the remainder sequence is the subresultant
-    PRS on the integer-primitive parts, whose exact divisions keep
-    coefficient growth polynomial.  The result is monic when univariate
-    over Q, otherwise primitive with a sign-normalized leading
-    coefficient.
-    """
-    if f.is_zero():
-        return _normalize_gcd(g)
-    if g.is_zero():
-        return _normalize_gcd(f)
-    names = _union(f, g)
-    h = _heu_gcd(_over(f, names), _over(g, names))
+    names = _union(p, q)
+    h = _heu_gcd(_over(p, names), _over(q, names))
     if h is None:
-        return _prs_gcd(f, g, var)
+        return _prs_gcd(p, q, shared[-1])
     return _normalize_gcd(_make(names, h))
 
 
@@ -992,7 +978,7 @@ def _prs_gcd(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     h = _ZERO
     for c in reversed(last):
         h = h * x + c
-    return _normalize_gcd(cont * primitive_part_in(h, var))
+    return _normalize_gcd(cont * exact_divide(h, content_in(h, var)))
 
 
 def _subresultant_list(a: list, b: list):
@@ -1066,21 +1052,6 @@ def _normalize_gcd(p: MultiPoly) -> MultiPoly:
 
 def _grlex_key(exp: Exponent):
     return (sum(exp), exp)
-
-
-# -- homogeneous components --------------------------------------------------
-
-
-def homogeneous_components(p: MultiPoly) -> list:
-    """Split p by total degree: [p_0, p_1, ..., p_d] with sum(p_i) = p;
-    missing degrees are zero polynomials."""
-    if p.is_zero():
-        return [_ZERO]
-    buckets = [dict() for _ in range(p.total_degree() + 1)]
-    for exp, coeff in p.ints.items():
-        buckets[sum(exp)][exp] = coeff
-    num, den = p.content.numerator, p.content.denominator
-    return [_make(p.variables, b, num, den) for b in buckets]
 
 
 # -- integer utilities for rational root extraction --------------------------
@@ -1219,8 +1190,9 @@ def radical(p: MultiPoly) -> MultiPoly:
     return exact_divide(p, g)
 
 
-def is_squarefree(p: MultiPoly, var: str) -> bool:
-    return gcd_univariate(p, p.derivative(var), var).is_constant()
+def is_squarefree(p: MultiPoly) -> bool:
+    """True when no square of a nonconstant polynomial divides p."""
+    return radical(p) == p
 
 
 # -- text format -------------------------------------------------------------
@@ -1303,18 +1275,18 @@ class _Parser:
         return tok
 
     def parse_expr(self) -> MultiPoly:
-        if self.peek() in "+-":
-            sign = self.next()[0]
-            result = self.parse_term()
-            if sign == "-":
-                result = -result
-        else:
-            result = self.parse_term()
-        while self.peek() in "+-":
-            op = self.next()[0]
+        """A signed sum of terms, added pairwise: each round halves the
+        list, so n terms cost O(n log n) term copies, not O(n^2)."""
+        terms = []
+        sign = self.next()[0] if self.peek() in "+-" else "+"
+        while sign:
             term = self.parse_term()
-            result = result + term if op == "+" else result - term
-        return result
+            terms.append(-term if sign == "-" else term)
+            sign = self.next()[0] if self.peek() in "+-" else None
+        while len(terms) > 1:
+            odd = terms[-1:] if len(terms) % 2 else []
+            terms = [p + q for p, q in zip(terms[::2], terms[1::2])] + odd
+        return terms[0]
 
     def parse_term(self) -> MultiPoly:
         result = self.parse_factor()
@@ -1362,7 +1334,10 @@ def parse(text: str, params: dict | None = None) -> MultiPoly:
     reading (e.g. ``{"alpha": Fraction(3, 2)}``).
     """
     parser = _Parser(text, {k: _coerce_coeff(v) for k, v in (params or {}).items()})
-    result = parser.parse_expr()
+    try:
+        result = parser.parse_expr()
+    except RecursionError:
+        raise ValueError("polynomial text is nested too deeply") from None
     if parser.peek() != "end":
         raise ValueError("trailing input in polynomial text")
     return result

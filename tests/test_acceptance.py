@@ -83,7 +83,7 @@ def test_criterion_2_quintic_singularities(criterion):
 
     quartic = parse("3*a2^4 - a2^3 + 72*a2^2 - 108*a2 + 27*17")
     ok &= equal_up_to_unit(locus.eliminant_squarefree, quartic)
-    ok &= is_squarefree(locus.eliminant_squarefree, "a2")
+    ok &= is_squarefree(locus.eliminant_squarefree)
 
     res = resultant(quartic, quartic.derivative("a2"), "a2").constant_value()
     ok &= abs(res) == 979113612375

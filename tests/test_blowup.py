@@ -462,6 +462,49 @@ class TestPlantedSites:
         assert mod.singular_points == [(1, 0, 0)]
 
 
+    def test_nonrational_crossings_with_an_exceptional_divisor(self):
+        # the residual cubic (type II) is a1^2 - 2*a2^2 + a2^3 = 0 on the
+        # chart A0 = 1, a node at (1:0:0) with the tangents a1 = +-sqrt(2) a2;
+        # II + II is off the table, so (1:0:0) is blown up to E1 of type IV,
+        # which the strict transform meets at the two points 54*y1^2 = 27
+        fib = WeierstrassFibration(MultiPoly.zero(), parse(_NODAL_CUBIC_B))
+        mod = regularize(fib)
+        tags = {d.name: d.kodaira.tag for d in mod.component_divisors}
+        assert tags == {"L~": "I0*", "Q~": "II"}
+        assert mod.node_collisions == []
+        tower = mod.towers[0]
+        assert (tower.label, tower.blow_ups) == ("point (1:0:0)", 1)
+        assert [(d.name, d.kodaira.tag) for d in tower.divisors] == [("E1", "IV")]
+        [collision] = tower.collisions
+        assert (collision.pair, collision.point, collision.fiber.label, collision.count) == (
+            ("Q~", "E1"), None, "I0*", 2
+        )
+        assert format_poly(collision.cluster_eliminant) == "54*y1^2 - 27"
+        assert mod.singular_points == [(1, 0, 0), (0, 1, 0)]
+
+    def test_nonrational_line_tangency_is_not_analyzable(self):
+        # the residual meets A0 = 0 where (A1^2 - 2*A2^2)^2 = 0: two
+        # conjugate points, each a tangency
+        fib = WeierstrassFibration(
+            MultiPoly.zero(), parse("A0^2*((A1^2 - 2*A2^2)^2 + A0*A2^3 + A0^4)")
+        )
+        with pytest.raises(NotAnalyzableError, match="non-rational tangency"):
+            regularize(fib)
+
+    def test_gradient_factor_on_the_line_at_infinity_is_not_certified(self):
+        fib = WeierstrassFibration(parse("A0^4"), parse(_NODAL_CUBIC_B))
+        with pytest.raises(NotAnalyzableError, match="may be singular on the line A0 = 0"):
+            regularize(fib)
+
+    def test_residual_point_of_multiplicity_three_is_not_analyzable(self):
+        fib = WeierstrassFibration(parse("A0^2*A1^2"), parse(_NODAL_CUBIC_B))
+        with pytest.raises(NotAnalyzableError, match="multiplicity_ge_3 singular point"):
+            regularize(fib)
+
+
+_NODAL_CUBIC_B = "A0^3*(A0*(A1^2 - 2*A2^2) + A2^3)"
+
+
 def _three_chart_singular_points(fib):
     """Rational singular points of the reduced discriminant on all three charts."""
     lines, residual = fib.reduced_discriminant()

@@ -135,6 +135,32 @@ def test_private_import_finder(tmp_path):
     ]
 
 
+def reraise_only_handlers(path: Path) -> list:
+    """"module:line" of each ``except`` clause whose whole body is a bare ``raise``."""
+    return [
+        f"{path.stem}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ExceptHandler)
+        and len(node.body) == 1
+        and isinstance(node.body[0], ast.Raise)
+        and node.body[0].exc is None
+    ]
+
+
+def test_no_handler_only_reraises():
+    assert [hit for path in sorted(PACKAGE.glob("*.py")) for hit in reraise_only_handlers(path)] == []
+
+
+def test_reraise_finder(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "try:\n    f()\nexcept KeyError:\n    raise\n"
+        "except OSError as exc:\n    raise ValueError() from exc\n"
+        "except TypeError:\n    log()\n    raise\n"
+    )
+    assert reraise_only_handlers(source) == ["probe:3"]
+
+
 def test_cycle_finder():
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b"}, "b": set()}) is None

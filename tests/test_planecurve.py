@@ -15,7 +15,6 @@ from fibrant.poly import (
     MultiPoly,
     equal_up_to_unit,
     extract_power,
-    homogeneous_components,
     is_squarefree,
     parse,
 )
@@ -49,7 +48,7 @@ class TestRationalSingularPoints:
         locus = rational_singular_points(U0.dehomogenize(quintic_alpha1), U0)
         quartic = parse("3*a2^4 - a2^3 + 72*a2^2 - 108*a2 + 27*17")
         assert equal_up_to_unit(locus.eliminant_squarefree, quartic)
-        assert is_squarefree(locus.eliminant_squarefree, "a2")
+        assert is_squarefree(locus.eliminant_squarefree)
         assert nonrational_count(locus) == 4
 
     def test_smooth_conic(self):
@@ -130,8 +129,10 @@ class TestClassifyDoublePoint:
             classify_double_point(parse("x - y^2"), (0, 0), ("x", "y"))
 
     def test_off_curve_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not lie on the curve"):
             classify_double_point(parse("x^2 - y^2 + 1"), (0, 0), ("x", "y"))
+        with pytest.raises(ValueError, match="vanishes identically"):
+            classify_double_point(MultiPoly.zero(), (0, 0), ("x", "y"))
 
 
 class TestIntersectionMultiplicity:

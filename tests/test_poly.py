@@ -17,8 +17,6 @@ from fibrant.poly import (
     extract_power,
     format_poly,
     gcd_multivariate,
-    gcd_univariate,
-    homogeneous_components,
     is_squarefree,
     parse,
     poisson_bracket,
@@ -191,14 +189,14 @@ class TestResultant:
 
 class TestGcd:
     def test_basic(self):
-        assert gcd_univariate(x**2 - 1, x - 1, "x") == x - 1
+        assert gcd_multivariate(x**2 - 1, x - 1) == x - 1
 
     def test_squarefree_vs_derivative(self):
         f = parse("x^3 + 2*x + 1")
-        assert gcd_univariate(f, f.derivative("x"), "x") == MultiPoly.const(1)
+        assert gcd_multivariate(f, f.derivative("x")) == MultiPoly.const(1)
 
     def test_content_slice(self):
-        g = gcd_univariate(s1**3 - 27 * s2**2, -54 * s2, "s2")
+        g = gcd_multivariate(s1**3 - 27 * s2**2, -54 * s2)
         assert g.is_constant()
 
     def test_multivariate(self):
@@ -210,36 +208,8 @@ class TestGcd:
         f = (x - a) ** i * (x - b)
         g = (x - a) ** j * (x + b + 1)
         r = resultant(f, g, "x")
-        has_common = not gcd_univariate(f, g, "x").is_constant()
+        has_common = not gcd_multivariate(f, g).is_constant()
         assert r.is_zero() == has_common
-
-
-class TestHomogeneousComponents:
-    def test_node_recentering(self, quintic_alpha1):
-        # degree-1 part vanishes at a double point of the residual curve
-        affine = quintic_alpha1.substitute({"A0": F(1)})
-        parts = homogeneous_components(affine.shift({"A1": F(1), "A2": F(9, 4)}))
-        assert parts[0].is_zero() and parts[1].is_zero()
-        assert not parts[2].is_zero()
-
-    def test_square_at_origin(self):
-        parts = homogeneous_components(x**2)
-        assert [format_poly(c) for c in parts] == ["0", "0", "x^2"]
-
-    def test_shifted_square(self):
-        parts = homogeneous_components(((x - 1) ** 2).shift({"x": F(1)}))
-        assert [format_poly(c) for c in parts] == ["0", "0", "x^2"]
-
-    @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2))
-    @settings(max_examples=30, deadline=None)
-    def test_components_sum_back(self, a, b, c):
-        p = a * x**3 + b * x * y + c
-        point = {"x": F(1), "y": F(-2)}
-        parts = homogeneous_components(p.shift(point))
-        total = MultiPoly.zero()
-        for part in parts:
-            total = total + part
-        assert total == p.shift(point)
 
 
 class TestEvaluate:
@@ -311,7 +281,10 @@ class TestRoots:
 
     def test_squarefree_tools(self):
         p = parse("(x - 1)^2*(x + 2)")
-        assert not is_squarefree(p, "x")
+        assert not is_squarefree(p)
+        assert is_squarefree(parse("x*y*(x + y)"))
+        assert not is_squarefree(parse("(x - y)^2*(x + 1)"))
+        assert is_squarefree(MultiPoly.const(3))
         assert equal_up_to_unit(radical(p), parse("(x - 1)*(x + 2)"))
 
 
@@ -329,6 +302,21 @@ class TestTextFormat:
     def test_zero(self):
         assert format_poly(MultiPoly.zero()) == "0"
         assert parse("0").is_zero()
+
+    def test_round_trip_of_a_dense_trivariate_polynomial(self):
+        terms = {
+            (i, j, k): F((7 * i - 3 * j + k * k) or 1, 1 + (i + 2 * j + 3 * k) % 11)
+            for i in range(30) for j in range(30 - i) for k in range(30 - i - j)
+        }
+        p = MultiPoly(("x", "y", "z"), terms)
+        assert len(p.terms) == 4960
+        assert parse(format_poly(p)) == p
+        assert parse("-(" + format_poly(p) + ")") == -p
+
+    def test_deep_nesting_is_a_value_error(self):
+        assert parse("(" * 50 + "x" + ")" * 50) == x
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse("(" * 5000 + "x" + ")" * 5000)
 
     def test_primitive_integer_units(self):
         p = parse("(2/3)*x^2 - (4/3)")
@@ -663,8 +651,6 @@ def test_kernels_build_canonical_polynomials(p, q, data):
         assert_canonical(combined)
         assert combined == fraction_sum(p, q, sign * scale)
     assert_canonical(primitive_integer(p)[0])
-    for part in homogeneous_components(p):
-        assert_canonical(part)
     for var in VARIABLE_POOL:
         assert_canonical(p.derivative(var))
         for c in p.as_univariate(var):
