@@ -7,15 +7,19 @@ rational center produces two charts,
     chart A:  (s1, s2) -> (c1 + u,   c2 + u*v)   (exceptional divisor u = 0)
     chart B:  (s1, s2) -> (c1 + u*v, c2 + v)     (exceptional divisor v = 0)
 
-A center is shifted to the origin, where the charts are exponent maps,
-s1^i s2^j -> u^(i+j) v^j and u^i v^(i+j) (``poly.blow_up_chart``), that
-pull back a, b, Delta and the divisor germs without coefficient
-arithmetic.  Fiber coordinates are then rescaled until no coordinate
-power u^4 divides the degree-4 section jointly with u^6 dividing the
-degree-6 one (the minimality condition for Weierstrass data), and Delta
-by u^(12t) alongside; the rescaling exponents are recorded.  Delta is
-computed once per tower, at its root; orders along a divisor u = 0 are
-least exponents and divisions by powers of u are exponent shifts.
+A center off the origin is shifted there by an integer Taylor shift;
+at the origin the charts are exponent maps, s1^i s2^j -> u^(i+j) v^j and
+u^i v^(i+j) (``poly.blow_up_chart``), that pull back a, b and Delta
+without coefficient arithmetic.  A divisor germ goes to the chart as its
+strict transform (``poly.strict_transform``), the same map with the
+exponent of the exceptional coordinate lowered by the germ's
+multiplicity, its least total degree.  Fiber coordinates are then
+rescaled until no coordinate power u^4 divides the degree-4 section
+jointly with u^6 dividing the degree-6 one (the minimality condition
+for Weierstrass data), and Delta by u^(12t) alongside; the rescaling
+exponents are recorded.  Delta is computed once per tower, at its root;
+orders along a divisor u = 0 are least exponents and divisions by powers
+of u are exponent shifts.
 
 ``regularize`` is the driver.  It walks the singular points of the
 reduced discriminant (those of the residual curve, then its crossings
@@ -58,6 +62,7 @@ from .poly import (
     radical,
     rational_roots,
     resultant,
+    strict_transform,
     strip_coordinate_lines,
 )
 from .weierstrass import (
@@ -91,8 +96,15 @@ class BlowupStep:
 
     def pull_back(self, p: MultiPoly) -> MultiPoly:
         """p in the parent chart, written in this chart's coordinates."""
-        centred = p.shift(dict(zip(self.parent_coords, self.center)))
-        return blow_up_chart(centred, self.parent_coords, self.coords, self.chart)
+        return blow_up_chart(self._centred(p), self.parent_coords, self.coords, self.chart)
+
+    def strict_transform(self, p: MultiPoly) -> MultiPoly:
+        """The pull-back of p divided by the largest power of the
+        exceptional coordinate, in one exponent map."""
+        return strict_transform(self._centred(p), self.parent_coords, self.coords, self.chart)
+
+    def _centred(self, p: MultiPoly) -> MultiPoly:
+        return p.shift(dict(zip(self.parent_coords, self.center))) if any(self.center) else p
 
     def exceptional_coord(self) -> str:
         return self.coords[0] if self.chart == "A" else self.coords[1]
@@ -342,10 +354,7 @@ class _TowerDriver:
         exc_var = step.exceptional_coord()
         new = {}
         for name, germ in task.divisors.items():
-            pulled = step.pull_back(germ)
-            if pulled.is_zero():
-                continue
-            strict = pulled.divide_by_power(exc_var, pulled.order_in(exc_var))
+            strict = step.strict_transform(germ)
             if strict.is_constant():
                 continue  # divisor not visible in this chart
             new[name] = strict
@@ -356,7 +365,8 @@ class _TowerDriver:
         """Find every point of the new exceptional divisor needing action.
 
         Chart A sees all of that divisor but one point, the origin of
-        chart B, so chart B is scanned at its origin only."""
+        chart B, so chart B is scanned at its origin only.  As at rational
+        points, I0 divisors carry no singular fiber and are passed over."""
         step = task.model.history[-1]
         if step.chart == "B":
             self._process_point(task, (Fraction(0), Fraction(0)))
@@ -365,7 +375,7 @@ class _TowerDriver:
         restrictions = {
             name: germ.at_zero(exc_var)
             for name, germ in task.divisors.items()
-            if name != task.exceptional
+            if name != task.exceptional and not self.types[name].is_smooth()
         }
         points = set()
         for name, restriction in restrictions.items():
@@ -380,8 +390,7 @@ class _TowerDriver:
             if leftover.is_constant():
                 continue
             others = [
-                r for other, r in restrictions.items()
-                if other != name and not self.types[other].is_smooth() and not r.is_constant()
+                r for other, r in restrictions.items() if other != name and not r.is_constant()
             ]
             record = _crossing_record(
                 self.types, (name, task.exceptional), leftover,

@@ -94,23 +94,38 @@ def _emit(payload: dict):
 def _write_json(obj, indent="\n") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, for values that
     serialize deterministically: anything else (a float, a non-string
-    key, a value of any other type) raises TypeError."""
+    key, a value of any other type) raises TypeError.
+
+    Containers are tested first, since leaves of type str and int are
+    rendered in place; a ``bool`` leaf, among others, recurses."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"non-string JSON key {key!r}")
+        items = [
+            encode_basestring_ascii(k) + ": " + (
+                encode_basestring_ascii(v) if (t := type(v)) is str
+                else int.__repr__(v) if t is int
+                else _write_json(v, inner)
+            )
+            for k, v in sorted(obj.items())  # keys are distinct, so values are never compared
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [
+            encode_basestring_ascii(v) if (t := type(v)) is str
+            else int.__repr__(v) if t is int
+            else _write_json(v, inner)
+            for v in obj
+        ]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or isinstance(obj, bool):
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError(f"non-string JSON key {key!r}")
-        items = [encode_basestring_ascii(k) + ": " + _write_json(obj[k], inner) for k in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
-    if isinstance(obj, (list, tuple)):
-        items = [_write_json(value, inner) for value in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
     if isinstance(obj, float):
         raise TypeError("floats are not emitted; use exact rational strings")
     raise TypeError(f"non-JSON value {obj!r}")

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .poly import (
     MultiPoly,
-    blow_up_chart,
     content_in,
+    dehomogenize,
     exact_divide,
     extract_power,
     gcd_multivariate,
@@ -28,6 +28,7 @@ from .poly import (
     radical,
     rational_roots,
     resultant,
+    strict_transform,
 )
 
 PROJECTIVE_VARS = ("A0", "A1", "A2")
@@ -54,10 +55,11 @@ class AffineChart:
         return AffineChart(index, names[index])
 
     def dehomogenize(self, p: MultiPoly) -> MultiPoly:
-        """Restrict a homogeneous polynomial in (A0,A1,A2) to this chart."""
-        others = [v for v in PROJECTIVE_VARS if v != PROJECTIVE_VARS[self.index]]
-        mapping = dict(zip(others, map(MultiPoly.variable, self.coords)))
-        return p.substitute({**mapping, PROJECTIVE_VARS[self.index]: MultiPoly.const(1)})
+        """Restrict a homogeneous polynomial in (A0,A1,A2) to this chart:
+        drop the A_index column and rename the other two coordinates."""
+        var = PROJECTIVE_VARS[self.index]
+        others = [v for v in PROJECTIVE_VARS if v != var]
+        return dehomogenize(p, var, dict(zip(others, self.coords)))
 
     def to_projective(self, point) -> tuple:
         coords = [Fraction(point[0]), Fraction(point[1])]
@@ -290,14 +292,11 @@ def _a_index(germ: MultiPoly, x: str, y: str):
         # rank-one quadratic part: single (rational) tangent direction.
         # Tangent x = -(b/2a) y shows in the chart (x, y) = (u v, v); a
         # quadratic part c*y^2 (tangent y = 0) in the chart (x, y) = (u, u v).
-        chart, exc = ("B", y) if a != 0 else ("A", x)
-        total = blow_up_chart(current, (x, y), (x, y), chart)
-        k = total.order_in(exc)
-        strict = total.divide_by_power(exc, k)
-        center = {x: Fraction(-b, 2 * a) if a != 0 else Fraction(0), y: Fraction(0)}
-        if k != 2:
-            return None  # not a plain double-point transform
-        strict = strict.shift(center)
+        # The exceptional line carries the multiplicity, 2, of the germ.
+        chart = "B" if a != 0 else "A"
+        strict = strict_transform(current, (x, y), (x, y), chart)
+        if a != 0:
+            strict = strict.shift({x: Fraction(-b, 2 * a)})
         mult2 = min(map(sum, strict.ints))
         if mult2 <= 1:
             # strict transform smooth over (or missing) the center: chain ends

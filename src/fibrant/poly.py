@@ -17,12 +17,19 @@ and sign of the integers into the content and prunes unused variables,
 a step a kernel skips when its integers are primitive by construction
 (by Gauss's lemma a product of primitive polynomials is primitive).
 So every kernel computes on integers: sums over a common content
-denominator, products, powers, derivatives, ``substitute``, evaluation at
-a rational point, exact division (P / Q is integral whenever Q is
-primitive and divides P), power extraction, ``poisson_bracket`` (the
-linear Poisson bracket of a table of integer structure constants, summed
-over the partial derivatives of both integer parts at once) and
-``blow_up_chart``, a chart of a point blow-up as a map on exponents.
+denominator, products, powers, derivatives, evaluation at a rational
+point, exact division (P / Q is integral whenever Q is primitive and
+divides P), power extraction and ``poisson_bracket`` (the linear Poisson
+bracket of a table of integer structure constants, summed over the
+partial derivatives of both integer parts at once).  Each substitution
+shape has its own kernel: ``substitute`` specializes variables to
+rationals in one integer pass per variable (v = n / d of degree D scales
+the term with v^k by n^k * d^(D-k) and puts d^D into the content) and
+keeps the power-product composition for polynomial images; ``shift`` is
+an integer Taylor shift; ``dehomogenize`` (a coordinate set to 1, others
+renamed), ``blow_up_chart`` (a chart of a point blow-up) and
+``strict_transform`` (the same chart divided by the largest power of the
+exceptional coordinate) are maps on exponents.
 
 Gcds and resultants set one variable at a time to a single large integer
 xi, so the work falls to CPython's big-integer arithmetic, and read the
@@ -41,8 +48,8 @@ coefficients f_j, g_j of the eliminated variable, which bounds every
 coefficient of the resultant; at the last level it runs the same PRS on
 integers.  Coordinate-line stripping, the squarefree part and test (a
 gcd with each partial derivative in turn) and exact rational roots of
-univariate polynomials, returned with the cofactor they leave, complete
-the toolkit.
+univariate polynomials, returned with the cofactor they leave (a linear
+polynomial's in closed form), complete the toolkit.
 
 The text format round-trips bit-exactly, e.g.::
 
@@ -274,82 +281,59 @@ class MultiPoly:
         """Exact composition: replace variables by polynomials or rationals.
 
         Variables of the mapping that do not occur in the polynomial are
-        ignored; unmapped variables are left alone.  An image with one
-        term (a constant, a variable or a monomial) is an integer
-        numerator/denominator pair times an exponent shift.  Every term
-        becomes such a pair and shift times a product of cached integer
-        powers of the images with several terms, and all terms are added
-        into one integer dict over the common denominator.
+        ignored; unmapped variables are left alone.  When every image is a
+        rational the variables are specialized by ``_specialize``, an
+        integer pass over the terms.  Otherwise ``_compose`` runs: an
+        image with one term (a constant, a variable or a monomial) is an
+        integer numerator/denominator pair times an exponent shift; every
+        term becomes such a pair and shift times a product of cached
+        integer powers of the images with several terms, and all terms are
+        added into one integer dict over the common denominator.
         """
-        images = {}
-        for var in self.variables:
-            if var in mapping:
-                images[var] = _coerce_poly_strict(mapping[var])
+        images = {var: mapping[var] for var in self.variables if var in mapping}
         if not images:
             return self
-        names = {v for v in self.variables if v not in images}
-        for img in images.values():
-            names.update(img.variables)
-        names = tuple(sorted(names))
-        index = {v: i for i, v in enumerate(names)}
-        one = (0,) * len(names)
-        factors = []  # per variable: (num, den, exponent shift, {k: image^k} or None)
-        for var in self.variables:
-            img = images.get(var)
-            if img is None:
-                unit = [0] * len(names)
-                unit[index[var]] = 1
-                factors.append((1, 1, tuple(unit), None))
-                continue
-            c = img.content
-            if len(img.ints) == 1:
-                (exp, sign), = _over(img, names).items()
-                factors.append((sign * c.numerator, c.denominator, exp if any(exp) else one, None))
-            elif img.ints:
-                factors.append((c.numerator, c.denominator, one, {0: {one: 1}, 1: _over(img, names)}))
-            else:
-                factors.append((0, 1, one, None))
-        scaled = []
-        for exp, num in self.ints.items():
-            den = 1
-            shift = one
-            product = None
-            for k, (fnum, fden, step, powers) in zip(exp, factors):
-                if k:
-                    if fnum != 1:
-                        num *= fnum**k
-                    if fden != 1:
-                        den *= fden**k
-                    if step is not one:
-                        shift = tuple(s + k * t for s, t in zip(shift, step))
-                    if powers is not None:
-                        power = _cached_power(powers, k)
-                        product = power if product is None else _imul(product, power)
-            if num:
-                scaled.append((num, den, shift, product))
-        if not scaled:
-            return _ZERO
-        common = math.lcm(*[den for _, den, _, _ in scaled])
-        acc = {}
-        get = acc.get
-        for num, den, shift, product in scaled:
-            m = num * (common // den)
-            if product is None:
-                acc[shift] = get(shift, 0) + m
-            elif shift is one:
-                for e, c in product.items():
-                    acc[e] = get(e, 0) + m * c
-            else:
-                for e, c in product.items():
-                    e = tuple(map(add, e, shift))
-                    acc[e] = get(e, 0) + m * c
-        acc = {e: k for e, k in acc.items() if k}
-        return _make(names, acc, self.content.numerator, self.content.denominator * common)
+        values = {}
+        for var, image in images.items():
+            if isinstance(image, MultiPoly) and not image.variables:
+                image = image.constant_value()
+            if not isinstance(image, (int, Fraction)):
+                return _compose(self, {v: _coerce_poly_strict(img) for v, img in images.items()})
+            values[var] = image
+        return _specialize(self, values)
 
     def shift(self, point: dict) -> "MultiPoly":
-        """Recenter: substitute v -> v + point[v] for each listed variable."""
-        mapping = {var: MultiPoly.variable(var) + value for var, value in point.items() if value}
-        return self.substitute(mapping) if mapping else self
+        """Recenter: substitute v -> v + point[v] for each listed variable.
+
+        An integer Taylor shift per variable: with point[v] = n / d and D
+        the degree in v, the term v^k gives C(k, i) * n^(k-i) * d^(D-k+i)
+        times v^i, over d^D, for each i <= k.
+        """
+        ints, den = self.ints, self.content.denominator
+        for i, var in enumerate(self.variables):
+            value = point.get(var)
+            if not value:
+                continue
+            n, d = value.numerator, value.denominator
+            top = max(e[i] for e in ints)
+            npow = [n**k for k in range(top + 1)]
+            dpow = [d**k for k in range(top + 1)]
+            weights = [
+                [math.comb(k, j) * npow[k - j] * dpow[top - k + j] for j in range(k + 1)]
+                for k in range(top + 1)
+            ]
+            out = {}
+            get = out.get
+            for e, c in ints.items():
+                head, tail = e[:i], e[i + 1:]
+                for j, w in enumerate(weights[e[i]]):
+                    key = head + (j,) + tail
+                    out[key] = get(key, 0) + c * w
+            ints = {e: c for e, c in out.items() if c}
+            den *= dpow[top]
+        if ints is self.ints:
+            return self
+        return _make(self.variables, ints, self.content.numerator, den)
 
     def at_zero(self, var: str) -> "MultiPoly":
         """The restriction to var = 0: the terms free of ``var``."""
@@ -516,6 +500,98 @@ def _coerce_poly_strict(value) -> MultiPoly:
 #
 # An integer polynomial is a dict {exponent tuple: nonzero int} whose
 # exponents are aligned to a variable tuple held by the caller.
+
+
+def _specialize(p: MultiPoly, values: dict) -> MultiPoly:
+    """p with the variables of ``values`` set to those rationals.
+
+    One integer pass: for v = n / d of degree D in v, the term with v^k is
+    scaled by n^k * d^(D-k), the v column is dropped and d^D goes into the
+    content denominator.
+    """
+    names = p.variables
+    keep = [k for k, v in enumerate(names) if v not in values]
+    den = p.content.denominator
+    rows = []
+    for i, var in enumerate(names):
+        if var in values:
+            n, d = values[var].numerator, values[var].denominator
+            top = max(e[i] for e in p.ints)
+            dpow = [d**k for k in range(top + 1)]
+            rows.append((i, [n**k * dpow[top - k] for k in range(top + 1)]))
+            den *= dpow[top]
+    out = {}
+    get = out.get
+    for e, c in p.ints.items():
+        for i, row in rows:
+            c *= row[e[i]]
+        if c:
+            key = tuple([e[k] for k in keep])
+            out[key] = get(key, 0) + c
+    ints = {e: c for e, c in out.items() if c}
+    return _make(tuple(names[k] for k in keep), ints, p.content.numerator, den)
+
+
+def _compose(p: MultiPoly, images: dict) -> MultiPoly:
+    """p with the variables of ``images`` replaced by those polynomials."""
+    names = {v for v in p.variables if v not in images}
+    for img in images.values():
+        names.update(img.variables)
+    names = tuple(sorted(names))
+    index = {v: i for i, v in enumerate(names)}
+    one = (0,) * len(names)
+    factors = []  # per variable: (num, den, exponent shift, {k: image^k} or None)
+    for var in p.variables:
+        img = images.get(var)
+        if img is None:
+            unit = [0] * len(names)
+            unit[index[var]] = 1
+            factors.append((1, 1, tuple(unit), None))
+            continue
+        c = img.content
+        if len(img.ints) == 1:
+            (exp, sign), = _over(img, names).items()
+            factors.append((sign * c.numerator, c.denominator, exp if any(exp) else one, None))
+        elif img.ints:
+            factors.append((c.numerator, c.denominator, one, {0: {one: 1}, 1: _over(img, names)}))
+        else:
+            factors.append((0, 1, one, None))
+    scaled = []
+    for exp, num in p.ints.items():
+        den = 1
+        shift = one
+        product = None
+        for k, (fnum, fden, step, powers) in zip(exp, factors):
+            if k:
+                if fnum != 1:
+                    num *= fnum**k
+                if fden != 1:
+                    den *= fden**k
+                if step is not one:
+                    shift = tuple(s + k * t for s, t in zip(shift, step))
+                if powers is not None:
+                    power = _cached_power(powers, k)
+                    product = power if product is None else _imul(product, power)
+        if num:
+            scaled.append((num, den, shift, product))
+    if not scaled:
+        return _ZERO
+    common = math.lcm(*[den for _, den, _, _ in scaled])
+    acc = {}
+    get = acc.get
+    for num, den, shift, product in scaled:
+        m = num * (common // den)
+        if product is None:
+            acc[shift] = get(shift, 0) + m
+        elif shift is one:
+            for e, c in product.items():
+                acc[e] = get(e, 0) + m * c
+        else:
+            for e, c in product.items():
+                e = tuple(map(add, e, shift))
+                acc[e] = get(e, 0) + m * c
+    acc = {e: k for e, k in acc.items() if k}
+    return _make(names, acc, p.content.numerator, p.content.denominator * common)
 
 
 def _scalar(p: MultiPoly):
@@ -716,27 +792,91 @@ def blow_up_chart(p: MultiPoly, coords: tuple, chart_coords: tuple, chart: str) 
     variables are left alone; u and v may reuse the names x and y but must
     not name another variable of p.
     """
+    return _chart_map(p, coords, chart_coords, chart, strict=False)
+
+
+def strict_transform(p: MultiPoly, coords: tuple, chart_coords: tuple, chart: str) -> MultiPoly:
+    """``blow_up_chart`` divided by the largest power of the exceptional
+    coordinate, u in chart "A" and v in chart "B".
+
+    That coordinate carries the exponent i + j of x^i y^j, so the power
+    is the multiplicity of p at the origin, its least total degree in
+    ``coords``, and the division is part of the same exponent map.
+    """
+    return _chart_map(p, coords, chart_coords, chart, strict=True)
+
+
+def dehomogenize(p: MultiPoly, var: str, renames: dict) -> MultiPoly:
+    """p at ``var`` = 1, with each variable of ``renames`` renamed.
+
+    One map on exponents: the ``var`` column is dropped and the others are
+    reordered to the sorted new names; terms that then share an exponent
+    are added, which never happens for a form.  No two variables may get
+    the same name.
+    """
     names = p.variables
-    if any(c in names and c not in coords for c in chart_coords):
-        raise ValueError(f"chart coordinates {chart_coords} already occur in the polynomial")
-    if coords[0] not in names and coords[1] not in names:
+    where = {renames.get(w, w): k for k, w in enumerate(names) if w != var}
+    if len(where) < len(names) - (var in names):
+        raise ValueError(f"renaming {renames} merges variables of the polynomial")
+    out = tuple(sorted(where))
+    if out == names:
         return p
+    columns = [where[w] for w in out]
+    ints = {}
+    get = ints.get
+    for e, c in p.ints.items():
+        key = tuple([e[k] for k in columns])
+        ints[key] = get(key, 0) + c
+    content = p.content
+    if len(ints) == len(p.ints):
+        return _make(out, ints, content.numerator, content.denominator, primitive=True)
+    return _make(out, {e: c for e, c in ints.items() if c}, content.numerator, content.denominator)
+
+
+def _chart_map(p: MultiPoly, coords: tuple, chart_coords: tuple, chart: str, strict: bool):
+    names = p.variables
+    x, y = coords
+    u, v = chart_coords
+    if (u in names and u not in coords) or (v in names and v not in coords):
+        raise ValueError(f"chart coordinates {chart_coords} already occur in the polynomial")
     pad = len(names)
-    where = dict(zip(names, range(pad)))
-    i, j = where.get(coords[0], pad), where.get(coords[1], pad)
+    i = names.index(x) if x in names else pad
+    j = names.index(y) if y in names else pad
+    if i == j:
+        return p  # neither coordinate occurs
     # each new exponent is a sum of two old ones, pad reading as 0; a new
     # coordinate with both sums at pad does not occur and is left out, so
     # the result uses all its variables and keeps the content of p
-    u, v = chart_coords
+    exc = u if chart == "A" else v
     sums = {u: (i, j), v: (j, pad)} if chart == "A" else {u: (i, pad), v: (i, j)}
-    sums = {w: s for w, s in sums.items() if min(s) < pad}
-    sums.update((w, (k, pad)) for w, k in where.items() if w not in coords)
+    if pad in (i, j):
+        sums = {w: s for w, s in sums.items() if min(s) < pad}
+    if pad > 2 or pad in (i, j):
+        sums.update((w, (k, pad)) for k, w in enumerate(names) if w not in coords)
+    lowest = 0
+    if strict:
+        if pad in (i, j):
+            degrees = [e[min(i, j)] for e in p.ints]
+        else:
+            degrees = [e[i] + e[j] for e in p.ints]
+        lowest = min(degrees)
+        if lowest == max(degrees):
+            del sums[exc]  # the strict transform is free of the exceptional coordinate
+            lowest = 0
     out = tuple(sorted(sums))
     recipe = [sums[w] for w in out]
     ints = {}
-    for e, c in p.ints.items():
-        e += (0,)
-        ints[tuple([e[a] + e[b] for a, b in recipe])] = c
+    if lowest:
+        k = out.index(exc)
+        for e, c in p.ints.items():
+            e += (0,)
+            key = [e[a] + e[b] for a, b in recipe]
+            key[k] -= lowest
+            ints[tuple(key)] = c
+    else:
+        for e, c in p.ints.items():
+            e += (0,)
+            ints[tuple([e[a] + e[b] for a, b in recipe])] = c
     return _make(out, ints, p.content.numerator, p.content.denominator, primitive=True)
 
 
@@ -1096,9 +1236,10 @@ def rational_roots(p: MultiPoly):
     SIAM J. Comput. 12, 1983) and are confirmed by integer Horner
     evaluation, so no integer is factored and no fraction arithmetic
     happens in the search.  Each confirmed root r is then split off by one
-    ``extract_power(p, x - r)``.  Returns (roots, cofactor): the sorted
-    (root, multiplicity) pairs and the cofactor free of rational roots,
-    with p = cofactor * prod (x - r)^m.
+    ``extract_power(p, x - r)``.  A linear c1 x + c0 has the one root
+    -c0 / c1 and the constant cofactor c1, read off directly.  Returns
+    (roots, cofactor): the sorted (root, multiplicity) pairs and the
+    cofactor free of rational roots, with p = cofactor * prod (x - r)^m.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
@@ -1106,6 +1247,11 @@ def rational_roots(p: MultiPoly):
         return [], p
     if len(p.variables) != 1:
         raise ValueError("rational_roots expects a univariate polynomial")
+    ints, content = p.ints, p.content
+    if max(ints) == (1,):
+        c1 = ints[(1,)]
+        root = Fraction(-ints.get((0,), 0), c1)
+        return [(root, 1)], _make((), {(): 1}, c1 * content.numerator, content.denominator)
     x = MultiPoly.variable(p.variables[0])
     k, p = extract_power(p, x)
     roots = [(Fraction(0), k)] if k else []

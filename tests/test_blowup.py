@@ -482,6 +482,22 @@ class TestPlantedSites:
         assert format_poly(collision.cluster_eliminant) == "54*y1^2 - 27"
         assert mod.singular_points == [(1, 0, 0), (0, 1, 0)]
 
+    def test_i0_divisor_makes_no_collision_in_a_tower(self):
+        # D = x^2 - 2*y^2 (type I0) meets E1 of the cusp tower at the two
+        # points 2*y1^2 = 1; an I0 divisor carries no singular fiber, so as
+        # at rational points nothing is recorded for it
+        model = LocalModel(("x", "y"), MultiPoly.variable("x"), MultiPoly.variable("y"))
+        types = {"Q~": KodairaType("I1"), "D": KodairaType("I0")}
+        driver = blowup._TowerDriver(blowup.Tower("cusp", "point"), types)
+        tower = driver.run(model, {"Q~": model.delta(), "D": parse("x^2 - 2*y^2")})
+        assert [(d.name, d.kodaira.tag) for d in tower.divisors] == [
+            ("E1", "II"), ("E2", "III"), ("E3", "I0*")
+        ]
+        assert all("D" not in c.pair for c in tower.collisions)
+        assert [(c.pair, c.fiber.label) for c in tower.collisions] == [
+            (("E2", "E3"), "III*"), (("Q~", "E3"), "I1* (contracted)"), (("E1", "E3"), "IV*")
+        ]
+
     def test_nonrational_line_tangency_is_not_analyzable(self):
         # the residual meets A0 = 0 where (A1^2 - 2*A2^2)^2 = 0: two
         # conjugate points, each a tangency

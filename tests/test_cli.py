@@ -140,6 +140,9 @@ GOLDEN_ANALYZE = {
     "1000003/999983": "f3591d3eb1353ff0",
 }
 GOLDEN_ANALYZE_MD = {"1": "8dd15e2ec0d69b35", "7/3": "2f9e65702f69360b"}
+# Pinned before the substitutions moved to integer kernels: the `analyze`
+# stdout at the 108 small alpha of `test_golden_sweep_of_small_alpha`.
+GOLDEN_SWEEP = "670f20e1c618b549"
 # Pinned before the collision table moved next to the Kodaira types.
 GOLDEN_BLOWUP_DEMO = {
     "cusp": "2ddf40178cc1860e",
@@ -256,6 +259,50 @@ class TestGoldenOutput:
         assert counts["heu"] > 0 and counts["prs"] == 0
         assert any(variables == 2 for variables, _ in chains)
         assert all(calls == variables for variables, calls in chains)
+
+    @pytest.mark.parametrize("alpha", sorted(GOLDEN_ANALYZE))
+    def test_substitutions_and_linear_roots_take_the_integer_kernels(self, run, monkeypatch, alpha):
+        """Every substitution is a specialization by rationals, never the
+        power-product composition, and no linear polynomial reaches the
+        p-adic root search.
+
+        A fallback would leave the output unchanged and only cost time, so
+        it is counted here instead.
+        """
+        counts = {"specialize": 0, "compose": 0, "linear p-adic": 0}
+        specialize, compose, padic = poly._specialize, poly._compose, poly._padic_candidates
+
+        def counted(name, inner):
+            def wrapper(*args):
+                counts[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        def lifted(sf):
+            counts["linear p-adic"] += len(sf) == 2
+            return padic(sf)
+
+        monkeypatch.setattr(poly, "_specialize", counted("specialize", specialize))
+        monkeypatch.setattr(poly, "_compose", counted("compose", compose))
+        monkeypatch.setattr(poly, "_padic_candidates", lifted)
+        code, out, _ = run("analyze", f"--alpha={alpha}")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_ANALYZE[alpha]
+        assert counts["specialize"] > 0
+        assert counts["compose"] == counts["linear p-adic"] == 0
+
+    def test_golden_sweep_of_small_alpha(self, run):
+        """One hash over the ``analyze`` stdout at the 108 alpha = p/q with
+        |p| <= 9, 1 <= q <= 9, off {0, +-4}, in increasing order."""
+        alphas = sorted({Fraction(p, q) for p in range(-9, 10) for q in range(1, 10)} - {0, 4, -4})
+        assert len(alphas) == 108
+        digest = hashlib.sha256()
+        for alpha in alphas:
+            code, out, _ = run("analyze", f"--alpha={alpha}")
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest()[:16] == GOLDEN_SWEEP
 
     @pytest.mark.parametrize("alpha", sorted(GOLDEN_ANALYZE))
     def test_blow_ups_take_the_exponent_maps(self, run, monkeypatch, alpha):

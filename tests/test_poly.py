@@ -965,3 +965,156 @@ def test_orders_and_exponent_shifts_match_extract_power(p, var, extra):
         assert shifted * v**j == p
     with pytest.raises(NotDivisibleError):
         p.divide_by_power(var, k + 1)
+
+
+# -- integer kernels for the substitution shapes, against the composition ---------
+
+# zero, small and 60-70 bit rationals of both signs
+kernel_values = st.one_of(
+    st.just(F(0)),
+    small_coeffs,
+    st.builds(
+        lambda n, d, sign: sign * F(n, d),
+        st.integers(2**60, 2**70),
+        st.integers(1, 2**70),
+        st.sampled_from((1, -1)),
+    ),
+)
+BIG = F(2**64 + 13, 2**61 - 1)
+
+
+def composed(p, mapping):
+    """The power-product composition, ``substitute``'s branch for polynomial images."""
+    images = {v: poly._coerce_poly_strict(m) for v, m in mapping.items() if v in p.variables}
+    return poly._compose(p, images) if images else p
+
+
+points = st.dictionaries(st.sampled_from(VARIABLE_POOL), kernel_values)
+full_points = st.fixed_dictionaries({v: kernel_values for v in VARIABLE_POOL})
+
+
+@given(small_polys(max_exp=4), points)
+@example(parse("x^4*y - 3*x*y^2 + 7"), {"x": BIG, "w": F(-5)})
+@settings(max_examples=120, deadline=None)
+def test_shift_matches_the_composition(p, point):
+    # the point may name variables that do not occur in p
+    shifted = p.shift(point)
+    assert_canonical(shifted)
+    mapping = {v: MultiPoly.variable(v) + c for v, c in point.items()}
+    assert shifted == composed(p, mapping) == p.substitute(mapping)
+    assert shifted.shift({v: -c for v, c in point.items()}) == p
+
+
+@given(small_polys(max_exp=4), points, full_points)
+@example(parse("w^3*x - (1/2)*x*y^2 + y"), {"y": -BIG, "z": BIG}, dict.fromkeys(VARIABLE_POOL, BIG))
+@settings(max_examples=120, deadline=None)
+def test_specialization_matches_evaluate_and_the_composition(p, values, point):
+    special = p.substitute(values)
+    assert_canonical(special)
+    assert special == composed(p, {v: MultiPoly.const(c) for v, c in values.items()})
+    assert not set(values) & set(special.variables)
+    assert special.evaluate(point) == p.evaluate({**point, **values})
+    full = p.substitute(point)
+    assert full.is_constant() and full.constant_value() == p.evaluate(point)
+
+
+@given(small_polys(max_exp=4), points.filter(bool))
+@example(parse("x^4*y - 3*x*y^2 + 7"), {"x": BIG, "y": F(0)})
+@settings(max_examples=60, deadline=None)
+def test_specialization_against_sympy_subs(p, values):
+    sympy = pytest.importorskip("sympy")
+    subs = {sympy.Symbol(v): sympy.Rational(c.numerator, c.denominator) for v, c in values.items()}
+    expected = from_sympy(sympy, sympy.expand(to_sympy(sympy, p).subs(subs)), VARIABLE_POOL)
+    assert p.substitute(values) == expected
+
+
+PROJECTIVE = ("A0", "A1", "A2")
+
+
+@st.composite
+def forms(draw, extra):
+    """A form in (A0, A1, A2), its coefficients polynomials in ``extra``."""
+    degree = draw(st.integers(0, 5))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        a = draw(st.integers(0, degree))
+        b = draw(st.integers(0, degree - a))
+        exp = (a, b, degree - a - b) + tuple(draw(st.integers(0, 3)) for _ in extra)
+        terms[exp] = terms.get(exp, F(0)) + draw(kernel_values)
+    return MultiPoly(PROJECTIVE + extra, terms)
+
+
+@given(st.sampled_from(((), ("alpha",), ("b", "w"))).flatmap(forms), st.sampled_from((0, 1, 2)))
+@example(parse("A1^3 - 2*A1*A2^2"), 0)
+@example(parse("alpha*A0*A2 + A1^2"), 1)
+@settings(max_examples=120, deadline=None)
+def test_dehomogenize_matches_the_substitution(form, index):
+    from fibrant.planecurve import AffineChart
+
+    chart = AffineChart.standard(index)
+    others = [v for v in PROJECTIVE if v != PROJECTIVE[index]]
+    mapping = dict(zip(others, map(MultiPoly.variable, chart.coords)))
+    mapping[PROJECTIVE[index]] = MultiPoly.const(1)
+    affine = chart.dehomogenize(form)
+    assert_canonical(affine)
+    assert affine == composed(form, mapping)
+
+
+def test_dehomogenize_adds_terms_of_a_polynomial_that_is_no_form():
+    p = parse("A0^2*A1 + A1 - 3*A0*A2 + 3*A2")
+    assert poly.dehomogenize(p, "A0", {"A1": "u", "A2": "v"}) == 2 * MultiPoly.variable("u")
+    assert poly.dehomogenize(parse("A0 - 1"), "A0", {}).is_zero()
+
+
+def test_dehomogenize_refuses_to_merge_variables():
+    with pytest.raises(ValueError, match="merges"):
+        poly.dehomogenize(parse("A0*A1 + u"), "A0", {"A1": "u"})
+
+
+@given(
+    st.permutations(CHART_NAMES).flatmap(
+        lambda names: st.tuples(st.just(names), polys_in((names[0], names[1], names[4]), 6, 3))
+    ),
+    st.sampled_from("AB"),
+)
+@example((CHART_NAMES, parse("a^3 - 27*m^2 + (1/2)*z*a*m")), "A")
+@example((CHART_NAMES, parse("a^2 - 2*m^2")), "B")
+@example((CHART_NAMES, parse("z^2 + 1")), "A")
+@settings(max_examples=150, deadline=None)
+def test_strict_transform_matches_pull_back_and_division(case, chart):
+    (x_name, y_name, u_name, v_name, _), p = case
+    coords, chart_coords = (x_name, y_name), (u_name, v_name)
+    exc = u_name if chart == "A" else v_name
+    total = blow_up_chart(p, coords, chart_coords, chart)
+    strict = poly.strict_transform(p, coords, chart_coords, chart)
+    assert_canonical(strict)
+    assert strict == total.divide_by_power(exc, total.order_in(exc))
+    # the power of the exceptional coordinate is the multiplicity at the origin
+    degrees = [sum(dict(zip(p.variables, e)).get(v, 0) for v in coords) for e in p.ints]
+    assert total.order_in(exc) == min(degrees, default=INFINITE_ORDER)
+
+
+def roots_by_lifting(p):
+    """The rational roots of p by the general path: the zero root split off
+    as a power of x, then the p-adic candidates of the rest, confirmed by
+    Horner evaluation."""
+    k, rest = extract_power(p, x)
+    roots = [(F(0), k)] if k else []
+    if not rest.is_constant():
+        sf = poly._int_coeffs(radical(rest))
+        candidates = poly._padic_candidates(sf)
+        roots += [(c, 1) for c in candidates if not poly._horner_pq(sf, c.numerator, c.denominator)]
+    return sorted(roots)
+
+
+@given(kernel_values.filter(bool), kernel_values)
+@example(BIG, -BIG)
+@example(F(-(2**61) - 1, 3), F(0))
+@settings(max_examples=120, deadline=None)
+def test_linear_rational_roots_match_the_padic_path(c1, c0):
+    p = c1 * x + c0
+    roots, cofactor = rational_roots(p)
+    assert roots == roots_by_lifting(p) == [(-c0 / c1, 1)]
+    assert_canonical(cofactor)
+    assert cofactor == MultiPoly.const(c1)
+    assert cofactor * (x + c0 / c1) == p
