@@ -42,7 +42,6 @@ cluster.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .planecurve import (
@@ -65,9 +64,9 @@ from .poly import (
     strict_transform,
     strip_coordinate_lines,
 )
+from .record import Record, Value
 from .weierstrass import (
     KodairaType,
-    MirandaFiber,
     NotAnalyzableError,
     NotOnListError,
     OrderTriple,
@@ -87,12 +86,14 @@ class BlowupBudgetError(NotAnalyzableError):
     """The driver exceeded its per-center blow-up budget."""
 
 
-@dataclass(frozen=True)
-class BlowupStep:
-    center: tuple          # rational pair in the parent chart
-    chart: str             # "A" or "B"
-    parent_coords: tuple
-    coords: tuple
+class BlowupStep(Value):
+    """The blow-up of the rational point ``center`` of the chart
+    ``parent_coords``, seen in its chart "A" or "B" with ``coords``."""
+
+    __slots__ = ("center", "chart", "parent_coords", "coords")
+
+    def __init__(self, center: tuple, chart: str, parent_coords: tuple, coords: tuple):
+        self._store(center, chart, parent_coords, coords)
 
     def pull_back(self, p: MultiPoly) -> MultiPoly:
         """p in the parent chart, written in this chart's coordinates."""
@@ -110,22 +111,18 @@ class BlowupStep:
         return self.coords[0] if self.chart == "A" else self.coords[1]
 
 
-@dataclass(frozen=True)
-class LocalModel:
+class LocalModel(Value):
     """A fibration germ (a, b) in one affine chart of the (modified) base.
 
-    ``discriminant`` is a^3 - 27 b^2, computed here only when not given."""
+    ``history`` holds the blow-up steps that led here and ``t_record``
+    the fiber rescalings applied, ((coord, t), ...).  ``discriminant`` is
+    a^3 - 27 b^2, computed here only when not given."""
 
-    coords: tuple
-    a: MultiPoly
-    b: MultiPoly
-    history: tuple = ()
-    t_record: tuple = ()     # ((coord, t), ...) fiber rescalings applied
-    discriminant: MultiPoly | None = None
+    __slots__ = ("coords", "a", "b", "history", "t_record", "discriminant")
 
-    def __post_init__(self):
-        if self.discriminant is None:
-            object.__setattr__(self, "discriminant", self.a**3 - 27 * self.b**2)
+    def __init__(self, coords, a, b, history=(), t_record=(), discriminant=None):
+        delta = a**3 - 27 * b**2 if discriminant is None else discriminant
+        self._store(coords, a, b, history, t_record, delta)
 
     def delta(self) -> MultiPoly:
         return self.discriminant
@@ -181,12 +178,11 @@ def exceptional_order_triple(model: LocalModel) -> OrderTriple:
 # -- driver data -----------------------------------------------------------------
 
 
-@dataclass
-class DivisorRecord:
-    name: str
-    origin: str
-    triple: OrderTriple
-    kodaira: KodairaType
+class DivisorRecord(Record):
+    __slots__ = ("name", "origin", "triple", "kodaira")
+
+    def __init__(self, name: str, origin: str, triple: OrderTriple, kodaira: KodairaType):
+        self.name, self.origin, self.triple, self.kodaira = name, origin, triple, kodaira
 
     def to_json(self):
         return {
@@ -197,15 +193,26 @@ class DivisorRecord:
         }
 
 
-@dataclass
-class CollisionRecord:
-    pair: tuple            # divisor names
-    chart_coords: tuple | None
-    point: tuple | None    # rational point in chart_coords, or None for a cluster
-    fiber: MirandaFiber
-    count: int = 1
-    cluster_eliminant: MultiPoly | None = None
-    where: str = ""        # the site in words, as the report names it
+class CollisionRecord(Record):
+    """The fiber over the crossing of the divisors named in ``pair``, at a
+    rational ``point`` of the chart ``chart_coords`` or, with ``point``
+    None, at the roots of ``cluster_eliminant``; ``where`` is the site in
+    words, as the report names it."""
+
+    __slots__ = ("pair", "chart_coords", "point", "fiber", "count", "cluster_eliminant", "where")
+
+    def __init__(
+        self, pair, chart_coords, point, fiber, count=1, cluster_eliminant=None, where=""
+    ):
+        self.pair, self.chart_coords, self.point, self.fiber = pair, chart_coords, point, fiber
+        self.count, self.cluster_eliminant, self.where = count, cluster_eliminant, where
+
+    def at(self, pair: tuple, where: str) -> "CollisionRecord":
+        """A copy for the divisors ``pair`` at the site ``where``."""
+        return CollisionRecord(
+            pair, self.chart_coords, self.point, self.fiber, self.count,
+            self.cluster_eliminant, where,
+        )
 
     def to_json(self):
         out = {
@@ -221,18 +228,24 @@ class CollisionRecord:
         return out
 
 
-@dataclass
-class Tower:
-    """All blow-up data over one center of the original base plane."""
+class Tower(Record):
+    """All blow-up data over one center of the original base plane.
 
-    label: str
-    kind: str                       # "contact" (of the section divisors) or "point"
-    point: tuple | None = None      # projective center of a "point" tower
-    count: int = 1                  # identical copies (cluster size)
-    blow_ups: int = 0
-    divisors: list = field(default_factory=list)
-    collisions: list = field(default_factory=list)
-    charts: list = field(default_factory=list)   # final LocalModels
+    ``kind`` is "contact" (of the section divisors) or "point", with the
+    projective center ``point``; ``count`` identical copies (the cluster
+    size); ``charts`` holds the final LocalModels.  The lists are copied."""
+
+    __slots__ = (
+        "label", "kind", "point", "count", "blow_ups", "divisors", "collisions", "charts",
+    )
+
+    def __init__(
+        self, label: str, kind: str, point=None, count=1, blow_ups=0,
+        divisors=(), collisions=(), charts=(),
+    ):
+        self.label, self.kind, self.point, self.count = label, kind, point, count
+        self.blow_ups, self.divisors = blow_ups, list(divisors)
+        self.collisions, self.charts = list(collisions), list(charts)
 
     def over(self, site: str) -> tuple:
         """(divisors, collisions) of one copy of the tower, with its
@@ -243,24 +256,31 @@ class Tower:
             for d in self.divisors
         ]
         collisions = [
-            replace(c, pair=tuple(names.get(n, n) for n in c.pair), where=f"over {site}")
-            for c in self.collisions
+            c.at(tuple(names.get(n, n) for n in c.pair), f"over {site}") for c in self.collisions
         ]
         return divisors, collisions
 
 
-@dataclass
-class BaseModification:
-    """Divisor and collision registry produced by the regularization driver."""
+class BaseModification(Record):
+    """Divisor and collision registry produced by the regularization driver.
 
-    component_divisors: list = field(default_factory=list)
-    towers: list = field(default_factory=list)
-    node_collisions: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    # certified rational singular points of the reduced discriminant,
-    # normalized projective triples in the order they were certified
-    singular_points: list = field(default_factory=list)
-    residual_degree: int = 0    # of the reduced residual curve; 0 if none
+    ``singular_points`` are the certified rational singular points of
+    the reduced discriminant, normalized projective triples in the order
+    they were certified; ``residual_degree`` is the degree of the reduced
+    residual curve, 0 if none.  The lists are copied."""
+
+    __slots__ = (
+        "component_divisors", "towers", "node_collisions", "notes", "singular_points",
+        "residual_degree",
+    )
+
+    def __init__(
+        self, component_divisors=(), towers=(), node_collisions=(), notes=(),
+        singular_points=(), residual_degree: int = 0,
+    ):
+        self.component_divisors, self.towers = list(component_divisors), list(towers)
+        self.node_collisions, self.notes = list(node_collisions), list(notes)
+        self.singular_points, self.residual_degree = list(singular_points), residual_degree
 
     def record_singular_point(self, point):
         key = normalize_projective(point)
@@ -271,66 +291,61 @@ class BaseModification:
 # -- the local driver ---------------------------------------------------------
 
 
-@dataclass
-class _ChartTask:
-    model: LocalModel       # normalized
-    divisors: dict          # name -> germ in chart coords
-    exceptional: str | None  # name of the fresh exceptional divisor
-
-
 class _TowerDriver:
     """Blows up one center until the reduced total transform has only
-    nodes with collision types on the collision table."""
+    nodes with collision types on the collision table.
+
+    Each chart is a normalized ``model`` with the germs of the divisors
+    it sees, ``divisors``, a dict from name to germ in its coordinates."""
 
     def __init__(self, tower, types):
         self.tower = tower
         self.types = dict(types)        # divisor name -> KodairaType
 
     def run(self, model: LocalModel, divisors: dict) -> Tower:
-        task = _ChartTask(model, divisors, exceptional=None)
-        self._process_point(task, (Fraction(0), Fraction(0)))
+        self._process_point(model, divisors, (Fraction(0), Fraction(0)))
         return self.tower
 
     # -- point handling ---------------------------------------------------
 
-    def _discriminant_branches(self, task, point):
+    def _discriminant_branches(self, model, divisors, point):
         """Divisors of positive discriminant order passing through a point."""
-        at = _evaluator(task.model.coords, point)
+        at = _evaluator(model.coords, point)
         return [
             (name, germ)
-            for name, germ in task.divisors.items()
+            for name, germ in divisors.items()
             if not self.types[name].is_smooth() and at(germ) == 0
         ]
 
-    def _process_point(self, task, point):
-        branches = self._discriminant_branches(task, point)
+    def _process_point(self, model, divisors, point):
+        branches = self._discriminant_branches(model, divisors, point)
         if not branches:
             return
         product = MultiPoly.const(1)
         for _, germ in branches:
             product = product * germ
-        report = _classify_product(product, point, task.model.coords)
+        report = _classify_product(product, point, model.coords)
         if report == "smooth":
             return
         if report == "node":
             pair = (branches[0][0], branches[-1][0])
             fiber = _collide_or_none(self.types, pair) if len(branches) <= 2 else None
             if fiber is not None:
-                self.tower.collisions.append(CollisionRecord(pair, task.model.coords, point, fiber))
+                self.tower.collisions.append(CollisionRecord(pair, model.coords, point, fiber))
                 return
-        self._blow_up(task, point)
+        self._blow_up(model, divisors, point)
 
     # -- blowing up --------------------------------------------------------
 
-    def _blow_up(self, task, point):
+    def _blow_up(self, model, divisors, point):
         if self.tower.blow_ups >= BLOWUP_BUDGET:
             raise BlowupBudgetError(
                 f"center {self.tower.label}: blow-up budget exceeded at chart "
-                f"{task.model.coords}, germ {format_poly(task.model.delta())[:120]}"
+                f"{model.coords}, germ {format_poly(model.delta())[:120]}"
             )
         self.tower.blow_ups += 1
         exc_name = f"E{self.tower.blow_ups}"
-        model_a, model_b = map(pull_back_fibration, blow_up_point(task.model, point))
+        model_a, model_b = map(pull_back_fibration, blow_up_point(model, point))
         # order triple of the new exceptional divisor, checked in both charts
         triple_a, triple_b = exceptional_order_triple(model_a), exceptional_order_triple(model_b)
         if triple_a.as_tuple() != triple_b.as_tuple():
@@ -344,16 +359,14 @@ class _TowerDriver:
             DivisorRecord(exc_name, f"exceptional divisor over {self.tower.label}", triple_a, ktype)
         )
         self.tower.charts += [model_a, model_b]
-        for model in (model_a, model_b):
-            self._scan_chart(
-                _ChartTask(model, self._transform_divisors(task, model, exc_name), exc_name)
-            )
+        for chart in (model_a, model_b):
+            self._scan_chart(chart, self._transform_divisors(divisors, chart, exc_name), exc_name)
 
-    def _transform_divisors(self, task, model, exc_name):
+    def _transform_divisors(self, divisors, model, exc_name):
         step = model.history[-1]
         exc_var = step.exceptional_coord()
         new = {}
-        for name, germ in task.divisors.items():
+        for name, germ in divisors.items():
             strict = step.strict_transform(germ)
             if strict.is_constant():
                 continue  # divisor not visible in this chart
@@ -361,21 +374,22 @@ class _TowerDriver:
         new[exc_name] = MultiPoly.variable(exc_var)
         return new
 
-    def _scan_chart(self, task):
-        """Find every point of the new exceptional divisor needing action.
+    def _scan_chart(self, model, divisors, exceptional):
+        """Find every point of the new exceptional divisor, ``exceptional``,
+        needing action.
 
         Chart A sees all of that divisor but one point, the origin of
         chart B, so chart B is scanned at its origin only.  As at rational
         points, I0 divisors carry no singular fiber and are passed over."""
-        step = task.model.history[-1]
+        step = model.history[-1]
         if step.chart == "B":
-            self._process_point(task, (Fraction(0), Fraction(0)))
+            self._process_point(model, divisors, (Fraction(0), Fraction(0)))
             return
         exc_var = step.exceptional_coord()
         restrictions = {
             name: germ.at_zero(exc_var)
-            for name, germ in task.divisors.items()
-            if name != task.exceptional and not self.types[name].is_smooth()
+            for name, germ in divisors.items()
+            if name != exceptional and not self.types[name].is_smooth()
         }
         points = set()
         for name, restriction in restrictions.items():
@@ -393,13 +407,13 @@ class _TowerDriver:
                 r for other, r in restrictions.items() if other != name and not r.is_constant()
             ]
             record = _crossing_record(
-                self.types, (name, task.exceptional), leftover,
+                self.types, (name, exceptional), leftover,
                 f"over {self.tower.label}", others,
             )
-            if not self.types[task.exceptional].is_smooth():
+            if not self.types[exceptional].is_smooth():
                 self.tower.collisions.append(record)
         for root in sorted(points):
-            self._process_point(task, (Fraction(0), root))
+            self._process_point(model, divisors, (Fraction(0), root))
 
 
 def _collide_or_none(types, pair):
@@ -701,9 +715,9 @@ def contact_tower(label, types, count=1) -> Tower:
     origin = f"exceptional divisor over {label}"
     return Tower(
         label, "contact", count=count, blow_ups=cached.blow_ups,
-        divisors=[replace(d, origin=origin) for d in cached.divisors],
-        collisions=[replace(c) for c in cached.collisions],
-        charts=list(cached.charts),
+        divisors=[DivisorRecord(d.name, origin, d.triple, d.kodaira) for d in cached.divisors],
+        collisions=[c.at(c.pair, c.where) for c in cached.collisions],
+        charts=cached.charts,
     )
 
 

@@ -52,6 +52,10 @@ class InputError(ValueError):
     """A command-line value outside the documented domain (exit 2)."""
 
 
+# The most dual-graph components ``collide`` and ``classify-triple`` build:
+# a Kodaira type I_n has n components, so a larger index is rejected.
+MAX_COMPONENTS = 10_000
+
 # Options that take an exact rational, which may be negative.
 _RATIONAL_OPTIONS = ("--alpha", "--m", "--h3", "--h4", "--a")
 
@@ -78,6 +82,14 @@ def _checked(build, *values):
         return build(*values)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _check_components(types):
+    """Reject types with over ``MAX_COMPONENTS`` components in all, which bound their collision."""
+    count = sum(k.component_count() for k in types)
+    if count > MAX_COMPONENTS:
+        tags = " + ".join(k.tag for k in types)
+        raise InputError(f"{tags} has {count} dual-graph components, over the cap {MAX_COMPONENTS}")
 
 
 def _rational(text: str) -> Fraction:
@@ -172,6 +184,7 @@ def cmd_classify_triple(args) -> int:
         )
     reduced = reduce_triple_mod(triple)
     ktype = kodaira_classify(reduced)
+    _check_components([ktype])
     _emit(
         {
             "triple": triple.to_json(),
@@ -183,8 +196,9 @@ def cmd_classify_triple(args) -> int:
 
 
 def cmd_collide(args) -> int:
-    fiber = collide(_checked(KodairaType, args.type1), _checked(KodairaType, args.type2))
-    _emit({"collision": fiber.to_json()})
+    types = [_checked(KodairaType, tag) for tag in (args.type1, args.type2)]
+    _check_components(types)
+    _emit({"collision": collide(*types).to_json()})
     return 0
 
 

@@ -21,26 +21,25 @@ from __future__ import annotations
 import cmath
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import MultiPoly, parse, poisson_bracket
+from .record import Value
 from .weierstrass import WeierstrassFibration
 
 GAMMA_VARS = ("G1", "G2", "G3")
 MOMENTUM_VARS = ("M1", "M2", "M3")
 
 
-@dataclass(frozen=True)
-class TopParams:
+class TopParams(Value):
     """Symmetric-top parameters: m = (J3 - J2)/J1, Casimir level a."""
 
-    m: Fraction = Fraction(0)
-    a_cas: Fraction = Fraction(0)
+    __slots__ = ("m", "a_cas")
 
-    def __post_init__(self):
-        if 1 + self.m == 0:
+    def __init__(self, m: Fraction = Fraction(0), a_cas: Fraction = Fraction(0)):
+        if 1 + m == 0:
             raise ValueError("1 + m must be nonzero")
+        self._store(m, a_cas)
 
     @property
     def alpha(self) -> Fraction:

@@ -9,29 +9,30 @@ presentation, and returns them as a ``ClassificationReport``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .blowup import regularize
 from .lagrange import build_global_sections
-from .monodromy import Presentation, build_presentation
+from .monodromy import build_presentation
+from .record import Record
 
 
-@dataclass
-class ClassificationReport:
-    """Full inventory of a fibration analysis."""
+class ClassificationReport(Record):
+    """Full inventory of a fibration analysis; ``presentation``, the
+    monodromy presentation, is built from the counts."""
 
-    alpha: Fraction
-    divisors: list
-    collisions: list
-    total_space_singularities: list
-    node_count: int
-    cusp_count: int
-    quintic_degree: int
-    notes: list = field(default_factory=list)
-    presentation: Presentation = field(init=False)
+    __slots__ = (
+        "alpha", "divisors", "collisions", "total_space_singularities", "node_count",
+        "cusp_count", "quintic_degree", "notes", "presentation",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self, alpha: Fraction, divisors: list, collisions: list, total_space_singularities: list,
+        node_count: int, cusp_count: int, quintic_degree: int, notes=(),
+    ):
+        self.alpha, self.divisors, self.collisions = alpha, divisors, collisions
+        self.total_space_singularities, self.node_count = total_space_singularities, node_count
+        self.cusp_count, self.quintic_degree, self.notes = cusp_count, quintic_degree, list(notes)
         self.presentation = build_presentation(self)
 
     def structure(self):

@@ -12,26 +12,29 @@ single representative [[1,0],[-1,1]].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
+
+from .record import Record, Value
+
+_set = object.__setattr__  # faster than Value._store; the solvers build an SL2Z per matrix
 
 
 class NotUnimodularError(ValueError):
     """Matrix determinant is not 1."""
 
 
-@dataclass(frozen=True)
-class SL2Z:
+class SL2Z(Value):
     """Integer 2x2 matrix with determinant 1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise NotUnimodularError(f"det {self.entries()} != 1")
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if a * d - b * c != 1:
+            raise NotUnimodularError(f"det {((a, b), (c, d))} != 1")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
 
     @staticmethod
     def identity() -> "SL2Z":
@@ -152,12 +155,14 @@ def normalize_pair(b: SL2Z) -> SL2Z:
 # -- presentation assembly ----------------------------------------------------
 
 
-@dataclass
-class Relation:
-    kind: str            # "node" | "cusp"
-    generators: tuple    # names of the two generators the relation binds
-    local_pair: tuple    # (A, B) certified SL2Z matrices for the local model
-    certified: bool = True
+class Relation(Record):
+    """A "node" or "cusp" relation of two generators, with its certified local pair (A, B)."""
+
+    __slots__ = ("kind", "generators", "local_pair", "certified")
+
+    def __init__(self, kind: str, generators: tuple, local_pair: tuple, certified: bool = True):
+        self.kind, self.generators, self.local_pair = kind, generators, local_pair
+        self.certified = certified
 
     def to_json(self):
         return {
@@ -168,14 +173,14 @@ class Relation:
         }
 
 
-@dataclass
-class Presentation:
+class Presentation(Record):
     """Generators and typed relations of the branch-curve complement group."""
 
-    generators: list
-    relations: list
-    assignment: dict
-    notes: list = field(default_factory=list)
+    __slots__ = ("generators", "relations", "assignment", "notes")
+
+    def __init__(self, generators: list, relations: list, assignment: dict, notes=()):
+        self.generators, self.relations, self.assignment = generators, relations, assignment
+        self.notes = list(notes)
 
     def to_json(self):
         return {

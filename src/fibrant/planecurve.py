@@ -13,7 +13,6 @@ generic, which keeps every step exact over the rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import (
@@ -30,6 +29,7 @@ from .poly import (
     resultant,
     strict_transform,
 )
+from .record import Record, Value
 
 PROJECTIVE_VARS = ("A0", "A1", "A2")
 
@@ -38,16 +38,15 @@ class NonReducedCurveError(ValueError):
     """The input has a repeated component; divide out multiple factors first."""
 
 
-@dataclass(frozen=True)
-class AffineChart:
+class AffineChart(Value):
     """One of the three standard affine charts of the projective plane."""
 
-    index: int
-    coords: tuple[str, str]
+    __slots__ = ("index", "coords")
 
-    def __post_init__(self):
-        if self.index not in (0, 1, 2):
+    def __init__(self, index: int, coords: tuple[str, str]):
+        if index not in (0, 1, 2):
             raise ValueError("chart index must be 0, 1 or 2")
+        self._store(index, coords)
 
     @staticmethod
     def standard(index: int) -> "AffineChart":
@@ -75,32 +74,33 @@ def normalize_projective(point) -> tuple:
     raise ValueError("projective point cannot be zero")
 
 
-@dataclass
-class SingularPointReport:
-    """Classification of one singular (or smooth) rational point."""
+class SingularPointReport(Record):
+    """Classification of one singular (or smooth) rational point; ``kind``
+    is smooth, node, cusp, tacnode, multiplicity_ge_3 or unresolved."""
 
-    point: tuple | None
-    kind: str  # smooth | node | cusp | tacnode | multiplicity_ge_3 | unresolved
-    multiplicity: int = 0
+    __slots__ = ("point", "kind", "multiplicity")
 
-
-@dataclass
-class SingularLocus:
-    """Rational singular points plus eliminant data for the rest."""
-
-    points: list
-    # squarefree polynomial in the second chart coordinate whose roots
-    # include the second coordinates of the singular points that are not
-    # rational; None if there are none
-    eliminant_squarefree: MultiPoly | None
+    def __init__(self, point: tuple | None, kind: str, multiplicity: int = 0):
+        self.point, self.kind, self.multiplicity = point, kind, multiplicity
 
 
-@dataclass
-class SmoothnessCertificate:
-    smooth: bool
-    witness_point: tuple | None = None
-    witness_eliminant: MultiPoly | None = None
-    reason: str = ""
+class SingularLocus(Record):
+    """Rational singular points plus, if some are not rational, a
+    squarefree eliminant in the second chart coordinate whose roots
+    include their second coordinates (else None)."""
+
+    __slots__ = ("points", "eliminant_squarefree")
+
+    def __init__(self, points: list, eliminant_squarefree: MultiPoly | None):
+        self.points, self.eliminant_squarefree = points, eliminant_squarefree
+
+
+class SmoothnessCertificate(Record):
+    __slots__ = ("smooth", "witness_point", "witness_eliminant", "reason")
+
+    def __init__(self, smooth: bool, witness_point=None, witness_eliminant=None, reason=""):
+        self.smooth, self.witness_point = smooth, witness_point
+        self.witness_eliminant, self.reason = witness_eliminant, reason
 
 
 def _gcd_many(polys):
@@ -386,15 +386,8 @@ def smoothness_certificate(f: MultiPoly, chart: AffineChart) -> SmoothnessCertif
             return SmoothnessCertificate(True, reason="constant nonzero partial derivative")
     locus = rational_singular_points(f, chart)
     if locus.points:
-        return SmoothnessCertificate(
-            False,
-            witness_point=locus.points[0].point,
-            reason="rational singular point",
-        )
+        return SmoothnessCertificate(False, locus.points[0].point, reason="rational singular point")
     if locus.eliminant_squarefree is not None and locus.eliminant_squarefree.total_degree() > 0:
-        return SmoothnessCertificate(
-            False,
-            witness_eliminant=locus.eliminant_squarefree,
-            reason="non-rational candidate singular locus (eliminant shown)",
-        )
+        reason = "non-rational candidate singular locus (eliminant shown)"
+        return SmoothnessCertificate(False, None, locus.eliminant_squarefree, reason)
     return SmoothnessCertificate(True, reason="singular-system eliminant is a nonzero constant")

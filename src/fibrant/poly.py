@@ -12,7 +12,8 @@ built on first use and cached for the text format and other readers.
 The public constructor ``MultiPoly(variables, terms)`` validates its
 input and converts it once.  The kernels build their results through the
 one private constructor ``_make``, from integer coefficients and a
-content given as an integer numerator/denominator pair; it moves the gcd
+content given as an integer numerator/denominator pair, or passed
+through as the ``Fraction`` an input already holds; it moves the gcd
 and sign of the integers into the content and prunes unused variables,
 a step a kernel skips when its integers are primitive by construction
 (by Gauss's lemma a product of primitive polynomials is primitive).
@@ -275,7 +276,7 @@ class MultiPoly:
                 raise ValueError(f"invalid variable name {var!r}")
             return _ZERO
         out = _ipartial(self.ints, self.variables.index(var))
-        return _make(self.variables, out, self.content.numerator, self.content.denominator)
+        return _make(self.variables, out, self.content)
 
     def substitute(self, mapping: dict) -> "MultiPoly":
         """Exact composition: replace variables by polynomials or rationals.
@@ -341,7 +342,7 @@ class MultiPoly:
             return self
         i = self.variables.index(var)
         ints = {e: c for e, c in self.ints.items() if not e[i]}
-        return _make(self.variables, ints, self.content.numerator, self.content.denominator)
+        return _make(self.variables, ints, self.content)
 
     def divide_by_power(self, var: str, k: int) -> "MultiPoly":
         """p / var^k as an exponent shift; NotDivisibleError unless var^k | p."""
@@ -351,7 +352,7 @@ class MultiPoly:
             raise NotDivisibleError(f"{var}^{k} does not divide {format_poly(self)}")
         i = self.variables.index(var)
         ints = {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in self.ints.items()}
-        return _make(self.variables, ints, self.content.numerator, self.content.denominator)
+        return _make(self.variables, ints, self.content)
 
     def evaluate(self, assignment: dict):
         """Evaluate at a full assignment.
@@ -417,7 +418,7 @@ _SET_INTS = MultiPoly.ints.__set__
 _SET_VIEW = MultiPoly._terms.__set__
 
 
-def _make(variables: tuple, ints: dict, num: int = 1, den: int = 1, primitive: bool = False):
+def _make(variables: tuple, ints: dict, num: int | Fraction = 1, den: int = 1, primitive=False):
     """The private constructor: the polynomial (num / den) * ints.
 
     ``variables`` is sorted and distinct, every exponent of ``ints`` is
@@ -425,7 +426,9 @@ def _make(variables: tuple, ints: dict, num: int = 1, den: int = 1, primitive: b
     sign of the integers are moved into the content and variables that
     no longer occur are pruned.  With ``primitive`` the caller vouches
     that ``ints`` is nonempty, has gcd 1 and uses every variable, so only
-    the sign of num is moved.
+    the sign of num is moved.  ``num`` may also be a ``Fraction`` with
+    den 1, such as the content of a polynomial a kernel passes through,
+    which is kept as it is when nothing moves into it.
     """
     if not num:
         return _ZERO
@@ -448,7 +451,9 @@ def _make(variables: tuple, ints: dict, num: int = 1, den: int = 1, primitive: b
         ints = {e: -c for e, c in ints.items()}
     poly = object.__new__(MultiPoly)
     _SET_VARIABLES(poly, variables)
-    _SET_CONTENT(poly, _UNIT if num == den == 1 else Fraction(num, den))
+    _SET_CONTENT(
+        poly, num if num.__class__ is Fraction else _UNIT if num == den == 1 else Fraction(num, den)
+    )
     _SET_INTS(poly, ints)
     return poly
 
@@ -827,10 +832,9 @@ def dehomogenize(p: MultiPoly, var: str, renames: dict) -> MultiPoly:
     for e, c in p.ints.items():
         key = tuple([e[k] for k in columns])
         ints[key] = get(key, 0) + c
-    content = p.content
     if len(ints) == len(p.ints):
-        return _make(out, ints, content.numerator, content.denominator, primitive=True)
-    return _make(out, {e: c for e, c in ints.items() if c}, content.numerator, content.denominator)
+        return _make(out, ints, p.content, primitive=True)
+    return _make(out, {e: c for e, c in ints.items() if c}, p.content)
 
 
 def _chart_map(p: MultiPoly, coords: tuple, chart_coords: tuple, chart: str, strict: bool):
@@ -877,7 +881,7 @@ def _chart_map(p: MultiPoly, coords: tuple, chart_coords: tuple, chart: str, str
         for e, c in p.ints.items():
             e += (0,)
             ints[tuple([e[a] + e[b] for a, b in recipe])] = c
-    return _make(out, ints, p.content.numerator, p.content.denominator, primitive=True)
+    return _make(out, ints, p.content, primitive=True)
 
 
 # -- linear Poisson brackets -------------------------------------------------

@@ -27,7 +27,6 @@ column (the contraction source I_{M1+M2}*) is kept alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import monodromy
@@ -48,6 +47,7 @@ from .poly import (
     parse,
     strip_coordinate_lines,
 )
+from .record import Value
 
 
 class NotAnalyzableError(ValueError):
@@ -69,18 +69,16 @@ class NotInTableError(ValueError):
 # -- order triples -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderTriple:
+class OrderTriple(Value):
     """Vanishing orders (L, K, N) of (a, b, a^3 - 27 b^2) along a divisor."""
 
-    L: object
-    K: object
-    N: object
+    __slots__ = ("L", "K", "N")
 
-    def __post_init__(self):
-        for v in (self.L, self.K, self.N):
+    def __init__(self, L, K, N):
+        for v in (L, K, N):
             if not (v == INFINITE_ORDER or (isinstance(v, int) and v >= 0)):
                 raise ValueError(f"bad order {v!r}")
+        self._store(L, K, N)
 
     def as_tuple(self):
         return (self.L, self.K, self.N)
@@ -118,13 +116,14 @@ def reduce_triple_mod(t: OrderTriple) -> OrderTriple:
 # -- dual graphs ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualGraph:
-    """Multiplicity-labeled dual graph of a degenerate fiber."""
+class DualGraph(Value):
+    """Multiplicity-labeled dual graph of a degenerate fiber, of ``kind`` irreducible,
+    cycle, chain, star_chain or tree; ``edges`` are node index pairs, repeats allowed."""
 
-    kind: str                 # irreducible | cycle | chain | star_chain | tree
-    nodes: tuple
-    edges: tuple              # pairs of node indices; repeats allowed
+    __slots__ = ("kind", "nodes", "edges")
+
+    def __init__(self, kind: str, nodes: tuple, edges: tuple):
+        self._store(kind, nodes, edges)
 
     @staticmethod
     def irreducible() -> "DualGraph":
@@ -188,31 +187,32 @@ class DualGraph:
 # -- Kodaira types ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KodairaType:
-    """A fiber type from Kodaira's classification, e.g. I3, I2*, IV*."""
+class KodairaType(Value):
+    """A fiber type from Kodaira's classification, e.g. I3, I2*, IV*,
+    validated from the tag alone: its dual graph is built on request."""
 
-    tag: str
+    __slots__ = ("tag",)
 
-    def __post_init__(self):
-        self._data()  # validate
-
-    def _data(self):
-        if self.tag in _FIXED_TYPES:
-            return _FIXED_TYPES[self.tag]
-        n = self.multiplicative_index()
-        if n is not None:
-            return {"graph": DualGraph.cycle(*([1] * n))}
-        n = self.star_index()
-        if n is not None:
-            return {"graph": DualGraph.star_chain((2,) * (n + 1))}
-        raise ValueError(f"unknown Kodaira tag {self.tag!r}")
+    def __init__(self, tag: str):
+        indexed = _tag_index(tag, "") is not None or _tag_index(tag, "*") is not None
+        if not indexed and tag not in _FIXED_GRAPHS:
+            raise ValueError(f"unknown Kodaira tag {tag!r}")
+        self._store(tag)
 
     def dual_graph(self) -> DualGraph:
-        return self._data()["graph"]
+        if self.tag in _FIXED_GRAPHS:
+            return _FIXED_GRAPHS[self.tag]
+        n = self.multiplicative_index()
+        if n is not None:
+            return DualGraph.cycle(*([1] * n))
+        return DualGraph.star_chain((2,) * (self.star_index() + 1))
 
     def component_count(self) -> int:
-        return self.dual_graph().component_count()
+        """The number of components of the dual graph, read off the tag."""
+        if self.tag in _FIXED_GRAPHS:
+            return _FIXED_GRAPHS[self.tag].component_count()
+        n = self.multiplicative_index()
+        return n if n is not None else self.star_index() + 5
 
     def multiplicities(self) -> tuple:
         return self.dual_graph().multiplicities()
@@ -240,11 +240,12 @@ class KodairaType:
                 return OrderTriple(low_l, low_k, low_n if n is None else n + shift)
 
     def to_json(self):
+        graph = self.dual_graph()
         return {
             "tag": self.tag,
-            "components": self.component_count(),
-            "multiplicities": list(self.multiplicities()),
-            "dual_graph": self.dual_graph().to_json(),
+            "components": graph.component_count(),
+            "multiplicities": list(graph.multiplicities()),
+            "dual_graph": graph.to_json(),
         }
 
 
@@ -270,14 +271,14 @@ _E8 = DualGraph.tree(
     ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)),
 )
 
-_FIXED_TYPES = {
-    "I0": {"graph": DualGraph.irreducible()},
-    "II": {"graph": DualGraph.irreducible()},
-    "III": {"graph": DualGraph.chain(1, 1)},
-    "IV": {"graph": DualGraph("tree", (1, 1, 1), ((0, 1), (1, 2), (0, 2)))},
-    "IV*": {"graph": _E6},
-    "III*": {"graph": _E7},
-    "II*": {"graph": _E8},
+_FIXED_GRAPHS = {
+    "I0": DualGraph.irreducible(),
+    "II": DualGraph.irreducible(),
+    "III": DualGraph.chain(1, 1),
+    "IV": DualGraph("tree", (1, 1, 1), ((0, 1), (1, 2), (0, 2))),
+    "IV*": _E6,
+    "III*": _E7,
+    "II*": _E8,
 }
 
 
@@ -341,15 +342,15 @@ class NotOnListError(ValueError):
     """Colliding pair outside the collision table: blow up further."""
 
 
-@dataclass(frozen=True)
-class MirandaFiber:
-    """The fiber over a node where two discriminant components collide."""
+class MirandaFiber(Value):
+    """The fiber over a node where two discriminant components collide: the
+    sorted ``pair`` of Kodaira types, the dual graph, the contraction source
+    (the table's column), the pipeline-facing label and what is contracted."""
 
-    pair: tuple                  # (KodairaType, KodairaType), sorted
-    dual_graph: DualGraph
-    kodaira_label: str           # contraction source (table column)
-    label: str                   # pipeline-facing label
-    contracted: str              # description of the contracted components
+    __slots__ = ("pair", "dual_graph", "kodaira_label", "label", "contracted")
+
+    def __init__(self, pair, dual_graph, kodaira_label, label, contracted):
+        self._store(pair, dual_graph, kodaira_label, label, contracted)
 
     def component_count(self) -> int:
         return self.dual_graph.component_count()
@@ -439,11 +440,14 @@ def check_genericity(alpha: Fraction):
     return alpha
 
 
-@dataclass(frozen=True)
-class TotalSpaceSingularity:
-    fiber_point: tuple          # (X : Y : Z), rational entries
-    base_point: tuple | None    # (A0 : A1 : A2) for isolated points
-    base_curve: str | None = None   # equation text for non-isolated loci
+class TotalSpaceSingularity(Value):
+    """A singular point (X : Y : Z) of the total space over the base point
+    (A0 : A1 : A2) if isolated, else along the curve ``base_curve`` (text)."""
+
+    __slots__ = ("fiber_point", "base_point", "base_curve")
+
+    def __init__(self, fiber_point: tuple, base_point: tuple | None, base_curve=None):
+        self._store(fiber_point, base_point, base_curve)
 
     def kind(self) -> str:
         return "curve" if self.base_curve is not None else "isolated"

@@ -61,6 +61,13 @@ class TestClassifyTriple:
         assert payload["reduced"] == [0, 0, 0]
         assert payload["kodaira"]["tag"] == "I0"
 
+    @pytest.mark.parametrize(
+        "triple, tag",
+        [(("0", "0", "1000000000000"), "I1000000000000"), (("2", "3", "1000000000000"), "I999999999994*")],
+    )
+    def test_huge_index_rejected(self, run, triple, tag):
+        assert_rejected(run("classify-triple", *triple), f"{tag} has")
+
     @pytest.mark.parametrize("triple", [("1", "1", "1"), ("4", "6", "11"), ("2", "3", "5")])
     def test_inconsistent_triple_rejected(self, run, triple):
         # N must be min(3L, 2K), and at least that when 3L = 2K.
@@ -90,6 +97,22 @@ class TestCollide:
 
     def test_unknown_tag_rejected(self, run):
         assert_rejected(run("collide", "I1", "foo"), "'foo'")
+
+    @pytest.mark.parametrize("pair", [("I1000000000000", "I5"), ("I1000000000000*", "I0")])
+    def test_huge_index_rejected(self, run, pair):
+        assert_rejected(run("collide", *pair), " + ".join(pair) + " has")
+
+    def test_component_cap_boundary(self, run):
+        """The collision fiber has at most as many components as its two
+        types; at the cap it is built, one past it is rejected."""
+        cap = cli.MAX_COMPONENTS
+        code, out, _ = run("collide", f"I{cap - 5}", "I5")
+        assert code == 0
+        assert json.loads(out)["collision"]["dual_graph"]["multiplicities"] == [1] * cap
+        assert_rejected(run("collide", f"I{cap - 4}", "I5"), f"{cap + 1} dual-graph components")
+        code, out, _ = run("classify-triple", "2", "3", str(cap + 1))
+        assert code == 0 and json.loads(out)["kodaira"]["components"] == cap
+        assert_rejected(run("classify-triple", "2", "3", str(cap + 2)), f"I{cap - 4}*")
 
     @pytest.mark.parametrize("pair", [("I00", "II"), ("I01", "I1"), ("I1", "I002*"), ("I\uff11", "I1")])
     def test_non_canonical_tag_rejected(self, run, pair):
@@ -317,7 +340,7 @@ class TestGoldenOutput:
         run_tower, blow_up, scan = (
             getattr(blowup._TowerDriver, name) for name in ("run", "_blow_up", "_scan_chart")
         )
-        post_init = blowup.LocalModel.__post_init__
+        init = blowup.LocalModel.__init__
 
         def counted(name, inner):
             def wrapper(*args):
@@ -327,10 +350,10 @@ class TestGoldenOutput:
             return wrapper
 
         def flagged(inner, origin_of):
-            def wrapper(walker, task, *rest):
-                saved, at_origin[0] = at_origin[0], origin_of(rest)
+            def wrapper(walker, *args):
+                saved, at_origin[0] = at_origin[0], origin_of(args)
                 try:
-                    return inner(walker, task, *rest)
+                    return inner(walker, *args)
                 finally:
                     at_origin[0] = saved
 
@@ -340,21 +363,21 @@ class TestGoldenOutput:
             counts["towers"] += 1
             return run_tower(walker, *args)
 
-        def origin(rest):
-            centered = not any(rest[0])
+        def origin(args):  # (model, divisors, point)
+            centered = not any(args[2])
             counts["origin blow-ups"] += centered
             return centered
 
-        def computing(model):
-            if model.discriminant is None:
-                roots.append(model.history)
-            post_init(model)
+        def computing(model, coords, a, b, history=(), t_record=(), discriminant=None):
+            if discriminant is None:
+                roots.append(history)
+            init(model, coords, a, b, history, t_record, discriminant)
 
         monkeypatch.setattr(blowup._TowerDriver, "run", towers)
         # root finding on the exceptional divisor may divide; it is not the blow-up step
         monkeypatch.setattr(blowup._TowerDriver, "_blow_up", flagged(blow_up, origin))
-        monkeypatch.setattr(blowup._TowerDriver, "_scan_chart", flagged(scan, lambda rest: False))
-        monkeypatch.setattr(blowup.LocalModel, "__post_init__", computing)
+        monkeypatch.setattr(blowup._TowerDriver, "_scan_chart", flagged(scan, lambda args: False))
+        monkeypatch.setattr(blowup.LocalModel, "__init__", computing)
         monkeypatch.setattr(poly, "_idiv", counted("_idiv", poly._idiv))
         monkeypatch.setattr(poly.MultiPoly, "substitute", counted("substitute", poly.MultiPoly.substitute))
         code, out, _ = run("analyze", f"--alpha={alpha}")
@@ -579,6 +602,20 @@ class TestParserReuse:
                 [sys.executable, "-m", "fibrant.cli", *argv], env=env, capture_output=True, text=True
             )
             assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def test_cli_import_loads_no_code_generator():
+    """A fresh ``import fibrant.cli`` loads neither ``dataclasses`` nor
+    ``inspect``; ``-S`` keeps any ``site`` hook from deciding the result."""
+    src = str(Path(fibrant.__file__).resolve().parents[1])
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); import fibrant.cli; "
+        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == []
 
 
 def test_cli_import_loads_only_stdlib_and_fibrant():

@@ -640,6 +640,34 @@ def fraction_sum(p, q, scale):
     return MultiPoly(names, out)
 
 
+@given(small_polys())
+@settings(max_examples=80, deadline=None)
+def test_pass_through_kernels_keep_the_content(p):
+    """Kernels that only move exponents hand the content on as it is:
+    the same ``Fraction`` whenever no integer gcd moves into it."""
+    results = []
+    for var in VARIABLE_POOL:
+        restriction = p.at_zero(var)
+        assert restriction == p.substitute({var: 0})
+        results.append(restriction)
+        k = p.order_in(var) if p.ints else 0
+        if k not in (0, INFINITE_ORDER):
+            divided = p.divide_by_power(var, k)
+            assert divided * MultiPoly.variable(var) ** k == p
+            results.append(divided)
+        results.append(p.derivative(var))
+    if not p.is_zero():
+        results.append(poly.dehomogenize(p, "w", {"x": "a", "y": "b"}))
+        for chart in ("A", "B"):
+            results.append(blow_up_chart(p, ("x", "y"), ("u", "v"), chart))
+            results.append(poly.strict_transform(p, ("x", "y"), ("u", "v"), chart))
+            assert results[-1].content is results[-2].content is p.content
+    for r in results:
+        assert_canonical(r)
+        if r.content == p.content:
+            assert r.content is p.content
+
+
 @given(small_polys(), small_polys(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_kernels_build_canonical_polynomials(p, q, data):
