@@ -32,11 +32,14 @@ transform has only such crossings.  It returns the registry of
 exceptional divisors, their order triples and fiber types, and the
 certified collisions.  The blow-ups over one center form a ``Tower``,
 which records whether the center is a rational point (and which) or a
-transverse contact.  Non-rational singular points are handled through
-the transverse-contact device: at a transverse intersection of the
-degree-4 and degree-6 divisors the sections themselves serve as local
-coordinates, so one abstract germ (a, b) = (s1, s2) covers the whole
-cluster.
+transverse contact, and the multiplicity of every divisor germ at each
+center it blows up, so the contact order of two divisors over the
+center follows from Noether's formula; where a line meets the residual
+curve it must equal the order of the restriction to the line.
+Non-rational singular points are handled through the transverse-contact
+device: at a transverse intersection of the degree-4 and degree-6
+divisors the sections themselves serve as local coordinates, so one
+abstract germ (a, b) = (s1, s2) covers the whole cluster.
 """
 
 from __future__ import annotations
@@ -99,9 +102,10 @@ class BlowupStep(Value):
         """p in the parent chart, written in this chart's coordinates."""
         return blow_up_chart(self._centred(p), self.parent_coords, self.coords, self.chart)
 
-    def strict_transform(self, p: MultiPoly) -> MultiPoly:
-        """The pull-back of p divided by the largest power of the
-        exceptional coordinate, in one exponent map."""
+    def strict_transform(self, p: MultiPoly) -> tuple:
+        """(the pull-back of p divided by the largest power of the
+        exceptional coordinate, that power: the multiplicity of p at the
+        center), in one exponent map."""
         return strict_transform(self._centred(p), self.parent_coords, self.coords, self.chart)
 
     def _centred(self, p: MultiPoly) -> MultiPoly:
@@ -233,19 +237,33 @@ class Tower(Record):
 
     ``kind`` is "contact" (of the section divisors) or "point", with the
     projective center ``point``; ``count`` identical copies (the cluster
-    size); ``charts`` holds the final LocalModels.  The lists are copied."""
+    size); ``charts`` holds the final LocalModels; ``multiplicities``
+    holds, for each blown-up center in blow-up order, the multiplicity
+    there of every divisor germ through it, {name: m}.  The lists are
+    copied."""
 
     __slots__ = (
         "label", "kind", "point", "count", "blow_ups", "divisors", "collisions", "charts",
+        "multiplicities",
     )
 
     def __init__(
         self, label: str, kind: str, point=None, count=1, blow_ups=0,
-        divisors=(), collisions=(), charts=(),
+        divisors=(), collisions=(), charts=(), multiplicities=(),
     ):
         self.label, self.kind, self.point, self.count = label, kind, point, count
         self.blow_ups, self.divisors = blow_ups, list(divisors)
         self.collisions, self.charts = list(collisions), list(charts)
+        self.multiplicities = list(multiplicities)
+
+    def contact_order(self, first: str, second: str) -> int:
+        """The intersection number of two divisors over the center, by
+        Noether's formula (Fulton, *Algebraic Curves*, ch. 7): the sum of
+        m(first) * m(second) over the blown-up centers, plus the crossings
+        of the two that the tower keeps as collisions."""
+        pair = {first, second}
+        kept = sum(c.count for c in self.collisions if set(c.pair) == pair)
+        return kept + sum(m.get(first, 0) * m.get(second, 0) for m in self.multiplicities)
 
     def over(self, site: str) -> tuple:
         """(divisors, collisions) of one copy of the tower, with its
@@ -359,20 +377,27 @@ class _TowerDriver:
             DivisorRecord(exc_name, f"exceptional divisor over {self.tower.label}", triple_a, ktype)
         )
         self.tower.charts += [model_a, model_b]
-        for chart in (model_a, model_b):
-            self._scan_chart(chart, self._transform_divisors(divisors, chart, exc_name), exc_name)
+        germs_a, mults = self._transform_divisors(divisors, model_a, exc_name)
+        germs_b, _ = self._transform_divisors(divisors, model_b, exc_name)
+        self.tower.multiplicities.append(mults)
+        self._scan_chart(model_a, germs_a, exc_name)
+        self._scan_chart(model_b, germs_b, exc_name)
 
     def _transform_divisors(self, divisors, model, exc_name):
+        """(the germs seen in the chart ``model``, the multiplicities of
+        the germs through the center just blown up)."""
         step = model.history[-1]
         exc_var = step.exceptional_coord()
-        new = {}
+        new, mults = {}, {}
         for name, germ in divisors.items():
-            strict = step.strict_transform(germ)
+            strict, m = step.strict_transform(germ)
+            if m:
+                mults[name] = m
             if strict.is_constant():
                 continue  # divisor not visible in this chart
             new[name] = strict
         new[exc_name] = MultiPoly.variable(exc_var)
-        return new
+        return new, mults
 
     def _scan_chart(self, model, divisors, exceptional):
         """Find every point of the new exceptional divisor, ``exceptional``,
@@ -536,7 +561,7 @@ class _Regularizer:
         discriminant components through it: one for a node of the
         residual curve, two for a crossing.  A node of the residual is
         reported in the chart where it was located, a crossing in
-        projective coordinates.
+        projective coordinates.  Returns the tower built, if any.
         """
         self.mod.record_singular_point(point)
         index = next(i for i, c in enumerate(point) if c != 0)
@@ -545,8 +570,10 @@ class _Regularizer:
         pair = (names[0], names[-1])
         fiber = _collide_or_none(self.types, pair) if transverse else None
         if fiber is None:
-            self.mod.towers.append(self._point_tower(chart, center, names))
-        elif len(names) == 1:
+            tower = self._point_tower(chart, center, names)
+            self.mod.towers.append(tower)
+            return tower
+        if len(names) == 1:
             self.mod.node_collisions.append(
                 CollisionRecord(
                     pair, chart.coords, center, fiber, where="node of the residual curve"
@@ -619,19 +646,30 @@ class _Regularizer:
         orders, restriction = strip_coordinate_lines(restriction)
         for other, k in orders.items():
             vertex = tuple(Fraction(v not in (var, other)) for v in PROJECTIVE_VARS)
-            self._site(vertex, names, transverse=k == 1)
+            self._line_site(vertex, names, k)
         if restriction.is_constant():
             return
         roots, leftover = rational_roots(restriction.substitute({first: Fraction(1)}))
         for root, mult in roots:
             point = {var: Fraction(0), first: Fraction(1), second: root}
-            self._site(tuple(point[v] for v in PROJECTIVE_VARS), names, transverse=mult == 1)
+            self._line_site(tuple(point[v] for v in PROJECTIVE_VARS), names, mult)
         if not leftover.is_constant():
             self.mod.node_collisions.append(
                 _crossing_record(
                     self.types, names, leftover, f"on the line {var} = 0",
                     where="crossing on the discriminant",
                 )
+            )
+
+    def _line_site(self, point, names, order):
+        """The site where the line ``names[0]`` meets ``Q~`` with the
+        intersection number ``order``, the order of the restriction there;
+        a tower built over the point must have the same contact order."""
+        tower = self._site(point, names, transverse=order == 1)
+        if tower is not None and tower.contact_order(*names) != order:
+            raise NotAnalyzableError(
+                f"contact order of {names[0]} and {names[1]} over {tower.label}: "
+                f"{tower.contact_order(*names)} in the tower, {order} on the line"
             )
 
 
@@ -717,7 +755,7 @@ def contact_tower(label, types, count=1) -> Tower:
         label, "contact", count=count, blow_ups=cached.blow_ups,
         divisors=[DivisorRecord(d.name, origin, d.triple, d.kodaira) for d in cached.divisors],
         collisions=[c.at(c.pair, c.where) for c in cached.collisions],
-        charts=cached.charts,
+        charts=cached.charts, multiplicities=[dict(m) for m in cached.multiplicities],
     )
 
 

@@ -93,7 +93,16 @@ def _check_components(types):
 
 
 def _rational(text: str) -> Fraction:
+    """``Fraction(text)``, refused before it is built when its numerator or
+    denominator would have more digits than CPython converts from a string
+    by default: an exponent (``1e99999999``) would make it a power of ten
+    of that size first."""
+    limit = sys.int_info.default_max_str_digits
+    mantissa, _, exponent = text.lower().partition("e")
+    shift = exponent.strip().lstrip("+-").replace("_", "").lstrip("0") or "0"
     try:
+        if len(shift) > len(str(limit)) or sum(map(str.isdigit, mantissa)) + int(shift) > limit:
+            raise argparse.ArgumentTypeError(f"over {limit} digits: {text[:20]!r}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc

@@ -46,14 +46,6 @@ class TopParams(Value):
         return -2 * self.a_cas
 
 
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 # The Lie-Poisson structure of e(3)*, one entry per pair (x, y) with x < y:
 # {M_i, M_j} = -eps_ijk M_k, {G_i, M_j} = -eps_ijk G_k, and the G commute.
 E3_STRUCTURE = {
@@ -90,21 +82,6 @@ def first_integrals(params: TopParams) -> tuple:
     Casimirs, the energy and the axial momentum M3 / (1 + m)."""
     h1, h2 = casimirs()
     return h1, h2, _energy(params.m), Fraction(1, 1 + params.m) * MultiPoly.variable("M3")
-
-
-def euler_poisson_rhs(point, params: TopParams) -> tuple:
-    """Numeric tangent vector at a phase point given as (Gamma, Omega).
-
-    ``point`` is a pair of complex 3-vectors (Gamma, Omega); the result
-    is (Gamma', M') with M = (Omega1, Omega2, (1+m) Omega3).
-    """
-    gamma, omega = point
-    m = complex(Fraction(params.m))
-    mom = (omega[0], omega[1], (1 + m) * omega[2])
-    chi = (0.0, 0.0, -1.0)
-    return _cross(gamma, omega), tuple(
-        a + b for a, b in zip(_cross(mom, omega), _cross(gamma, chi))
-    )
 
 
 def directional_derivative(h: MultiPoly, params: TopParams) -> MultiPoly:

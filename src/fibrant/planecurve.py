@@ -6,9 +6,7 @@ numerically, only certified through eliminant polynomials.  The
 multiplicity of a point is the least total degree of the recentred germ.
 Double points are classified (node / cusp / tacnode) by the 2-jet and,
 where the quadratic part degenerates, by blowing up and re-classifying
-the strict transform.  Intersection multiplicities are computed as
-vanishing orders of resultants after a shear making the projection
-generic, which keeps every step exact over the rationals.
+the strict transform.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from .poly import (
     content_in,
     dehomogenize,
     exact_divide,
-    extract_power,
     gcd_multivariate,
     format_poly,
     primitive_integer,
@@ -93,14 +90,6 @@ class SingularLocus(Record):
 
     def __init__(self, points: list, eliminant_squarefree: MultiPoly | None):
         self.points, self.eliminant_squarefree = points, eliminant_squarefree
-
-
-class SmoothnessCertificate(Record):
-    __slots__ = ("smooth", "witness_point", "witness_eliminant", "reason")
-
-    def __init__(self, smooth: bool, witness_point=None, witness_eliminant=None, reason=""):
-        self.smooth, self.witness_point = smooth, witness_point
-        self.witness_eliminant, self.reason = witness_eliminant, reason
 
 
 def _gcd_many(polys):
@@ -294,7 +283,7 @@ def _a_index(germ: MultiPoly, x: str, y: str):
         # quadratic part c*y^2 (tangent y = 0) in the chart (x, y) = (u, u v).
         # The exceptional line carries the multiplicity, 2, of the germ.
         chart = "B" if a != 0 else "A"
-        strict = strict_transform(current, (x, y), (x, y), chart)
+        strict, _ = strict_transform(current, (x, y), (x, y), chart)
         if a != 0:
             strict = strict.shift({x: Fraction(-b, 2 * a)})
         mult2 = min(map(sum, strict.ints))
@@ -305,89 +294,3 @@ def _a_index(germ: MultiPoly, x: str, y: str):
             return None
         current = strict
     return None
-
-
-# -- intersection multiplicity ------------------------------------------------
-
-
-def intersection_multiplicity(f: MultiPoly, g: MultiPoly, point, vars) -> int:
-    """Local intersection number of two curves at a rational point.
-
-    Shears x -> x + lambda*y are tried for lambda = 0, 1, 2, ... until the
-    projection is generic at the point (nonvanishing leading coefficients
-    in y, and the shifted line meets the two curves only at the point of
-    interest); the multiplicity is then the vanishing order of the
-    y-resultant at the sheared x-coordinate.
-    """
-    x, y = vars
-    px, py = Fraction(point[0]), Fraction(point[1])
-    values = {x: px, y: py}
-    if f.evaluate({v: values.get(v, 0) for v in f.variables} | values) != 0:
-        raise ValueError("point is not on the first curve")
-    if g.evaluate({v: values.get(v, 0) for v in g.variables} | values) != 0:
-        raise ValueError("point is not on the second curve")
-    common = gcd_multivariate(f, g)
-    if not common.is_constant():
-        cval = common.evaluate({v: values[v] for v in common.variables})
-        if cval == 0:
-            raise ValueError("curves share a component through the point")
-        else:
-            f = exact_divide(f, common)
-            g = exact_divide(g, common)
-
-    xv = MultiPoly.variable(x)
-    yv = MultiPoly.variable(y)
-    lam = 0
-    while True:
-        F = f.substitute({x: xv + lam * yv})
-        G = g.substitute({x: xv + lam * yv})
-        qx = px - lam * py
-        if _shear_is_generic(F, G, x, y, qx, py):
-            res = resultant(F, G, y)
-            k, _ = extract_power(res, xv - MultiPoly.const(qx))
-            return k
-        lam += 1
-        if lam > 64:
-            raise RuntimeError("no generic shear found (unexpected)")
-
-
-def _shear_is_generic(F, G, x, y, qx, qy) -> bool:
-    if F.degree_in(y) < 1 or G.degree_in(y) < 1:
-        return False
-    for P in (F, G):
-        lc = P.leading_coefficient_in(y)
-        val = lc.evaluate({v: qx for v in lc.variables}) if not lc.is_constant() else lc.constant_value()
-        if val == 0:
-            return False
-    # the line x = qx must meet the curves in no common point besides (qx, qy)
-    Fline = F.substitute({x: qx})
-    Gline = G.substitute({x: qx})
-    h = gcd_multivariate(Fline, Gline)
-    k, rest = extract_power(h, MultiPoly.variable(y) - qy) if not h.is_constant() else (0, h)
-    return h.is_constant() or (k >= 1 and rest.is_constant())
-
-
-# -- smoothness certificates ---------------------------------------------------
-
-
-def smoothness_certificate(f: MultiPoly, chart: AffineChart) -> SmoothnessCertificate:
-    """Prove f = f_x = f_y = 0 has no solution on the chart, or exhibit one.
-
-    A nonvanishing constant partial derivative certifies smoothness
-    immediately; otherwise the resultant eliminant of the singular system
-    is computed, a nonzero constant eliminant being a proof of smoothness
-    (the resultant lies in the elimination ideal of the system).
-    """
-    x, y = chart.coords
-    fx = f.derivative(x)
-    fy = f.derivative(y)
-    for d in (fx, fy):
-        if d.is_constant() and not d.is_zero():
-            return SmoothnessCertificate(True, reason="constant nonzero partial derivative")
-    locus = rational_singular_points(f, chart)
-    if locus.points:
-        return SmoothnessCertificate(False, locus.points[0].point, reason="rational singular point")
-    if locus.eliminant_squarefree is not None and locus.eliminant_squarefree.total_degree() > 0:
-        reason = "non-rational candidate singular locus (eliminant shown)"
-        return SmoothnessCertificate(False, None, locus.eliminant_squarefree, reason)
-    return SmoothnessCertificate(True, reason="singular-system eliminant is a nonzero constant")

@@ -26,11 +26,12 @@ partial derivatives of both integer parts at once).  Each substitution
 shape has its own kernel: ``substitute`` specializes variables to
 rationals in one integer pass per variable (v = n / d of degree D scales
 the term with v^k by n^k * d^(D-k) and puts d^D into the content) and
-keeps the power-product composition for polynomial images; ``shift`` is
-an integer Taylor shift; ``dehomogenize`` (a coordinate set to 1, others
-renamed), ``blow_up_chart`` (a chart of a point blow-up) and
-``strict_transform`` (the same chart divided by the largest power of the
-exceptional coordinate) are maps on exponents.
+takes no polynomial image; ``shift`` is an integer Taylor shift;
+``dehomogenize`` (a coordinate set to 1, others renamed),
+``blow_up_chart`` (a chart of a point blow-up) and ``strict_transform``
+(the same chart divided by the largest power of the exceptional
+coordinate, which is the multiplicity at the center) are maps on
+exponents.
 
 Gcds and resultants set one variable at a time to a single large integer
 xi, so the work falls to CPython's big-integer arithmetic, and read the
@@ -279,29 +280,25 @@ class MultiPoly:
         return _make(self.variables, out, self.content)
 
     def substitute(self, mapping: dict) -> "MultiPoly":
-        """Exact composition: replace variables by polynomials or rationals.
+        """Specialize variables to rationals (int, ``Fraction`` or constant
+        images) in one integer pass over the terms, ``_specialize``.
 
         Variables of the mapping that do not occur in the polynomial are
-        ignored; unmapped variables are left alone.  When every image is a
-        rational the variables are specialized by ``_specialize``, an
-        integer pass over the terms.  Otherwise ``_compose`` runs: an
-        image with one term (a constant, a variable or a monomial) is an
-        integer numerator/denominator pair times an exponent shift; every
-        term becomes such a pair and shift times a product of cached
-        integer powers of the images with several terms, and all terms are
-        added into one integer dict over the common denominator.
+        ignored; unmapped variables are left alone.  An image with a
+        variable is a ``TypeError``: shifts, charts and renamings have
+        their own exponent maps.
         """
-        images = {var: mapping[var] for var in self.variables if var in mapping}
-        if not images:
-            return self
         values = {}
-        for var, image in images.items():
+        for var in self.variables:
+            if var not in mapping:
+                continue
+            image = mapping[var]
             if isinstance(image, MultiPoly) and not image.variables:
                 image = image.constant_value()
             if not isinstance(image, (int, Fraction)):
-                return _compose(self, {v: _coerce_poly_strict(img) for v, img in images.items()})
+                raise TypeError(f"substitute specializes to rationals; {var} -> {image!r}")
             values[var] = image
-        return _specialize(self, values)
+        return _specialize(self, values) if values else self
 
     def shift(self, point: dict) -> "MultiPoly":
         """Recenter: substitute v -> v + point[v] for each listed variable.
@@ -406,10 +403,6 @@ class MultiPoly:
             buckets[exp[i]][exp[:i] + exp[i + 1:]] = coeff
         num, den = self.content.numerator, self.content.denominator
         return [_make(rest, b, num, den) for b in buckets]
-
-    def leading_coefficient_in(self, var: str) -> "MultiPoly":
-        coeffs = self.as_univariate(var)
-        return coeffs[-1] if coeffs else _ZERO
 
 
 _SET_VARIABLES = MultiPoly.variables.__set__
@@ -535,68 +528,6 @@ def _specialize(p: MultiPoly, values: dict) -> MultiPoly:
             out[key] = get(key, 0) + c
     ints = {e: c for e, c in out.items() if c}
     return _make(tuple(names[k] for k in keep), ints, p.content.numerator, den)
-
-
-def _compose(p: MultiPoly, images: dict) -> MultiPoly:
-    """p with the variables of ``images`` replaced by those polynomials."""
-    names = {v for v in p.variables if v not in images}
-    for img in images.values():
-        names.update(img.variables)
-    names = tuple(sorted(names))
-    index = {v: i for i, v in enumerate(names)}
-    one = (0,) * len(names)
-    factors = []  # per variable: (num, den, exponent shift, {k: image^k} or None)
-    for var in p.variables:
-        img = images.get(var)
-        if img is None:
-            unit = [0] * len(names)
-            unit[index[var]] = 1
-            factors.append((1, 1, tuple(unit), None))
-            continue
-        c = img.content
-        if len(img.ints) == 1:
-            (exp, sign), = _over(img, names).items()
-            factors.append((sign * c.numerator, c.denominator, exp if any(exp) else one, None))
-        elif img.ints:
-            factors.append((c.numerator, c.denominator, one, {0: {one: 1}, 1: _over(img, names)}))
-        else:
-            factors.append((0, 1, one, None))
-    scaled = []
-    for exp, num in p.ints.items():
-        den = 1
-        shift = one
-        product = None
-        for k, (fnum, fden, step, powers) in zip(exp, factors):
-            if k:
-                if fnum != 1:
-                    num *= fnum**k
-                if fden != 1:
-                    den *= fden**k
-                if step is not one:
-                    shift = tuple(s + k * t for s, t in zip(shift, step))
-                if powers is not None:
-                    power = _cached_power(powers, k)
-                    product = power if product is None else _imul(product, power)
-        if num:
-            scaled.append((num, den, shift, product))
-    if not scaled:
-        return _ZERO
-    common = math.lcm(*[den for _, den, _, _ in scaled])
-    acc = {}
-    get = acc.get
-    for num, den, shift, product in scaled:
-        m = num * (common // den)
-        if product is None:
-            acc[shift] = get(shift, 0) + m
-        elif shift is one:
-            for e, c in product.items():
-                acc[e] = get(e, 0) + m * c
-        else:
-            for e, c in product.items():
-                e = tuple(map(add, e, shift))
-                acc[e] = get(e, 0) + m * c
-    acc = {e: k for e, k in acc.items() if k}
-    return _make(names, acc, p.content.numerator, p.content.denominator * common)
 
 
 def _scalar(p: MultiPoly):
@@ -797,16 +728,17 @@ def blow_up_chart(p: MultiPoly, coords: tuple, chart_coords: tuple, chart: str) 
     variables are left alone; u and v may reuse the names x and y but must
     not name another variable of p.
     """
-    return _chart_map(p, coords, chart_coords, chart, strict=False)
+    return _chart_map(p, coords, chart_coords, chart, strict=False)[0]
 
 
-def strict_transform(p: MultiPoly, coords: tuple, chart_coords: tuple, chart: str) -> MultiPoly:
-    """``blow_up_chart`` divided by the largest power of the exceptional
-    coordinate, u in chart "A" and v in chart "B".
+def strict_transform(p: MultiPoly, coords: tuple, chart_coords: tuple, chart: str) -> tuple:
+    """(``blow_up_chart`` divided by the largest power of the exceptional
+    coordinate, u in chart "A" and v in chart "B", that power).
 
     That coordinate carries the exponent i + j of x^i y^j, so the power
     is the multiplicity of p at the origin, its least total degree in
-    ``coords``, and the division is part of the same exponent map.
+    ``coords`` (0 when p is free of them), and the division is part of
+    the same exponent map.
     """
     return _chart_map(p, coords, chart_coords, chart, strict=True)
 
@@ -847,7 +779,7 @@ def _chart_map(p: MultiPoly, coords: tuple, chart_coords: tuple, chart: str, str
     i = names.index(x) if x in names else pad
     j = names.index(y) if y in names else pad
     if i == j:
-        return p  # neither coordinate occurs
+        return p, 0  # neither coordinate occurs
     # each new exponent is a sum of two old ones, pad reading as 0; a new
     # coordinate with both sums at pad does not occur and is left out, so
     # the result uses all its variables and keeps the content of p
@@ -857,7 +789,7 @@ def _chart_map(p: MultiPoly, coords: tuple, chart_coords: tuple, chart: str, str
         sums = {w: s for w, s in sums.items() if min(s) < pad}
     if pad > 2 or pad in (i, j):
         sums.update((w, (k, pad)) for k, w in enumerate(names) if w not in coords)
-    lowest = 0
+    lowest = shift = 0
     if strict:
         if pad in (i, j):
             degrees = [e[min(i, j)] for e in p.ints]
@@ -866,22 +798,23 @@ def _chart_map(p: MultiPoly, coords: tuple, chart_coords: tuple, chart: str, str
         lowest = min(degrees)
         if lowest == max(degrees):
             del sums[exc]  # the strict transform is free of the exceptional coordinate
-            lowest = 0
+        else:
+            shift = lowest
     out = tuple(sorted(sums))
     recipe = [sums[w] for w in out]
     ints = {}
-    if lowest:
+    if shift:
         k = out.index(exc)
         for e, c in p.ints.items():
             e += (0,)
             key = [e[a] + e[b] for a, b in recipe]
-            key[k] -= lowest
+            key[k] -= shift
             ints[tuple(key)] = c
     else:
         for e, c in p.ints.items():
             e += (0,)
             ints[tuple([e[a] + e[b] for a, b in recipe])] = c
-    return _make(out, ints, p.content, primitive=True)
+    return _make(out, ints, p.content, primitive=True), lowest
 
 
 # -- linear Poisson brackets -------------------------------------------------

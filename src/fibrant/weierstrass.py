@@ -27,6 +27,7 @@ column (the contraction source I_{M1+M2}*) is kept alongside.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from . import monodromy
@@ -40,10 +41,8 @@ from .planecurve import (
 from .poly import (
     INFINITE_ORDER,
     MultiPoly,
-    exact_divide,
     extract_power,
     format_poly,
-    gcd_multivariate,
     parse,
     strip_coordinate_lines,
 )
@@ -251,11 +250,16 @@ class KodairaType(Value):
 
 def _tag_index(tag: str, suffix: str):
     """n when ``tag`` is exactly f"I{n}{suffix}" for an ASCII integer n >= 0
-    written without leading zeros, else None."""
+    written without leading zeros, else None.  An index of more digits
+    than CPython converts to an int by default is a ValueError."""
     digits = tag[1:len(tag) - len(suffix)]
-    if digits.isascii() and digits.isdigit() and tag == f"I{int(digits)}{suffix}":
-        return int(digits)
-    return None
+    if not (tag[:1] == "I" and tag.endswith(suffix) and digits.isascii() and digits.isdigit()):
+        return None
+    if len(digits) > sys.int_info.default_max_str_digits:
+        raise ValueError(
+            f"Kodaira tag {tag[:12]}... has an index of {len(digits)} digits, too long"
+        )
+    return int(digits) if tag == f"I{int(digits)}{suffix}" else None
 
 
 _E6 = DualGraph.tree(
@@ -491,14 +495,6 @@ class WeierstrassFibration:
     def discriminant(self) -> MultiPoly:
         """a^3 - 27 b^2, homogeneous of degree 12."""
         return self._delta
-
-    def j_invariant(self):
-        """Functional invariant a^3 / Delta as unreduced and reduced pairs."""
-        num = self.a**3
-        den = self.discriminant()
-        g = gcd_multivariate(num, den)
-        reduced = (exact_divide(num, g), exact_divide(den, g))
-        return {"unreduced": (num, den), "reduced": reduced, "gcd": g}
 
     # -- total-space singularities (fiber equation Y^2 Z = 4X^3 - aXZ^2 - bZ^3) --
 

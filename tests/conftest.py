@@ -1,11 +1,20 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from fibrant import blowup, lagrange
-from fibrant.poly import INFINITE_ORDER, MultiPoly, exact_divide, extract_power
+from fibrant.planecurve import rational_singular_points
+from fibrant.poly import (
+    INFINITE_ORDER,
+    MultiPoly,
+    exact_divide,
+    extract_power,
+    gcd_multivariate,
+    resultant,
+)
 from fibrant.weierstrass import (
     KodairaType,
     NeedsNormalizationError,
@@ -46,6 +55,128 @@ def fulton_multiplicity(f, g, x="x", y="y", depth=0):
     lcg = gr.as_univariate(x)[-1].constant_value()
     gnew = g - (lcg / lcf) * MultiPoly.variable(x) ** (s - r) * f
     return fulton_multiplicity(f, gnew, x, y, depth + 1)
+
+
+def intersection_multiplicity(f, g, point, vars):
+    """Local intersection number of two curves at a rational point, by a
+    shear and a resultant (oracle only).
+
+    Shears x -> x + lambda*y are tried for lambda = 0, 1, 2, ... until the
+    projection is generic at the point (nonvanishing leading coefficients
+    in y, and the shifted line meets the two curves only at the point of
+    interest); the multiplicity is then the vanishing order of the
+    y-resultant at the sheared x-coordinate.
+    """
+    x, y = vars
+    px, py = Fraction(point[0]), Fraction(point[1])
+    values = {x: px, y: py}
+    if f.evaluate({v: values.get(v, 0) for v in f.variables} | values) != 0:
+        raise ValueError("point is not on the first curve")
+    if g.evaluate({v: values.get(v, 0) for v in g.variables} | values) != 0:
+        raise ValueError("point is not on the second curve")
+    common = gcd_multivariate(f, g)
+    if not common.is_constant():
+        if common.evaluate({v: values[v] for v in common.variables}) == 0:
+            raise ValueError("curves share a component through the point")
+        f, g = exact_divide(f, common), exact_divide(g, common)
+    xv, yv = MultiPoly.variable(x), MultiPoly.variable(y)
+    for lam in range(65):
+        F, G = (compose(p, {x: xv + lam * yv}) for p in (f, g))
+        qx = px - lam * py
+        if _shear_is_generic(F, G, x, y, qx, py):
+            k, _ = extract_power(resultant(F, G, y), xv - MultiPoly.const(qx))
+            return k
+    raise RuntimeError("no generic shear found (unexpected)")
+
+
+def _shear_is_generic(F, G, x, y, qx, qy) -> bool:
+    if F.degree_in(y) < 1 or G.degree_in(y) < 1:
+        return False
+    for P in (F, G):
+        lc = P.as_univariate(y)[-1]
+        if lc.evaluate({v: qx for v in lc.variables}) == 0:
+            return False
+    # the line x = qx must meet the curves in no common point besides (qx, qy)
+    h = gcd_multivariate(F.substitute({x: qx}), G.substitute({x: qx}))
+    if h.is_constant():
+        return True
+    k, rest = extract_power(h, MultiPoly.variable(y) - qy)
+    return k >= 1 and rest.is_constant()
+
+
+def compose(p, mapping):
+    """p with variables replaced by polynomials or rationals, term by term
+    in ``MultiPoly`` arithmetic (oracle only; ``substitute`` takes
+    rational images alone)."""
+    images = {v: m if isinstance(m, MultiPoly) else MultiPoly.const(m) for v, m in mapping.items()}
+    total = MultiPoly.zero()
+    for exp, coeff in p.terms.items():
+        term = MultiPoly.const(coeff)
+        for v, k in zip(p.variables, exp):
+            term = term * images.get(v, MultiPoly.variable(v)) ** k
+        total = total + term
+    return total
+
+
+class SmoothnessCertificate(NamedTuple):
+    smooth: bool
+    witness_point: tuple = None
+    witness_eliminant: MultiPoly = None
+    reason: str = ""
+
+
+def smoothness_certificate(f, chart):
+    """Prove f = f_x = f_y = 0 has no solution on the chart, or exhibit one
+    (oracle only).
+
+    A nonvanishing constant partial derivative certifies smoothness
+    immediately; otherwise the singular locus is solved, a nonzero
+    constant eliminant being a proof of smoothness (the resultant lies in
+    the elimination ideal of the system).
+    """
+    for d in (f.derivative(v) for v in chart.coords):
+        if d.is_constant() and not d.is_zero():
+            return SmoothnessCertificate(True, reason="constant nonzero partial derivative")
+    locus = rational_singular_points(f, chart)
+    if locus.points:
+        return SmoothnessCertificate(False, locus.points[0].point, reason="rational singular point")
+    if locus.eliminant_squarefree is not None and locus.eliminant_squarefree.total_degree() > 0:
+        reason = "non-rational candidate singular locus (eliminant shown)"
+        return SmoothnessCertificate(False, None, locus.eliminant_squarefree, reason)
+    return SmoothnessCertificate(True, reason="singular-system eliminant is a nonzero constant")
+
+
+def j_invariant(fib):
+    """Functional invariant a^3 / Delta of a fibration as unreduced and
+    reduced pairs (oracle only)."""
+    num, den = fib.a**3, fib.discriminant()
+    g = gcd_multivariate(num, den)
+    reduced = (exact_divide(num, g), exact_divide(den, g))
+    return {"unreduced": (num, den), "reduced": reduced, "gcd": g}
+
+
+def cross(u, v):
+    """The cross product of two 3-vectors of numbers or polynomials."""
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def euler_poisson_rhs(point, params):
+    """Numeric tangent vector of the Euler-Poisson flow at a phase point
+    (oracle only).
+
+    ``point`` is a pair of complex 3-vectors (Gamma, Omega); the result
+    is (Gamma', M') with M = (Omega1, Omega2, (1+m) Omega3) and
+    chi = (0, 0, -1).
+    """
+    gamma, omega = point
+    m = complex(Fraction(params.m))
+    mom = (omega[0], omega[1], (1 + m) * omega[2])
+    chi = (0.0, 0.0, -1.0)
+    return cross(gamma, omega), tuple(a + b for a, b in zip(cross(mom, omega), cross(gamma, chi)))
 
 
 def chart_substitution(coords, chart_coords, chart, center=(0, 0)):

@@ -31,7 +31,7 @@ from fibrant.monodromy import (
     solve_cusp_relation,
     solve_node_relation,
 )
-from fibrant.planecurve import AffineChart, intersection_multiplicity, rational_singular_points
+from fibrant.planecurve import AffineChart, rational_singular_points
 from fibrant.poly import (
     MultiPoly,
     equal_up_to_unit,
@@ -94,16 +94,21 @@ def test_criterion_2_quintic_singularities(criterion):
     assert ok, f"points={points}, |res|={abs(res)}, elapsed={elapsed:.3f}s"
 
 
+def vertex_tower(modification, label):
+    """The blow-up tower ``regularize`` built over a vertex of the base plane."""
+    return next(t for t in modification.towers if t.label == f"point {label}")
+
+
 def test_criterion_3_tangency_at_001(criterion):
-    """Contact order of the quintic with the line A0 = 0 at (0:0:1)."""
+    """Contact order of the quintic with the line A0 = 0 at (0:0:1), read
+    off the pipeline's tower there."""
     fib = build_global_sections(1)
     _, quintic = fib.reduced_discriminant()
-    chart = AffineChart.standard(2)
-    q_aff = chart.dehomogenize(quintic)
-    m = intersection_multiplicity(q_aff, MultiPoly.variable("u"), (0, 0), vars=chart.coords)
+    m = vertex_tower(regularize(fib), "(0:0:1)").contact_order("L~", "Q~")
+    q_aff = AffineChart.standard(2).dehomogenize(quintic)
     ok = m == 2 and fulton_multiplicity(q_aff, MultiPoly.variable("u"), "u", "v") == 2
     criterion(3, "tangency at (0:0:1): intersection multiplicity 2", ok)
-    assert ok
+    assert ok, f"contact order at (0:0:1) is {m}"
 
 
 def test_criterion_3_tangency_at_010(criterion):
@@ -113,17 +118,15 @@ def test_criterion_3_tangency_at_010(criterion):
     the line as -(1/64) A1^2 A2^3 (criterion 1), which vanishes to order 3
     in A2 at this point.  By Bezout the contact orders at the two zeros of
     the restriction add up to the degree 5, and the order at (0:0:1) is 2.
+    Both orders are read off the pipeline's towers.
     """
     fib = build_global_sections(1)
     _, quintic = fib.reduced_discriminant()
-    line = MultiPoly.variable("u")
-    chart = AffineChart.standard(1)
-    q_aff = chart.dehomogenize(quintic)
-    m = intersection_multiplicity(q_aff, line, (0, 0), vars=chart.coords)
-    oracle = fulton_multiplicity(q_aff, line, "u", "v")
-    chart_001 = AffineChart.standard(2)
-    m_001 = intersection_multiplicity(
-        chart_001.dehomogenize(quintic), line, (0, 0), vars=chart_001.coords
+    modification = regularize(fib)
+    m = vertex_tower(modification, "(0:1:0)").contact_order("L~", "Q~")
+    m_001 = vertex_tower(modification, "(0:0:1)").contact_order("L~", "Q~")
+    oracle = fulton_multiplicity(
+        AffineChart.standard(1).dehomogenize(quintic), MultiPoly.variable("u"), "u", "v"
     )
     ok = m == 3 and oracle == 3
     ok &= m + m_001 == quintic.total_degree()

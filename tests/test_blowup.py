@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from conftest import chart_substitution
+from conftest import chart_substitution, compose, fulton_multiplicity, intersection_multiplicity
 from hypothesis import given, settings, strategies as st
 from test_cli import GOLDEN_ANALYZE
 
@@ -16,7 +16,7 @@ from fibrant.blowup import (
 )
 from fibrant.lagrange import build_global_sections
 from fibrant.miranda import analyze_lagrange_family
-from fibrant.planecurve import classify_double_point
+from fibrant.planecurve import AffineChart, classify_double_point
 from fibrant.poly import MultiPoly, extract_power, format_poly, parse, radical
 from fibrant.weierstrass import (
     KodairaType,
@@ -44,7 +44,7 @@ def composed_map(model):
     mapping = {c: MultiPoly.variable(c) for c in model.history[0].parent_coords}
     for step in model.history:
         sub = step_substitution(step)
-        mapping = {k: poly.substitute(sub) for k, poly in mapping.items()}
+        mapping = {k: compose(poly, sub) for k, poly in mapping.items()}
     return mapping
 
 
@@ -87,7 +87,7 @@ class TestBlowUpPoint:
         assert exceptional_order_triple(chart_a).as_tuple() == (0, 0, 0)
         # the discriminant pulls back through the substitution untouched
         sub = step_substitution(chart_a.history[-1])
-        assert chart_a.delta() == model.delta().substitute(sub)
+        assert chart_a.delta() == compose(model.delta(), sub)
 
 
 class TestPullBack:
@@ -109,7 +109,7 @@ class TestPullBack:
         chart_a, _ = blow_up_point(model, (0, 0))
         norm = pull_back_fibration(chart_a)
         sub = step_substitution(chart_a.history[-1])
-        pulled = model.delta().substitute(sub)
+        pulled = compose(model.delta(), sub)
         scale = MultiPoly.const(1)
         for coord, t in norm.t_record:
             scale = scale * MultiPoly.variable(coord) ** (12 * t)
@@ -134,9 +134,9 @@ class TestCarriedDiscriminant:
         model = LocalModel(("s1", "s2"), s1**2 * s2 - 3 * s2**3, s1**3 + F(1, 2) * s2)
         for chart in blow_up_point(model, center):
             sub = step_substitution(chart.history[-1])
-            assert chart.a == model.a.substitute(sub)
-            assert chart.b == model.b.substitute(sub)
-            assert chart.delta() == model.delta().substitute(sub)
+            assert chart.a == compose(model.a, sub)
+            assert chart.b == compose(model.b, sub)
+            assert chart.delta() == compose(model.delta(), sub)
             assert chart.delta() == chart.a**3 - 27 * chart.b**2
 
 
@@ -287,6 +287,58 @@ class TestRegularizeLagrange:
 
     def test_cluster_eliminant_note(self, modification):
         assert any("3*a2^4" in note for note in modification.notes)
+
+
+class TestContactOrders:
+    """Contact orders read off the towers by Noether's formula, against the
+    Fulton recursion and the shear-and-resultant oracle."""
+
+    @pytest.mark.parametrize("alpha", sorted(GOLDEN_ANALYZE))
+    def test_line_and_quintic_against_two_oracles(self, alpha):
+        fib = build_global_sections(F(alpha))
+        _, quintic = fib.reduced_discriminant()
+        towers = {t.label: t for t in regularize(fib).towers}
+        line = MultiPoly.variable("u")
+        orders = []
+        for label, index, expected in (("(0:0:1)", 2, 2), ("(0:1:0)", 1, 3)):
+            order = towers[f"point {label}"].contact_order("L~", "Q~")
+            chart = AffineChart.standard(index)
+            q_aff = chart.dehomogenize(quintic)
+            assert order == expected == fulton_multiplicity(q_aff, line, "u", "v")
+            assert order == intersection_multiplicity(q_aff, line, (0, 0), vars=chart.coords)
+            orders.append(order)
+        assert sum(orders) == quintic.total_degree() == 5
+
+    def test_kept_crossings_count_once(self, modification):
+        # in the contact tower every collision pair crosses once, and the
+        # sections' cusp meets E1 twice: m = 2 at the first center, then
+        # once more at the second
+        tower = next(t for t in modification.towers if t.label == "contact cluster")
+        assert all(tower.contact_order(*c.pair) == 1 for c in tower.collisions)
+        assert tower.contact_order("Q~", "E1") == 2
+        assert tower.contact_order("E1", "Q~") == 2
+
+    def test_transverse_off_table_crossing_has_order_one(self):
+        fib = WeierstrassFibration(
+            MultiPoly.zero(),
+            parse("A0*A1^2*(A2^3 - A2*A0^2 - A2*A1^2 + A0^2*A1 + A0*A1^2)"),
+        )
+        towers = regularize(fib).towers
+        assert len(towers) == 3
+        assert all(t.contact_order("L~", "Q~") == 1 for t in towers)
+
+    def test_a_wrong_multiplicity_is_not_analyzable(self, monkeypatch):
+        transform = blowup._TowerDriver._transform_divisors
+
+        def skewed(driver, divisors, model, exc_name):
+            germs, mults = transform(driver, divisors, model, exc_name)
+            if "L~" in mults:
+                mults["L~"] += 1
+            return germs, mults
+
+        monkeypatch.setattr(blowup._TowerDriver, "_transform_divisors", skewed)
+        with pytest.raises(NotAnalyzableError, match="contact order of L~ and Q~ over point"):
+            regularize(build_global_sections(1))
 
 
 @given(st.lists(st.integers(-2, 2), min_size=7, max_size=7), st.integers(-2, 2), st.integers(-2, 2))

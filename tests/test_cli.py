@@ -102,6 +102,12 @@ class TestCollide:
     def test_huge_index_rejected(self, run, pair):
         assert_rejected(run("collide", *pair), " + ".join(pair) + " has")
 
+    @pytest.mark.parametrize("suffix", ["", "*"])
+    def test_index_too_long_to_convert_rejected(self, run, suffix):
+        code, out, err = run("collide", "I" + "1" * 5000 + suffix, "I1")
+        assert_rejected((code, out, err), "Kodaira tag I11111111111... has an index of 5000 digits")
+        assert len(err) < 100
+
     def test_component_cap_boundary(self, run):
         """The collision fiber has at most as many components as its two
         types; at the cap it is built, one past it is rejected."""
@@ -285,15 +291,15 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("alpha", sorted(GOLDEN_ANALYZE))
     def test_substitutions_and_linear_roots_take_the_integer_kernels(self, run, monkeypatch, alpha):
-        """Every substitution is a specialization by rationals, never the
-        power-product composition, and no linear polynomial reaches the
-        p-adic root search.
+        """Substitutions run the integer specialization kernel (a polynomial
+        image would be a ``TypeError``), and no linear polynomial reaches
+        the p-adic root search.
 
         A fallback would leave the output unchanged and only cost time, so
         it is counted here instead.
         """
-        counts = {"specialize": 0, "compose": 0, "linear p-adic": 0}
-        specialize, compose, padic = poly._specialize, poly._compose, poly._padic_candidates
+        counts = {"specialize": 0, "linear p-adic": 0}
+        specialize, padic = poly._specialize, poly._padic_candidates
 
         def counted(name, inner):
             def wrapper(*args):
@@ -307,13 +313,12 @@ class TestGoldenOutput:
             return padic(sf)
 
         monkeypatch.setattr(poly, "_specialize", counted("specialize", specialize))
-        monkeypatch.setattr(poly, "_compose", counted("compose", compose))
         monkeypatch.setattr(poly, "_padic_candidates", lifted)
         code, out, _ = run("analyze", f"--alpha={alpha}")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_ANALYZE[alpha]
         assert counts["specialize"] > 0
-        assert counts["compose"] == counts["linear p-adic"] == 0
+        assert counts["linear p-adic"] == 0
 
     def test_golden_sweep_of_small_alpha(self, run):
         """One hash over the ``analyze`` stdout at the 108 alpha = p/q with
@@ -571,6 +576,30 @@ class TestInputValidation:
     def test_float_rejected(self, run):
         with pytest.raises(SystemExit):
             run("analyze", "--alpha", "0.5x")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--alpha=1e5000"),
+            ("bracket-check", "--m=-1e-5000"),
+            ("sample-fiber", "--h3=1", "--h4=1", "--a=1e-1_000_000", "--m=1"),
+        ],
+    )
+    def test_exponent_past_the_digit_limit_rejected(self, capsys, argv):
+        """Refused before the power of ten is built, with argparse's exit 2."""
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(list(argv))
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        assert "over 4300 digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1e4299", Fraction(10**4299)), ("-25e-2", Fraction(-1, 4)), ("3/2", Fraction(3, 2))],
+    )
+    def test_exponents_within_the_limit_accepted(self, text, value):
+        assert cli._rational(text) == value
 
     def test_version_key_present(self, run):
         _, out, _ = run("classify-triple", "0", "0", "1")

@@ -10,14 +10,7 @@ PACKAGE = Path(fibrant.__file__).resolve().parent
 BENCH = PACKAGE.parents[1] / "bench"
 
 # Library features kept without a caller in the pipeline or the benchmark.
-KEEP = {
-    "j_invariant",
-    "smoothness_certificate",
-    "intersection_multiplicity",
-    "euler_poisson_rhs",
-    "kodaira_monodromy",
-    "from_strings",
-}
+KEEP = {"kodaira_monodromy", "from_strings"}
 
 
 def import_graph() -> dict:

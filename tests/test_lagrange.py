@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import cross, euler_poisson_rhs
 
 from fibrant.lagrange import (
     GAMMA_VARS,
@@ -12,7 +13,6 @@ from fibrant.lagrange import (
     build_global_sections,
     casimirs,
     directional_derivative,
-    euler_poisson_rhs,
     first_integrals,
     g2_g3,
     integral_residuals,
@@ -42,14 +42,6 @@ def random_phase_poly(rng, terms=4, denominators=(1,)):
 # -- the bracket and the flow written out with cross products (oracle only) ----
 
 
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
@@ -66,9 +58,9 @@ def bracket_by_cross_products(f, g):
     f_g, f_m = _grad(f, GAMMA_VARS), _grad(f, MOMENTUM_VARS)
     g_g, g_m = _grad(g, GAMMA_VARS), _grad(g, MOMENTUM_VARS)
     return -(
-        _dot(gamma, _cross(f_m, g_g))
-        + _dot(gamma, _cross(f_g, g_m))
-        + _dot(mom, _cross(f_m, g_m))
+        _dot(gamma, cross(f_m, g_g))
+        + _dot(gamma, cross(f_g, g_m))
+        + _dot(mom, cross(f_m, g_m))
     )
 
 
@@ -79,8 +71,8 @@ def euler_poisson_rhs_poly(params):
     mom = tuple(MultiPoly.variable(v) for v in MOMENTUM_VARS)
     omega = (mom[0], mom[1], F(1, 1 + params.m) * mom[2])
     chi = (MultiPoly.const(0), MultiPoly.const(0), MultiPoly.const(-1))
-    dmom = tuple(a + b for a, b in zip(_cross(mom, omega), _cross(gamma, chi)))
-    return _cross(gamma, omega) + dmom
+    dmom = tuple(a + b for a, b in zip(cross(mom, omega), cross(gamma, chi)))
+    return cross(gamma, omega) + dmom
 
 
 def derivative_along_field(h, params):

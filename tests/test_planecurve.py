@@ -2,14 +2,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import fulton_multiplicity, to_sympy
+from conftest import (
+    compose,
+    fulton_multiplicity,
+    intersection_multiplicity,
+    smoothness_certificate,
+    to_sympy,
+)
 from fibrant.planecurve import (
     AffineChart,
     NonReducedCurveError,
     classify_double_point,
-    intersection_multiplicity,
     rational_singular_points,
-    smoothness_certificate,
 )
 from fibrant.poly import (
     MultiPoly,
@@ -107,9 +111,7 @@ class TestClassifyDoublePoint:
         report = classify_double_point(parse("x^2 - y^4"), (0, 0), ("x", "y"))
         assert report.kind == "tacnode"
         # oracle: one blow-up of x^2 - y^4 leaves a plain node
-        total = parse("x^2 - y^4").substitute(
-            {"x": MultiPoly.variable("x") * MultiPoly.variable("y")}
-        )
+        total = compose(parse("x^2 - y^4"), {"x": MultiPoly.variable("x") * MultiPoly.variable("y")})
         k, strict = extract_power(total, MultiPoly.variable("y"))
         assert k == 2
         assert classify_double_point(strict, (0, 0), ("x", "y")).kind == "node"
