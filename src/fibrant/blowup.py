@@ -36,10 +36,11 @@ transverse contact, and the multiplicity of every divisor germ at each
 center it blows up, so the contact order of two divisors over the
 center follows from Noether's formula; where a line meets the residual
 curve it must equal the order of the restriction to the line.
-Non-rational singular points are handled through the transverse-contact
-device: at a transverse intersection of the degree-4 and degree-6
-divisors the sections themselves serve as local coordinates, so one
-abstract germ (a, b) = (s1, s2) covers the whole cluster.
+Singular points of the residual curve that are not nodes, rational or
+not, are handled through the transverse-contact device: at a transverse
+intersection of the degree-4 and degree-6 divisors the sections
+themselves serve as local coordinates, so one abstract germ
+(a, b) = (s1, s2) covers every contact point.
 """
 
 from __future__ import annotations
@@ -601,37 +602,38 @@ class _Regularizer:
         return _TowerDriver(tower, self.types).run(model, germs)
 
     def _residual_singularities(self):
-        """Sites at Sing(residual): nodes, and contact points, which get towers.
+        """Sites at Sing(residual): nodes, and contact points, which share
+        one contact tower.
 
         Singular points are located on the A0 != 0 chart after certifying
         that the singular system has no solution on the line A0 = 0 (its
-        gradient restrictions share no common zero there).
+        gradient restrictions share no common zero there).  A rational
+        point is a node by the 2-jet rule of the tower driver; every other
+        singular point, rational or not, must be a transverse contact of
+        the section divisors.
         """
         residual = self.equations["Q~"]
         _certify_no_singularities_at_infinity(residual)
         chart = AffineChart.standard(0)
-        locus = rational_singular_points(chart.dehomogenize(residual), chart)
+        curve = chart.dehomogenize(residual)
+        locus = rational_singular_points(curve, chart)
         # the section divisors, lines stripped, as germs on the same chart
         sections = [
             chart.dehomogenize(strip_coordinate_lines(s)[1]) for s in (self.fib.a, self.fib.b)
         ]
-        for rep in locus.points:
-            if rep.kind == "node":
-                self._site(chart.to_projective(rep.point), ("Q~",), transverse=True)
-            elif rep.kind == "cusp":
-                self.mod.record_singular_point(chart.to_projective(rep.point))
-                _verify_contact_point(sections, chart, rep.point)
-                label = f"contact point {tuple(map(str, rep.point))}"
-                self.mod.towers.append(contact_tower(label, self.types))
-            else:
-                raise NotAnalyzableError(
-                    f"residual curve has a {rep.kind} singular point at {rep.point}; "
-                    "only nodes and transverse-contact cusps are certified"
-                )
+        contacts = []
+        for point in locus.points:
+            if _classify_product(curve, point, chart.coords) == "node":
+                self._site(chart.to_projective(point), ("Q~",), transverse=True)
+                continue
+            self.mod.record_singular_point(chart.to_projective(point))
+            _verify_contact_point(self.fib, sections, chart, point)
+            contacts.append(point)
         cluster = locus.eliminant_squarefree
-        if cluster is not None:
-            count = _certify_contact_cluster(sections, chart, cluster)
+        if contacts or cluster is not None:
+            count = _certify_contacts(sections, chart, contacts, cluster)
             self.mod.towers.append(contact_tower("contact cluster", self.types, count))
+        if cluster is not None:
             self.mod.notes.append("contact-point cluster eliminant: " + format_poly(cluster))
 
     def _line_curve_crossings(self, var, line_name):
@@ -694,49 +696,54 @@ def _certify_no_singularities_at_infinity(residual):
     )
 
 
-def _verify_contact_point(sections, chart, point):
-    """A cusp of the residual must be a transverse contact of the sections,
-    given as germs (fa, fb) on ``chart``."""
-    fa, fb = sections
+def _verify_contact_point(fib, sections, chart, point):
+    """A singular point of the residual that is not a node must be a
+    transverse contact of the sections a, b of ``fib`` (a nonzero Jacobian:
+    the discriminant is locally the cusp of the contact tower) and a common
+    zero of their line-stripped germs ``sections`` on ``chart``."""
     x, y = chart.coords
     at = _evaluator(chart.coords, point)
-    jacobian = at(fa.derivative(x)) * at(fb.derivative(y)) - at(fa.derivative(y)) * at(
-        fb.derivative(x)
-    )
-    if at(fa) != 0 or at(fb) != 0 or jacobian == 0:
+    a, b = (chart.dehomogenize(s) for s in (fib.a, fib.b))
+    jacobian = at(a.derivative(x)) * at(b.derivative(y)) - at(a.derivative(y)) * at(b.derivative(x))
+    if any(at(f) != 0 for f in sections) or jacobian == 0:
         raise NotAnalyzableError(
-            f"cusp at {point} is not a transverse contact of the section "
+            f"singular point ({':'.join(map(str, chart.to_projective(point)))}) of the "
+            "residual curve is neither a node nor a transverse contact of the section "
             "divisors; the local-coordinate device does not apply"
         )
 
 
-def _certify_contact_cluster(sections, chart, cluster):
-    """The non-rational singular points must be the transverse contacts of
-    the section divisors, given as germs (fa, fb) on ``chart``; certified
-    through the contact eliminant.
-
-    ``cluster`` is the squarefree eliminant of those points in the second
-    coordinate of ``chart``."""
+def _certify_contacts(sections, chart, contacts, cluster):
+    """The singular points of the residual that are not nodes must be the
+    transverse contacts of the section divisors, given as germs (fa, fb)
+    on ``chart``: their eliminant must be, up to a unit, ``cluster`` (the
+    squarefree eliminant of the non-rational points in the second
+    coordinate, or None) times y - y_i over the rational points (x_i, y_i)
+    in ``contacts``, simple zeros of fa and fb that may share y_i but no
+    root with ``cluster``.  Returns the number of contact points."""
     fa, fb = sections
-    x = chart.coords[0]
+    x, y = chart.coords
     if fa.degree_in(x) < 1 or fb.degree_in(x) < 1:
-        raise NotAnalyzableError("section divisors do not eliminate; cannot certify cluster")
+        raise NotAnalyzableError("section divisors do not eliminate; cannot certify contacts")
     contact = resultant(fa, fb, x)
     if contact.is_zero():
         raise NotAnalyzableError("section divisors share a component")
-    if not is_squarefree(contact):
+    expected = MultiPoly.const(1) if cluster is None else cluster
+    for _, root in contacts:
+        if cluster is not None and cluster.evaluate({y: root}) == 0:
+            raise NotAnalyzableError(
+                f"a rational contact point shares its {y}-coordinate {root} with a "
+                "singular point of the residual that is not rational; transversality "
+                "of the contact points is not certified"
+            )
+        expected = expected * (MultiPoly.variable(y) - MultiPoly.const(root))
+    if not equal_up_to_unit(contact, expected):
         raise NotAnalyzableError(
-            "contact eliminant of the section divisors is not squarefree; "
-            "transversality of the contact points is not certified"
-        )
-    _, reduced = rational_roots(contact)
-    if not equal_up_to_unit(cluster, reduced):
-        raise NotAnalyzableError(
-            "non-rational singular points of the residual do not match the "
+            "singular points of the residual that are not nodes do not match the "
             "transverse contact locus of the section divisors: "
-            f"{format_poly(cluster)} vs {format_poly(reduced)}"
+            f"{format_poly(expected)} vs {format_poly(contact)}"
         )
-    return max(reduced.total_degree(), 0)
+    return contact.total_degree()
 
 
 def contact_tower(label, types, count=1) -> Tower:

@@ -44,6 +44,7 @@ from .weierstrass import (
     OrderTriple,
     collide,
     kodaira_classify,
+    quote_tag,
     reduce_triple_mod,
 )
 
@@ -88,8 +89,11 @@ def _check_components(types):
     """Reject types with over ``MAX_COMPONENTS`` components in all, which bound their collision."""
     count = sum(k.component_count() for k in types)
     if count > MAX_COMPONENTS:
-        tags = " + ".join(k.tag for k in types)
-        raise InputError(f"{tags} has {count} dual-graph components, over the cap {MAX_COMPONENTS}")
+        tags = " + ".join(quote_tag(k.tag) for k in types)
+        # count // 10: a sum of two indices may have one digit more than str() converts
+        digits = len(str(count // 10)) + 1
+        size = count if digits <= len(str(MAX_COMPONENTS)) else f"a {digits}-digit number of"
+        raise InputError(f"{tags} has {size} dual-graph components, over the cap {MAX_COMPONENTS}")
 
 
 def _rational(text: str) -> Fraction:
@@ -277,30 +281,33 @@ def cmd_bracket_check(args) -> int:
     return 0
 
 
+def _sample_json(params, seed) -> dict:
+    """One sampled level-set point and its residuals, as printed."""
+    point = sample_fiber_point(*params, seed=seed)
+    gamma, omega = point
+    return {
+        "gamma": [[repr(z.real), repr(z.imag)] for z in gamma],
+        "omega": [[repr(z.real), repr(z.imag)] for z in omega],
+        "integral_residual": repr(max(abs(r) for r in integral_residuals(point, *params))),
+        "cubic_residual": repr(abs(quotient_cubic_residual(point, *params))),
+        "shifted_weierstrass_residual": repr(abs(shifted_weierstrass_residual(point, *params))),
+    }
+
+
 def cmd_sample_fiber(args) -> int:
     _checked(TopParams, args.m, args.a)
     if args.count < 0:
         raise InputError(f"--count must be non-negative, got {args.count}")
-    points = []
-    for i in range(args.count):
-        point = sample_fiber_point(
-            args.h3, args.h4, args.a, args.m, seed=args.seed + i
-        )
-        gamma, omega = point
-        residual = abs(quotient_cubic_residual(point, args.h3, args.h4, args.a, args.m))
-        shifted = abs(
-            shifted_weierstrass_residual(point, args.h3, args.h4, args.a, args.m)
-        )
-        worst = max(abs(r) for r in integral_residuals(point, args.h3, args.h4, args.a, args.m))
-        points.append(
-            {
-                "gamma": [[repr(z.real), repr(z.imag)] for z in gamma],
-                "omega": [[repr(z.real), repr(z.imag)] for z in omega],
-                "integral_residual": repr(worst),
-                "cubic_residual": repr(residual),
-                "shifted_weierstrass_residual": repr(shifted),
-            }
-        )
+    params = (args.h3, args.h4, args.a, args.m)
+    for name, value in zip(("--h3", "--h4", "--a", "--m"), params):
+        try:
+            float(value)
+        except OverflowError:
+            raise InputError(f"{name} has no finite float value") from None
+    try:
+        points = [_sample_json(params, args.seed + i) for i in range(args.count)]
+    except OverflowError as exc:
+        raise SamplingError(f"float overflow while sampling: {exc}") from exc
     _emit(
         {
             "parameters": {

@@ -2,11 +2,9 @@
 
 Rational singular points are located by resultant elimination plus exact
 rational-root extraction; non-rational singular points are never located
-numerically, only certified through eliminant polynomials.  The
-multiplicity of a point is the least total degree of the recentred germ.
-Double points are classified (node / cusp / tacnode) by the 2-jet and,
-where the quadratic part degenerates, by blowing up and re-classifying
-the strict transform.
+numerically, only certified through eliminant polynomials.  What kind of
+singular point each is, is read by the blow-up driver from the integer
+``two_jet`` of the recentred germ.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from .poly import (
     radical,
     rational_roots,
     resultant,
-    strict_transform,
 )
 from .record import Record, Value
 
@@ -71,20 +68,10 @@ def normalize_projective(point) -> tuple:
     raise ValueError("projective point cannot be zero")
 
 
-class SingularPointReport(Record):
-    """Classification of one singular (or smooth) rational point; ``kind``
-    is smooth, node, cusp, tacnode, multiplicity_ge_3 or unresolved."""
-
-    __slots__ = ("point", "kind", "multiplicity")
-
-    def __init__(self, point: tuple | None, kind: str, multiplicity: int = 0):
-        self.point, self.kind, self.multiplicity = point, kind, multiplicity
-
-
 class SingularLocus(Record):
-    """Rational singular points plus, if some are not rational, a
-    squarefree eliminant in the second chart coordinate whose roots
-    include their second coordinates (else None)."""
+    """Rational singular points, sorted (x, y) pairs of ``Fraction``, plus,
+    if some are not rational, a squarefree eliminant in the second chart
+    coordinate whose roots include their second coordinates (else None)."""
 
     __slots__ = ("points", "eliminant_squarefree")
 
@@ -104,7 +91,7 @@ def _gcd_many(polys):
 def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
     """Solve f = f_x = f_y = 0 over the rationals on an affine chart.
 
-    All rational solutions are returned as classified reports.  Solutions
+    All rational solutions are returned as sorted (x, y) pairs.  Solutions
     that are not rational are accounted for by a squarefree eliminant in
     the second chart coordinate whose roots include their second
     coordinates; they are never located numerically.
@@ -184,11 +171,10 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
         candidates.update((rx, ry) for ry, _ in ys)
         unlocated.append(rest)
 
-    reports = []
-    for pt in sorted(candidates):
-        values = {x: pt[0], y: pt[1]}
-        if f.evaluate(values) == 0 and fx.evaluate(values) == 0 and fy.evaluate(values) == 0:
-            reports.append(classify_double_point(f, pt, (x, y)))
+    points = [
+        pt for pt in sorted(candidates)
+        if all(p.evaluate({x: pt[0], y: pt[1]}) == 0 for p in (f, fx, fy))
+    ]
 
     for part in unlocated:
         leftover = leftover * part
@@ -196,7 +182,7 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
     if not leftover.is_constant():
         prim, _ = primitive_integer(leftover)
         leftover_sf, _ = primitive_integer(radical(prim))
-    return SingularLocus(points=reports, eliminant_squarefree=leftover_sf)
+    return SingularLocus(points=points, eliminant_squarefree=leftover_sf)
 
 
 def _singular_eliminant(core: MultiPoly, x: str, y: str) -> MultiPoly:
@@ -225,35 +211,6 @@ def _singular_locus_over_root(core, fx, fy, y, root):
     return _gcd_many(restrictions) if restrictions else MultiPoly.const(1)
 
 
-# -- double point classification ---------------------------------------------
-
-
-def classify_double_point(f: MultiPoly, point, vars) -> SingularPointReport:
-    """Classify a singular rational point of the curve f = 0.
-
-    Nodes are recognized by a nondegenerate quadratic part.  A rank-one
-    quadratic part triggers blow-ups of the germ (depth limit 3): a strict
-    transform that is smooth over the center certifies a cusp, a nodal
-    strict transform a tacnode.  Deeper singularities are reported as
-    unresolved, and multiplicity >= 3 is labeled as such.
-    """
-    x, y = vars
-    px, py = Fraction(point[0]), Fraction(point[1])
-    germ = f.shift({x: px, y: py})
-    if germ.is_zero():
-        raise ValueError("curve vanishes identically")
-    mult = min(map(sum, germ.ints))
-    if mult == 0:
-        raise ValueError("point does not lie on the curve")
-    if mult == 1:
-        raise ValueError("point is a smooth point, not singular")
-    if mult >= 3:
-        return SingularPointReport((px, py), "multiplicity_ge_3", mult)
-
-    kind = {1: "node", 2: "cusp", 3: "tacnode"}.get(_a_index(germ, x, y), "unresolved")
-    return SingularPointReport((px, py), kind, 2)
-
-
 def two_jet(germ: MultiPoly, x: str, y: str) -> dict:
     """The 2-jet of ``germ`` at the origin of the (x, y) plane as
     {(i, j): c_ij} for i + j <= 2, absent terms 0.
@@ -267,30 +224,3 @@ def two_jet(germ: MultiPoly, x: str, y: str) -> dict:
             powers = dict(zip(germ.variables, e))
             jet[powers.get(x, 0), powers.get(y, 0)] = c
     return jet
-
-
-def _a_index(germ: MultiPoly, x: str, y: str):
-    """A_k index of a multiplicity-2 germ at the origin, or None if it
-    takes more than three blow-ups."""
-    current = germ
-    for depth in range(3):
-        jet = two_jet(current, x, y)
-        a, b, c = jet[2, 0], jet[1, 1], jet[0, 2]
-        if b * b - 4 * a * c != 0:
-            return 2 * depth + 1  # nondegenerate: node here
-        # rank-one quadratic part: single (rational) tangent direction.
-        # Tangent x = -(b/2a) y shows in the chart (x, y) = (u v, v); a
-        # quadratic part c*y^2 (tangent y = 0) in the chart (x, y) = (u, u v).
-        # The exceptional line carries the multiplicity, 2, of the germ.
-        chart = "B" if a != 0 else "A"
-        strict, _ = strict_transform(current, (x, y), (x, y), chart)
-        if a != 0:
-            strict = strict.shift({x: Fraction(-b, 2 * a)})
-        mult2 = min(map(sum, strict.ints))
-        if mult2 <= 1:
-            # strict transform smooth over (or missing) the center: chain ends
-            return 2 * (depth + 1)
-        if mult2 >= 3:
-            return None
-        current = strict
-    return None

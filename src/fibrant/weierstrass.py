@@ -248,6 +248,12 @@ class KodairaType(Value):
         }
 
 
+def quote_tag(tag: str) -> str:
+    """``tag`` as a message quotes it: verbatim, or its first 12 characters
+    and "..." when it is longer than 20."""
+    return tag if len(tag) <= 20 else f"{tag[:12]}..."
+
+
 def _tag_index(tag: str, suffix: str):
     """n when ``tag`` is exactly f"I{n}{suffix}" for an ASCII integer n >= 0
     written without leading zeros, else None.  An index of more digits
@@ -257,7 +263,7 @@ def _tag_index(tag: str, suffix: str):
         return None
     if len(digits) > sys.int_info.default_max_str_digits:
         raise ValueError(
-            f"Kodaira tag {tag[:12]}... has an index of {len(digits)} digits, too long"
+            f"Kodaira tag {quote_tag(tag)} has an index of {len(digits)} digits, too long"
         )
     return int(digits) if tag == f"I{int(digits)}{suffix}" else None
 
@@ -599,9 +605,8 @@ def _projective_rational_singular_points(curve: MultiPoly, charts=range(3)):
         locus = rational_singular_points(affine, chart)
         if locus.eliminant_squarefree is not None:
             eliminants.append(locus.eliminant_squarefree)
-        for rep in locus.points:
-            proj = chart.to_projective(rep.point)
-            key = normalize_projective(proj)
+        for point in locus.points:
+            key = normalize_projective(chart.to_projective(point))
             if key in seen:
                 continue
             seen.add(key)

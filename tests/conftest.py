@@ -6,7 +6,7 @@ from typing import NamedTuple
 import pytest
 
 from fibrant import blowup, lagrange
-from fibrant.planecurve import rational_singular_points
+from fibrant.planecurve import rational_singular_points, two_jet
 from fibrant.poly import (
     INFINITE_ORDER,
     MultiPoly,
@@ -14,6 +14,7 @@ from fibrant.poly import (
     extract_power,
     gcd_multivariate,
     resultant,
+    strict_transform,
 )
 from fibrant.weierstrass import (
     KodairaType,
@@ -139,11 +140,73 @@ def smoothness_certificate(f, chart):
             return SmoothnessCertificate(True, reason="constant nonzero partial derivative")
     locus = rational_singular_points(f, chart)
     if locus.points:
-        return SmoothnessCertificate(False, locus.points[0].point, reason="rational singular point")
+        return SmoothnessCertificate(False, locus.points[0], reason="rational singular point")
     if locus.eliminant_squarefree is not None and locus.eliminant_squarefree.total_degree() > 0:
         reason = "non-rational candidate singular locus (eliminant shown)"
         return SmoothnessCertificate(False, None, locus.eliminant_squarefree, reason)
     return SmoothnessCertificate(True, reason="singular-system eliminant is a nonzero constant")
+
+
+class SingularPointReport(NamedTuple):
+    """Classification of one singular rational point; ``kind`` is node,
+    cusp, tacnode, multiplicity_ge_3 or unresolved."""
+
+    point: tuple
+    kind: str
+    multiplicity: int = 0
+
+
+def classify_double_point(f: MultiPoly, point, vars) -> SingularPointReport:
+    """Classify a singular rational point of the curve f = 0.
+
+    Nodes are recognized by a nondegenerate quadratic part.  A rank-one
+    quadratic part triggers blow-ups of the germ (depth limit 3): a strict
+    transform that is smooth over the center certifies a cusp, a nodal
+    strict transform a tacnode.  Deeper singularities are reported as
+    unresolved, and multiplicity >= 3 is labeled as such (oracle only).
+    """
+    x, y = vars
+    px, py = Fraction(point[0]), Fraction(point[1])
+    germ = f.shift({x: px, y: py})
+    if germ.is_zero():
+        raise ValueError("curve vanishes identically")
+    mult = min(map(sum, germ.ints))
+    if mult == 0:
+        raise ValueError("point does not lie on the curve")
+    if mult == 1:
+        raise ValueError("point is a smooth point, not singular")
+    if mult >= 3:
+        return SingularPointReport((px, py), "multiplicity_ge_3", mult)
+
+    kind = {1: "node", 2: "cusp", 3: "tacnode"}.get(_a_index(germ, x, y), "unresolved")
+    return SingularPointReport((px, py), kind, 2)
+
+
+def _a_index(germ: MultiPoly, x: str, y: str):
+    """A_k index of a multiplicity-2 germ at the origin, or None if it
+    takes more than three blow-ups."""
+    current = germ
+    for depth in range(3):
+        jet = two_jet(current, x, y)
+        a, b, c = jet[2, 0], jet[1, 1], jet[0, 2]
+        if b * b - 4 * a * c != 0:
+            return 2 * depth + 1  # nondegenerate: node here
+        # rank-one quadratic part: single (rational) tangent direction.
+        # Tangent x = -(b/2a) y shows in the chart (x, y) = (u v, v); a
+        # quadratic part c*y^2 (tangent y = 0) in the chart (x, y) = (u, u v).
+        # The exceptional line carries the multiplicity, 2, of the germ.
+        chart = "B" if a != 0 else "A"
+        strict, _ = strict_transform(current, (x, y), (x, y), chart)
+        if a != 0:
+            strict = strict.shift({x: Fraction(-b, 2 * a)})
+        mult2 = min(map(sum, strict.ints))
+        if mult2 <= 1:
+            # strict transform smooth over (or missing) the center: chain ends
+            return 2 * (depth + 1)
+        if mult2 >= 3:
+            return None
+        current = strict
+    return None
 
 
 def j_invariant(fib):

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import fulton_multiplicity
+from conftest import classify_double_point, fulton_multiplicity
 from fibrant.blowup import regularize
 from fibrant.lagrange import (
     TopParams,
@@ -76,10 +76,14 @@ def test_criterion_2_quintic_singularities(criterion):
     fib = build_global_sections(1)
     _, quintic = fib.reduced_discriminant()
     chart = AffineChart.standard(0)
-    locus = rational_singular_points(chart.dehomogenize(quintic), chart)
+    curve = chart.dehomogenize(quintic)
+    locus = rational_singular_points(curve, chart)
 
-    points = {tuple(r.point): r.kind for r in locus.points}
-    ok = points == {(F(1), F(9, 4)): "node", (F(-1), F(-7, 4)): "node"}
+    points = locus.points
+    ok = points == [(F(-1), F(-7, 4)), (F(1), F(9, 4))]
+    ok &= all(classify_double_point(curve, p, chart.coords).kind == "node" for p in points)
+    nodes = [c for c in regularize(fib).node_collisions if c.pair == ("Q~", "Q~")]
+    ok &= [c.fiber.label for c in nodes] == ["I2", "I2"]
 
     quartic = parse("3*a2^4 - a2^3 + 72*a2^2 - 108*a2 + 27*17")
     ok &= equal_up_to_unit(locus.eliminant_squarefree, quartic)

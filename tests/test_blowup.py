@@ -1,7 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
-from conftest import chart_substitution, compose, fulton_multiplicity, intersection_multiplicity
+from conftest import (
+    chart_substitution,
+    classify_double_point,
+    compose,
+    fulton_multiplicity,
+    intersection_multiplicity,
+)
 from hypothesis import given, settings, strategies as st
 from test_cli import GOLDEN_ANALYZE
 
@@ -16,7 +22,7 @@ from fibrant.blowup import (
 )
 from fibrant.lagrange import build_global_sections
 from fibrant.miranda import analyze_lagrange_family
-from fibrant.planecurve import AffineChart, classify_double_point
+from fibrant.planecurve import AffineChart, SingularLocus
 from fibrant.poly import MultiPoly, extract_power, format_poly, parse, radical
 from fibrant.weierstrass import (
     KodairaType,
@@ -506,13 +512,37 @@ class TestPlantedSites:
         )
         mod = regularize(fib)
         towers = [(t.label, t.kind, t.count, len(t.divisors)) for t in mod.towers]
-        assert towers == [
-            ("contact point ('0', '0')", "contact", 1, 3),
-            ("contact cluster", "contact", 23, 3),
-        ]
+        # the rational contact at (1:0:0) and the 23 others share one tower
+        assert towers == [("contact cluster", "contact", 24, 3)]
         assert mod.node_collisions == []
         assert mod.singular_points == [(1, 0, 0)]
 
+    def test_rational_contacts_may_share_a_coordinate(self):
+        # a is four lines and b six; their 24 crossings are the rational
+        # contacts, twelve of them on the lines a2 = +-2
+        fib = WeierstrassFibration(
+            parse("(A1^2 - A0^2)*(A2^2 - 4*A0^2)"),
+            parse(
+                "(A1 - 4*A2 - 4*A0)*(6*A1 + 9*A2 + 8*A0)*(A2 + 2*A0 - 6*A1)"
+                "*(3*A2 + 5*A0 - 6*A1)*(5*A2 - 2*A0 - 5*A1)*(3*A2 - 2*A0 - 5*A1)"
+            ),
+        )
+        mod = regularize(fib)
+        towers = [(t.label, t.kind, t.count) for t in mod.towers]
+        assert towers == [("contact cluster", "contact", 24)]
+        assert mod.node_collisions == [] and mod.notes == []
+        assert len(mod.singular_points) == 24
+        assert sum(p[2] == 2 for p in mod.singular_points) == 6
+
+    def test_triple_point_where_stripped_sections_cross_is_not_analyzable(self):
+        # b has the line A1 through (1:0:0), where the discriminant has a
+        # triple point; with A1 stripped, a and b would cross there
+        fib = WeierstrassFibration(
+            parse("A0^3*A1 + A2^4 + A1^4"), parse("A1*(A0^4*A2 + A1^5 + A2^5)")
+        )
+        message = r"singular point \(1:0:0\) of the residual curve is neither a node nor a"
+        with pytest.raises(NotAnalyzableError, match=message):
+            regularize(fib)
 
     def test_nonrational_crossings_with_an_exceptional_divisor(self):
         # the residual cubic (type II) is a1^2 - 2*a2^2 + a2^3 = 0 on the
@@ -566,7 +596,49 @@ class TestPlantedSites:
 
     def test_residual_point_of_multiplicity_three_is_not_analyzable(self):
         fib = WeierstrassFibration(parse("A0^2*A1^2"), parse(_NODAL_CUBIC_B))
-        with pytest.raises(NotAnalyzableError, match="multiplicity_ge_3 singular point"):
+        message = r"singular point \(1:0:0\) of the residual curve is neither a node nor a"
+        with pytest.raises(NotAnalyzableError, match=message):
+            regularize(fib)
+
+    @pytest.mark.parametrize("alpha", [F(19, 2), F(-43, 8)])
+    def test_contacts_must_match_the_contact_eliminant(self, monkeypatch, alpha):
+        # at these alpha one contact point is rational; a locus that loses
+        # it, or the cluster, no longer accounts for the contact eliminant
+        locate = blowup.rational_singular_points
+        fib = build_global_sections(alpha)
+        contact = next(t for t in regularize(fib).towers if t.kind == "contact")
+        assert contact.count == 4
+
+        def without_contacts(curve, chart):
+            locus = locate(curve, chart)
+            nodes = [
+                p for p in locus.points
+                if blowup._classify_product(curve, p, chart.coords) == "node"
+            ]
+            return SingularLocus(nodes, locus.eliminant_squarefree)
+
+        monkeypatch.setattr(blowup, "rational_singular_points", without_contacts)
+        with pytest.raises(NotAnalyzableError, match="do not match the transverse contact locus"):
+            regularize(fib)
+
+        def without_cluster(curve, chart):
+            return SingularLocus(locate(curve, chart).points, None)
+
+        monkeypatch.setattr(blowup, "rational_singular_points", without_cluster)
+        with pytest.raises(NotAnalyzableError, match="do not match the transverse contact locus"):
+            regularize(fib)
+
+        def cluster_over_the_contact(curve, chart):
+            locus = locate(curve, chart)
+            (_, root), = [
+                p for p in locus.points
+                if blowup._classify_product(curve, p, chart.coords) != "node"
+            ]
+            shared = MultiPoly.variable(chart.coords[1]) - MultiPoly.const(root)
+            return SingularLocus(locus.points, locus.eliminant_squarefree * shared)
+
+        monkeypatch.setattr(blowup, "rational_singular_points", cluster_over_the_contact)
+        with pytest.raises(NotAnalyzableError, match="shares its a2-coordinate"):
             regularize(fib)
 
 

@@ -15,6 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 import fibrant
 from fibrant import blowup, cli, poly
 from fibrant.cli import main
+from fibrant.lagrange import build_global_sections
+from fibrant.planecurve import AffineChart, rational_singular_points
 
 
 @pytest.fixture
@@ -68,6 +70,11 @@ class TestClassifyTriple:
     def test_huge_index_rejected(self, run, triple, tag):
         assert_rejected(run("classify-triple", *triple), f"{tag} has")
 
+    def test_long_tag_and_count_quoted_short(self, run):
+        code, out, err = run("classify-triple", "0", "0", "1" * 4300)
+        assert_rejected((code, out, err), "I11111111111... has a 4300-digit number of dual-graph")
+        assert len(err) < 120
+
     @pytest.mark.parametrize("triple", [("1", "1", "1"), ("4", "6", "11"), ("2", "3", "5")])
     def test_inconsistent_triple_rejected(self, run, triple):
         # N must be min(3L, 2K), and at least that when 3L = 2K.
@@ -107,6 +114,18 @@ class TestCollide:
         code, out, err = run("collide", "I" + "1" * 5000 + suffix, "I1")
         assert_rejected((code, out, err), "Kodaira tag I11111111111... has an index of 5000 digits")
         assert len(err) < 100
+
+    @pytest.mark.parametrize(
+        "pair, quoted",
+        [
+            (("I" + "1" * 4300, "I1"), "I11111111111... + I1 has a 4300-digit number"),
+            (("I" + "9" * 4300,) * 2, "I99999999999... + I99999999999... has a 4301-digit number"),
+        ],
+    )
+    def test_long_tags_and_counts_quoted_short(self, run, pair, quoted):
+        code, out, err = run("collide", *pair)
+        assert_rejected((code, out, err), quoted + " of dual-graph components")
+        assert len(err) < 120
 
     def test_component_cap_boundary(self, run):
         """The collision fiber has at most as many components as its two
@@ -200,6 +219,19 @@ GOLDEN_MONODROMY = {
     25: "ae5c4f81e1f94521",
     40: "a781d68e8122fea6",
 }
+# Pinned before rational singular points lost their double-point labels:
+# the `analyze` stdout at the alpha of height <= 60 where E(alpha) has a
+# rational root, so the residual quintic has one rational contact point.
+GOLDEN_RATIONAL_CONTACT = {
+    "19/2": "0551568d1d666ce6",
+    "-19/2": "44c398bfeda8e033",
+    "28": "15eb59b6df1a8df0",
+    "-28": "3b5ef071084da628",
+    "49/8": "a618e7dd948df93c",
+    "-49/8": "8f1277f37180c08c",
+    "43/8": "46ceb6b114f629e7",
+    "-43/8": "bc41d034cdeb5806",
+}
 
 
 class TestGoldenOutput:
@@ -226,6 +258,20 @@ class TestGoldenOutput:
         code, out, _ = run("analyze", f"--alpha={alpha}")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_ANALYZE[alpha]
+
+    @pytest.mark.parametrize("alpha", sorted(GOLDEN_RATIONAL_CONTACT))
+    def test_rational_contact_point(self, run, alpha):
+        code, out, _ = run("analyze", f"--alpha={alpha}")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_RATIONAL_CONTACT[alpha]
+        # of the rational singular points of Q~, all but one are nodes
+        fib = build_global_sections(Fraction(alpha))
+        chart = AffineChart.standard(0)
+        residual = chart.dehomogenize(poly.radical(fib.reduced_discriminant()[1]))
+        points = rational_singular_points(residual, chart).points
+        kinds = [blowup._classify_product(residual, p, chart.coords) for p in points]
+        nodes = [c for c in blowup.regularize(fib).node_collisions if c.pair == ("Q~", "Q~")]
+        assert (sorted(kinds), len(nodes)) == (["blow", "node", "node"], 2)
 
     @pytest.mark.parametrize("alpha", sorted(GOLDEN_ANALYZE_MD))
     def test_markdown(self, run, alpha):
@@ -497,6 +543,21 @@ class TestSampleFiber:
         assert code == 1
         assert out == ""
         assert err == "error: no nondegenerate sample within retry budget\n"
+
+    @pytest.mark.parametrize(
+        "option, value", [("--h3", "1e400"), ("--h4", "-1e309"), ("--a", "1e400"), ("--m", "1e400")]
+    )
+    def test_parameter_without_a_finite_float_rejected(self, run, option, value):
+        args = {"--h3": "1", "--h4": "2", "--a": "1", "--m": "1", option: value}
+        argv = [f"{k}={v}" for k, v in args.items()]
+        assert_rejected(run("sample-fiber", *argv), f"{option} has no finite float value")
+
+    @pytest.mark.parametrize("args", [("--h4=1e200", "--a=1"), ("--h4=1", "--a=1e200")])
+    def test_overflow_while_sampling_is_an_error(self, run, args):
+        code, out, err = run("sample-fiber", "--h3=1", *args, "--m=1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: float overflow while sampling: complex exponentiation\n"
 
     def test_negative_values_as_separate_tokens(self, run):
         spaced = run("sample-fiber", "--h3", "-3/5", "--h4", "-2/7", "--a", "-1/3", "--m", "-1/2")

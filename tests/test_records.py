@@ -10,7 +10,7 @@ import pytest
 from fibrant.blowup import BaseModification, BlowupStep, DivisorRecord, LocalModel, Tower
 from fibrant.lagrange import TopParams
 from fibrant.monodromy import NotUnimodularError, Presentation, Relation, SL2Z, T
-from fibrant.planecurve import AffineChart, SingularPointReport
+from fibrant.planecurve import AffineChart
 from fibrant.poly import INFINITE_ORDER, parse
 from fibrant.weierstrass import (
     DualGraph,
@@ -109,7 +109,6 @@ def test_constructor_defaults_and_keywords():
     assert TopParams() == TopParams(F(0), F(0)) == TopParams(a_cas=F(0))
     assert TopParams(F(1, 2)).alpha == 0 and TopParams(a_cas=F(3)).alpha == -6
     assert TotalSpaceSingularity((F(0),), None).base_curve is None
-    assert SingularPointReport((F(0), F(0)), "node").multiplicity == 0
 
 
 def test_local_model_discriminant():
