@@ -57,6 +57,10 @@ class InputError(ValueError):
 # a Kodaira type I_n has n components, so a larger index is rejected.
 MAX_COMPONENTS = 10_000
 
+# The largest ``monodromy --bound``: the solvers walk about (2B)^2 matrices
+# with entries bounded by B, so a larger bound is rejected.
+MAX_BOUND = 1000
+
 # Options that take an exact rational, which may be negative.
 _RATIONAL_OPTIONS = ("--alpha", "--m", "--h3", "--h4", "--a")
 
@@ -324,8 +328,8 @@ def cmd_sample_fiber(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
-    if args.bound < 0:
-        raise InputError(f"--bound must be non-negative, got {args.bound}")
+    if not 0 <= args.bound <= MAX_BOUND:
+        raise InputError(f"--bound must be in 0..{MAX_BOUND}, got {quote_tag(str(args.bound))}")
     node = solve_node_relation(T, args.bound)
     cusp = solve_cusp_relation(T, args.bound)
     normal_forms = sorted({str(normalize_pair(b).to_json()) for b in cusp})

@@ -4,10 +4,11 @@ Around a node of the branch curve the two local monodromy matrices
 commute; around a cusp they satisfy the braid relation ABA = BAB.  Both
 relations are solved exhaustively over matrices with bounded entries
 that are conjugate to T = [[1,1],[0,1]], which is the monodromy of a
-fiber with one vanishing cycle.  Conjugacy to T is decided by its closed
-form, so only the solvers take a bound; they are exact, and solutions
-of the braid relation normalize under the centralizer of T to the
-single representative [[1,0],[-1,1]].
+fiber with one vanishing cycle.  The solvers walk only the trace-2
+matrices [[p, q], [r, 2-p]], of determinant 1 when qr = -(p-1)^2.
+Conjugacy to T is decided by its closed form, so only the solvers take
+a bound; they are exact, and solutions of the braid relation normalize
+under the centralizer of T to the single representative [[1,0],[-1,1]].
 """
 
 from __future__ import annotations
@@ -82,37 +83,29 @@ def is_conjugate_to_T(m: SL2Z) -> bool:
     A trace-2 matrix I + N != I is conjugate to T^n, where n = ±gcd of
     the entries of N, with the sign of N12, or of -N21 when N12 = 0
     (M. Newman, *Integral Matrices*, 1972, ch. VII).  So m ~ T exactly
-    when that gcd is 1 and the sign is positive.
+    when that gcd is 1 and the sign is positive.  For m = I every entry
+    of N is 0, and so is their gcd, so the identity fails that test.
     """
-    if m.trace() != 2 or m == SL2Z.identity():
-        return False
-    if m.b < 0 or (m.b == 0 and m.c > 0):
+    if m.trace() != 2 or m.b < 0 or (m.b == 0 and m.c > 0):
         return False
     return gcd(m.a - 1, m.b, m.c, m.d - 1) == 1
 
 
-def _bounded_unimodular(bound: int):
-    """All SL(2,Z) matrices with entries bounded by ``bound``, exactly."""
-    for p in range(-bound, bound + 1):
-        for q in range(-bound, bound + 1):
-            for r in range(-bound, bound + 1):
-                if p == 0:
-                    if q * r != -1:
-                        continue
-                    for s in range(-bound, bound + 1):
-                        yield SL2Z(p, q, r, s)
-                else:
-                    num = 1 + q * r
-                    if num % p:
-                        continue
-                    s = num // p
-                    if abs(s) <= bound:
-                        yield SL2Z(p, q, r, s)
-
-
 def _bounded_conjugates_of_T(bound: int):
-    """The matrices of ``_bounded_unimodular(bound)`` conjugate to T."""
-    return (m for m in _bounded_unimodular(bound) if is_conjugate_to_T(m))
+    """The matrices with entries bounded by ``bound`` that are conjugate to
+    T, in lexicographic order of their entries."""
+    for p in range(max(-bound, 2 - bound), bound + 1):
+        square = (p - 1) ** 2
+        for q in range(-bound, bound + 1):
+            if q:
+                rs = () if square % q else (-square // q,)
+            else:
+                rs = () if square else range(-bound, bound + 1)
+            for r in rs:
+                if abs(r) <= bound:
+                    m = SL2Z(p, q, r, 2 - p)
+                    if is_conjugate_to_T(m):
+                        yield m
 
 
 def solve_node_relation(a: SL2Z, bound: int = 25) -> list:

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -209,14 +210,50 @@ GOLDEN_COLLIDE = {
     ("III", "I0*"): "6f5afd623b74bc07",
     ("I0", "IV*"): "755d9862c3cbb73d",
 }
-# Pinned with the bounded conjugator search: the bounded answer sets must
-# not depend on how conjugacy to T is decided.
+# Pinned with the bounded conjugator search over every bounded matrix of
+# SL(2,Z): the bounded answer sets must not depend on how conjugacy to T
+# is decided, nor on which matrices the solvers walk.
 GOLDEN_MONODROMY = {
     0: "7037572808fade5e",
     1: "997044f796690613",
     2: "e6528f9e0f66a4ee",
+    3: "360afec19aacd9f2",
+    4: "da5993e07230b5f2",
+    5: "392d1b6ea008c416",
+    6: "859e7711a09b52be",
+    7: "04eaefd03f4c83e7",
+    8: "cd0de44a9c625e8f",
+    9: "31f5cdd5922ba7e3",
     10: "58dca5e61f65da14",
+    11: "df0ff28380274481",
+    12: "3e49d0c67a4fb227",
+    13: "8b8da8efe332d289",
+    14: "d7ba29f9281210b0",
+    15: "5eb372d4bda01a65",
+    16: "c955b87374f5085a",
+    17: "252dba030dd5de51",
+    18: "a77ed6eb78c0e7a4",
+    19: "68e6148f50fa72ea",
+    20: "c84160d4fcce4084",
+    21: "582ef35fdf1d9b46",
+    22: "35bb6b8123eab61e",
+    23: "fe6750bdf184170e",
+    24: "71083eb38c755b19",
     25: "ae5c4f81e1f94521",
+    26: "4744b81141bc746f",
+    27: "e40f9180f108d2c4",
+    28: "35e023a96f272022",
+    29: "4139e7bc60b1b610",
+    30: "97a36ca17809e264",
+    31: "bb8f351d62552bfd",
+    32: "3f0a2d71f4347035",
+    33: "5d097cc9e26c61b2",
+    34: "38f9d67efc712350",
+    35: "aecdafddcec4ac8f",
+    36: "0d8acf349b97cf34",
+    37: "46036d2dbf6f83d6",
+    38: "97fe76714db66e26",
+    39: "02513910e51d389b",
     40: "a781d68e8122fea6",
 }
 # Pinned before rational singular points lost their double-point labels:
@@ -576,6 +613,24 @@ class TestMonodromyCommand:
 
     def test_negative_bound_rejected(self, run):
         assert_rejected(run("monodromy", "--bound=-3"), "-3")
+
+    def test_bound_cap_boundary(self, run):
+        """The cap is solved; one past it is rejected, and a huge bound is
+        rejected at once and quoted by its start."""
+        cap = cli.MAX_BOUND
+        code, out, _ = run("monodromy", f"--bound={cap}")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["node_solutions"] == [[[1, 1], [0, 1]]]
+        # T^k [[1,0],[-1,1]] T^-k = [[1-k, k^2], [-1, 1+k]] for k^2 <= cap
+        assert len(payload["cusp_solutions"]) == 2 * math.isqrt(cap) + 1
+        code, out, err = run("monodromy", f"--bound={cap + 1}")
+        assert_rejected((code, out, err), f"0..{cap}, got {cap + 1}")
+        start = time.perf_counter()
+        code, out, err = run("monodromy", f"--bound={10**20}")
+        assert time.perf_counter() - start < 1.0
+        assert_rejected((code, out, err), "got 100000000000...")
+        assert len(err) < 80
 
 
 JSON_SCALARS = st.one_of(

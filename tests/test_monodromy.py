@@ -7,7 +7,7 @@ from fibrant.monodromy import (
     SL2Z,
     STANDARD_CUSP_PARTNER,
     T,
-    _bounded_unimodular,
+    _bounded_conjugates_of_T,
     build_presentation,
     is_conjugate_to_T,
     normalize_pair,
@@ -16,6 +16,26 @@ from fibrant.monodromy import (
 )
 
 B0 = STANDARD_CUSP_PARTNER
+
+
+def _bounded_unimodular(bound: int):
+    """Oracle: all SL(2,Z) matrices with entries bounded by ``bound``, in
+    lexicographic order of their entries."""
+    for p in range(-bound, bound + 1):
+        for q in range(-bound, bound + 1):
+            for r in range(-bound, bound + 1):
+                if p == 0:
+                    if q * r != -1:
+                        continue
+                    for s in range(-bound, bound + 1):
+                        yield SL2Z(p, q, r, s)
+                else:
+                    num = 1 + q * r
+                    if num % p:
+                        continue
+                    s = num // p
+                    if abs(s) <= bound:
+                        yield SL2Z(p, q, r, s)
 
 
 def bounded_conjugacy_search(m: SL2Z, bound: int) -> bool:
@@ -127,6 +147,16 @@ class TestConjugacyOracle:
             m = p * T**n * p.inverse()
             assert is_conjugate_to_T(m) == bounded_conjugacy_search(m, 40), (p, n)
             assert is_conjugate_to_T(m) == (n == 1)
+
+
+class TestBoundedConjugates:
+    """The trace-2 walk yields what filtering every bounded matrix of
+    SL(2,Z) by conjugacy to T yields, in the same order."""
+
+    @pytest.mark.parametrize("bound", [*range(13), 20, 25, 33])
+    def test_equals_filtered_enumeration(self, bound):
+        expected = [m for m in _bounded_unimodular(bound) if is_conjugate_to_T(m)]
+        assert list(_bounded_conjugates_of_T(bound)) == expected
 
 
 class TestNodeRelation:
