@@ -256,6 +256,21 @@ GOLDEN_MONODROMY = {
     39: "02513910e51d389b",
     40: "a781d68e8122fea6",
 }
+# Pinned before the bracket and the sampler stopped recomputing the
+# integrals and the level: the `bracket-check` stdout at the 110 m = p/q
+# with |p| <= 9, 1 <= q <= 9, m != -1, in increasing order ...
+GOLDEN_BRACKET_SWEEP = "e8fbd2c5f7498e9f"
+# ... and the `sample-fiber` stdout for each (h3, h4, a, m, count, seed).
+GOLDEN_SAMPLE_FIBER = {
+    ("3/5", "2/7", "1/3", "1/2", 4, 11): "c43e4e1b98f1ea9a",
+    ("-1/2", "1", "2/5", "1/2", 3, 0): "00e5dd9a9f343217",
+    ("7/4", "-3/8", "-1/6", "1/2", 2, 123456789): "041020d5caeb2fea",
+    ("1", "0", "1/3", "1/2", 1, 5): "8bc520dc2dc22e76",
+    ("0", "0", "0", "0", 2, 1): "b393a273541711b4",
+    ("-9/7", "5/3", "-8/9", "-1/2", 4, 1073741823): "4523814b04c2c3cc",
+    ("12345/678", "-1/9", "3", "9", 2, 42): "bd76322d9d81da37",
+    ("1/3", "1/3", "1/3", "-9/8", 0, 7): "734f62183e9e0aa9",
+}
 # Pinned before rational singular points lost their double-point labels:
 # the `analyze` stdout at the alpha of height <= 60 where E(alpha) has a
 # rational root, so the residual quintic has one rational contact point.
@@ -289,6 +304,26 @@ class TestGoldenOutput:
         code, out, _ = run("monodromy", f"--bound={bound}")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_MONODROMY[bound]
+
+    def test_bracket_check_sweep(self, run):
+        ms = sorted({Fraction(p, q) for p in range(-9, 10) for q in range(1, 10)} - {-1})
+        assert len(ms) == 110
+        digest = hashlib.sha256()
+        for m in ms:
+            code, out, _ = run("bracket-check", f"--m={m}")
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest()[:16] == GOLDEN_BRACKET_SWEEP
+
+    @pytest.mark.parametrize("params", sorted(GOLDEN_SAMPLE_FIBER))
+    def test_sample_fiber(self, run, params):
+        h3, h4, a, m, count, seed = params
+        code, out, _ = run(
+            "sample-fiber", f"--h3={h3}", f"--h4={h4}", f"--a={a}", f"--m={m}",
+            f"--count={count}", f"--seed={seed}",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_SAMPLE_FIBER[params]
 
     @pytest.mark.parametrize("alpha", sorted(GOLDEN_ANALYZE))
     def test_json(self, run, alpha):
