@@ -17,13 +17,13 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .blowup import contact_tower, regularize
 from .lagrange import (
+    E3_STRUCTURE,
+    Level,
     SamplingError,
     TopParams,
     build_global_sections,
-    directional_derivative,
     first_integrals,
     integral_residuals,
-    lie_poisson_bracket,
     quotient_cubic_residual,
     sample_fiber_point,
     shifted_weierstrass_residual,
@@ -36,7 +36,7 @@ from .monodromy import (
     solve_cusp_relation,
     solve_node_relation,
 )
-from .poly import format_poly, strip_coordinate_lines
+from .poly import MultiPoly, format_poly, poisson_brackets, strip_coordinate_lines
 from .weierstrass import (
     GenericityError,
     KodairaType,
@@ -60,6 +60,10 @@ MAX_COMPONENTS = 10_000
 # The largest ``monodromy --bound``: the solvers walk about (2B)^2 matrices
 # with entries bounded by B, so a larger bound is rejected.
 MAX_BOUND = 1000
+
+# The largest ``sample-fiber --count``: 10 000 points take about 1 s and
+# print 7 MB (2-vCPU Xeon), so a larger count is rejected.
+MAX_SAMPLES = 10_000
 
 # Options that take an exact rational, which may be negative.
 _RATIONAL_OPTIONS = ("--alpha", "--m", "--h3", "--h4", "--a")
@@ -113,7 +117,20 @@ def _rational(text: str) -> Fraction:
             raise argparse.ArgumentTypeError(f"over {limit} digits: {text[:20]!r}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not an exact rational: {quote_tag(text)!r}") from exc
+
+
+def _integer(text: str) -> int:
+    """``int(text)``, refused with a message that quotes at most 20
+    characters of ``text``: not an integer, or one of more digits than
+    CPython converts from a string by default."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.int_info.default_max_str_digits
+        raise argparse.ArgumentTypeError(
+            f"not an integer of at most {limit} digits: {quote_tag(text)!r}"
+        ) from None
 
 
 def _emit(payload: dict):
@@ -259,20 +276,15 @@ def _factor_display(model):
 
 def cmd_bracket_check(args) -> int:
     params = _checked(TopParams, args.m)
-    integrals = first_integrals(params)
+    table = poisson_brackets(first_integrals(params), E3_STRUCTURE)
     names = ["H1", "H2", "H3", "H4"]
-    brackets = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            val = lie_poisson_bracket(integrals[i], integrals[j])
-            brackets[f"{{{names[i]},{names[j]}}}"] = format_poly(val)
+    brackets = {f"{{{names[i]},{names[j]}}}": format_poly(val) for (i, j), val in table.items()}
     # H1 and H2 are the Casimirs, so they are central exactly when every
     # bracket they enter is zero ({H, H} = 0 by antisymmetry)
     casimir_ok = all(v == "0" for k, v in brackets.items() if "H1" in k or "H2" in k)
-    conserved = {
-        f"d{name}/dt": format_poly(directional_derivative(h, params))
-        for name, h in zip(names, integrals)
-    }
+    # Along the flow dH/dt = {H, H3}: read off the table, with {H4, H3} = -{H3, H4}
+    flow = (table[0, 2], table[1, 2], MultiPoly.zero(), -table[2, 3])
+    conserved = {f"d{name}/dt": format_poly(rate) for name, rate in zip(names, flow)}
     _emit(
         {
             "m": str(args.m),
@@ -285,31 +297,32 @@ def cmd_bracket_check(args) -> int:
     return 0
 
 
-def _sample_json(params, seed) -> dict:
+def _sample_json(level, seed) -> dict:
     """One sampled level-set point and its residuals, as printed."""
-    point = sample_fiber_point(*params, seed=seed)
+    point = sample_fiber_point(level, seed=seed)
     gamma, omega = point
     return {
         "gamma": [[repr(z.real), repr(z.imag)] for z in gamma],
         "omega": [[repr(z.real), repr(z.imag)] for z in omega],
-        "integral_residual": repr(max(abs(r) for r in integral_residuals(point, *params))),
-        "cubic_residual": repr(abs(quotient_cubic_residual(point, *params))),
-        "shifted_weierstrass_residual": repr(abs(shifted_weierstrass_residual(point, *params))),
+        "integral_residual": repr(max(abs(r) for r in integral_residuals(point, level))),
+        "cubic_residual": repr(abs(quotient_cubic_residual(point, level))),
+        "shifted_weierstrass_residual": repr(abs(shifted_weierstrass_residual(point, level))),
     }
 
 
 def cmd_sample_fiber(args) -> int:
     _checked(TopParams, args.m, args.a)
-    if args.count < 0:
-        raise InputError(f"--count must be non-negative, got {args.count}")
+    if not 0 <= args.count <= MAX_SAMPLES:
+        raise InputError(f"--count must be in 0..{MAX_SAMPLES}, got {quote_tag(str(args.count))}")
     params = (args.h3, args.h4, args.a, args.m)
     for name, value in zip(("--h3", "--h4", "--a", "--m"), params):
         try:
             float(value)
         except OverflowError:
             raise InputError(f"{name} has no finite float value") from None
+    level = Level(*params)
     try:
-        points = [_sample_json(params, args.seed + i) for i in range(args.count)]
+        points = [_sample_json(level, args.seed + i) for i in range(args.count)]
     except OverflowError as exc:
         raise SamplingError(f"float overflow while sampling: {exc}") from exc
     _emit(
@@ -363,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("classify-triple", help="Kodaira type of an order triple")
-    p.add_argument("L", type=int)
-    p.add_argument("K", type=int)
-    p.add_argument("N", type=int)
+    p.add_argument("L", type=_integer)
+    p.add_argument("K", type=_integer)
+    p.add_argument("N", type=_integer)
     p.set_defaults(func=cmd_classify_triple)
 
     p = sub.add_parser("collide", help="collision fiber of two Kodaira types")
@@ -387,12 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h4", type=_rational, required=True)
     p.add_argument("--a", type=_rational, required=True)
     p.add_argument("--m", type=_rational, required=True)
-    p.add_argument("-n", "--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-n", "--count", type=_integer, default=1)
+    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(func=cmd_sample_fiber)
 
     p = sub.add_parser("monodromy", help="solve the node and braid relations")
-    p.add_argument("--bound", type=int, default=25)
+    p.add_argument("--bound", type=_integer, default=25)
     p.set_defaults(func=cmd_monodromy)
 
     return parser

@@ -7,8 +7,9 @@ inertia normalization is J1 = J2 = 1 and J3 = 1 + m, with the center of
 mass along the symmetry axis and chi = (0, 0, -1), so the angular
 velocity is Omega = (M1, M2, M3/(1+m)).  The Lie-Poisson bracket of
 e(3)* is the table of structure constants ``E3_STRUCTURE``, evaluated by
-``poly.poisson_bracket``, and along the Euler-Poisson flow a function F
-changes at the rate dF/dt = {F, H3}, one bracket with the energy.
+``poly.poisson_brackets`` over a list of polynomials, and along the
+Euler-Poisson flow a function F changes at the rate dF/dt = {F, H3}, one
+bracket with the energy.
 
 The quotient of an energy-momentum level set by its circle action is an
 affine cubic; ``tau_transform`` and ``g2_g3`` carry the level values to
@@ -23,7 +24,7 @@ import functools
 import random
 from fractions import Fraction
 
-from .poly import MultiPoly, parse, poisson_bracket
+from .poly import MultiPoly, parse, poisson_brackets
 from .record import Value
 from .weierstrass import WeierstrassFibration
 
@@ -58,7 +59,7 @@ E3_STRUCTURE = {
 
 def lie_poisson_bracket(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Lie-Poisson bracket on the dual of the Euclidean Lie algebra e(3)."""
-    return poisson_bracket(f, g, E3_STRUCTURE)
+    return poisson_brackets((f, g), E3_STRUCTURE)[0, 1]
 
 
 def casimirs() -> tuple:
@@ -82,11 +83,6 @@ def first_integrals(params: TopParams) -> tuple:
     Casimirs, the energy and the axial momentum M3 / (1 + m)."""
     h1, h2 = casimirs()
     return h1, h2, _energy(params.m), Fraction(1, 1 + params.m) * MultiPoly.variable("M3")
-
-
-def directional_derivative(h: MultiPoly, params: TopParams) -> MultiPoly:
-    """Exact dh/dt along the Euler-Poisson flow: the bracket {h, H3}."""
-    return lie_poisson_bracket(h, _energy(params.m))
 
 
 # -- parameter transforms ------------------------------------------------------
@@ -148,7 +144,35 @@ class SamplingError(RuntimeError):
     """No nondegenerate sample found within the retry budget."""
 
 
-def sample_fiber_point(h3, h4, a_cas, m, seed=0):
+class Level:
+    """A joint level set of the integrals, for the float sampler: the
+    values h3, h4 and a of the energy, the axial momentum and the Casimir
+    <Gamma, M>, and the top parameter m, each converted to ``complex`` once.
+
+    ``depressed`` gives the shift a2/12 and (g2, g3) of the level's short
+    Weierstrass cubic, computed exactly and converted on first use, so a
+    float overflow there is raised where the first residual needs them.
+    """
+
+    __slots__ = ("h3", "h4", "a", "m", "_exact", "_depressed")
+
+    def __init__(self, h3, h4, a_cas, m):
+        self._exact = tuple(Fraction(v) for v in (h3, h4, a_cas, m))
+        self.h3, self.h4, self.a, self.m = (complex(v) for v in self._exact)
+        self._depressed = None
+
+    def depressed(self) -> tuple:
+        """(a2/12, g2, g3) as complex numbers, with (a1, a2) the tau image
+        and alpha = -2a."""
+        if self._depressed is None:
+            h3, h4, a_cas, m = self._exact
+            a1, a2 = tau_transform(h3, h4, m)
+            g2, g3 = g2_g3(a1, a2, -2 * a_cas)
+            self._depressed = (complex(a2 / 12), complex(g2), complex(g3))
+        return self._depressed
+
+
+def sample_fiber_point(level: Level, seed=0):
     """Complex phase point (Gamma, Omega) on a joint level set.
 
     Construction: Gamma3 and a complex angle parametrize Gamma with
@@ -157,7 +181,7 @@ def sample_fiber_point(h3, h4, a_cas, m, seed=0):
     which is solvable over C away from a measure-zero set of draws.
     Deterministic for a fixed seed.
     """
-    h3f, h4f, af, mf = (complex(Fraction(v)) for v in (h3, h4, a_cas, m))
+    h3f, h4f, af, mf = level.h3, level.h4, level.a, level.m
     rng = random.Random(seed)
     for _ in range(SAMPLE_RETRIES):
         gamma3 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -176,15 +200,15 @@ def sample_fiber_point(h3, h4, a_cas, m, seed=0):
         omega1 = lam * gamma[0] - mu * gamma[1]
         omega2 = lam * gamma[1] + mu * gamma[0]
         point = (gamma, (omega1, omega2, omega3))
-        if max(abs(x) for x in integral_residuals(point, h3, h4, a_cas, m)) < SAMPLE_TOL:
+        if max(abs(x) for x in integral_residuals(point, level)) < SAMPLE_TOL:
             return point
     raise SamplingError("no nondegenerate sample within retry budget")
 
 
-def integral_residuals(point, h3, h4, a_cas, m):
+def integral_residuals(point, level: Level):
     """|H_i(point) - target| for the four integrals, as complex numbers."""
     gamma, omega = point
-    h3f, h4f, af, mf = (complex(Fraction(v)) for v in (h3, h4, a_cas, m))
+    h3f, h4f, af, mf = level.h3, level.h4, level.a, level.m
     r1 = gamma[0] ** 2 + gamma[1] ** 2 + gamma[2] ** 2 - 1
     r2 = (
         gamma[0] * omega[0]
@@ -201,7 +225,7 @@ def integral_residuals(point, h3, h4, a_cas, m):
     return (r1, r2, r3, r4)
 
 
-def quotient_cubic_residual(point, h3, h4, a_cas, m) -> complex:
+def quotient_cubic_residual(point, level: Level) -> complex:
     """Defect of the circle-quotient image against the quotient cubic.
 
     The invariants (x, y) = (-Gamma3/2, -(Gamma1 Omega2 - Gamma2 Omega1)/2)
@@ -211,7 +235,7 @@ def quotient_cubic_residual(point, h3, h4, a_cas, m) -> complex:
     the returned value is the left side minus the right side.
     """
     gamma, omega = point
-    h3f, h4f, af, mf = (complex(Fraction(v)) for v in (h3, h4, a_cas, m))
+    h3f, h4f, af, mf = level.h3, level.h4, level.a, level.m
     x = -gamma[2] / 2
     y = -(gamma[0] * omega[1] - gamma[1] * omega[0]) / 2
     rhs = (
@@ -223,14 +247,11 @@ def quotient_cubic_residual(point, h3, h4, a_cas, m) -> complex:
     return y * y - rhs
 
 
-def shifted_weierstrass_residual(point, h3, h4, a_cas, m) -> complex:
-    """Defect of the depressed form: with (a1, a2) the tau image and
-    alpha = -2a, the shifted point (x - a2/12, y) satisfies
-    Y^2 = 4X^3 - g2 X - g3."""
+def shifted_weierstrass_residual(point, level: Level) -> complex:
+    """Defect of the depressed form: the shifted point (x - a2/12, y)
+    satisfies Y^2 = 4X^3 - g2 X - g3."""
     gamma, omega = point
-    a1, a2 = tau_transform(h3, h4, m)
-    alpha = -2 * Fraction(a_cas)
-    g2, g3 = g2_g3(a1, a2, alpha)
-    x = -gamma[2] / 2 - complex(Fraction(a2, 12))
+    shift, g2, g3 = level.depressed()
+    x = -gamma[2] / 2 - shift
     y = -(gamma[0] * omega[1] - gamma[1] * omega[0]) / 2
-    return y * y - (4 * x**3 - complex(g2) * x - complex(g3))
+    return y * y - (4 * x**3 - g2 * x - g3)

@@ -20,10 +20,10 @@ a step a kernel skips when its integers are primitive by construction
 So every kernel computes on integers: sums over a common content
 denominator, products, powers, derivatives, evaluation at a rational
 point, exact division (P / Q is integral whenever Q is primitive and
-divides P), power extraction and ``poisson_bracket`` (the linear Poisson
-bracket of a table of integer structure constants, summed over the
-partial derivatives of both integer parts at once).  Each substitution
-shape has its own kernel: ``substitute`` specializes variables to
+divides P), power extraction and ``poisson_brackets`` (the linear Poisson
+brackets of every pair of a list, for a table of integer structure
+constants, summed over partial derivatives each taken once).  Each
+substitution shape has its own kernel: ``substitute`` specializes variables to
 rationals in one integer pass per variable (v = n / d of degree D scales
 the term with v^k by n^k * d^(D-k) and puts d^D into the content) and
 takes no polynomial image; ``shift`` is an integer Taylor shift;
@@ -820,41 +820,49 @@ def _chart_map(p: MultiPoly, coords: tuple, chart_coords: tuple, chart: str, str
 # -- linear Poisson brackets -------------------------------------------------
 
 
-def poisson_bracket(f: MultiPoly, g: MultiPoly, structure) -> MultiPoly:
-    """{f, g} = sum over the table of {x, y} * (f_x * g_y - f_y * g_x).
+def poisson_brackets(polys, structure) -> dict:
+    """{(i, j): {p_i, p_j}} for i < j, the brackets of every pair of ``polys``,
+    where {f, g} = sum over the table of {x, y} * (f_x * g_y - f_y * g_x).
 
     ``structure`` maps a pair of variable names (x, y), one entry per
     unordered pair, to integer structure constants ((c, z), ...) with
     {x, y} = sum c * z; then {y, x} = -{x, y}, and unlisted pairs commute.
-    The sum is taken on the integer parts and scaled once by the contents.
+    Each polynomial is written over the common variables once and each of
+    its partial derivatives is taken once; every sum is taken on the
+    integer parts and scaled once by the two contents.
     """
     if any(type(c) is not int for consts in structure.values() for c, _ in consts):
         raise TypeError("structure constants must be integers")
-    fv, gv = f.variables, g.variables
+    occurring = {v for p in polys for v in p.variables}
     pairs = [(x, y, consts) for (x, y), consts in structure.items()
-             if (x in fv and y in gv) or (y in fv and x in gv)]
-    if not pairs:
-        return _ZERO
-    names = tuple(sorted({*fv, *gv, *(z for *_, consts in pairs for _, z in consts)}))
+             if x in occurring and y in occurring]
+    names = tuple(sorted({*occurring, *(z for *_, consts in pairs for _, z in consts)}))
     where = {v: i for i, v in enumerate(names)}
-    need = {where[v] for x, y, _ in pairs for v in (x, y)}
-    fi, gi = _over(f, names), _over(g, names)
-    df, dg = {i: _ipartial(fi, i) for i in need}, {i: _ipartial(gi, i) for i in need}
-    out = {}
-    get = out.get
-    for x, y, consts in pairs:
-        i, j = where[x], where[y]
-        shifts = [(c, where[z]) for c, z in consts]
-        for sign, a, b in ((1, df[i], dg[j]), (-1, df[j], dg[i])):
-            for ea, ca in a.items():
-                for eb, cb in b.items():
-                    e, cab = tuple(map(add, ea, eb)), sign * ca * cb
-                    for c, k in shifts:
-                        ek = e[:k] + (e[k] + 1,) + e[k + 1:]
-                        out[ek] = get(ek, 0) + c * cab
-    out = {e: v for e, v in out.items() if v}
-    c, d = f.content, g.content
-    return _make(names, out, c.numerator * d.numerator, c.denominator * d.denominator)
+    table = [(where[x], where[y], [(c, where[z]) for c, z in consts]) for x, y, consts in pairs]
+    need = {i for i, j, _ in table} | {j for i, j, _ in table}
+    partials = []
+    for p in polys:
+        ints = _over(p, names)
+        partials.append({where[v]: _ipartial(ints, where[v]) for v in p.variables if where[v] in need})
+    brackets = {}
+    for (a, p), (b, q) in itertools.combinations(enumerate(polys), 2):
+        dp, dq = partials[a], partials[b]
+        out = {}
+        get = out.get
+        for i, j, shifts in table:
+            for sign, u, v in ((1, i, j), (-1, j, i)):
+                if u not in dp or v not in dq:
+                    continue
+                for ea, ca in dp[u].items():
+                    for eb, cb in dq[v].items():
+                        e, cab = tuple(map(add, ea, eb)), sign * ca * cb
+                        for c, k in shifts:
+                            ek = e[:k] + (e[k] + 1,) + e[k + 1:]
+                            out[ek] = get(ek, 0) + c * cab
+        out = {e: s for e, s in out.items() if s}
+        c, d = p.content, q.content
+        brackets[a, b] = _make(names, out, c.numerator * d.numerator, c.denominator * d.denominator)
+    return brackets
 
 
 # -- resultants --------------------------------------------------------------

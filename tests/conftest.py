@@ -227,6 +227,12 @@ def cross(u, v):
     )
 
 
+def directional_derivative(h, params):
+    """Exact dh/dt along the Euler-Poisson flow, the bracket {h, H3} with
+    the energy (flow oracle)."""
+    return lagrange.lie_poisson_bracket(h, lagrange.first_integrals(params)[2])
+
+
 def euler_poisson_rhs(point, params):
     """Numeric tangent vector of the Euler-Poisson flow at a phase point
     (oracle only).

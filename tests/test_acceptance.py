@@ -10,12 +10,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import classify_double_point, fulton_multiplicity
+from conftest import classify_double_point, directional_derivative, fulton_multiplicity
 from fibrant.blowup import regularize
 from fibrant.lagrange import (
+    Level,
     TopParams,
     build_global_sections,
-    directional_derivative,
     first_integrals,
     lie_poisson_bracket,
     quotient_cubic_residual,
@@ -308,10 +308,11 @@ def test_criterion_9_quotient_cubic(criterion):
     m = F(1, 2)
     ok = True
     for h3, h4, a in parameter_sets:
+        level = Level(h3, h4, a, m)
         for seed in range(100):
-            point = sample_fiber_point(h3, h4, a, m, seed=seed)
-            ok &= abs(quotient_cubic_residual(point, h3, h4, a, m)) < 1e-9
-            ok &= abs(shifted_weierstrass_residual(point, h3, h4, a, m)) < 1e-9
+            point = sample_fiber_point(level, seed=seed)
+            ok &= abs(quotient_cubic_residual(point, level)) < 1e-9
+            ok &= abs(shifted_weierstrass_residual(point, level)) < 1e-9
     criterion(9, "quotient cubic and shifted form: |residual| < 1e-9 on 300 samples", ok)
     assert ok
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fibrant
-from fibrant import blowup, cli, poly
+from fibrant import blowup, cli, lagrange, poly
 from fibrant.cli import main
 from fibrant.lagrange import build_global_sections
 from fibrant.planecurve import AffineChart, rational_singular_points
@@ -407,6 +407,31 @@ class TestGoldenOutput:
         assert any(variables == 2 for variables, _ in chains)
         assert all(calls == variables for variables, calls in chains)
 
+    def test_integrals_and_level_are_computed_once(self, run, monkeypatch):
+        """One ``bracket-check`` builds H3 once and takes at most 4 x 6
+        partial derivatives; one ``sample-fiber --count 4`` computes
+        (g2, g3) once.  Repeated work would leave the output unchanged and
+        only cost time, so it is counted here instead."""
+        counts = {"energy": 0, "partial": 0, "g2_g3": 0}
+
+        def counted(name, inner):
+            def wrapper(*args):
+                counts[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(lagrange, "_energy", counted("energy", lagrange._energy))
+        monkeypatch.setattr(poly, "_ipartial", counted("partial", poly._ipartial))
+        monkeypatch.setattr(lagrange, "g2_g3", counted("g2_g3", lagrange.g2_g3))
+        code, out, _ = run("bracket-check", "--m=1/2")
+        assert code == 0 and json.loads(out)["all_zero"] is True
+        assert counts["energy"] == 1
+        assert 0 < counts["partial"] <= 4 * 6
+        code, out, _ = run("sample-fiber", "--h3=3/5", "--h4=2/7", "--a=1/3", "--m=1/2", "--count=4")
+        assert code == 0 and len(json.loads(out)["points"]) == 4
+        assert counts["g2_g3"] == 1
+
     @pytest.mark.parametrize("alpha", sorted(GOLDEN_ANALYZE))
     def test_substitutions_and_linear_roots_take_the_integer_kernels(self, run, monkeypatch, alpha):
         """Substitutions run the integer specialization kernel (a polynomial
@@ -607,6 +632,22 @@ class TestSampleFiber:
         args = ("sample-fiber", "--h3=1", "--h4=2", "--a=1", "--m=1")
         assert_rejected(run(*args, "--count=-1"), "-1")
 
+    def test_count_cap_boundary(self, run):
+        """The cap is sampled; one past it is rejected, and a huge count is
+        rejected at once and quoted by its start."""
+        args = ("sample-fiber", "--h3=3/5", "--h4=2/7", "--a=1/3", "--m=1/2")
+        cap = cli.MAX_SAMPLES
+        code, out, _ = run(*args, f"--count={cap}")
+        assert code == 0
+        assert len(json.loads(out)["points"]) == cap
+        code, out, err = run(*args, f"--count={cap + 1}")
+        assert_rejected((code, out, err), f"0..{cap}, got {cap + 1}")
+        start = time.perf_counter()
+        code, out, err = run(*args, f"--count={10**4000}")
+        assert time.perf_counter() - start < 1.0
+        assert_rejected((code, out, err), "got 100000000000...")
+        assert len(err) < 80
+
     def test_uncertifiable_level_set_is_an_error(self, run):
         code, out, err = run(
             "sample-fiber", "--h3", "1000000000000", "--h4", "1000000", "--a", "1000000000",
@@ -744,6 +785,35 @@ class TestInputValidation:
         assert time.perf_counter() - start < 1.0
         assert exc.value.code == 2
         assert "over 4300 digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("monodromy", "--bound=" + "1" * 5000), "--bound"),
+            (("sample-fiber", "--h3=1", "--h4=1", "--a=1", "--m=1", "--seed=" + "1" * 5000), "--seed"),
+            (("sample-fiber", "--h3=1", "--h4=1", "--a=1", "--m=1", "-n", "9" * 5000), "-n/--count"),
+            (("classify-triple", "1" * 5000, "1", "1"), "L"),
+            (("monodromy", "--bound=" + "x" * 5000), "--bound"),
+            (("analyze", "--alpha=" + "x" * 5000), "--alpha"),
+        ],
+    )
+    def test_long_values_quoted_short(self, capsys, argv, option):
+        """A value that is no integer, or no rational, is quoted by its
+        start: argparse's usage and one error line of under 200 bytes."""
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        line = err.splitlines()[-1]
+        assert line.startswith("fibrant ") and f"argument {option}" in line
+        assert "..." in line and len(line.encode()) < 200
+        assert err.startswith("usage: ") and err.count(": error: ") == 1
+
+    @pytest.mark.parametrize(
+        "text, value", [("0", 0), ("-7", -7), (" +12 ", 12), ("1_000", 1000), ("1" * 4300, int("1" * 4300))]
+    )
+    def test_integers_as_int_reads_them(self, text, value):
+        assert cli._integer(text) == value
 
     @pytest.mark.parametrize(
         "text, value",

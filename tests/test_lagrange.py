@@ -3,16 +3,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import cross, euler_poisson_rhs
+from conftest import cross, directional_derivative, euler_poisson_rhs
 
 from fibrant.lagrange import (
+    E3_STRUCTURE,
     GAMMA_VARS,
     MOMENTUM_VARS,
+    Level,
     SamplingError,
     TopParams,
     build_global_sections,
     casimirs,
-    directional_derivative,
     first_integrals,
     g2_g3,
     integral_residuals,
@@ -22,7 +23,7 @@ from fibrant.lagrange import (
     shifted_weierstrass_residual,
     tau_transform,
 )
-from fibrant.poly import MultiPoly, extract_power, parse
+from fibrant.poly import MultiPoly, extract_power, parse, poisson_brackets
 
 
 PHASE_VARS = GAMMA_VARS + MOMENTUM_VARS
@@ -124,6 +125,20 @@ class TestBracket:
             assert lie_poisson_bracket(f, g) == expected
             nonzero += not expected.is_zero()
         assert nonzero >= 50
+
+    def test_list_kernel_matches_cross_product_oracle(self):
+        """Every pair of a list of 2-5 polynomials, in one kernel call."""
+        rng = random.Random(23)
+        nonzero = 0
+        for _ in range(40):
+            polys = [random_phase_poly(rng, denominators=(1, 2, 3)) for _ in range(rng.randint(2, 5))]
+            table = poisson_brackets(polys, E3_STRUCTURE)
+            assert list(table) == list(itertools.combinations(range(len(polys)), 2))
+            for (i, j), value in table.items():
+                expected = bracket_by_cross_products(polys[i], polys[j])
+                assert value == expected
+                nonzero += not expected.is_zero()
+        assert nonzero >= 150
 
     def test_coordinate_pairs_match_oracle(self):
         nonzero = 0
@@ -262,19 +277,19 @@ class TestGlobalSections:
 
 class TestSampler:
     def test_residuals_over_seeds(self):
-        h3, h4, a, m = F(3, 5), F(2, 7), F(1, 3), F(1, 2)
+        level = Level(F(3, 5), F(2, 7), F(1, 3), F(1, 2))
         for seed in range(100):
-            point = sample_fiber_point(h3, h4, a, m, seed=seed)
-            worst = max(abs(r) for r in integral_residuals(point, h3, h4, a, m))
+            point = sample_fiber_point(level, seed=seed)
+            worst = max(abs(r) for r in integral_residuals(point, level))
             assert worst < 1e-10
 
     def test_h4_zero_pins_omega3(self):
-        point = sample_fiber_point(F(1), 0, F(1, 3), F(1, 2), seed=5)
+        point = sample_fiber_point(Level(F(1), 0, F(1, 3), F(1, 2)), seed=5)
         assert point[1][2] == 0
 
     def test_deterministic(self):
-        args = (F(3, 5), F(2, 7), F(1, 3), F(1, 2))
-        assert sample_fiber_point(*args, seed=9) == sample_fiber_point(*args, seed=9)
+        level = Level(F(3, 5), F(2, 7), F(1, 3), F(1, 2))
+        assert sample_fiber_point(level, seed=9) == sample_fiber_point(level, seed=9)
 
 
 class TestQuotientCubic:
@@ -287,11 +302,11 @@ class TestQuotientCubic:
         ],
     )
     def test_residuals(self, h3, h4, a):
-        m = F(1, 2)
+        level = Level(h3, h4, a, F(1, 2))
         for seed in range(100):
-            point = sample_fiber_point(h3, h4, a, m, seed=seed)
-            assert abs(quotient_cubic_residual(point, h3, h4, a, m)) < 1e-9
-            assert abs(shifted_weierstrass_residual(point, h3, h4, a, m)) < 1e-9
+            point = sample_fiber_point(level, seed=seed)
+            assert abs(quotient_cubic_residual(point, level)) < 1e-9
+            assert abs(shifted_weierstrass_residual(point, level)) < 1e-9
 
     def test_upright_equilibrium_closed_form(self):
         # Gamma = e3, Omega = h4 e3 lies on the level set with
@@ -300,5 +315,6 @@ class TestQuotientCubic:
         a = (1 + m) * h4
         h3 = (1 + m) * h4**2 / 2 - 1
         point = ((0, 0, 1), (0, 0, complex(F(2, 3))))
-        assert max(abs(r) for r in integral_residuals(point, h3, h4, a, m)) < 1e-15
-        assert abs(quotient_cubic_residual(point, h3, h4, a, m)) < 1e-12
+        level = Level(h3, h4, a, m)
+        assert max(abs(r) for r in integral_residuals(point, level)) < 1e-15
+        assert abs(quotient_cubic_residual(point, level)) < 1e-12

@@ -19,7 +19,7 @@ from fibrant.poly import (
     gcd_multivariate,
     is_squarefree,
     parse,
-    poisson_bracket,
+    poisson_brackets,
     primitive_integer,
     radical,
     rational_roots,
@@ -834,6 +834,11 @@ w = MultiPoly.variable("w")
 z = MultiPoly.variable("z")
 
 
+def bracket(f, g, structure):
+    """{f, g}: the one pair of ``poisson_brackets``."""
+    return poisson_brackets([f, g], structure)[0, 1]
+
+
 def bracket_by_sympy(sympy, f, g, structure):
     """The bracket from sympy's derivatives of the two expressions."""
     sf, sg = to_sympy(sympy, f), to_sympy(sympy, g)
@@ -847,68 +852,80 @@ def bracket_by_sympy(sympy, f, g, structure):
 
 class TestPoissonBracket:
     def test_so3_coordinates(self):
-        assert poisson_bracket(x, y, SO3) == z
-        assert poisson_bracket(y, z, SO3) == x
-        assert poisson_bracket(z, x, SO3) == y
-        assert poisson_bracket(y, x, SO3) == -z
-        assert poisson_bracket(x, x, SO3).is_zero()
+        assert bracket(x, y, SO3) == z
+        assert bracket(y, z, SO3) == x
+        assert bracket(z, x, SO3) == y
+        assert bracket(y, x, SO3) == -z
+        assert bracket(x, x, SO3).is_zero()
 
     def test_so3_planted_values(self):
-        assert poisson_bracket(x**2, y, SO3) == 2 * x * z
-        assert poisson_bracket(x * y, z, SO3) == x**2 - y**2
+        assert bracket(x**2, y, SO3) == 2 * x * z
+        assert bracket(x * y, z, SO3) == x**2 - y**2
         casimir = x**2 + y**2 + z**2
         for f in (x, y * z, x**3 - 2 * y + z):
-            assert poisson_bracket(casimir, f, SO3).is_zero()
+            assert bracket(casimir, f, SO3).is_zero()
 
     def test_two_constants_on_a_pair(self):
-        assert poisson_bracket(x, y, TWO_TERM) == 2 * z - 3 * w
-        assert poisson_bracket(w * x, z * y, TWO_TERM) == w * z * (2 * z - 3 * w) + x * x * y
+        assert bracket(x, y, TWO_TERM) == 2 * z - 3 * w
+        assert bracket(w * x, z * y, TWO_TERM) == w * z * (2 * z - 3 * w) + x * x * y
 
     def test_pair_orientation(self):
         flipped = {("y", "x"): ((-1, "z"),), ("z", "x"): ((1, "y"),), ("z", "y"): ((-1, "x"),)}
         f, g = x**2 * y - 3 * z, y * z + x
-        assert poisson_bracket(f, g, flipped) == poisson_bracket(f, g, SO3)
+        assert bracket(f, g, flipped) == bracket(f, g, SO3)
 
     def test_rational_content(self):
-        r = poisson_bracket(F(1, 3) * x**2, F(5, 2) * y, SO3)
+        r = bracket(F(1, 3) * x**2, F(5, 2) * y, SO3)
         assert r == F(5, 3) * x * z
         assert r.content == F(5, 3) and r.ints == {(1, 1): 1}
-        assert_canonical(poisson_bracket(F(-2, 9) * x * y + F(1, 6) * z, F(3, 4) * x - y, SO3))
+        assert_canonical(bracket(F(-2, 9) * x * y + F(1, 6) * z, F(3, 4) * x - y, SO3))
 
     def test_missing_variables(self):
-        assert poisson_bracket(w * x, y, SO3) == w * z
-        assert poisson_bracket(w, x, SO3).is_zero()
-        assert poisson_bracket(x**2, x**3 + w, SO3).is_zero()
-        r = poisson_bracket(x, y**2, SO3)  # z occurs in neither input
+        assert bracket(w * x, y, SO3) == w * z
+        assert bracket(w, x, SO3).is_zero()
+        assert bracket(x**2, x**3 + w, SO3).is_zero()
+        r = bracket(x, y**2, SO3)  # z occurs in neither input
         assert r == 2 * y * z and r.variables == ("y", "z")
 
     def test_zero_and_constants(self):
         for zero in (MultiPoly.zero(), MultiPoly.const(0)):
-            assert poisson_bracket(zero, x * y, SO3) is MultiPoly.zero()
-            assert poisson_bracket(x * y, zero, SO3) is MultiPoly.zero()
-        assert poisson_bracket(MultiPoly.const(F(7, 3)), x, SO3).is_zero()
-        assert poisson_bracket(x, y, {}).is_zero()
+            assert bracket(zero, x * y, SO3) is MultiPoly.zero()
+            assert bracket(x * y, zero, SO3) is MultiPoly.zero()
+        assert bracket(MultiPoly.const(F(7, 3)), x, SO3).is_zero()
+        assert bracket(x, y, {}).is_zero()
 
     @pytest.mark.parametrize("bad", [F(1, 2), F(2), 1.0, "1"])
     def test_rejects_non_integer_constants(self, bad):
         with pytest.raises(TypeError):
-            poisson_bracket(x, y, {("x", "y"): ((bad, "z"),)})
+            bracket(x, y, {("x", "y"): ((bad, "z"),)})
         with pytest.raises(TypeError):
-            poisson_bracket(w, w, {("x", "y"): ((1, "z"), (bad, "w"))})
+            bracket(w, w, {("x", "y"): ((1, "z"), (bad, "w"))})
+        for polys in ([], [x], [x, y, z, w]):
+            with pytest.raises(TypeError):
+                poisson_brackets(polys, {("x", "y"): ((bad, "z"),)})
+
+    def test_every_pair_of_a_list(self):
+        polys = [x * y, z, MultiPoly.zero(), F(2, 3) * x + w, y**2]
+        table = poisson_brackets(polys, SO3)
+        assert list(table) == [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        for (i, j), value in table.items():
+            assert value == bracket(polys[i], polys[j], SO3)
+        assert table[0, 1] == x**2 - y**2 and table[1, 4] == -2 * x * y
+        assert poisson_brackets([], SO3) == {} and poisson_brackets([x], SO3) == {}
 
 
 @given(small_polys(), small_polys(), small_polys())
 @example(x * y + F(1, 2) * z**2, y**2 - w * z, x * z + F(-3, 4))
 @settings(max_examples=60, deadline=None)
 def test_bracket_antisymmetry_and_jacobi(p, q, r):
-    pq = poisson_bracket(p, q, SO3)
+    pq = bracket(p, q, SO3)
     assert_canonical(pq)
-    assert pq == -poisson_bracket(q, p, SO3)
-    assert poisson_bracket(p, p, SO3).is_zero()
+    assert pq == -bracket(q, p, SO3)
+    assert bracket(p, p, SO3).is_zero()
     jacobi = (
-        poisson_bracket(p, poisson_bracket(q, r, SO3), SO3)
-        + poisson_bracket(q, poisson_bracket(r, p, SO3), SO3)
-        + poisson_bracket(r, pq, SO3)
+        bracket(p, bracket(q, r, SO3), SO3)
+        + bracket(q, bracket(r, p, SO3), SO3)
+        + bracket(r, pq, SO3)
     )
     assert jacobi.is_zero()
 
@@ -919,7 +936,7 @@ def test_bracket_antisymmetry_and_jacobi(p, q, r):
 @settings(max_examples=60, deadline=None)
 def test_bracket_against_sympy(p, q, structure):
     sympy = pytest.importorskip("sympy")
-    r = poisson_bracket(p, q, structure)
+    r = bracket(p, q, structure)
     assert_canonical(r)
     assert r == bracket_by_sympy(sympy, p, q, structure)
 
