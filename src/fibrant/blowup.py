@@ -17,9 +17,13 @@ multiplicity, its least total degree.  Fiber coordinates are then
 rescaled until no coordinate power u^4 divides the degree-4 section
 jointly with u^6 dividing the degree-6 one (the minimality condition
 for Weierstrass data), and Delta by u^(12t) alongside; the rescaling
-exponents are recorded.  Delta is computed once per tower, at its root;
-orders along a divisor u = 0 are least exponents and divisions by powers
-of u are exponent shifts.
+exponents are recorded.  No tower multiplies a^3 - 27 b^2 out: a point
+tower takes the fibration's Delta, restricted to the chart and shifted
+like a and b, and the contact tower computes the Delta of its abstract
+germ once per process.  Orders along a divisor u = 0 are least exponents
+and divisions by powers of u are exponent shifts.  Whether a point
+needs a blow-up is read off the 2-jets of the branches through it
+(``poly.two_jet_at``), one jet per branch and no product of germs.
 
 ``regularize`` is the driver.  It walks the singular points of the
 reduced discriminant (those of the residual curve, then its crossings
@@ -53,9 +57,9 @@ from .planecurve import (
     AffineChart,
     normalize_projective,
     rational_singular_points,
-    two_jet,
 )
 from .poly import (
+    JET_KEYS,
     MultiPoly,
     blow_up_chart,
     equal_up_to_unit,
@@ -67,6 +71,7 @@ from .poly import (
     resultant,
     strict_transform,
     strip_coordinate_lines,
+    two_jet_at,
 )
 from .record import Record, Value
 from .weierstrass import (
@@ -327,27 +332,30 @@ class _TowerDriver:
 
     # -- point handling ---------------------------------------------------
 
-    def _discriminant_branches(self, model, divisors, point):
-        """Divisors of positive discriminant order passing through a point."""
-        at = _evaluator(model.coords, point)
-        return [
-            (name, germ)
-            for name, germ in divisors.items()
-            if not self.types[name].is_smooth() and at(germ) == 0
-        ]
-
     def _process_point(self, model, divisors, point):
-        branches = self._discriminant_branches(model, divisors, point)
+        """Keep a node with an on-table pair of branches; blow up any other
+        singular point of the union of the branches through ``point``.
+
+        Each branch of positive discriminant order gives its 2-jet at the
+        point once: a zero constant term says the branch passes through
+        it, and the 2-jet of the union is the product of the branch jets
+        truncated at degree 2."""
+        branches, product = [], None
+        for name, germ in divisors.items():
+            if self.types[name].is_smooth():
+                continue
+            jet = two_jet_at(germ, model.coords, point)
+            if jet[0, 0]:
+                continue
+            branches.append(name)
+            product = jet if product is None else _jet_product(product, jet)
         if not branches:
             return
-        product = MultiPoly.const(1)
-        for _, germ in branches:
-            product = product * germ
-        report = _classify_product(product, point, model.coords)
+        report = _classify_jet(product)
         if report == "smooth":
             return
         if report == "node":
-            pair = (branches[0][0], branches[-1][0])
+            pair = (branches[0], branches[-1])
             fiber = _collide_or_none(self.types, pair) if len(branches) <= 2 else None
             if fiber is not None:
                 self.tower.collisions.append(CollisionRecord(pair, model.coords, point, fiber))
@@ -476,23 +484,36 @@ def _crossing_record(types, pair, eliminant, site, others=(), where=""):
 
 
 def _classify_product(product, point, coords):
-    """'smooth', 'node', or 'blow' for the reduced union of local branches.
+    """'smooth', 'node', or 'blow' for the reduced union of local branches,
+    given as the polynomial ``product``, at the rational ``point`` of the
+    chart ``coords``: the rule of ``_classify_jet`` on its 2-jet there."""
+    return _classify_jet(two_jet_at(product, coords, point))
 
-    Read off the 2-jet c10 x + c01 y + c20 x^2 + c11 x y + c02 y^2 of the
-    product at the point (integer coefficients; the content is positive):
-    the curve is singular there when c10 = c01 = 0, with a node exactly
-    when the Hessian is nondegenerate, c11^2 != 4 c20 c02, and never at a
-    point of multiplicity >= 3, where the whole 2-jet vanishes."""
-    jet = two_jet(product.shift(dict(zip(coords, point))), *coords)
+
+def _classify_jet(jet):
+    """'smooth', 'node', or 'blow' for a curve through the point whose
+    2-jet, c10 x + c01 y + c20 x^2 + c11 x y + c02 y^2, is ``jet`` up to a
+    positive factor: the curve is singular there when c10 = c01 = 0, with
+    a node exactly when the Hessian is nondegenerate, c11^2 != 4 c20 c02,
+    and never at a point of multiplicity >= 3, where the whole 2-jet
+    vanishes."""
     if jet[1, 0] or jet[0, 1]:
         return "smooth"
     return "node" if jet[1, 1] ** 2 != 4 * jet[2, 0] * jet[0, 2] else "blow"
 
 
-def _evaluator(coords, point):
-    """p -> the value of p at ``point``, a rational point of the chart ``coords``."""
-    values = dict(zip(coords, map(Fraction, point)))
-    return lambda p: p.evaluate({v: values.get(v, Fraction(0)) for v in p.variables})
+def _jet_product(f, g):
+    """The product of two 2-jets, truncated at degree 2."""
+    f00, f10, f01, f20, f11, f02 = map(f.__getitem__, JET_KEYS)
+    g00, g10, g01, g20, g11, g02 = map(g.__getitem__, JET_KEYS)
+    return dict(zip(JET_KEYS, (
+        f00 * g00,
+        f00 * g10 + f10 * g00,
+        f00 * g01 + f01 * g00,
+        f00 * g20 + f10 * g10 + f20 * g00,
+        f00 * g11 + f10 * g01 + f01 * g10 + f11 * g00,
+        f00 * g02 + f01 * g01 + f02 * g00,
+    )))
 
 
 # -- the global driver -----------------------------------------------------------
@@ -591,11 +612,11 @@ class _Regularizer:
         """Tower over a rational point of the base plane, given in ``chart``,
         through the discriminant components ``names``."""
         shift = dict(zip(chart.coords, center))
-        model = LocalModel(
-            chart.coords,
-            chart.dehomogenize(self.fib.a).shift(shift),
-            chart.dehomogenize(self.fib.b).shift(shift),
+        a, b, delta = (
+            chart.dehomogenize(p).shift(shift)
+            for p in (self.fib.a, self.fib.b, self.fib.discriminant())
         )
+        model = LocalModel(chart.coords, a, b, discriminant=delta)
         projective = chart.to_projective(center)
         tower = Tower(f"point ({':'.join(map(str, projective))})", "point", projective)
         germs = {name: chart.dehomogenize(self.equations[name]).shift(shift) for name in names}
@@ -700,12 +721,15 @@ def _verify_contact_point(fib, sections, chart, point):
     """A singular point of the residual that is not a node must be a
     transverse contact of the sections a, b of ``fib`` (a nonzero Jacobian:
     the discriminant is locally the cusp of the contact tower) and a common
-    zero of their line-stripped germs ``sections`` on ``chart``."""
-    x, y = chart.coords
-    at = _evaluator(chart.coords, point)
-    a, b = (chart.dehomogenize(s) for s in (fib.a, fib.b))
-    jacobian = at(a.derivative(x)) * at(b.derivative(y)) - at(a.derivative(y)) * at(b.derivative(x))
-    if any(at(f) != 0 for f in sections) or jacobian == 0:
+    zero of their line-stripped germs ``sections`` on ``chart``.  Values
+    and gradients are read off 2-jets, which scale them by positive
+    factors and so keep every zero."""
+    ja, jb, *stripped = (
+        two_jet_at(f, chart.coords, point)
+        for f in (chart.dehomogenize(fib.a), chart.dehomogenize(fib.b), *sections)
+    )
+    jacobian = ja[1, 0] * jb[0, 1] - ja[0, 1] * jb[1, 0]
+    if any(jet[0, 0] for jet in stripped) or jacobian == 0:
         raise NotAnalyzableError(
             f"singular point ({':'.join(map(str, chart.to_projective(point)))}) of the "
             "residual curve is neither a node nor a transverse contact of the section "

@@ -13,6 +13,7 @@ import functools
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 from . import __version__
 from .blowup import contact_tower, regularize
@@ -37,6 +38,7 @@ from .monodromy import (
     solve_node_relation,
 )
 from .poly import MultiPoly, format_poly, poisson_brackets, strip_coordinate_lines
+from .record import JsonDict
 from .weierstrass import (
     GenericityError,
     KodairaType,
@@ -64,6 +66,12 @@ MAX_BOUND = 1000
 # The largest ``sample-fiber --count``: 10 000 points take about 1 s and
 # print 7 MB (2-vCPU Xeon), so a larger count is rejected.
 MAX_SAMPLES = 10_000
+
+# The most digits of the numerator or the denominator of ``--alpha`` for
+# ``analyze`` and ``blowup-demo``: a fresh ``analyze`` costs about d^2,
+# 1.8 s at 300 digits and 4.2 s at 500 (2-vCPU Xeon), so a taller alpha
+# is rejected.
+MAX_ALPHA_DIGITS = 300
 
 # Options that take an exact rational, which may be negative.
 _RATIONAL_OPTIONS = ("--alpha", "--m", "--h3", "--h4", "--a")
@@ -104,6 +112,16 @@ def _check_components(types):
         raise InputError(f"{tags} has {size} dual-graph components, over the cap {MAX_COMPONENTS}")
 
 
+def _check_height(alpha: Fraction):
+    """Reject an alpha whose numerator or denominator has over ``MAX_ALPHA_DIGITS`` digits."""
+    for part, value in (("numerator", alpha.numerator), ("denominator", alpha.denominator)):
+        digits = len(str(abs(value)))
+        if digits > MAX_ALPHA_DIGITS:
+            raise InputError(
+                f"--alpha has a {part} of {digits} digits, over the cap {MAX_ALPHA_DIGITS}"
+            )
+
+
 def _rational(text: str) -> Fraction:
     """``Fraction(text)``, refused before it is built when its numerator or
     denominator would have more digits than CPython converts from a string
@@ -142,10 +160,18 @@ def _write_json(obj, indent="\n") -> str:
     serialize deterministically: anything else (a float, a non-string
     key, a value of any other type) raises TypeError.
 
-    Containers are tested first, since leaves of type str and int are
-    rendered in place; a ``bool`` leaf, among others, recurses."""
+    A shared ``JsonDict`` is rendered once per indent and its text kept
+    with it.  A generator is written as a list, each item rendered as it
+    is drawn, so the items need not all be held at once.  Containers are
+    tested first, since leaves of type str and int are rendered in place;
+    a ``bool`` leaf, among others, recurses."""
     inner = indent + "  "
     if isinstance(obj, dict):
+        if obj.__class__ is JsonDict:
+            text = obj.texts.get(indent)
+            if text is None:
+                text = obj.texts[indent] = _write_json(dict(obj), indent)
+            return text
         for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"non-string JSON key {key!r}")
@@ -157,15 +183,15 @@ def _write_json(obj, indent="\n") -> str:
             )
             for k, v in sorted(obj.items())  # keys are distinct, so values are never compared
         ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
-    if isinstance(obj, (list, tuple)):
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    if isinstance(obj, (list, tuple, GeneratorType)):
         items = [
             encode_basestring_ascii(v) if (t := type(v)) is str
             else int.__repr__(v) if t is int
             else _write_json(v, inner)
             for v in obj
         ]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or isinstance(obj, bool):
@@ -181,6 +207,7 @@ def _write_json(obj, indent="\n") -> str:
 
 
 def cmd_analyze(args) -> int:
+    _check_height(args.alpha)
     report = analyze_lagrange_family(args.alpha)
     if args.format == "json":
         _emit({"report": report.to_json()})
@@ -240,6 +267,7 @@ def cmd_blowup_demo(args) -> int:
     if args.site == "cusp":
         tower = contact_tower("cusp", {"Q~": KodairaType("I1")})
     else:
+        _check_height(args.alpha)
         mod = regularize(build_global_sections(args.alpha))
         target = (0, 1, 0) if args.site == "p010" else (0, 0, 1)
         tower = next(t for t in mod.towers if t.point == target)
@@ -321,22 +349,24 @@ def cmd_sample_fiber(args) -> int:
         except OverflowError:
             raise InputError(f"{name} has no finite float value") from None
     level = Level(*params)
+    # each point is rendered as it is sampled; the text is printed whole, so
+    # an overflow leaves stdout empty
+    points = (_sample_json(level, args.seed + i) for i in range(args.count))
     try:
-        points = [_sample_json(level, args.seed + i) for i in range(args.count)]
+        _emit(
+            {
+                "parameters": {
+                    "h3": str(args.h3),
+                    "h4": str(args.h4),
+                    "a": str(args.a),
+                    "m": str(args.m),
+                },
+                "seed": args.seed,
+                "points": points,
+            }
+        )
     except OverflowError as exc:
         raise SamplingError(f"float overflow while sampling: {exc}") from exc
-    _emit(
-        {
-            "parameters": {
-                "h3": str(args.h3),
-                "h4": str(args.h4),
-                "a": str(args.a),
-                "m": str(args.m),
-            },
-            "seed": args.seed,
-            "points": points,
-        }
-    )
     return 0
 
 

@@ -4,7 +4,7 @@ Rational singular points are located by resultant elimination plus exact
 rational-root extraction; non-rational singular points are never located
 numerically, only certified through eliminant polynomials.  What kind of
 singular point each is, is read by the blow-up driver from the integer
-``two_jet`` of the recentred germ.
+2-jet there (``poly.two_jet_at``).
 """
 
 from __future__ import annotations
@@ -209,18 +209,3 @@ def _singular_locus_over_root(core, fx, fy, y, root):
         if not s.is_zero():
             restrictions.append(s)
     return _gcd_many(restrictions) if restrictions else MultiPoly.const(1)
-
-
-def two_jet(germ: MultiPoly, x: str, y: str) -> dict:
-    """The 2-jet of ``germ`` at the origin of the (x, y) plane as
-    {(i, j): c_ij} for i + j <= 2, absent terms 0.
-
-    The c_ij are the integer coefficients of the stored form, a positive
-    multiple of the rational ones, so every test of signs, ratios or
-    vanishing reads them directly."""
-    jet = dict.fromkeys([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], 0)
-    for e, c in germ.ints.items():
-        if sum(e) <= 2:
-            powers = dict(zip(germ.variables, e))
-            jet[powers.get(x, 0), powers.get(y, 0)] = c
-    return jet

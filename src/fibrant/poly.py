@@ -26,7 +26,9 @@ constants, summed over partial derivatives each taken once).  Each
 substitution shape has its own kernel: ``substitute`` specializes variables to
 rationals in one integer pass per variable (v = n / d of degree D scales
 the term with v^k by n^k * d^(D-k) and puts d^D into the content) and
-takes no polynomial image; ``shift`` is an integer Taylor shift;
+takes no polynomial image; ``shift`` is an integer Taylor shift, and
+``two_jet_at`` reads the terms of degree <= 2 of that shift at a point
+of the plane, term by term, without building it;
 ``dehomogenize`` (a coordinate set to 1, others renamed),
 ``blow_up_chart`` (a chart of a point blow-up) and ``strict_transform``
 (the same chart divided by the largest power of the exceptional
@@ -815,6 +817,67 @@ def _chart_map(p: MultiPoly, coords: tuple, chart_coords: tuple, chart: str, str
             e += (0,)
             ints[tuple([e[a] + e[b] for a, b in recipe])] = c
     return _make(out, ints, p.content, primitive=True), lowest
+
+
+# -- 2-jets at a point -------------------------------------------------------
+
+# The exponents (k, l) of the monomials x^k y^l of total degree <= 2.
+JET_KEYS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def two_jet_at(p: MultiPoly, coords: tuple, point) -> dict:
+    """The Taylor coefficients of ``p`` of total degree <= 2 at the rational
+    ``point`` of the plane ``coords``, as {(k, l): c_kl} over ``JET_KEYS``,
+    absent terms 0.
+
+    The c_kl are integers, the coefficients of p recentred at the point
+    times one positive factor, so every test of signs, ratios or vanishing
+    reads them directly.  Term by term over a common denominator, with no
+    shifted polynomial built: for the point (n1/d1, n2/d2) and D1, D2 the
+    degrees of p in the two coordinates, the term x^i y^j adds
+    C(i, k) n1^(i-k) d1^(D1-i+k) * C(j, l) n2^(j-l) d2^(D2-j+l) times its
+    integer coefficient to c_kl, so the factor is d1^D1 d2^D2 over the
+    content of p.  Every variable of p must be one of ``coords``.
+    """
+    names = p.variables
+    x, y = coords
+    cx = names.index(x) if x in names else -1
+    cy = names.index(y) if y in names else -1
+    if len(names) > (cx >= 0) + (cy >= 0):
+        raise ValueError(f"variables {names} of the polynomial are not among {coords}")
+    ints = p.ints
+    px, py = point
+    wx = _AT_ZERO if cx < 0 or not px else _taylor_weights(px, max(e[cx] for e in ints))
+    wy = _AT_ZERO if cy < 0 or not py else _taylor_weights(py, max(e[cy] for e in ints))
+    sums = [0] * 9  # c_kl at 3k + l
+    for e, c in ints.items():
+        row_x = wx.get(e[cx] if cx >= 0 else 0)
+        row_y = wy.get(e[cy] if cy >= 0 else 0)
+        if row_x is None or row_y is None:
+            continue  # a power above 2 of a coordinate at 0
+        for k, a in row_x:
+            ca = c * a
+            for l, b in row_y:
+                if k + l <= 2:
+                    sums[3 * k + l] += ca * b
+    return {(k, l): sums[3 * k + l] for k, l in JET_KEYS}
+
+
+# The weights of ``_taylor_weights`` at the value 0: x^i stays x^i.
+_AT_ZERO = {0: ((0, 1),), 1: ((1, 1),), 2: ((2, 1),)}
+
+
+def _taylor_weights(value, top: int) -> dict:
+    """For x -> x + value with value = n / d, the pairs
+    (k, C(i, k) n^(i-k) d^(top-i+k)) for k <= min(i, 2), keyed by i <= top:
+    what x^i gives to x^k over d^top."""
+    n, d = value.numerator, value.denominator
+    npow = [n**k for k in range(top + 1)]
+    dpow = [d**k for k in range(top + 1)]
+    return {
+        i: [(k, math.comb(i, k) * npow[i - k] * dpow[top - i + k]) for k in range(min(i, 2) + 1)]
+        for i in range(top + 1)
+    }
 
 
 # -- linear Poisson brackets -------------------------------------------------

@@ -27,6 +27,7 @@ column (the contraction source I_{M1+M2}*) is kept alongside.
 
 from __future__ import annotations
 
+import functools
 import sys
 from fractions import Fraction
 
@@ -46,7 +47,12 @@ from .poly import (
     parse,
     strip_coordinate_lines,
 )
-from .record import Value
+from .record import JsonDict, JsonList, Value
+
+
+# The most values each lookup of Kodaira and collision data keeps for
+# reuse in one process; the whole Lagrange family uses a few dozen.
+CACHE_SIZE = 256
 
 
 class NotAnalyzableError(ValueError):
@@ -175,12 +181,14 @@ class DualGraph(Value):
         )
         return (mults, edge_labels)
 
+    @functools.lru_cache(maxsize=CACHE_SIZE)
     def to_json(self):
-        return {
+        """Built once per process for each graph, and read-only."""
+        return JsonDict({
             "kind": self.kind,
-            "multiplicities": list(self.nodes),
-            "edges": [list(e) for e in self.edges],
-        }
+            "multiplicities": JsonList(self.nodes),
+            "edges": JsonList([JsonList(e) for e in self.edges]),
+        })
 
 
 # -- Kodaira types ---------------------------------------------------------------
@@ -238,14 +246,16 @@ class KodairaType(Value):
             if tag == row:
                 return OrderTriple(low_l, low_k, low_n if n is None else n + shift)
 
+    @functools.lru_cache(maxsize=CACHE_SIZE)
     def to_json(self):
+        """Built once per process for each type, and read-only."""
         graph = self.dual_graph()
-        return {
+        return JsonDict({
             "tag": self.tag,
             "components": graph.component_count(),
-            "multiplicities": list(graph.multiplicities()),
+            "multiplicities": JsonList(graph.multiplicities()),
             "dual_graph": graph.to_json(),
-        }
+        })
 
 
 def quote_tag(tag: str) -> str:
@@ -309,12 +319,15 @@ _KODAIRA_ROWS = (
 )
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def kodaira_classify(t: OrderTriple) -> KodairaType:
     """Classify an order triple by Kodaira's table.
 
     Triples with L >= 4 and K >= 6 are rejected with
     NeedsNormalizationError (rescale fiber coordinates first); triples
-    matching no row raise NotInTableError.
+    matching no row raise NotInTableError.  A type is looked up once per
+    process for each triple; a refusal is not kept, so it is raised again
+    on every call.
     """
     L, K, N = t.as_tuple()
     if L >= 4 and K >= 6:
@@ -386,13 +399,16 @@ _ADDITIVE_COLLISIONS = {
 }
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def collide(k1: KodairaType, k2: KodairaType) -> MirandaFiber:
     """Classify the fiber over a node where two component types meet.
 
     Symmetric in the two types; a smooth branch (I0) returns the other
     type unchanged.  Pairs outside the table raise NotOnListError, which
     signals the blow-up driver to keep modifying the base.  The table's
-    Kodaira column is the type of the summed minimal order triples.
+    Kodaira column is the type of the summed minimal order triples.  A
+    fiber is built once per process for each ordered pair of types; a
+    refusal is not kept, so it is raised again on every call.
     """
     pair = tuple(sorted((k1, k2), key=lambda k: k.tag))
     tags = tuple(k.tag for k in pair)

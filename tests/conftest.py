@@ -5,8 +5,8 @@ from typing import NamedTuple
 
 import pytest
 
-from fibrant import blowup, lagrange
-from fibrant.planecurve import rational_singular_points, two_jet
+from fibrant import blowup, lagrange, weierstrass
+from fibrant.planecurve import rational_singular_points
 from fibrant.poly import (
     INFINITE_ORDER,
     MultiPoly,
@@ -145,6 +145,22 @@ def smoothness_certificate(f, chart):
         reason = "non-rational candidate singular locus (eliminant shown)"
         return SmoothnessCertificate(False, None, locus.eliminant_squarefree, reason)
     return SmoothnessCertificate(True, reason="singular-system eliminant is a nonzero constant")
+
+
+def two_jet(germ: MultiPoly, x: str, y: str) -> dict:
+    """The 2-jet of ``germ`` at the origin of the (x, y) plane as
+    {(i, j): c_ij} for i + j <= 2, absent terms 0 (oracle only: the
+    pipeline reads ``poly.two_jet_at``).
+
+    The c_ij are the integer coefficients of the stored form, a positive
+    multiple of the rational ones, so every test of signs, ratios or
+    vanishing reads them directly."""
+    jet = dict.fromkeys([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], 0)
+    for e, c in germ.ints.items():
+        if sum(e) <= 2:
+            powers = dict(zip(germ.variables, e))
+            jet[powers.get(x, 0), powers.get(y, 0)] = c
+    return jet
 
 
 class SingularPointReport(NamedTuple):
@@ -374,10 +390,16 @@ def reduce_triple_mod_oracle(t):
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Every test builds the contact tower and parses the section templates
-    itself, so a test that patches their internals sees them run."""
+    """Every test builds the contact tower, parses the section templates and
+    looks up its Kodaira and collision data and their JSON itself, so a
+    test that patches their internals sees them run."""
     blowup._contact_tower.cache_clear()
     lagrange._section_templates.cache_clear()
+    for cached in (
+        weierstrass.kodaira_classify, weierstrass.collide,
+        weierstrass.KodairaType.to_json, weierstrass.DualGraph.to_json,
+    ):
+        cached.cache_clear()
 
 
 @pytest.fixture(scope="session")

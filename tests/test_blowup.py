@@ -8,7 +8,7 @@ from conftest import (
     fulton_multiplicity,
     intersection_multiplicity,
 )
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from test_cli import GOLDEN_ANALYZE
 
 from fibrant import blowup
@@ -23,7 +23,7 @@ from fibrant.blowup import (
 from fibrant.lagrange import build_global_sections
 from fibrant.miranda import analyze_lagrange_family
 from fibrant.planecurve import AffineChart, SingularLocus
-from fibrant.poly import MultiPoly, extract_power, format_poly, parse, radical
+from fibrant.poly import MultiPoly, extract_power, format_poly, parse, radical, two_jet_at
 from fibrant.weierstrass import (
     KodairaType,
     NotAnalyzableError,
@@ -363,6 +363,42 @@ def test_hessian_node_test_matches_the_classifier(coeffs, cx, cy):
     assert blowup._classify_product(f, (F(cx), F(cy)), ("x", "y")) == expected
 
 
+# germs through the origin: terms of degree 1 to 3 with small coefficients
+branch_germs = st.dictionaries(
+    st.sampled_from([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (1, 2), (0, 3)]),
+    st.integers(-2, 2), min_size=1, max_size=4,
+).map(lambda terms: MultiPoly(("x", "y"), terms))
+
+
+@given(
+    st.lists(branch_germs, min_size=1, max_size=3),
+    st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+    st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+)
+@example([parse("x"), parse("y")], F(1), F(-2, 3))  # two lines: a node
+@example([parse("x^2 - y^2 + x^3")], F(0), F(1, 2))  # one nodal branch
+@example([parse("x"), parse("x + y^2")], F(2), F(1))  # tangent branches: blow up
+@example([parse("x"), parse("y"), parse("x + y")], F(0), F(0))  # a triple point
+@settings(max_examples=120, deadline=None)
+def test_node_rule_on_branch_jets_matches_the_product(germs, px, py):
+    """The tower driver's rule on the truncated product of the branch jets
+    decides as ``_classify_product`` on the product of the branches."""
+    coords, point = ("x", "y"), (px, py)
+    branches = [g.shift({"x": -px, "y": -py}) for g in germs if not g.is_zero()]
+    if not branches:
+        return
+    jets = [two_jet_at(b, coords, point) for b in branches]
+    assert all(jet[0, 0] == 0 for jet in jets)  # every branch passes through the point
+    product_jet, product = jets[0], branches[0]
+    for jet, branch in zip(jets[1:], branches[1:]):
+        product_jet, product = blowup._jet_product(product_jet, jet), product * branch
+    whole = two_jet_at(product, coords, point)
+    # the same 2-jet up to a positive factor
+    assert all(product_jet[k] * c > 0 or product_jet[k] == c == 0 for k, c in whole.items())
+    assert len({F(product_jet[k], c) for k, c in whole.items() if c}) <= 1
+    assert blowup._classify_jet(product_jet) == blowup._classify_product(product, point, coords)
+
+
 class TestRegularizeEdges:
     def test_idempotent_on_regular_model(self):
         # smooth reduced discriminant: a smooth quartic cubed
@@ -472,6 +508,25 @@ class TestContactTowerCache:
 class TestPlantedSites:
     """Sites the Lagrange family never reaches: transverse line-curve and
     line-line crossings, and a rational contact point."""
+
+    def test_contact_point_needs_a_jacobian_and_zeros_of_the_stripped_sections(self):
+        # a = a1, b = a2 on the chart A0 = 1: a transverse contact at the origin
+        A0, A1, A2 = (MultiPoly.variable(v) for v in ("A0", "A1", "A2"))
+        chart = AffineChart.standard(0)
+        a1, a2 = (MultiPoly.variable(v) for v in chart.coords)
+        origin = (F(0), F(0))
+        blowup._verify_contact_point(
+            WeierstrassFibration(A1 * A0**3, A2 * A0**5), (a1, a2), chart, origin
+        )
+        refused = "neither a node nor a transverse contact"
+        with pytest.raises(NotAnalyzableError, match=refused):  # a stripped germ off the point
+            blowup._verify_contact_point(
+                WeierstrassFibration(A1 * A0**3, A2 * A0**5), (a1 + 1, a2), chart, origin
+            )
+        with pytest.raises(NotAnalyzableError, match=refused):  # tangent sections
+            blowup._verify_contact_point(
+                WeierstrassFibration(A1 * A0**3, (A1 * A0 + A2**2) * A0**4), (a1, a2), chart, origin
+            )
 
     def test_line_crossings(self):
         fib = WeierstrassFibration(

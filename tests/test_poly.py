@@ -3,7 +3,9 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from conftest import bareiss_resultant, chart_substitution, compose, from_sympy, to_sympy
+from conftest import (
+    bareiss_resultant, chart_substitution, compose, from_sympy, to_sympy, two_jet,
+)
 from hypothesis import example, given, settings, strategies as st
 
 from fibrant import poly
@@ -25,6 +27,7 @@ from fibrant.poly import (
     rational_roots,
     resultant,
     strip_coordinate_lines,
+    two_jet_at,
 )
 
 x = MultiPoly.variable("x")
@@ -1048,6 +1051,40 @@ def test_shift_matches_the_composition(p, point):
     mapping = {v: MultiPoly.variable(v) + c for v, c in point.items()}
     assert shifted == compose(p, mapping)
     assert shifted.shift({v: -c for v, c in point.items()}) == p
+
+
+@st.composite
+def plane_polys(draw):
+    """Integer polynomials in x and y of degree up to 6 in each."""
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)), st.integers(-9, 9), max_size=8
+    ))
+    return MultiPoly(("x", "y"), terms)
+
+
+@given(plane_polys(), kernel_values, kernel_values)
+@example(parse("x^6*y^5 - 3*x*y^2 + 7"), BIG, -BIG)
+@example(parse("y^3 - 2*y"), F(0), F(3, 7))
+@example(MultiPoly.zero(), F(1, 2), F(0))
+@settings(max_examples=150, deadline=None)
+def test_two_jet_at_is_the_jet_of_the_shift(p, px, py):
+    """``two_jet_at`` is ``two_jet`` of the shifted polynomial times the
+    positive factor d1^D1 d2^D2 / content(p) that its docstring states."""
+    jet = two_jet_at(p, ("x", "y"), (px, py))
+    shifted = p.shift({"x": px, "y": py})
+    oracle = two_jet(shifted, "x", "y")
+    factor = F(px.denominator ** max(p.degree_in("x"), 0) * py.denominator ** max(p.degree_in("y"), 0))
+    if not p.is_zero():
+        factor = factor / p.content * shifted.content
+    assert factor > 0 or p.is_zero()
+    assert jet == {k: factor * c for k, c in oracle.items()}
+    assert all(type(c) is int for c in jet.values())
+
+
+def test_two_jet_at_refuses_a_variable_off_the_plane():
+    assert two_jet_at(parse("x*y - 3"), ("y", "x"), (F(1), F(3)))[0, 0] == 0
+    with pytest.raises(ValueError, match="not among"):
+        two_jet_at(parse("x*z"), ("x", "y"), (F(0), F(0)))
 
 
 @given(small_polys(max_exp=4), points, full_points)

@@ -1,5 +1,9 @@
 from fractions import Fraction as F
 
+import copy
+import json
+import pickle
+
 import pytest
 from conftest import (
     from_sympy,
@@ -29,10 +33,12 @@ from fibrant.weierstrass import (
     NeedsNormalizationError,
     NotAnalyzableError,
     NotInTableError,
+    NotOnListError,
     OrderTriple,
     WeierstrassFibration,
     _projective_rational_singular_points,
     check_genericity,
+    collide,
     kodaira_classify,
     kodaira_monodromy,
     normalize_condition_C,
@@ -278,6 +284,68 @@ class TestKodairaTable:
             k = KodairaType(f"I{n}*")
             assert sum(1 for m in k.multiplicities() if m == 2) == n + 1
             assert sum(1 for m in k.multiplicities() if m == 1) == 4
+
+
+class TestCachedLookups:
+    """Kodaira types, collision fibers and their JSON are built once per
+    process for each value; refusals are raised on every call."""
+
+    def test_lookups_are_kept(self):
+        triple = OrderTriple(2, 3, 9)
+        assert kodaira_classify(triple) is kodaira_classify(OrderTriple(2, 3, 9))
+        pair = (KodairaType("I4"), KodairaType("I1*"))
+        assert collide(*pair) is collide(KodairaType("I4"), KodairaType("I1*"))
+        assert kodaira_classify.cache_info().hits >= 1 and collide.cache_info().hits >= 1
+
+    def test_refusals_are_raised_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(NotInTableError):
+                kodaira_classify(OrderTriple(1, 1, 3))
+            with pytest.raises(NeedsNormalizationError):
+                kodaira_classify(OrderTriple(4, 6, 12))
+            with pytest.raises(NotOnListError):
+                collide(KodairaType("II"), KodairaType("II*"))
+        assert kodaira_classify.cache_info().currsize == collide.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("tag", ["I3", "I2*", "IV*", "I0"])
+    def test_json_fragments_are_shared_and_read_only(self, tag):
+        k = KodairaType(tag)
+        data = k.to_json()
+        assert data is KodairaType(tag).to_json()
+        assert data["dual_graph"] is k.dual_graph().to_json()
+        before = json.dumps(data, sort_keys=True)
+        graph = data["dual_graph"]
+        for change in (
+            lambda: data.__setitem__("tag", "I9"),
+            lambda: data.pop("tag"),
+            lambda: data.update(tag="I9"),
+            lambda: data.setdefault("extra", 1),
+            lambda: data.clear(),
+            lambda: data["multiplicities"].append(1),
+            lambda: data["multiplicities"].__setitem__(0, 7),
+            lambda: graph["edges"].append([0, 0]),
+            lambda: graph["multiplicities"].sort(),
+            lambda: graph.__delitem__("kind"),
+        ):
+            with pytest.raises(TypeError, match="read-only"):
+                change()
+        with pytest.raises(TypeError, match="read-only"):
+            data |= {"tag": "I9"}
+        for edge in graph["edges"]:
+            with pytest.raises(TypeError, match="read-only"):
+                edge.reverse()
+        assert json.dumps(KodairaType(tag).to_json(), sort_keys=True) == before
+
+    def test_copies_of_a_fragment_are_plain_data(self):
+        data = KodairaType("I2*").to_json()
+        before = json.dumps(data, sort_keys=True)
+        for twin in (copy.copy(data), copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
+            assert type(twin) is dict and twin == data
+        deep = copy.deepcopy(data)
+        deep["multiplicities"].append(1)
+        deep["dual_graph"]["edges"].append([0, 0])
+        assert type(deep["dual_graph"]) is dict and type(deep["multiplicities"]) is list
+        assert json.dumps(KodairaType("I2*").to_json(), sort_keys=True) == before
 
 
 class TestNormalizeConditionC:
