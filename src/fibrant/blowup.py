@@ -64,6 +64,7 @@ from .poly import (
     blow_up_chart,
     equal_up_to_unit,
     format_poly,
+    gcd_all,
     gcd_multivariate,
     is_squarefree,
     radical,
@@ -698,18 +699,11 @@ class _Regularizer:
 
 def _certify_no_singularities_at_infinity(residual):
     """Prove that the residual curve is smooth along the line A0 = 0."""
-    parts = (residual.derivative(var).at_zero("A0") for var in PROJECTIVE_VARS)
-    restrictions = [part for part in parts if not part.is_zero()]
-    if not restrictions:
+    g = gcd_all(residual.derivative(var).at_zero("A0") for var in PROJECTIVE_VARS)
+    if g.is_zero():
         raise NotAnalyzableError("residual curve is singular along A0 = 0")
-    g = restrictions[0]
-    for part in restrictions[1:]:
-        g = gcd_multivariate(g, part)
-        if g.is_constant():
-            return
-    # a common factor survives; its zeros are candidate singular points
-    value = residual.at_zero("A0")
-    if gcd_multivariate(g, value).is_constant():
+    # the zeros of a common factor are candidate singular points
+    if gcd_multivariate(g, residual.at_zero("A0")).is_constant():
         return
     raise NotAnalyzableError(
         "residual curve may be singular on the line A0 = 0 "

@@ -24,7 +24,7 @@ import functools
 import random
 from fractions import Fraction
 
-from .poly import MultiPoly, parse, poisson_brackets
+from .poly import MultiPoly, poisson_brackets
 from .record import Value
 from .weierstrass import WeierstrassFibration
 
@@ -41,10 +41,6 @@ class TopParams(Value):
         if 1 + m == 0:
             raise ValueError("1 + m must be nonzero")
         self._store(m, a_cas)
-
-    @property
-    def alpha(self) -> Fraction:
-        return -2 * self.a_cas
 
 
 # The Lie-Poisson structure of e(3)*, one entry per pair (x, y) with x < y:
@@ -95,15 +91,15 @@ def tau_transform(h3, h4, m) -> tuple:
 
 
 def g2_g3(a1, a2, alpha) -> tuple:
-    """Short Weierstrass coefficients of the depressed quotient cubic."""
-    a1, a2, alpha = Fraction(a1), Fraction(a2), Fraction(alpha)
-    g2 = 1 + a2**2 / 12 - alpha / 4 * a1
+    """Short Weierstrass coefficients of the depressed quotient cubic, at
+    rationals or at polynomials."""
+    g2 = 1 + Fraction(1, 12) * a2**2 - Fraction(1, 4) * alpha * a1
     g3 = (
-        a2**3 / 216
-        + a1**2 / 16
-        - alpha / 48 * a1 * a2
-        - a2 / 6
-        + alpha**2 / 16
+        Fraction(1, 216) * a2**3
+        + Fraction(1, 16) * a1**2
+        - Fraction(1, 48) * alpha * a1 * a2
+        - Fraction(1, 6) * a2
+        + Fraction(1, 16) * alpha**2
     )
     return g2, g3
 
@@ -121,14 +117,17 @@ def build_global_sections(alpha) -> WeierstrassFibration:
 
 @functools.cache
 def _section_templates() -> tuple:
-    """The two sections with alpha as a variable, parsed on first use."""
-    return (
-        parse("A0^2*(A0^2 + (1/12)*A2^2 - (alpha/4)*A0*A1)"),
-        parse(
-            "A0^3*((1/216)*A2^3 + (1/16)*A0*A1^2 - (alpha/48)*A0*A1*A2"
-            " - (1/6)*A0^2*A2 + (alpha^2/16)*A0^3)"
-        ),
-    )
+    """The two sections with alpha as a variable: ``g2_g3`` at the variables
+    A1, A2 and alpha, homogenized by A0 to degrees 4 and 6."""
+    g2, g3 = g2_g3(*map(MultiPoly.variable, ("A1", "A2", "alpha")))
+    return _homogenize(g2, 4), _homogenize(g3, 6)
+
+
+def _homogenize(p: MultiPoly, degree: int) -> MultiPoly:
+    """A0^degree * p(A1/A0, A2/A0), with alpha a parameter."""
+    plane = [v != "alpha" for v in p.variables]
+    lift = {(degree - sum(k for k, on in zip(e, plane) if on),) + e: c for e, c in p.terms.items()}
+    return MultiPoly(("A0",) + p.variables, lift)
 
 
 # -- numeric level-set sampling --------------------------------------------------

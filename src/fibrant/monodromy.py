@@ -41,9 +41,6 @@ class SL2Z(Value):
     def identity() -> "SL2Z":
         return SL2Z(1, 0, 0, 1)
 
-    def entries(self):
-        return ((self.a, self.b), (self.c, self.d))
-
     def __mul__(self, other: "SL2Z") -> "SL2Z":
         return SL2Z(
             self.a * other.a + self.b * other.c,
@@ -108,12 +105,12 @@ def _bounded_conjugates_of_T(bound: int):
                         yield m
 
 
-def solve_node_relation(a: SL2Z, bound: int = 25) -> list:
+def solve_node_relation(a: SL2Z, bound: int) -> list:
     """All bounded B conjugate to T with A B = B A."""
     return [b for b in _bounded_conjugates_of_T(bound) if a * b == b * a]
 
 
-def solve_cusp_relation(a: SL2Z, bound: int = 25) -> list:
+def solve_cusp_relation(a: SL2Z, bound: int) -> list:
     """All bounded B != A conjugate to T with A B A = B A B; B = A
     satisfies the relation trivially."""
     return [
@@ -141,7 +138,7 @@ def normalize_pair(b: SL2Z) -> SL2Z:
     k = 1 - b.a
     candidate = (T ** (-k)) * b * (T**k)
     if candidate != STANDARD_CUSP_PARTNER:
-        raise NotInFamilyError(f"{b.entries()} is not in the cusp solution family")
+        raise NotInFamilyError(f"{b.to_json()} is not in the cusp solution family")
     return candidate
 
 
@@ -151,18 +148,17 @@ def normalize_pair(b: SL2Z) -> SL2Z:
 class Relation(Record):
     """A "node" or "cusp" relation of two generators, with its certified local pair (A, B)."""
 
-    __slots__ = ("kind", "generators", "local_pair", "certified")
+    __slots__ = ("kind", "generators", "local_pair")
 
-    def __init__(self, kind: str, generators: tuple, local_pair: tuple, certified: bool = True):
+    def __init__(self, kind: str, generators: tuple, local_pair: tuple):
         self.kind, self.generators, self.local_pair = kind, generators, local_pair
-        self.certified = certified
 
     def to_json(self):
         return {
             "kind": self.kind,
             "generators": list(self.generators),
             "local_pair": [m.to_json() for m in self.local_pair],
-            "certified": self.certified,
+            "certified": True,
         }
 
 

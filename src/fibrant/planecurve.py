@@ -16,8 +16,8 @@ from .poly import (
     content_in,
     dehomogenize,
     exact_divide,
-    gcd_multivariate,
     format_poly,
+    gcd_all,
     primitive_integer,
     radical,
     rational_roots,
@@ -79,15 +79,6 @@ class SingularLocus(Record):
         self.points, self.eliminant_squarefree = points, eliminant_squarefree
 
 
-def _gcd_many(polys):
-    acc = MultiPoly.zero()
-    for p in polys:
-        acc = gcd_multivariate(acc, p)
-        if acc.is_constant() and not acc.is_zero():
-            break
-    return acc
-
-
 def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
     """Solve f = f_x = f_y = 0 over the rationals on an affine chart.
 
@@ -101,7 +92,7 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
         raise ValueError("zero polynomial is not a curve")
     fx = f.derivative(x)
     fy = f.derivative(y)
-    common = _gcd_many([f, fx, fy])
+    common = gcd_all((f, fx, fy))
     if not common.is_constant():
         raise NonReducedCurveError(
             "curve has a repeated component (gcd with gradient is "
@@ -187,25 +178,14 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
 
 def _singular_eliminant(core: MultiPoly, x: str, y: str) -> MultiPoly:
     """gcd of the x-resultants of (core, core_x) and (core, core_y)."""
-    cx = core.derivative(x)
-    cy = core.derivative(y)
-    parts = []
-    for other in (cx, cy):
-        if other.is_zero():
-            continue
-        if other.degree_in(x) >= 1:
-            parts.append(resultant(core, other, x))
-        else:
-            parts.append(other)  # already free of x
-    return _gcd_many(parts)
+    # a partial of degree 0 in x is free of x already
+    return gcd_all(
+        resultant(core, other, x) if other.degree_in(x) >= 1 else other
+        for other in (core.derivative(x), core.derivative(y))
+    )
 
 
 def _singular_locus_over_root(core, fx, fy, y, root):
     """Polynomial in x whose roots are the x-coordinates of the singular
     points with y = root."""
-    restrictions = []
-    for p in (core, fx, fy):
-        s = p.substitute({y: Fraction(root)})
-        if not s.is_zero():
-            restrictions.append(s)
-    return _gcd_many(restrictions) if restrictions else MultiPoly.const(1)
+    return gcd_all(p.substitute({y: Fraction(root)}) for p in (core, fx, fy))

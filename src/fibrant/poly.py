@@ -26,10 +26,11 @@ constants, summed over partial derivatives each taken once).  Each
 substitution shape has its own kernel: ``substitute`` specializes variables to
 rationals in one integer pass per variable (v = n / d of degree D scales
 the term with v^k by n^k * d^(D-k) and puts d^D into the content) and
-takes no polynomial image; ``shift`` is an integer Taylor shift, and
+takes no polynomial image, and ``evaluate`` at rationals is that pass
+over every variable; ``shift`` is an integer Taylor shift, and
 ``two_jet_at`` reads the terms of degree <= 2 of that shift at a point
-of the plane, term by term, without building it;
-``dehomogenize`` (a coordinate set to 1, others renamed),
+of the plane, term by term, without building it, both from one table of
+Taylor weights; ``dehomogenize`` (a coordinate set to 1, others renamed),
 ``blow_up_chart`` (a chart of a point blow-up) and ``strict_transform``
 (the same chart divided by the largest power of the exceptional
 coordinate, which is the multiplicity at the center) are maps on
@@ -43,6 +44,9 @@ J. Symbolic Comput. 7, 1989) with xi >= 2 * min(|f|_inf, |g|_inf) + 2;
 a candidate is returned only when it divides both inputs exactly, and
 after six failed points the subresultant pseudo-remainder sequence
 (W. S. Brown, JACM 18, 1971) takes over in the last shared variable.
+Every gcd has one normal form, the ``primitive_integer`` one: integer
+coefficients of gcd 1 and a positive leading coefficient, or 0; and
+``gcd_all`` folds the gcd over any number of polynomials.
 There is one PRS, on ascending coefficient lists: integers for univariate
 inputs, ``MultiPoly``s in the other variables (divided exactly by
 ``//``) for multivariate ones.  A resultant needs one point per
@@ -307,30 +311,24 @@ class MultiPoly:
 
         An integer Taylor shift per variable: with point[v] = n / d and D
         the degree in v, the term v^k gives C(k, i) * n^(k-i) * d^(D-k+i)
-        times v^i, over d^D, for each i <= k.
+        times v^i, over d^D, for each i <= k: the weights of ``_taylor_weights``.
         """
         ints, den = self.ints, self.content.denominator
         for i, var in enumerate(self.variables):
             value = point.get(var)
             if not value:
                 continue
-            n, d = value.numerator, value.denominator
             top = max(e[i] for e in ints)
-            npow = [n**k for k in range(top + 1)]
-            dpow = [d**k for k in range(top + 1)]
-            weights = [
-                [math.comb(k, j) * npow[k - j] * dpow[top - k + j] for j in range(k + 1)]
-                for k in range(top + 1)
-            ]
+            weights = _taylor_weights(value, top, top)
             out = {}
             get = out.get
             for e, c in ints.items():
                 head, tail = e[:i], e[i + 1:]
-                for j, w in enumerate(weights[e[i]]):
+                for j, w in weights[e[i]]:
                     key = head + (j,) + tail
                     out[key] = get(key, 0) + c * w
             ints = {e: c for e, c in out.items() if c}
-            den *= dpow[top]
+            den *= value.denominator**top
         if ints is self.ints:
             return self
         return _make(self.variables, ints, self.content.numerator, den)
@@ -356,38 +354,23 @@ class MultiPoly:
     def evaluate(self, assignment: dict):
         """Evaluate at a full assignment.
 
-        Exact ``Fraction`` result when every value is rational: with
-        v = n_v / d_v and D_v the degree in v, every term is an integer
-        times n_v^k * d_v^(D_v - k) over the common denominator
-        prod d_v^D_v.  Otherwise standard complex/float arithmetic.
+        Exact ``Fraction`` result when every value is rational, by
+        ``_specialize``.  Otherwise standard complex/float arithmetic.
         """
         missing = [v for v in self.variables if v not in assignment]
         if missing:
             raise KeyError(f"missing assignment for {missing}")
-        values = [assignment[v] for v in self.variables]
-        if not all(isinstance(v, (int, Fraction)) for v in values):
-            total = 0.0
-            for exp, coeff in self.terms.items():
-                term = complex(coeff)
-                for v, e in zip(values, exp):
-                    if e:
-                        term = term * v**e
-                total = total + term
-            return total
-        num, den = self.content.numerator, self.content.denominator
-        if not any(values):
-            return Fraction(num * self.ints.get((0,) * len(values), 0), den)
-        weights = []
-        for v, top in zip(values, map(max, zip(*self.ints))):
-            n, d = v.numerator, v.denominator
-            weights.append([n**k * d ** (top - k) for k in range(top + 1)])
-            den *= d**top
-        total = 0
-        for exp, coeff in self.ints.items():
-            for row, k in zip(weights, exp):
-                coeff *= row[k]
-            total += coeff
-        return Fraction(num * total, den)
+        values = {v: assignment[v] for v in self.variables}
+        if all(isinstance(v, (int, Fraction)) for v in values.values()):
+            return _specialize(self, values).constant_value()
+        total = 0.0
+        for exp, coeff in self.terms.items():
+            term = complex(coeff)
+            for v, e in zip(values.values(), exp):
+                if e:
+                    term = term * v**e
+            total = total + term
+        return total
 
     # -- univariate views ---------------------------------------------------
 
@@ -510,23 +493,24 @@ def _specialize(p: MultiPoly, values: dict) -> MultiPoly:
     content denominator.
     """
     names = p.variables
-    keep = [k for k, v in enumerate(names) if v not in values]
     den = p.content.denominator
-    rows = []
-    for i, var in enumerate(names):
-        if var in values:
-            n, d = values[var].numerator, values[var].denominator
-            top = max(e[i] for e in p.ints)
-            dpow = [d**k for k in range(top + 1)]
-            rows.append((i, [n**k * dpow[top - k] for k in range(top + 1)]))
-            den *= dpow[top]
+    rows, keep = [], []
+    for i, top in enumerate(map(max, zip(*p.ints))):
+        value = values.get(names[i])
+        if value is None:
+            keep.append(i)
+            continue
+        n, d = value.numerator, value.denominator
+        dpow = [d**k for k in range(top + 1)]
+        rows.append((i, [n**k * dpow[top - k] for k in range(top + 1)]))
+        den *= dpow[top]
     out = {}
     get = out.get
     for e, c in p.ints.items():
         for i, row in rows:
             c *= row[e[i]]
         if c:
-            key = tuple([e[k] for k in keep])
+            key = tuple([e[k] for k in keep]) if keep else ()
             out[key] = get(key, 0) + c
     ints = {e: c for e, c in out.items() if c}
     return _make(tuple(names[k] for k in keep), ints, p.content.numerator, den)
@@ -847,8 +831,8 @@ def two_jet_at(p: MultiPoly, coords: tuple, point) -> dict:
         raise ValueError(f"variables {names} of the polynomial are not among {coords}")
     ints = p.ints
     px, py = point
-    wx = _AT_ZERO if cx < 0 or not px else _taylor_weights(px, max(e[cx] for e in ints))
-    wy = _AT_ZERO if cy < 0 or not py else _taylor_weights(py, max(e[cy] for e in ints))
+    wx = _AT_ZERO if cx < 0 or not px else _taylor_weights(px, max(e[cx] for e in ints), 2)
+    wy = _AT_ZERO if cy < 0 or not py else _taylor_weights(py, max(e[cy] for e in ints), 2)
     sums = [0] * 9  # c_kl at 3k + l
     for e, c in ints.items():
         row_x = wx.get(e[cx] if cx >= 0 else 0)
@@ -867,15 +851,15 @@ def two_jet_at(p: MultiPoly, coords: tuple, point) -> dict:
 _AT_ZERO = {0: ((0, 1),), 1: ((1, 1),), 2: ((2, 1),)}
 
 
-def _taylor_weights(value, top: int) -> dict:
+def _taylor_weights(value, top: int, upto: int) -> dict:
     """For x -> x + value with value = n / d, the pairs
-    (k, C(i, k) n^(i-k) d^(top-i+k)) for k <= min(i, 2), keyed by i <= top:
-    what x^i gives to x^k over d^top."""
+    (k, C(i, k) n^(i-k) d^(top-i+k)) for k <= min(i, upto), keyed by
+    i <= top: what x^i gives to x^k over d^top."""
     n, d = value.numerator, value.denominator
     npow = [n**k for k in range(top + 1)]
     dpow = [d**k for k in range(top + 1)]
     return {
-        i: [(k, math.comb(i, k) * npow[i - k] * dpow[top - i + k]) for k in range(min(i, 2) + 1)]
+        i: [(k, math.comb(i, k) * npow[i - k] * dpow[top - i + k]) for k in range(min(i, upto) + 1)]
         for i in range(top + 1)
     }
 
@@ -1031,15 +1015,18 @@ def _xi_adic(p: dict, xi: int) -> dict:
 
 def content_in(p: MultiPoly, var: str) -> MultiPoly:
     """gcd of the coefficients of p viewed as univariate in ``var``."""
-    coeffs = [c for c in p.as_univariate(var) if not c.is_zero()]
-    if not coeffs:
-        return _ZERO
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        g = gcd_multivariate(g, c)
-        if g.is_constant():
+    return gcd_all(p.as_univariate(var))
+
+
+def gcd_all(polys) -> MultiPoly:
+    """The normalized gcd of an iterable of polynomials, 0 when it yields
+    none or only zeros.  Drawing stops at the first nonzero constant gcd."""
+    g = _ZERO
+    for p in polys:
+        g = gcd_multivariate(g, p)
+        if g.is_constant() and not g.is_zero():
             break
-    return _normalize_gcd(g)
+    return g
 
 
 def gcd_multivariate(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -1050,13 +1037,13 @@ def gcd_multivariate(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     coefficients in the remaining variables are handled through content
     and primitive part, and the remainder sequence runs on the
     integer-primitive parts, whose exact divisions keep coefficient
-    growth polynomial.  The result is monic when univariate over Q,
-    otherwise primitive with a sign-normalized leading coefficient.
+    growth polynomial.  The result is 0 or the ``primitive_integer`` form:
+    integer coefficients of gcd 1 and a positive leading coefficient.
     """
     if p.is_zero():
-        return _normalize_gcd(q)
+        return primitive_integer(q)[0]
     if q.is_zero():
-        return _normalize_gcd(p)
+        return primitive_integer(p)[0]
     if p.is_constant() or q.is_constant():
         return _ONE
     shared = [v for v in p.variables if v in q.variables]
@@ -1066,7 +1053,7 @@ def gcd_multivariate(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     h = _heu_gcd(_over(p, names), _over(q, names))
     if h is None:
         return _prs_gcd(p, q, shared[-1])
-    return _normalize_gcd(_make(names, h))
+    return primitive_integer(_make(names, h))[0]
 
 
 def _heu_gcd(f: dict, g: dict):
@@ -1110,23 +1097,23 @@ def _heu_gcd(f: dict, g: dict):
 def _prs_gcd(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """Normalized gcd of nonzero f and g by the subresultant PRS in ``var``."""
     if f.degree_in(var) == 0 or g.degree_in(var) == 0:
-        return _normalize_gcd(gcd_multivariate(content_in(f, var), content_in(g, var)))
+        return gcd_multivariate(content_in(f, var), content_in(g, var))
     if len(f.variables) == 1 and len(g.variables) == 1:
         a, b = _int_coeffs(f), _int_coeffs(g)
         last = _subresultant_list(*((a, b) if len(a) >= len(b) else (b, a)))[0]
-        return _normalize_gcd(_make((var,), {(j,): c for j, c in enumerate(last) if c}))
+        return primitive_integer(_make((var,), {(j,): c for j, c in enumerate(last) if c}))[0]
     cf = content_in(f, var)
     cg = content_in(g, var)
     cont = gcd_multivariate(cf, cg)
     a, b = exact_divide(f, cf).as_univariate(var), exact_divide(g, cg).as_univariate(var)
     last = _subresultant_list(*((a, b) if len(a) >= len(b) else (b, a)))[0]
     if len(last) == 1:
-        return _normalize_gcd(cont)
+        return cont
     x = MultiPoly.variable(var)
     h = _ZERO
     for c in reversed(last):
         h = h * x + c
-    return _normalize_gcd(cont * exact_divide(h, content_in(h, var)))
+    return primitive_integer(cont * exact_divide(h, content_in(h, var)))[0]
 
 
 def _subresultant_list(a: list, b: list):
@@ -1181,18 +1168,6 @@ def _prem_list(a: list, b: list) -> list:
         while r and not r[-1]:
             r.pop()
     return [c * lead**owed for c in r] if owed > 0 else r
-
-
-def _normalize_gcd(p: MultiPoly) -> MultiPoly:
-    if p.is_zero():
-        return _ZERO
-    if p.is_constant():
-        return _ONE
-    if len(p.variables) == 1:
-        lead = p.ints[max(p.ints)]
-        return _make(p.variables, p.ints, 1 if lead > 0 else -1, abs(lead), primitive=True)
-    prim, _ = primitive_integer(p)
-    return prim
 
 
 # -- monomial order (graded lexicographic, descending for display) ---------
@@ -1336,12 +1311,8 @@ def radical(p: MultiPoly) -> MultiPoly:
     """Squarefree part of a polynomial: p / gcd(p, all partials)."""
     if p.is_zero() or p.is_constant():
         return p
-    g = p
-    for v in p.variables:
-        g = gcd_multivariate(g, p.derivative(v))
-        if g.is_constant():
-            return p
-    return exact_divide(p, g)
+    g = gcd_all(itertools.chain((p,), map(p.derivative, p.variables)))
+    return p if g.is_constant() else exact_divide(p, g)
 
 
 def is_squarefree(p: MultiPoly) -> bool:

@@ -221,9 +221,6 @@ class KodairaType(Value):
         n = self.multiplicative_index()
         return n if n is not None else self.star_index() + 5
 
-    def multiplicities(self) -> tuple:
-        return self.dual_graph().multiplicities()
-
     def is_smooth(self) -> bool:
         return self.tag == "I0"
 
@@ -374,9 +371,6 @@ class MirandaFiber(Value):
 
     def __init__(self, pair, dual_graph, kodaira_label, label, contracted):
         self._store(pair, dual_graph, kodaira_label, label, contracted)
-
-    def component_count(self) -> int:
-        return self.dual_graph.component_count()
 
     def to_json(self):
         return {

@@ -9,8 +9,17 @@ import fibrant
 PACKAGE = Path(fibrant.__file__).resolve().parent
 BENCH = PACKAGE.parents[1] / "bench"
 
-# Library features kept without a caller in the pipeline or the benchmark.
-KEEP = {"kodaira_monodromy", "from_strings"}
+# Public functions kept although the pipeline does not call them, or the
+# CLI calls of ``test_reach`` do not enter them, each with its reason.
+KEEP = {
+    "kodaira_monodromy": "library feature: the local monodromy of each Kodaira type",
+    "from_strings": "library feature: a fibration from the text format",
+    "parse": "the text format's reader, the inverse of format_poly",
+    "lie_poisson_bracket": "the benchmark's control bracket, outside its timed passes",
+    "structure": "the alpha-independent report of acceptance criterion 6",
+    "canonical": "the isomorphism invariant that structure() compares",
+    "is_squarefree": "certifies non-rational crossings, which no call of test_reach meets",
+}
 
 
 def import_graph() -> dict:
@@ -195,6 +204,6 @@ def test_every_public_function_has_a_caller():
     dead = [
         f"{module}.{name}"
         for module, name in public_functions()
-        if name.split(".")[-1] not in used | KEEP
+        if name.split(".")[-1] not in used.union(KEEP)
     ]
     assert dead == []

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from conftest import cross, directional_derivative, euler_poisson_rhs
 
+from fibrant import lagrange
 from fibrant.lagrange import (
     E3_STRUCTURE,
     GAMMA_VARS,
@@ -27,6 +28,14 @@ from fibrant.poly import MultiPoly, extract_power, parse, poisson_brackets
 
 
 PHASE_VARS = GAMMA_VARS + MOMENTUM_VARS
+
+# The two global sections with alpha as a variable, as literal text: the
+# oracle of the sections that ``lagrange`` derives from ``g2_g3``.
+SECTION_TEXTS = (
+    "A0^2*(A0^2 + (1/12)*A2^2 - (alpha/4)*A0*A1)",
+    "A0^3*((1/216)*A2^3 + (1/16)*A0*A1^2 - (alpha/48)*A0*A1*A2"
+    " - (1/6)*A0^2*A2 + (alpha^2/16)*A0^3)",
+)
 
 
 def random_phase_poly(rng, terms=4, denominators=(1,)):
@@ -244,6 +253,9 @@ class TestParameterMaps:
 
     def test_g2_g3_generic(self):
         assert g2_g3(1, 2, 2) == (F(5, 6), F(-29, 432))
+
+    def test_sections_are_derived_from_g2_g3(self):
+        assert lagrange._section_templates() == tuple(map(parse, SECTION_TEXTS))
 
     def test_sections_restrict_to_g2_g3(self):
         alpha = F(3, 2)

@@ -116,8 +116,8 @@ class TestCollide:
     def test_collision_never_exceeds_kodaira_source(self, t1, t2):
         fiber = collide(K(t1), K(t2))
         source = KodairaType(fiber.kodaira_label)
-        assert sum(fiber.dual_graph.multiplicities()) <= sum(source.multiplicities())
-        assert fiber.component_count() <= source.component_count()
+        assert sum(fiber.dual_graph.multiplicities()) <= sum(source.dual_graph().multiplicities())
+        assert fiber.dual_graph.component_count() <= source.component_count()
 
 
 def _assert_alpha1_shape_with_exact_points(report, high):

@@ -18,6 +18,7 @@ from fibrant.poly import (
     exact_divide,
     extract_power,
     format_poly,
+    gcd_all,
     gcd_multivariate,
     is_squarefree,
     parse,
@@ -211,6 +212,27 @@ class TestGcd:
 
     def test_multivariate(self):
         assert gcd_multivariate(x**2 - y**2, (x + y) ** 2) == x + y
+
+    def test_gcd_all_of_nothing_is_zero(self):
+        assert gcd_all([]).is_zero()
+        assert gcd_all(iter([MultiPoly.zero()] * 3)).is_zero()
+
+    def test_gcd_all_is_normalized(self):
+        assert gcd_all([MultiPoly.zero(), 4 * x**2 - 4, 6 - 6 * x]) == x - 1
+        assert gcd_all([F(-3, 5) * x * y]) == x * y
+
+    def test_gcd_all_stops_at_the_first_constant(self):
+        def coprime_then_raise():
+            yield x**2 - 1
+            yield 2 * x + 4
+            raise AssertionError("drawn past a constant gcd")
+
+        def constant_then_raise():
+            yield MultiPoly.const(F(-7, 2))
+            raise AssertionError("drawn past a constant gcd")
+
+        assert gcd_all(coprime_then_raise()) == MultiPoly.const(1)
+        assert gcd_all(constant_then_raise()) == MultiPoly.const(1)
 
     @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
@@ -561,6 +583,27 @@ def test_gcd_multivariate_against_sympy(pair):
         exact_divide(q, ours)
     with mock.patch.object(poly, "_heu_gcd", lambda f, g: None):
         assert gcd_multivariate(p, q) == ours
+
+
+@st.composite
+def univariate_gcd_pairs(draw):
+    common = draw(polys_in(("x",), max_terms=3, max_exp=3))
+    return common * draw(polys_in(("x",), max_exp=3)), common * draw(polys_in(("x",), max_exp=3))
+
+
+@given(univariate_gcd_pairs())
+@example((2 * x**2 + x, 2 * x**2 + 7 * x + 3))
+@example((F(-1, 3) * x**2, F(1, 2) * x))
+@settings(max_examples=60, deadline=None)
+def test_univariate_gcd_against_sympy(pair):
+    """The one normal form: sympy's gcd up to a unit, primitive over the
+    integers with a positive leading coefficient."""
+    sympy = pytest.importorskip("sympy")
+    p, q = pair
+    theirs = from_sympy(sympy, sympy.gcd(to_sympy(sympy, p), to_sympy(sympy, q)), ("x",))
+    ours = gcd_multivariate(p, q)
+    assert ours == primitive_integer(theirs)[0]
+    assert ours.is_zero() or (ours.content == 1 and ours.ints[max(ours.ints)] > 0)
 
 
 # Coefficients of up to 220 bits, so the evaluation points are large.
