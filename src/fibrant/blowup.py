@@ -702,13 +702,13 @@ def _certify_no_singularities_at_infinity(residual):
     g = gcd_all(residual.derivative(var).at_zero("A0") for var in PROJECTIVE_VARS)
     if g.is_zero():
         raise NotAnalyzableError("residual curve is singular along A0 = 0")
-    # the zeros of a common factor are candidate singular points
-    if gcd_multivariate(g, residual.at_zero("A0")).is_constant():
-        return
-    raise NotAnalyzableError(
-        "residual curve may be singular on the line A0 = 0 "
-        f"(common gradient factor {format_poly(g)}); not certified"
-    )
+    # by Euler's identity d Q = sum A_i dQ/dA_i, g divides Q at A0 = 0 (not
+    # zero, A0 being stripped): the zeros of g are the candidate singular points
+    if not g.is_constant():
+        raise NotAnalyzableError(
+            "residual curve may be singular on the line A0 = 0 "
+            f"(common gradient factor {format_poly(g)}); not certified"
+        )
 
 
 def _verify_contact_point(fib, sections, chart, point):

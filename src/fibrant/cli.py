@@ -240,7 +240,7 @@ def cmd_classify_triple(args) -> int:
     triple = _checked(OrderTriple, args.L, args.K, args.N)
     if not triple.is_consistent():
         raise InputError(
-            f"order triple {triple.as_tuple()} is inconsistent: "
+            f"order triple {quote_tag(str(triple.as_tuple()))} is inconsistent: "
             "N must equal min(3L, 2K), or be at least 3L when 3L = 2K"
         )
     reduced = reduce_triple_mod(triple)

@@ -9,7 +9,9 @@ answered through the section pair.
 The classification of fibers over smooth points of the reduced
 discriminant is Kodaira's table, keyed by the vanishing orders (L, K, N)
 of (a, b, Delta) along a component.  Orders may be infinite (a section
-identically zero along the component).
+identically zero along the component).  Each row of the table carries a
+type's orders, component count, dual graph and local monodromy, the last
+three as functions of n in the rows I_n and I_n*.
 
 Over a node where two discriminant components meet, the fiber is not of
 Kodaira type in general; it is classified by Miranda's collision table
@@ -29,9 +31,10 @@ from __future__ import annotations
 
 import functools
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
-from . import monodromy
+from .monodromy import SL2Z
 from .planecurve import (
     AffineChart,
     NonReducedCurveError,
@@ -82,7 +85,7 @@ class OrderTriple(Value):
     def __init__(self, L, K, N):
         for v in (L, K, N):
             if not (v == INFINITE_ORDER or (isinstance(v, int) and v >= 0)):
-                raise ValueError(f"bad order {v!r}")
+                raise ValueError(f"bad order {quote_tag(repr(v))}")
         self._store(L, K, N)
 
     def as_tuple(self):
@@ -90,8 +93,7 @@ class OrderTriple(Value):
 
     def is_consistent(self) -> bool:
         """N >= min(3L, 2K), with equality whenever 3L != 2K."""
-        three_l = self.L * 3 if self.L != INFINITE_ORDER else INFINITE_ORDER
-        two_k = self.K * 2 if self.K != INFINITE_ORDER else INFINITE_ORDER
+        three_l, two_k = 3 * self.L, 2 * self.K  # an infinite order stays infinite
         low = min(three_l, two_k)
         if low == INFINITE_ORDER:
             return self.N == INFINITE_ORDER
@@ -201,47 +203,23 @@ class KodairaType(Value):
     __slots__ = ("tag",)
 
     def __init__(self, tag: str):
-        indexed = _tag_index(tag, "") is not None or _tag_index(tag, "*") is not None
-        if not indexed and tag not in _FIXED_GRAPHS:
-            raise ValueError(f"unknown Kodaira tag {tag!r}")
+        _kodaira_row(tag)  # an unknown tag is a ValueError
         self._store(tag)
 
     def dual_graph(self) -> DualGraph:
-        if self.tag in _FIXED_GRAPHS:
-            return _FIXED_GRAPHS[self.tag]
-        n = self.multiplicative_index()
-        if n is not None:
-            return DualGraph.cycle(*([1] * n))
-        return DualGraph.star_chain((2,) * (self.star_index() + 1))
+        return _column(self.tag, "graph")
 
     def component_count(self) -> int:
         """The number of components of the dual graph, read off the tag."""
-        if self.tag in _FIXED_GRAPHS:
-            return _FIXED_GRAPHS[self.tag].component_count()
-        n = self.multiplicative_index()
-        return n if n is not None else self.star_index() + 5
+        return _column(self.tag, "components")
 
     def is_smooth(self) -> bool:
         return self.tag == "I0"
 
-    def multiplicative_index(self):
-        """n for I_n fibers, None otherwise."""
-        return _tag_index(self.tag, "")
-
-    def star_index(self):
-        """n for I_n* fibers, None otherwise."""
-        return _tag_index(self.tag, "*")
-
     def minimal_triple(self) -> OrderTriple:
         """The least orders (L, K, N) on this type's row of Kodaira's table."""
-        n, row = self.multiplicative_index(), "I{}"
-        if n is None:
-            n, row = self.star_index(), "I{}*"
-        if n is None:
-            row = self.tag
-        for tag, (low_l, _), (low_k, _), (low_n, _), shift in _KODAIRA_ROWS:
-            if tag == row:
-                return OrderTriple(low_l, low_k, low_n if n is None else n + shift)
+        row, n = _kodaira_row(self.tag)
+        return OrderTriple(row.L[0], row.K[0], row.N[0] if n is None else n + row.shift)
 
     @functools.lru_cache(maxsize=CACHE_SIZE)
     def to_json(self):
@@ -256,9 +234,12 @@ class KodairaType(Value):
 
 
 def quote_tag(tag: str) -> str:
-    """``tag`` as a message quotes it: verbatim, or its first 12 characters
-    and "..." when it is longer than 20."""
-    return tag if len(tag) <= 20 else f"{tag[:12]}..."
+    """``tag`` as a message quotes it: verbatim when its repr takes at most
+    22 bytes, as 20 printable ASCII characters do, else the longest of its
+    first 12 characters whose repr takes at most 14 bytes, and "..."."""
+    if len(tag) <= 20 and len(repr(tag).encode()) <= 22:
+        return tag
+    return next(f"{tag[:k]}..." for k in range(12, -1, -1) if len(repr(tag[:k]).encode()) <= 14)
 
 
 def _tag_index(tag: str, suffix: str):
@@ -288,32 +269,51 @@ _E8 = DualGraph.tree(
     ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)),
 )
 
-_FIXED_GRAPHS = {
-    "I0": DualGraph.irreducible(),
-    "II": DualGraph.irreducible(),
-    "III": DualGraph.chain(1, 1),
-    "IV": DualGraph("tree", (1, 1, 1), ((0, 1), (1, 2), (0, 2))),
-    "IV*": _E6,
-    "III*": _E7,
-    "II*": _E8,
-}
+_Row = namedtuple("_Row", "tag L K N shift components graph monodromy")
+_INF = INFINITE_ORDER
 
-
-# Kodaira's table, one row per fiber type: the tag, then the (least,
-# greatest) orders L, K and N of the row.  "{}" in a tag stands for N
-# minus the row's last entry.
+# Kodaira's table (Miranda, Table I.4.1), one row per fiber type: the tag,
+# the (least, greatest) orders L, K and N, the shift, the number of
+# components, the dual graph and the local monodromy up to conjugacy.  In
+# the rows I_n and I_n*, "{}" in the tag stands for n = N minus the shift,
+# and the last three entries are functions of n.
 _KODAIRA_ROWS = (
-    ("I0", (0, INFINITE_ORDER), (0, INFINITE_ORDER), (0, 0), 0),
-    ("I{}", (0, 0), (0, 0), (1, INFINITE_ORDER), 0),
-    ("II", (1, INFINITE_ORDER), (1, 1), (2, 2), 0),
-    ("III", (1, 1), (2, INFINITE_ORDER), (3, 3), 0),
-    ("IV", (2, INFINITE_ORDER), (2, 2), (4, 4), 0),
-    ("I0*", (2, INFINITE_ORDER), (3, INFINITE_ORDER), (6, 6), 0),
-    ("I{}*", (2, 2), (3, 3), (7, INFINITE_ORDER), 6),
-    ("IV*", (3, INFINITE_ORDER), (4, 4), (8, 8), 0),
-    ("III*", (3, 3), (5, INFINITE_ORDER), (9, 9), 0),
-    ("II*", (4, INFINITE_ORDER), (5, 5), (10, 10), 0),
+    _Row("I0", (0, _INF), (0, _INF), (0, 0), 0, 1, DualGraph.irreducible(), SL2Z(1, 0, 0, 1)),
+    _Row("I{}", (0, 0), (0, 0), (1, _INF), 0,
+         lambda n: n, lambda n: DualGraph.cycle(*([1] * n)), lambda n: SL2Z(1, n, 0, 1)),
+    _Row("II", (1, _INF), (1, 1), (2, 2), 0, 1, DualGraph.irreducible(), SL2Z(1, 1, -1, 0)),
+    _Row("III", (1, 1), (2, _INF), (3, 3), 0, 2, DualGraph.chain(1, 1), SL2Z(0, 1, -1, 0)),
+    _Row("IV", (2, _INF), (2, 2), (4, 4), 0,
+         3, DualGraph.tree((1, 1, 1), ((0, 1), (1, 2), (0, 2))), SL2Z(0, 1, -1, -1)),
+    _Row("I0*", (2, _INF), (3, _INF), (6, 6), 0, 5, DualGraph.star_chain((2,)), SL2Z(-1, 0, 0, -1)),
+    _Row("I{}*", (2, 2), (3, 3), (7, _INF), 6,
+         lambda n: n + 5, lambda n: DualGraph.star_chain((2,) * (n + 1)),
+         lambda n: SL2Z(-1, -n, 0, -1)),
+    _Row("IV*", (3, _INF), (4, 4), (8, 8), 0, 7, _E6, SL2Z(-1, -1, 1, 0)),
+    _Row("III*", (3, 3), (5, _INF), (9, 9), 0, 8, _E7, SL2Z(0, -1, 1, 0)),
+    _Row("II*", (4, _INF), (5, 5), (10, 10), 0, 9, _E8, SL2Z(0, -1, 1, 1)),
 )
+
+
+def _kodaira_row(tag: str):
+    """(row, n) for ``tag``: the row of Kodaira's table of that one type and
+    None, or the row I_n or I_n* and n.  The rows of one type are tried
+    first, so that I0 is the smooth fiber, not the empty cycle I_0, and
+    I0* keeps its row.  An unknown tag is a ValueError."""
+    for row in _KODAIRA_ROWS:
+        if row.tag == tag:
+            return row, None
+    for row in _KODAIRA_ROWS:
+        if "{}" in row.tag and (n := _tag_index(tag, row.tag[3:])) is not None:
+            return row, n
+    raise ValueError(f"unknown Kodaira tag {quote_tag(tag)!r}")
+
+
+def _column(tag: str, name: str):
+    """The entry ``name`` of the row of ``tag``, at n for I_n and I_n*."""
+    row, n = _kodaira_row(tag)
+    entry = getattr(row, name)
+    return entry if n is None else entry(n)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -329,30 +329,15 @@ def kodaira_classify(t: OrderTriple) -> KodairaType:
     L, K, N = t.as_tuple()
     if L >= 4 and K >= 6:
         raise NeedsNormalizationError(f"triple {t.as_tuple()} needs (4,6,12) reduction")
-    for tag, (l0, l1), (k0, k1), (n0, n1), shift in _KODAIRA_ROWS:
+    for tag, (l0, l1), (k0, k1), (n0, n1), shift, *_ in _KODAIRA_ROWS:
         if l0 <= L <= l1 and k0 <= K <= k1 and n0 <= N <= n1:
             return KodairaType(tag.format(N - shift))
     raise NotInTableError(f"triple {t.as_tuple()} matches no Kodaira row")
 
 
-def kodaira_monodromy(k: KodairaType) -> monodromy.SL2Z:
+def kodaira_monodromy(k: KodairaType) -> SL2Z:
     """Conjugacy-class representative of the local monodromy."""
-    tag = k.tag
-    n = k.multiplicative_index()
-    if n is not None:
-        return monodromy.SL2Z(1, n, 0, 1)
-    n = k.star_index()
-    if n is not None:
-        return monodromy.SL2Z(-1, -n, 0, -1)
-    table = {
-        "II": monodromy.SL2Z(1, 1, -1, 0),
-        "III": monodromy.SL2Z(0, 1, -1, 0),
-        "IV": monodromy.SL2Z(0, 1, -1, -1),
-        "IV*": monodromy.SL2Z(-1, -1, 1, 0),
-        "III*": monodromy.SL2Z(0, -1, 1, 0),
-        "II*": monodromy.SL2Z(0, -1, 1, 1),
-    }
-    return table[tag]
+    return _column(k.tag, "monodromy")
 
 
 # -- Miranda's collision table ----------------------------------------------------
@@ -406,19 +391,18 @@ def collide(k1: KodairaType, k2: KodairaType) -> MirandaFiber:
     """
     pair = tuple(sorted((k1, k2), key=lambda k: k.tag))
     tags = tuple(k.tag for k in pair)
-    n1, n2 = k1.multiplicative_index(), k2.multiplicative_index()
-    s1, s2 = k1.star_index(), k2.star_index()
+    n1, n2 = _tag_index(k1.tag, ""), _tag_index(k2.tag, "")  # I_n
+    s1, s2 = _tag_index(k1.tag, "*"), _tag_index(k2.tag, "*")  # I_n*, I0* among them
     label = "{}"  # the table's Kodaira column unless a row names another
     if k1.is_smooth() or k2.is_smooth():
-        graph = (k2 if k1.is_smooth() else k1).dual_graph()
-        contracted = "none (smooth branch)"
+        graph, contracted = (k2 if k1.is_smooth() else k1).dual_graph(), "none (smooth branch)"
     elif n1 is not None and n2 is not None:
-        graph, contracted = DualGraph.cycle(*([1] * (n1 + n2))), "none"
+        graph, contracted = KodairaType(f"I{n1 + n2}").dual_graph(), "none"
     elif (n1 is not None and s2 is not None) or (n2 is not None and s1 is not None):
         m1, m2 = (n1, s2) if n1 is not None else (n2, s1)
         if m1 % 2 == 0:
-            graph = DualGraph.star_chain((2,) * (m2 + m1 // 2 + 1), (1, 1), (1, 1))
             label = f"I{m2 + m1 // 2}*"
+            graph = KodairaType(label).dual_graph()
             contracted = f"{m1 // 2} components with multiplicity 2"
         else:
             graph = DualGraph.star_chain((2,) * (m2 + (m1 - 1) // 2 + 1), (1, 1), ())

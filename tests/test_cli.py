@@ -21,7 +21,7 @@ from fibrant import blowup, cli, lagrange, poly
 from fibrant.cli import main
 from fibrant.lagrange import build_global_sections
 from fibrant.planecurve import AffineChart, rational_singular_points
-from fibrant.weierstrass import KodairaType
+from fibrant.weierstrass import KodairaType, OrderTriple, kodaira_classify
 
 
 @pytest.fixture
@@ -147,6 +147,114 @@ class TestCollide:
     @pytest.mark.parametrize("pair", [("I00", "II"), ("I01", "I1"), ("I1", "I002*"), ("I\uff11", "I1")])
     def test_non_canonical_tag_rejected(self, run, pair):
         assert_rejected(run("collide", *pair), "unknown Kodaira tag")
+
+
+def call_in_process(*argv):
+    """(exit code, stdout, stderr) of ``cli.main``, an argparse exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def decimal_near(digits):
+    """Decimal strings of ``digits`` - 2 to ``digits`` + 1 digits."""
+    return st.builds(
+        lambda lead, rest, size: str(lead) + str(rest) * (size - 1),
+        st.integers(1, 9), st.integers(0, 9), st.integers(digits - 2, digits + 1),
+    )
+
+
+_INDICES = st.one_of(
+    st.integers(0, 12).map(str),
+    st.integers(cli.MAX_COMPONENTS - 12, cli.MAX_COMPONENTS + 12).map(str),
+    decimal_near(sys.int_info.default_max_str_digits),
+)
+_CANONICAL = st.sampled_from(
+    ["I0", "I1", "I2", "I9", "II", "III", "IV", "I0*", "I1*", "I4*", "IV*", "III*", "II*"]
+)
+# Free text has no "-", since "-h" and the prefixes of "--help" ask argparse
+# for the usage text, which is no tag; signed tags are drawn on their own.
+_TAGS = st.one_of(
+    _CANONICAL,
+    st.builds(lambda n, star: f"I{n}{star}", _INDICES, st.sampled_from(["", "*"])),
+    st.builds(
+        lambda bad, n, star: f"I{bad}{n}{star}",
+        st.sampled_from(["0", "00", "+", "-", " ", "１", "²"]),
+        _INDICES,
+        st.sampled_from(["", "*", "**", " "]),
+    ),
+    st.builds(lambda sign, tag: sign + tag, st.sampled_from(["-", "+", " "]), _CANONICAL),
+    st.sampled_from(["", "I", "I*", "i1", "V", "Ié1", "I٣", "ⅠⅠ"]),
+    st.text(st.characters(blacklist_characters="-"), max_size=30),
+)
+_ORDERS = st.one_of(
+    st.integers(-3, 24).map(str),
+    st.integers(-(10**12), 10**12).map(str),
+    st.builds(
+        lambda sign, n: sign + n,
+        st.sampled_from(["", "-", "+"]),
+        decimal_near(sys.int_info.default_max_str_digits),
+    ),
+    st.sampled_from(["", " 7 ", "1_0", "٣", "1.5", "inf", "x" * 300]),
+    st.text(st.characters(blacklist_characters="-"), max_size=30),
+)
+
+
+class TestContract:
+    """README's contract for ``collide`` and ``classify-triple``: exit 0
+    with JSON, exit 1 with one ``error:`` line, or exit 2 with one
+    ``rejected:`` line or argparse's usage and error line; stderr under
+    200 bytes and no traceback."""
+
+    @staticmethod
+    def check(code, out, err):
+        assert code in (0, 1, 2)
+        assert len(err.encode()) < 200 and "Traceback" not in err
+        if code == 0:
+            assert err == ""
+            return json.loads(out)
+        assert out == ""
+        lines = err.splitlines()
+        if code == 1:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        elif lines[0].startswith("usage: "):
+            assert err.count(": error: ") == 1 and lines[-1].startswith("fibrant ")
+        else:
+            assert len(lines) == 1 and lines[0].startswith("rejected: ")
+        return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TAGS, _TAGS)
+    @example("I9995", "I5")
+    @example("I" + "1" * 5000, "I1")
+    @example("x" * 500, "I1")
+    @example("\ue000" * 20, "I1")
+    def test_collide(self, tag1, tag2):
+        payload = self.check(*call_in_process("collide", tag1, tag2))
+        if payload is not None:
+            fiber = payload["collision"]
+            triples = [KodairaType(t).minimal_triple().as_tuple() for t in (tag1, tag2)]
+            summed = OrderTriple(*map(sum, zip(*triples)))
+            assert fiber["kodaira_label"] == kodaira_classify(summed).tag
+            assert fiber["pair"] == sorted((tag1, tag2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ORDERS, _ORDERS, _ORDERS)
+    @example("0", "-" + "1" * 300, "0")
+    @example("1", "1", "1" * 4300)
+    @example("\U0001f600" * 20, "1", "1")
+    @example("1", "1", "\x00" * 20)
+    def test_classify_triple(self, L, K, N):
+        payload = self.check(*call_in_process("classify-triple", L, K, N))
+        if payload is not None:
+            kodaira = KodairaType(payload["kodaira"]["tag"])
+            least = kodaira.minimal_triple().as_tuple()
+            assert all(m <= r for m, r in zip(least, payload["reduced"]))
+            assert payload["kodaira"]["components"] == kodaira.component_count()
 
 
 class TestAnalyze:

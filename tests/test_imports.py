@@ -207,3 +207,55 @@ def test_every_public_function_has_a_caller():
         if name.split(".")[-1] not in used.union(KEEP)
     ]
     assert dead == []
+
+
+KODAIRA_TAGS = {"II", "III", "IV", "I0*", "IV*", "III*", "II*"}
+KODAIRA_TABLES = ("_KODAIRA_ROWS", "_ADDITIVE_COLLISIONS")
+
+
+def kodaira_tag_constants(path: Path) -> tuple:
+    """(tags written inside each table of ``KODAIRA_TABLES``, "module:line
+    tag" for each one written anywhere else) of a module's source."""
+    tree = ast.parse(path.read_text())
+    inside = {name: set() for name in KODAIRA_TABLES}
+    seen = set()
+    for node in ast.walk(tree):
+        name = getattr(node.targets[0], "id", None) if isinstance(node, ast.Assign) else None
+        if name in inside:
+            for leaf in ast.walk(node.value):
+                if isinstance(leaf, ast.Constant) and leaf.value in KODAIRA_TAGS:
+                    inside[name].add(leaf.value)
+                    seen.add(id(leaf))
+    outside = [
+        f"{path.stem}:{node.lineno} {node.value}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in KODAIRA_TAGS and id(node) not in seen
+    ]
+    return inside, outside
+
+
+def test_kodaira_tags_are_written_only_in_the_tables():
+    """Each fiber type of one tag has one home: its row of Kodaira's table
+    (and the collision rows that name it), not a second table or branch."""
+    inside = {name: set() for name in KODAIRA_TABLES}
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found, elsewhere = kodaira_tag_constants(path)
+        for name, tags in found.items():
+            inside[name] |= tags
+        outside += elsewhere
+    assert inside["_KODAIRA_ROWS"] == KODAIRA_TAGS
+    assert inside["_ADDITIVE_COLLISIONS"]
+    assert outside == []
+
+
+def test_kodaira_tag_finder(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        '_KODAIRA_ROWS = (("II", 1), ("I{}", 2))\n'
+        "_OTHER = {'III*': 3}\n"
+        "def f(tag):\n    return tag == 'IV' or tag == 'I0'\n"
+    )
+    inside, outside = kodaira_tag_constants(source)
+    assert inside == {"_KODAIRA_ROWS": {"II"}, "_ADDITIVE_COLLISIONS": set()}
+    assert outside == ["probe:2 III*", "probe:4 IV"]

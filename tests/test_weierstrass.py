@@ -14,6 +14,7 @@ from conftest import (
 )
 from hypothesis import given, settings, strategies as st
 
+from fibrant import weierstrass
 from fibrant.blowup import regularize
 from fibrant.lagrange import build_global_sections
 from fibrant.monodromy import SL2Z
@@ -43,6 +44,7 @@ from fibrant.weierstrass import (
     kodaira_monodromy,
     normalize_condition_C,
     order_triple_along,
+    quote_tag,
     reduce_triple_mod,
 )
 
@@ -279,6 +281,20 @@ class TestKodairaTable:
         with pytest.raises(ValueError, match="unknown Kodaira tag"):
             KodairaType(tag)
 
+    @pytest.mark.parametrize(
+        "tag, quoted",
+        [
+            ("I" * 20, "I" * 20),
+            ("I" * 21, "I" * 12 + "..."),
+            ("I\u00e9" * 10, "I\u00e9" * 4 + "..."),
+            ("\U0001f600" * 20, "\U0001f600" * 3 + "..."),
+            ("\x00" * 20, "\x00" * 3 + "..."),
+        ],
+    )
+    def test_quoted_tag_takes_at_most_22_bytes(self, tag, quoted):
+        assert quote_tag(tag) == quoted
+        assert len(repr(quote_tag(tag)).encode()) <= 22
+
     def test_star_has_n_plus_1_double_components(self):
         for n in range(1, 6):
             mults = KodairaType(f"I{n}*").dual_graph().multiplicities()
@@ -416,6 +432,61 @@ class TestMonodromyRepresentatives:
             for _ in range(order):
                 acc = acc * m
             assert acc == SL2Z.identity()
+
+
+# Miranda, Table I.4.1, written out by hand: the trace and the order in
+# SL(2,Z) of the local monodromy of each type that is not I_n or I_n*, and
+# the type whose monodromy is the negative of it (X and X* differ by -1).
+MIRANDA_MONODROMY = {
+    "II": (1, 6, "IV*"),
+    "III": (0, 4, "III*"),
+    "IV": (-1, 3, "II*"),
+    "I0*": (-2, 2, "I0"),
+    "IV*": (-1, 3, "II"),
+    "III*": (0, 4, "III"),
+    "II*": (1, 6, "IV"),
+}
+
+
+def matrix_product(x, y):
+    return [[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+
+def matrix_order(m, limit=12):
+    """The least k <= limit with m^k = 1, by repeated products, else None."""
+    power = m
+    for k in range(1, limit + 1):
+        if power == [[1, 0], [0, 1]]:
+            return k
+        power = matrix_product(power, m)
+    return None
+
+
+class TestMonodromyOracle:
+    def test_every_row_is_in_the_oracle(self):
+        fixed = {row.tag for row in weierstrass._KODAIRA_ROWS if "{}" not in row.tag}
+        assert fixed == set(MIRANDA_MONODROMY) | {"I0"}
+
+    @pytest.mark.parametrize("tag", sorted(MIRANDA_MONODROMY))
+    def test_trace_order_and_sign_of_the_star(self, tag):
+        trace, order, negative = MIRANDA_MONODROMY[tag]
+        m = kodaira_monodromy(KodairaType(tag)).to_json()
+        assert (m[0][0] + m[1][1], matrix_order(m)) == (trace, order)
+        minus = kodaira_monodromy(KodairaType(negative)).to_json()
+        assert m == [[-v for v in row] for row in minus]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 25])
+    def test_families_are_plus_and_minus_powers_of_T(self, n):
+        power = [[1, 0], [0, 1]]
+        for _ in range(n):
+            power = matrix_product(power, [[1, 1], [0, 1]])
+        assert kodaira_monodromy(KodairaType(f"I{n}")).to_json() == power
+        assert kodaira_monodromy(KodairaType(f"I{n}*")).to_json() == [[-v for v in row] for row in power]
+
+    def test_huge_index_is_read_off_the_tag(self):
+        n = 10**40
+        assert kodaira_monodromy(KodairaType(f"I{n}")).to_json() == [[1, n], [0, 1]]
+        assert kodaira_monodromy(KodairaType(f"I{n}*")).to_json() == [[-1, -n], [0, -1]]
 
 
 class TestGenericity:
