@@ -210,8 +210,9 @@ class KodairaType(Value):
         return _column(self.tag, "graph")
 
     def component_count(self) -> int:
-        """The number of components of the dual graph, read off the tag."""
-        return _column(self.tag, "components")
+        """The dual graph's component count; the rows I_n and I_n* build no graph."""
+        row, n = _kodaira_row(self.tag)
+        return row.graph.component_count() if n is None else row.components(n)
 
     def is_smooth(self) -> bool:
         return self.tag == "I0"
@@ -269,29 +270,29 @@ _E8 = DualGraph.tree(
     ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)),
 )
 
-_Row = namedtuple("_Row", "tag L K N shift components graph monodromy")
+_Row = namedtuple("_Row", "tag L K N shift graph monodromy components", defaults=(None,))
 _INF = INFINITE_ORDER
+_STAR = _Row("I{}*", (2, 2), (3, 3), (7, _INF), 6, lambda n: DualGraph.star_chain((2,) * (n + 1)),
+             lambda n: SL2Z(-1, -n, 0, -1), lambda n: n + 5)
 
 # Kodaira's table (Miranda, Table I.4.1), one row per fiber type: the tag,
-# the (least, greatest) orders L, K and N, the shift, the number of
-# components, the dual graph and the local monodromy up to conjugacy.  In
-# the rows I_n and I_n*, "{}" in the tag stands for n = N minus the shift,
-# and the last three entries are functions of n.
+# the (least, greatest) orders L, K and N, the shift, the dual graph and the
+# local monodromy up to conjugacy.  In the rows I_n and I_n*, "{}" in the
+# tag stands for n = N minus the shift, and the graph, monodromy and
+# component count are functions of n; the other rows count off their graphs.
 _KODAIRA_ROWS = (
-    _Row("I0", (0, _INF), (0, _INF), (0, 0), 0, 1, DualGraph.irreducible(), SL2Z(1, 0, 0, 1)),
+    _Row("I0", (0, _INF), (0, _INF), (0, 0), 0, DualGraph.irreducible(), SL2Z(1, 0, 0, 1)),
     _Row("I{}", (0, 0), (0, 0), (1, _INF), 0,
-         lambda n: n, lambda n: DualGraph.cycle(*([1] * n)), lambda n: SL2Z(1, n, 0, 1)),
-    _Row("II", (1, _INF), (1, 1), (2, 2), 0, 1, DualGraph.irreducible(), SL2Z(1, 1, -1, 0)),
-    _Row("III", (1, 1), (2, _INF), (3, 3), 0, 2, DualGraph.chain(1, 1), SL2Z(0, 1, -1, 0)),
+         lambda n: DualGraph.cycle(*([1] * n)), lambda n: SL2Z(1, n, 0, 1), lambda n: n),
+    _Row("II", (1, _INF), (1, 1), (2, 2), 0, DualGraph.irreducible(), SL2Z(1, 1, -1, 0)),
+    _Row("III", (1, 1), (2, _INF), (3, 3), 0, DualGraph.chain(1, 1), SL2Z(0, 1, -1, 0)),
     _Row("IV", (2, _INF), (2, 2), (4, 4), 0,
-         3, DualGraph.tree((1, 1, 1), ((0, 1), (1, 2), (0, 2))), SL2Z(0, 1, -1, -1)),
-    _Row("I0*", (2, _INF), (3, _INF), (6, 6), 0, 5, DualGraph.star_chain((2,)), SL2Z(-1, 0, 0, -1)),
-    _Row("I{}*", (2, 2), (3, 3), (7, _INF), 6,
-         lambda n: n + 5, lambda n: DualGraph.star_chain((2,) * (n + 1)),
-         lambda n: SL2Z(-1, -n, 0, -1)),
-    _Row("IV*", (3, _INF), (4, 4), (8, 8), 0, 7, _E6, SL2Z(-1, -1, 1, 0)),
-    _Row("III*", (3, 3), (5, _INF), (9, 9), 0, 8, _E7, SL2Z(0, -1, 1, 0)),
-    _Row("II*", (4, _INF), (5, 5), (10, 10), 0, 9, _E8, SL2Z(0, -1, 1, 1)),
+         DualGraph.tree((1, 1, 1), ((0, 1), (1, 2), (0, 2))), SL2Z(0, 1, -1, -1)),
+    _Row("I0*", (2, _INF), (3, _INF), (6, 6), 0, _STAR.graph(0), _STAR.monodromy(0)),
+    _STAR,
+    _Row("IV*", (3, _INF), (4, 4), (8, 8), 0, _E6, SL2Z(-1, -1, 1, 0)),
+    _Row("III*", (3, 3), (5, _INF), (9, 9), 0, _E7, SL2Z(0, -1, 1, 0)),
+    _Row("II*", (4, _INF), (5, 5), (10, 10), 0, _E8, SL2Z(0, -1, 1, 1)),
 )
 
 
@@ -301,7 +302,7 @@ def _kodaira_row(tag: str):
     first, so that I0 is the smooth fiber, not the empty cycle I_0, and
     I0* keeps its row.  An unknown tag is a ValueError."""
     for row in _KODAIRA_ROWS:
-        if row.tag == tag:
+        if row.tag == tag and "{}" not in tag:
             return row, None
     for row in _KODAIRA_ROWS:
         if "{}" in row.tag and (n := _tag_index(tag, row.tag[3:])) is not None:

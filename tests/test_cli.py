@@ -188,7 +188,7 @@ _TAGS = st.one_of(
         st.sampled_from(["", "*", "**", " "]),
     ),
     st.builds(lambda sign, tag: sign + tag, st.sampled_from(["-", "+", " "]), _CANONICAL),
-    st.sampled_from(["", "I", "I*", "i1", "V", "Ié1", "I٣", "ⅠⅠ"]),
+    st.sampled_from(["", "I", "I*", "i1", "V", "Ié1", "I٣", "ⅠⅠ", "I{}", "I{}*"]),
     st.text(st.characters(blacklist_characters="-"), max_size=30),
 )
 _ORDERS = st.one_of(
@@ -233,6 +233,8 @@ class TestContract:
     @example("I" + "1" * 5000, "I1")
     @example("x" * 500, "I1")
     @example("\ue000" * 20, "I1")
+    @example("I{}", "I1")
+    @example("I{}*", "I0")
     def test_collide(self, tag1, tag2):
         payload = self.check(*call_in_process("collide", tag1, tag2))
         if payload is not None:

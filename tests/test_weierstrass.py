@@ -276,7 +276,9 @@ class TestKodairaTable:
         assert KodairaType("I5").component_count() == 5
         assert sum(KodairaType("II*").dual_graph().multiplicities()) == 30
 
-    @pytest.mark.parametrize("tag", ["I00", "I01", "I002*", "I\uff11", "I\u00b2", "I", "I*", "I-1", "V"])
+    @pytest.mark.parametrize(
+        "tag", ["I00", "I01", "I002*", "I\uff11", "I\u00b2", "I", "I*", "I-1", "V", "I{}", "I{}*"]
+    )
     def test_non_canonical_tag_rejected(self, tag):
         with pytest.raises(ValueError, match="unknown Kodaira tag"):
             KodairaType(tag)
