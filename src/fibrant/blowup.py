@@ -7,10 +7,12 @@ rational center produces two charts,
     chart A:  (s1, s2) -> (c1 + u,   c2 + u*v)   (exceptional divisor u = 0)
     chart B:  (s1, s2) -> (c1 + u*v, c2 + v)     (exceptional divisor v = 0)
 
-A center off the origin is shifted there by an integer Taylor shift;
-at the origin the charts are exponent maps, s1^i s2^j -> u^(i+j) v^j and
-u^i v^(i+j) (``poly.blow_up_chart``), that pull back a, b and Delta
-without coefficient arithmetic.  A divisor germ goes to the chart as its
+A center off the origin is shifted there by an integer Taylor shift,
+once for both charts; at the origin the charts are exponent maps,
+s1^i s2^j -> u^(i+j) v^j and u^i v^(i+j) (``poly.blow_up_chart``), that
+pull back a, b and Delta without coefficient arithmetic, on the first
+read of a chart's fields, so only the charts that are blown up again or
+printed are built.  A divisor germ goes to the chart as its
 strict transform (``poly.strict_transform``), the same map with the
 exponent of the exceptional coordinate lowered by the germ's
 multiplicity, its least total degree.  Fiber coordinates are then
@@ -86,6 +88,7 @@ from .weierstrass import (
     kodaira_classify,
     normalize_condition_C,
     order_triple_along,
+    reduce_triple_mod,
 )
 
 # Blow-ups allowed over one center of the base plane.
@@ -105,17 +108,9 @@ class BlowupStep(Value):
     def __init__(self, center: tuple, chart: str, parent_coords: tuple, coords: tuple):
         self._store(center, chart, parent_coords, coords)
 
-    def pull_back(self, p: MultiPoly) -> MultiPoly:
-        """p in the parent chart, written in this chart's coordinates."""
-        return blow_up_chart(self._centred(p), self.parent_coords, self.coords, self.chart)
-
-    def strict_transform(self, p: MultiPoly) -> tuple:
-        """(the pull-back of p divided by the largest power of the
-        exceptional coordinate, that power: the multiplicity of p at the
-        center), in one exponent map."""
-        return strict_transform(self._centred(p), self.parent_coords, self.coords, self.chart)
-
-    def _centred(self, p: MultiPoly) -> MultiPoly:
+    def centred(self, p: MultiPoly) -> MultiPoly:
+        """p in the parent chart, shifted so that the center is the origin,
+        where both charts are exponent maps."""
         return p.shift(dict(zip(self.parent_coords, self.center))) if any(self.center) else p
 
     def exceptional_coord(self) -> str:
@@ -127,23 +122,63 @@ class LocalModel(Value):
 
     ``history`` holds the blow-up steps that led here and ``t_record``
     the fiber rescalings applied, ((coord, t), ...).  ``discriminant`` is
-    a^3 - 27 b^2, computed here only when not given."""
+    a^3 - 27 b^2, computed here only when not given.  A chart of a
+    blow-up is built on first read of a, b, ``t_record`` or Delta: until
+    then those are unset and ``pending`` holds the parent's a, b and Delta
+    centred at the blown-up point, the parent's ``t_record`` and whether
+    the chart is rescaled; ``pending`` is None once built."""
 
-    __slots__ = ("coords", "a", "b", "history", "t_record", "discriminant")
+    __slots__ = ("coords", "a", "b", "history", "t_record", "discriminant", "pending")
 
     def __init__(self, coords, a, b, history=(), t_record=(), discriminant=None):
         delta = a**3 - 27 * b**2 if discriminant is None else discriminant
-        self._store(coords, a, b, history, t_record, delta)
+        self._store(coords, a, b, history, t_record, delta, None)
+
+    def __getattr__(self, name):  # only reached for an unset field
+        if name not in _BUILT_ON_READ or self.pending is None:
+            raise AttributeError(name)
+        _build_chart(self)
+        return getattr(self, name)
+
+    def __reduce__(self):
+        return LocalModel, self._fields()[:-1]
 
     def delta(self) -> MultiPoly:
         return self.discriminant
 
 
+_BUILT_ON_READ = ("a", "b", "t_record", "discriminant")
+
+
+def _chart(coords, history, pending) -> LocalModel:
+    """A chart built on first read, from ``pending``."""
+    model = object.__new__(LocalModel)
+    for name, value in (("coords", coords), ("history", history), ("pending", pending)):
+        object.__setattr__(model, name, value)
+    return model
+
+
+def _build_chart(model: LocalModel):
+    """Pull a, b and Delta back from the centred parent sections along the
+    last step, rescale them if the chart is to be, and store them."""
+    step = model.history[-1]
+    centred, t_record, rescale = model.pending
+    a, b, delta = (blow_up_chart(p, step.parent_coords, step.coords, step.chart) for p in centred)
+    built = LocalModel(model.coords, a, b, model.history, t_record, delta)
+    if rescale:
+        built = pull_back_fibration(built)
+    for name in _BUILT_ON_READ:
+        object.__setattr__(model, name, getattr(built, name))
+    object.__setattr__(model, "pending", None)
+
+
 def blow_up_point(model: LocalModel, center) -> tuple:
-    """Blow up a rational point of the chart; returns (chart A, chart B).
+    """Blow up a rational point of the chart; returns (chart A, chart B),
+    each built on first read.
 
     a, b and Delta are pulled back raw; apply ``pull_back_fibration`` to
-    restore the minimality condition.
+    restore the minimality condition.  Both charts share the parent's
+    sections centred at the point.
     """
     c = (Fraction(center[0]), Fraction(center[1]))
     depth = len(model.history) + 1
@@ -151,21 +186,21 @@ def blow_up_point(model: LocalModel, center) -> tuple:
         BlowupStep(c, "A", model.coords, (f"x{depth}", f"y{depth}")),
         BlowupStep(c, "B", model.coords, (f"p{depth}", f"q{depth}")),
     )
-    return tuple(
-        LocalModel(
-            step.coords, step.pull_back(model.a), step.pull_back(model.b),
-            model.history + (step,), model.t_record, step.pull_back(model.delta()),
-        )
-        for step in steps
-    )
+    centred = tuple(steps[0].centred(p) for p in (model.a, model.b, model.delta()))
+    pending = (centred, model.t_record, False)
+    return tuple(_chart(step.coords, model.history + (step,), pending) for step in steps)
 
 
 def pull_back_fibration(model: LocalModel) -> LocalModel:
     """Rescale fiber coordinates along the chart axes (exceptional first).
 
     Divides a by u^(4t), b by u^(6t) and Delta by u^(12t) for the maximal
-    t along each coordinate, recording every positive t.
+    t along each coordinate, recording every positive t; a chart not built
+    yet stays so, and is rescaled when it is built.
     """
+    if model.pending is not None:
+        centred, t_record, _ = model.pending
+        return _chart(model.coords, model.history, (centred, t_record, True))
     exc = model.history[-1].exceptional_coord() if model.history else model.coords[0]
     order = (exc, *(c for c in model.coords if c != exc))
     a, b, delta = model.a, model.b, model.delta()
@@ -179,9 +214,19 @@ def pull_back_fibration(model: LocalModel) -> LocalModel:
 
 
 def exceptional_order_triple(model: LocalModel) -> OrderTriple:
-    """(L, K, N) along the exceptional divisor of the latest blow-up."""
+    """(L, K, N) along the exceptional divisor of the latest blow-up.
+
+    A chart not built yet stays so: its exceptional coordinate has
+    exponent i + j in the pull-back of s1^i s2^j, so its raw orders are the
+    multiplicities of the centred parent sections, and the rescaling takes
+    (4, 6, 12) off them as often as it can, since N >= min(3L, 2K).
+    """
     if not model.history:
         raise ValueError("model has no blow-up history")
+    if model.pending is not None:
+        centred, _, rescale = model.pending
+        raw = OrderTriple(*(p.multiplicity() for p in centred))
+        return reduce_triple_mod(raw) if rescale else raw
     coord = model.history[-1].exceptional_coord()
     return OrderTriple(*(p.order_in(coord) for p in (model.a, model.b, model.delta())))
 
@@ -387,20 +432,22 @@ class _TowerDriver:
             DivisorRecord(exc_name, f"exceptional divisor over {self.tower.label}", triple_a, ktype)
         )
         self.tower.charts += [model_a, model_b]
-        germs_a, mults = self._transform_divisors(divisors, model_a, exc_name)
-        germs_b, _ = self._transform_divisors(divisors, model_b, exc_name)
+        centred = {name: model_a.history[-1].centred(germ) for name, germ in divisors.items()}
+        germs_a, mults = self._transform_divisors(centred, model_a, exc_name)
+        germs_b, _ = self._transform_divisors(centred, model_b, exc_name)
         self.tower.multiplicities.append(mults)
         self._scan_chart(model_a, germs_a, exc_name)
         self._scan_chart(model_b, germs_b, exc_name)
 
-    def _transform_divisors(self, divisors, model, exc_name):
-        """(the germs seen in the chart ``model``, the multiplicities of
-        the germs through the center just blown up)."""
+    def _transform_divisors(self, centred, model, exc_name):
+        """(the strict transforms in the chart ``model`` of the divisor
+        germs ``centred`` at the center just blown up, their multiplicities
+        there), in one exponent map per germ."""
         step = model.history[-1]
         exc_var = step.exceptional_coord()
         new, mults = {}, {}
-        for name, germ in divisors.items():
-            strict, m = step.strict_transform(germ)
+        for name, germ in centred.items():
+            strict, m = strict_transform(germ, step.parent_coords, step.coords, step.chart)
             if m:
                 mults[name] = m
             if strict.is_constant():

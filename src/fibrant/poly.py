@@ -38,26 +38,21 @@ exponents.
 
 Gcds and resultants set one variable at a time to a single large integer
 xi, so the work falls to CPython's big-integer arithmetic, and read the
-answer off the balanced xi-adic digits of the result.  The one gcd,
-``gcd_multivariate``, is the heuristic GCDHEU (Char, Geddes and Gonnet,
-J. Symbolic Comput. 7, 1989) with xi >= 2 * min(|f|_inf, |g|_inf) + 2;
-a candidate is returned only when it divides both inputs exactly, and
-after six failed points the subresultant pseudo-remainder sequence
-(W. S. Brown, JACM 18, 1971) takes over in the last shared variable.
-Every gcd has one normal form, the ``primitive_integer`` one: integer
-coefficients of gcd 1 and a positive leading coefficient, or 0; and
-``gcd_all`` folds the gcd over any number of polynomials.
-There is one PRS, on ascending coefficient lists: integers for univariate
-inputs, ``MultiPoly``s in the other variables (divided exactly by
-``//``) for multivariate ones.  A resultant needs one point per
-variable, a power of two xi > 2H with H Hadamard's bound over the unit
-torus, H^2 = (sum_j |f_j|_1^2)^n * (sum_j |g_j|_1^2)^m for the
-coefficients f_j, g_j of the eliminated variable, which bounds every
-coefficient of the resultant; at the last level it runs the same PRS on
-integers.  Coordinate-line stripping, the squarefree part and test (a
-gcd with each partial derivative in turn) and exact rational roots of
-univariate polynomials, returned with the cofactor they leave (a linear
-polynomial's in closed form), complete the toolkit.
+answer off the balanced xi-adic digits of the result.  A univariate
+input is converted once to its integer coefficients, and its gcd,
+resultant, squarefree part and test and rational roots (with the cofactor
+they leave) run in ``upoly``.  The multivariate gcd, ``gcd_multivariate``,
+is GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989) down to
+one variable, with the subresultant PRS on ``MultiPoly`` coefficients in
+the last shared variable after six failed points.  Every gcd is 0 or in
+the ``primitive_integer`` form, integer coefficients of gcd 1 and a
+positive leading coefficient, and ``gcd_all`` folds it over any number of
+polynomials.  A resultant needs one point per variable, a power of two
+xi > 2H with H Hadamard's bound over the unit torus,
+H^2 = (sum_j |f_j|_1^2)^n * (sum_j |g_j|_1^2)^m for the coefficients f_j,
+g_j of the eliminated variable.  Coordinate-line stripping and the
+multivariate squarefree part (a gcd with each partial in turn) complete
+the toolkit.
 
 The text format round-trips bit-exactly, e.g.::
 
@@ -74,6 +69,8 @@ import math
 from fractions import Fraction
 from operator import add, itemgetter, sub
 from types import MappingProxyType
+
+from . import upoly
 
 Rational = Fraction
 Exponent = tuple[int, ...]
@@ -189,6 +186,10 @@ class MultiPoly:
             return 0
         i = self.variables.index(var)
         return min(e[i] for e in self.ints)
+
+    def multiplicity(self):
+        """Least total degree, the multiplicity at the origin; INFINITE_ORDER for 0."""
+        return min(map(sum, self.ints)) if self.ints else INFINITE_ORDER
 
     def is_homogeneous(self) -> bool:
         return len(set(map(sum, self.ints))) <= 1
@@ -952,16 +953,8 @@ def _iresultant(f: dict, g: dict, m: int, n: int) -> dict:
     of f_m in y, and likewise for g_n.
     """
     if len(next(iter(f))) == 1:
-        a, b = [0] * (m + 1), [0] * (n + 1)
-        for (j,), c in f.items():
-            a[j] = c
-        for (j,), c in g.items():
-            b[j] = c
-        sign = -1 if m < n and m & n & 1 else 1
-        last, d, h, prs_sign = _subresultant_list(*((a, b) if m >= n else (b, a)))
-        if len(last) > 1:
-            return {}
-        return {(): sign * prs_sign * (last[0] ** d // h ** (d - 1))}
+        r = upoly.resultant(_int_coeffs(f), _int_coeffs(g))
+        return {(): r} if r else {}
     bound = math.isqrt(_row_norms(f, m) ** n * _row_norms(g, n) ** m) + 1
     xi = 2 << bound.bit_length()
     return _xi_adic(_iresultant(_eval_last(f, xi), _eval_last(g, xi), m, n), xi)
@@ -989,28 +982,12 @@ def _eval_last(p: dict, t: int) -> dict:
 
 
 def _xi_adic(p: dict, xi: int) -> dict:
-    """The integer polynomial in one more (last) variable with value p at xi.
-
-    Its coefficients are the balanced xi-adic digits, in (-xi/2, xi/2], of
-    the coefficients of p; for a power of two they are bit fields.
-    """
-    bits, half = xi.bit_length() - 1, xi >> 1
-    mask = xi - 1 if xi == 1 << bits else 0
-    out = {}
-    for e, c in p.items():
-        k = 0
-        while c:
-            c, d = (c >> bits, c & mask) if mask else divmod(c, xi)
-            if d > half:
-                d -= xi
-                c += 1
-            if d:
-                out[e + (k,)] = d
-            k += 1
-    return out
+    """The integer polynomial in one more (last) variable with value p at
+    xi: the balanced xi-adic digits of its coefficients."""
+    return {e + (k,): d for e, c in p.items() for k, d in enumerate(upoly.digits(c, xi)) if d}
 
 
-# -- gcd via pseudo-remainder sequences ---------------------------------------
+# -- gcds --------------------------------------------------------------------
 
 
 def content_in(p: MultiPoly, var: str) -> MultiPoly:
@@ -1032,7 +1009,8 @@ def gcd_all(polys) -> MultiPoly:
 def gcd_multivariate(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Normalized gcd over Q[x1..xn].
 
-    The heuristic gcd ``_heu_gcd`` runs first.  Should it fail, the
+    Univariate inputs go to ``upoly.gcd`` on their integer coefficients.
+    Otherwise the heuristic gcd ``_heu_gcd`` runs first.  Should it fail, the
     subresultant PRS runs in the last variable the inputs share: the
     coefficients in the remaining variables are handled through content
     and primitive part, and the remainder sequence runs on the
@@ -1050,6 +1028,9 @@ def gcd_multivariate(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if not shared:
         return _ONE
     names = _union(p, q)
+    if len(names) == 1:
+        h = upoly.gcd(_int_coeffs(p.ints), _int_coeffs(q.ints))
+        return _ONE if len(h) == 1 else _make(names, _int_dict(h), primitive=True)
     h = _heu_gcd(_over(p, names), _over(q, names))
     if h is None:
         return _prs_gcd(p, q, shared[-1])
@@ -1062,14 +1043,14 @@ def _heu_gcd(f: dict, g: dict):
     GCDHEU (B. W. Char, K. O. Geddes, G. H. Gonnet, J. Symbolic Comput. 7,
     1989): with the integer contents removed, the last variable is set to
     an integer xi >= 2 * min(|f|_inf, |g|_inf) + 2 and the gcd of the
-    images is found recursively, down to an integer gcd.  The primitive
-    part of the polynomial read off its balanced xi-adic digits is the
-    gcd of the primitive parts if and only if it divides both, which is
-    checked by exact division.  None after six points without success,
-    at this level or below.
+    images is found recursively, down to one variable, where ``upoly.gcd``
+    takes over.  The primitive part of the polynomial read off its
+    balanced xi-adic digits is the gcd of the primitive parts if and only
+    if it divides both, which is checked by exact division.  None after
+    six points without success at one level.
     """
-    if not next(iter(f)):
-        return {(): math.gcd(f[()], g[()])}
+    if len(next(iter(f))) == 1:
+        return _int_dict(upoly.gcd(_int_coeffs(f), _int_coeffs(g)))
     cf, cg = math.gcd(*f.values()), math.gcd(*g.values())
     if cf > 1:
         f = {e: c // cf for e, c in f.items()}
@@ -1098,15 +1079,11 @@ def _prs_gcd(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """Normalized gcd of nonzero f and g by the subresultant PRS in ``var``."""
     if f.degree_in(var) == 0 or g.degree_in(var) == 0:
         return gcd_multivariate(content_in(f, var), content_in(g, var))
-    if len(f.variables) == 1 and len(g.variables) == 1:
-        a, b = _int_coeffs(f), _int_coeffs(g)
-        last = _subresultant_list(*((a, b) if len(a) >= len(b) else (b, a)))[0]
-        return primitive_integer(_make((var,), {(j,): c for j, c in enumerate(last) if c}))[0]
     cf = content_in(f, var)
     cg = content_in(g, var)
     cont = gcd_multivariate(cf, cg)
     a, b = exact_divide(f, cf).as_univariate(var), exact_divide(g, cg).as_univariate(var)
-    last = _subresultant_list(*((a, b) if len(a) >= len(b) else (b, a)))[0]
+    last = upoly.subresultant_list(*((a, b) if len(a) >= len(b) else (b, a)))[0]
     if len(last) == 1:
         return cont
     x = MultiPoly.variable(var)
@@ -1116,60 +1093,6 @@ def _prs_gcd(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     return primitive_integer(cont * exact_divide(h, content_in(h, var)))[0]
 
 
-def _subresultant_list(a: list, b: list):
-    """The subresultant PRS of a and b, ascending coefficient lists with
-    deg a >= deg b >= 1 (W. S. Brown, JACM 18, 1971).
-
-    The coefficients are integers for univariate resultants and gcds, and
-    ``MultiPoly``s in the other variables for multivariate gcds, where
-    ``//`` is exact division.  Every division of the sequence is exact.
-    Returns (last, d, h, sign): the last nonzero remainder, the degree of
-    the one before it, the scale h of the sequence and (-1)^(sum of
-    deg a * deg b over the steps).  The sequence stops at the first
-    remainder that vanishes or is free of the variable; in the first case
-    ``last`` is a gcd up to content.  If ``last`` is a constant the
-    resultant is sign * last^d / h^(d - 1), otherwise it is 0 (H. Cohen,
-    A Course in Computational Algebraic Number Theory, Algorithm 3.3.7).
-    """
-    da, db = len(a) - 1, len(b) - 1
-    g = h = sign = 1
-    while db > 0:
-        delta = da - db
-        if da & db & 1:
-            sign = -sign
-        r = _prem_list(a, b)
-        if not r:
-            break
-        divisor = g * h**delta
-        a, b = b, [c // divisor for c in r]
-        da, db = db, len(b) - 1
-        g = a[-1]
-        if delta:
-            h = g**delta // h ** (delta - 1)
-    return b, da, h, sign
-
-
-def _prem_list(a: list, b: list) -> list:
-    """lc(b)^(deg a - deg b + 1) * a mod b for ascending coefficient lists.
-
-    Each reduction step multiplies by lc(b) once; a step can lower the
-    degree by more than one, so the power still owed is applied at the end.
-    """
-    lead = b[-1]
-    owed = len(a) - len(b) + 1
-    r = list(a)
-    while len(r) >= len(b):
-        top = r.pop()
-        shift = len(r) - len(b) + 1
-        r = [lead * c for c in r]
-        for j, c in enumerate(b[:-1]):
-            r[j + shift] -= top * c
-        owed -= 1
-        while r and not r[-1]:
-            r.pop()
-    return [c * lead**owed for c in r] if owed > 0 else r
-
-
 # -- monomial order (graded lexicographic, descending for display) ---------
 
 
@@ -1177,7 +1100,7 @@ def _grlex_key(exp: Exponent):
     return (sum(exp), exp)
 
 
-# -- integer utilities for rational root extraction --------------------------
+# -- normal forms and univariate conversions ---------------------------------
 
 
 def primitive_integer(p: MultiPoly):
@@ -1204,25 +1127,24 @@ def equal_up_to_unit(p: MultiPoly, q: MultiPoly) -> bool:
     return primitive_integer(p)[0] == primitive_integer(q)[0]
 
 
-def _int_coeffs(p: MultiPoly) -> list:
-    """Ascending integer coefficients of a univariate p, with content 1 and positive lead."""
-    coeffs = [0] * (max(p.ints)[0] + 1)
-    for (j,), c in p.ints.items():
+def _int_coeffs(ints: dict) -> list:
+    """The integer coefficients of a univariate polynomial, ascending."""
+    coeffs = [0] * (max(ints)[0] + 1)
+    for (j,), c in ints.items():
         coeffs[j] = c
-    return coeffs if coeffs[-1] > 0 else [-c for c in coeffs]
+    return coeffs
+
+
+def _int_dict(coeffs: list) -> dict:
+    return {(j,): c for j, c in enumerate(coeffs) if c}
 
 
 def rational_roots(p: MultiPoly):
     """The rational roots of a univariate polynomial, split off.
 
-    Candidates come from p-adic lifting of the squarefree part (Loos,
-    SIAM J. Comput. 12, 1983) and are confirmed by integer Horner
-    evaluation, so no integer is factored and no fraction arithmetic
-    happens in the search.  Each confirmed root r is then split off by one
-    ``extract_power(p, x - r)``.  A linear c1 x + c0 has the one root
-    -c0 / c1 and the constant cofactor c1, read off directly.  Returns
-    (roots, cofactor): the sorted (root, multiplicity) pairs and the
-    cofactor free of rational roots, with p = cofactor * prod (x - r)^m.
+    Returns (roots, cofactor): the sorted (root, multiplicity) pairs and
+    the cofactor free of rational roots, with p = cofactor * prod (x - r)^m,
+    by ``upoly.rational_roots`` on the integer coefficients.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
@@ -1230,87 +1152,17 @@ def rational_roots(p: MultiPoly):
         return [], p
     if len(p.variables) != 1:
         raise ValueError("rational_roots expects a univariate polynomial")
-    ints, content = p.ints, p.content
-    if max(ints) == (1,):
-        c1 = ints[(1,)]
-        root = Fraction(-ints.get((0,), 0), c1)
-        return [(root, 1)], _make((), {(): 1}, c1 * content.numerator, content.denominator)
-    x = MultiPoly.variable(p.variables[0])
-    k, p = extract_power(p, x)
-    roots = [(Fraction(0), k)] if k else []
-    if p.is_constant():
-        return roots, p
-    sf = _int_coeffs(radical(p))
-    found = {c for c in _padic_candidates(sf) if not _horner_pq(sf, c.numerator, c.denominator)}
-    for root in sorted(found):
-        mult, p = extract_power(p, x - root)
-        roots.append((root, mult))
-    return sorted(roots), p
-
-
-def _padic_candidates(sf: list) -> list:
-    """Rationals among which every rational root of ``sf`` lies.
-
-    ``sf`` holds the ascending integer coefficients of a squarefree
-    polynomial with a nonzero constant term.  A root u/v in lowest terms
-    has v | an and u | a0, so N = an*u/v is an integer with |N| <= |a0*an|.
-    Modulo a prime p not dividing an, u/v reduces to a root of sf; when
-    every root mod p is simple, Newton's iteration lifts it uniquely to
-    the modulus M = p^(2^k) > 2|a0*an|, and N is the symmetric residue of
-    an*r mod M.  Every prime dividing neither an nor the discriminant of
-    sf, which is nonzero, qualifies, so the search for p ends.
-    """
-    a0, an = sf[0], sf[-1]
-    deriv = [i * c for i, c in enumerate(sf)][1:]
-    for p in itertools.count(2):
-        if an % p == 0 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-            continue
-        residues = [r for r in range(p) if _eval_mod(sf, r, p) == 0]
-        if all(_eval_mod(deriv, r, p) for r in residues):
-            break
-    modulus = p
-    while modulus <= 2 * abs(a0 * an):
-        modulus *= modulus
-        residues = [
-            (r - _eval_mod(sf, r, modulus) * pow(_eval_mod(deriv, r, modulus), -1, modulus))
-            % modulus
-            for r in residues
-        ]
-    candidates = []
-    for r in residues:
-        n = an * r % modulus
-        if 2 * n > modulus:
-            n -= modulus
-        candidates.append(Fraction(n, an))
-    return candidates
-
-
-def _eval_mod(coeffs: list, x: int, modulus: int) -> int:
-    """Value at x, reduced mod ``modulus``, of an ascending coefficient list."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % modulus
-    return acc
-
-
-def _horner_pq(coeffs: list, p: int, q: int) -> int:
-    """q^n * f(p/q) for integer coefficients, all in exact integers."""
-    n = len(coeffs) - 1
-    qpow = [1] * (n + 1)
-    for i in range(1, n + 1):
-        qpow[i] = qpow[i - 1] * q
-    total = 0
-    ppow = 1
-    for i, c in enumerate(coeffs):
-        total += c * ppow * qpow[n - i]
-        ppow *= p
-    return total
+    roots, cofactor = upoly.rational_roots(_int_coeffs(p.ints))
+    return roots, _make(p.variables, _int_dict(cofactor), p.content)
 
 
 def radical(p: MultiPoly) -> MultiPoly:
     """Squarefree part of a polynomial: p / gcd(p, all partials)."""
     if p.is_zero() or p.is_constant():
         return p
+    if len(p.variables) == 1:
+        part = upoly.squarefree_part(_int_coeffs(p.ints))
+        return _make(p.variables, _int_dict(part), p.content, primitive=True)
     g = gcd_all(itertools.chain((p,), map(p.derivative, p.variables)))
     return p if g.is_constant() else exact_divide(p, g)
 

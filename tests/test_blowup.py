@@ -20,6 +20,7 @@ from fibrant.blowup import (
     pull_back_fibration,
     regularize,
 )
+from fibrant.cli import main
 from fibrant.lagrange import build_global_sections
 from fibrant.miranda import analyze_lagrange_family
 from fibrant.planecurve import AffineChart, SingularLocus
@@ -144,6 +145,60 @@ class TestCarriedDiscriminant:
             assert chart.b == compose(model.b, sub)
             assert chart.delta() == compose(model.delta(), sub)
             assert chart.delta() == chart.a**3 - 27 * chart.b**2
+
+
+class TestChartsOnFirstRead:
+    """A chart is built when a, b, Delta or its rescalings are first read,
+    and then equals the eager chart: the parent's sections pulled back by
+    the substitution oracle and rescaled.  Its exceptional triple is read
+    before that, off the centred parent sections."""
+
+    @pytest.mark.parametrize("site", ["cusp", *sorted(GOLDEN_ANALYZE)])
+    def test_every_chart_equals_the_eager_one(self, monkeypatch, site):
+        roots = {}  # tower label -> the model its driver starts from
+        run = blowup._TowerDriver.run
+
+        def recording(driver, model, divisors):
+            roots[driver.tower.label] = model
+            return run(driver, model, divisors)
+
+        monkeypatch.setattr(blowup._TowerDriver, "run", recording)
+        if site == "cusp":
+            towers = [blowup.contact_tower("cusp", {"Q~": KodairaType("I1")})]
+        else:
+            towers = regularize(build_global_sections(F(site))).towers
+        for tower in towers:
+            root = roots["contact" if tower.kind == "contact" else tower.label]
+            by_history = {chart.history: chart for chart in tower.charts}
+            assert len(by_history) == len(tower.charts) == 2 * tower.blow_ups
+            assert any(chart.pending is not None for chart in tower.charts)
+            for k, chart in enumerate(tower.charts):
+                step = chart.history[-1]
+                parent = by_history.get(chart.history[:-1], root)
+                sub = step_substitution(step)
+                eager = pull_back_fibration(LocalModel(
+                    step.coords, compose(parent.a, sub), compose(parent.b, sub),
+                    chart.history, parent.t_record, compose(parent.delta(), sub),
+                ))
+                triple = exceptional_order_triple(chart)
+                assert triple == tower.divisors[k // 2].triple == exceptional_order_triple(eager)
+                assert chart == eager and chart.pending is None
+
+    def test_analyze_builds_only_the_charts_it_blows_up(self, monkeypatch):
+        # six blow-ups give twelve charts; four of them are blown up again
+        main(["analyze", "--alpha=101/13"])  # the contact tower, once per process
+        built = []
+        build = blowup._build_chart
+
+        def counted(model):
+            built.append(model.history)
+            return build(model)
+
+        monkeypatch.setattr(blowup, "_build_chart", counted)
+        assert main(["analyze", "--alpha=101/13"]) == 0
+        assert len(built) == 4
+        mod = regularize(build_global_sections(F(101, 13)))
+        assert sum(t.blow_ups for t in mod.towers if t.kind == "point") == 6
 
 
 class TestExceptionalTriples:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fibrant
-from fibrant import blowup, cli, lagrange, poly
+from fibrant import blowup, cli, lagrange, poly, upoly
 from fibrant.cli import main
 from fibrant.lagrange import build_global_sections
 from fibrant.planecurve import AffineChart, rational_singular_points
@@ -484,7 +484,7 @@ class TestGoldenOutput:
     def test_json_through_prs_fallback(self, run, monkeypatch, alpha):
         # Every gcd through the subresultant PRS gives the same output, and
         # the PRS runs on polynomial coefficients for multivariate gcds.
-        prs = poly._subresultant_list
+        prs = upoly.subresultant_list
         calls = {"integer": 0, "multivariate": 0}
 
         def counted(a, b):
@@ -492,7 +492,8 @@ class TestGoldenOutput:
             return prs(a, b)
 
         monkeypatch.setattr(poly, "_heu_gcd", lambda f, g: None)
-        monkeypatch.setattr(poly, "_subresultant_list", counted)
+        monkeypatch.setattr(upoly, "_heu_gcd", lambda f, g: None)
+        monkeypatch.setattr(upoly, "subresultant_list", counted)
         code, out, _ = run("analyze", f"--alpha={alpha}")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_ANALYZE[alpha]
@@ -500,13 +501,13 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("alpha", sorted(GOLDEN_ANALYZE))
     def test_eliminations_take_the_fast_paths(self, run, monkeypatch, alpha):
-        """No gcd falls back to the PRS; each resultant evaluates once per level.
+        """No gcd falls back to a PRS; each resultant evaluates once per level.
 
         A fallback would leave the output unchanged and only cost time, so
         it is counted here instead.
         """
         heu, prs, iresultant = poly._heu_gcd, poly._prs_gcd, poly._iresultant
-        counts = {"heu": 0, "prs": 0}
+        counts = {"heu": 0, "prs": 0, "list prs": 0}
         chains = []  # per top-level resultant: [variables, calls of _iresultant]
         depth = [0]
 
@@ -529,10 +530,12 @@ class TestGoldenOutput:
 
         monkeypatch.setattr(poly, "_heu_gcd", counted("heu", heu))
         monkeypatch.setattr(poly, "_prs_gcd", counted("prs", prs))
+        monkeypatch.setattr(upoly, "_prs_gcd", counted("list prs", upoly._prs_gcd))
         monkeypatch.setattr(poly, "_iresultant", chained)
         code, _, _ = run("analyze", f"--alpha={alpha}")
         assert code == 0
         assert counts["heu"] > 0 and counts["prs"] == 0
+        assert counts["list prs"] == 0
         assert any(variables == 2 for variables, _ in chains)
         assert all(calls == variables for variables, calls in chains)
 
@@ -571,7 +574,7 @@ class TestGoldenOutput:
         it is counted here instead.
         """
         counts = {"specialize": 0, "linear p-adic": 0}
-        specialize, padic = poly._specialize, poly._padic_candidates
+        specialize, padic = poly._specialize, upoly.padic_candidates
 
         def counted(name, inner):
             def wrapper(*args):
@@ -585,7 +588,7 @@ class TestGoldenOutput:
             return padic(sf)
 
         monkeypatch.setattr(poly, "_specialize", counted("specialize", specialize))
-        monkeypatch.setattr(poly, "_padic_candidates", lifted)
+        monkeypatch.setattr(upoly, "padic_candidates", lifted)
         code, out, _ = run("analyze", f"--alpha={alpha}")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_ANALYZE[alpha]

@@ -19,6 +19,7 @@ KEEP = {
     "structure": "the alpha-independent report of acceptance criterion 6",
     "canonical": "the isomorphism invariant that structure() compares",
     "is_squarefree": "certifies non-rational crossings, which no call of test_reach meets",
+    "exact_divide": "``//`` of polynomials: the PRS fallback, contents and multivariate radicals",
 }
 
 
@@ -92,6 +93,13 @@ def test_imports_only_at_module_level():
 
 def test_no_import_cycle():
     assert find_cycle(import_graph()) is None
+
+
+def test_upoly_imports_nothing_from_the_package():
+    """The univariate integer layer stands alone; ``poly`` builds on it."""
+    graph = import_graph()
+    assert graph["upoly"] == set()
+    assert graph["poly"] == {"upoly"}
 
 
 def is_private(name: str) -> bool:

@@ -8,7 +8,7 @@ from conftest import (
 )
 from hypothesis import example, given, settings, strategies as st
 
-from fibrant import poly
+from fibrant import poly, upoly
 from fibrant.poly import (
     INFINITE_ORDER,
     MultiPoly,
@@ -505,11 +505,11 @@ def test_rational_roots_split_off_the_cofactor_against_sympy(case, extra):
 
 def pseudo_remainder(f, g, var):
     """prem(f, g): remainder of lc(g)^(deg f - deg g + 1) * f by g in var,
-    computed by ``poly._prem_list`` on the coefficient lists in var; f
+    computed by ``upoly.prem_list`` on the coefficient lists in var; f
     itself when deg f < deg g."""
     if f.degree_in(var) < g.degree_in(var):
         return f
-    rem = poly._prem_list(f.as_univariate(var), g.as_univariate(var))
+    rem = upoly.prem_list(f.as_univariate(var), g.as_univariate(var))
     v = MultiPoly.variable(var)
     return sum((c * v**j for j, c in enumerate(rem)), MultiPoly.zero())
 
@@ -1228,9 +1228,9 @@ def roots_by_lifting(p):
     k, rest = extract_power(p, x)
     roots = [(F(0), k)] if k else []
     if not rest.is_constant():
-        sf = poly._int_coeffs(radical(rest))
-        candidates = poly._padic_candidates(sf)
-        roots += [(c, 1) for c in candidates if not poly._horner_pq(sf, c.numerator, c.denominator)]
+        sf = poly._int_coeffs(radical(rest).ints)
+        candidates = upoly.padic_candidates(sf)
+        roots += [(c, 1) for c in candidates if not upoly.horner_pq(sf, c.numerator, c.denominator)]
     return sorted(roots)
 
 
