@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .poly import MultiPoly, Rational, format_poly, parse
+from .poly import MultiPoly, Rational, format_poly
 from .weierstrass import (
     KodairaType,
     OrderTriple,
@@ -15,7 +15,6 @@ from .miranda import analyze_lagrange_family
 __all__ = [
     "MultiPoly",
     "Rational",
-    "parse",
     "format_poly",
     "KodairaType",
     "OrderTriple",

@@ -160,13 +160,24 @@ def _chart(coords, history, pending) -> LocalModel:
 
 def _build_chart(model: LocalModel):
     """Pull a, b and Delta back from the centred parent sections along the
-    last step, rescale them if the chart is to be, and store them."""
+    last step, rescale them if the chart is to be, and store them.
+
+    The exceptional triple read before the chart was built must be the
+    orders of the built sections along the exceptional divisor: one comes
+    from multiplicities and ``reduce_triple_mod``, the other from the chart
+    map and ``normalize_condition_C``."""
     step = model.history[-1]
     centred, t_record, rescale = model.pending
     a, b, delta = (blow_up_chart(p, step.parent_coords, step.coords, step.chart) for p in centred)
     built = LocalModel(model.coords, a, b, model.history, t_record, delta)
     if rescale:
         built = pull_back_fibration(built)
+    lazy, orders = _pending_triple(model.pending), _exceptional_orders(built)
+    if lazy != orders:
+        raise NotAnalyzableError(
+            f"chart inconsistency at {step.coords}: exceptional triple "
+            f"{lazy.as_tuple()} read before the chart was built, {orders.as_tuple()} after"
+        )
     for name in _BUILT_ON_READ:
         object.__setattr__(model, name, getattr(built, name))
     object.__setattr__(model, "pending", None)
@@ -224,9 +235,17 @@ def exceptional_order_triple(model: LocalModel) -> OrderTriple:
     if not model.history:
         raise ValueError("model has no blow-up history")
     if model.pending is not None:
-        centred, _, rescale = model.pending
-        raw = OrderTriple(*(p.multiplicity() for p in centred))
-        return reduce_triple_mod(raw) if rescale else raw
+        return _pending_triple(model.pending)
+    return _exceptional_orders(model)
+
+
+def _pending_triple(pending) -> OrderTriple:
+    centred, _, rescale = pending
+    raw = OrderTriple(*(p.multiplicity() for p in centred))
+    return reduce_triple_mod(raw) if rescale else raw
+
+
+def _exceptional_orders(model: LocalModel) -> OrderTriple:
     coord = model.history[-1].exceptional_coord()
     return OrderTriple(*(p.order_in(coord) for p in (model.a, model.b, model.delta())))
 
@@ -419,17 +438,13 @@ class _TowerDriver:
         self.tower.blow_ups += 1
         exc_name = f"E{self.tower.blow_ups}"
         model_a, model_b = map(pull_back_fibration, blow_up_point(model, point))
-        # order triple of the new exceptional divisor, checked in both charts
-        triple_a, triple_b = exceptional_order_triple(model_a), exceptional_order_triple(model_b)
-        if triple_a.as_tuple() != triple_b.as_tuple():
-            raise NotAnalyzableError(
-                f"chart inconsistency over {self.tower.label}: "
-                f"{triple_a.as_tuple()} vs {triple_b.as_tuple()}"
-            )
-        ktype = kodaira_classify(triple_a)
+        # both charts read it off the same centred sections; a chart checks
+        # it against its own sections when it is built (``_build_chart``)
+        triple = exceptional_order_triple(model_a)
+        ktype = kodaira_classify(triple)
         self.types[exc_name] = ktype
         self.tower.divisors.append(
-            DivisorRecord(exc_name, f"exceptional divisor over {self.tower.label}", triple_a, ktype)
+            DivisorRecord(exc_name, f"exceptional divisor over {self.tower.label}", triple, ktype)
         )
         self.tower.charts += [model_a, model_b]
         centred = {name: model_a.history[-1].centred(germ) for name, germ in divisors.items()}
@@ -475,10 +490,8 @@ class _TowerDriver:
         }
         points = set()
         for name, restriction in restrictions.items():
-            if restriction.is_zero():
-                raise NotAnalyzableError(
-                    f"divisor {name} contains the exceptional divisor over {self.tower.label}"
-                )
+            # a strict transform restricts to its tangent cone, never to 0
+            assert not restriction.is_zero(), f"{name} contains the exceptional divisor"
             if restriction.is_constant():
                 continue
             roots, leftover = rational_roots(restriction)
@@ -708,8 +721,8 @@ class _Regularizer:
     def _line_curve_crossings(self, var, line_name):
         """Sites where the line ``var`` = 0 meets the residual curve."""
         restriction = self.equations["Q~"].at_zero(var)
-        if restriction.is_zero():
-            raise NotAnalyzableError("line is contained in the residual curve")
+        # every coordinate line was stripped off Q~, and ``radical`` keeps it so
+        assert not restriction.is_zero(), f"{var} divides the residual curve"
         names = (line_name, "Q~")
         # the restriction is homogeneous in the two other coordinates;
         # vertex points show up as powers of those coordinates
@@ -747,10 +760,10 @@ class _Regularizer:
 def _certify_no_singularities_at_infinity(residual):
     """Prove that the residual curve is smooth along the line A0 = 0."""
     g = gcd_all(residual.derivative(var).at_zero("A0") for var in PROJECTIVE_VARS)
-    if g.is_zero():
-        raise NotAnalyzableError("residual curve is singular along A0 = 0")
-    # by Euler's identity d Q = sum A_i dQ/dA_i, g divides Q at A0 = 0 (not
-    # zero, A0 being stripped): the zeros of g are the candidate singular points
+    # by Euler's identity d Q = sum A_i dQ/dA_i, g divides Q at A0 = 0, which
+    # is not zero, A0 being stripped: so g is not zero either, and its zeros
+    # are the candidate singular points
+    assert not g.is_zero(), "A0 divides the residual curve"
     if not g.is_constant():
         raise NotAnalyzableError(
             "residual curve may be singular on the line A0 = 0 "

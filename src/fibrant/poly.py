@@ -54,12 +54,10 @@ g_j of the eliminated variable.  Coordinate-line stripping and the
 multivariate squarefree part (a gcd with each partial in turn) complete
 the toolkit.
 
-The text format round-trips bit-exactly, e.g.::
+``format_poly`` writes the text format, exact and in a fixed term order,
+e.g.::
 
     (1/12)*A2^2 - (1/4)*A1 + 1
-
-``parse`` accepts the same syntax and can substitute named parameters
-(e.g. ``alpha``) by exact rationals while reading.
 """
 
 from __future__ import annotations
@@ -280,7 +278,7 @@ class MultiPoly:
     def derivative(self, var: str) -> "MultiPoly":
         """Formal partial derivative with respect to ``var``."""
         if var not in self.variables:
-            if not _IDENT_OK(var):
+            if not isinstance(var, str) or not var:
                 raise ValueError(f"invalid variable name {var!r}")
             return _ZERO
         out = _ipartial(self.ints, self.variables.index(var))
@@ -303,7 +301,7 @@ class MultiPoly:
             if isinstance(image, MultiPoly) and not image.variables:
                 image = image.constant_value()
             if not isinstance(image, (int, Fraction)):
-                raise TypeError(f"substitute specializes to rationals; {var} -> {image!r}")
+                raise TypeError(f"{var} specializes to rationals only, not {image!r}")
             values[var] = image
         return _specialize(self, values) if values else self
 
@@ -352,26 +350,13 @@ class MultiPoly:
         ints = {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in self.ints.items()}
         return _make(self.variables, ints, self.content)
 
-    def evaluate(self, assignment: dict):
-        """Evaluate at a full assignment.
-
-        Exact ``Fraction`` result when every value is rational, by
-        ``_specialize``.  Otherwise standard complex/float arithmetic.
-        """
+    def evaluate(self, assignment: dict) -> Fraction:
+        """The exact value at a point that assigns every variable: ``substitute``
+        over all of them, so a value that is not rational is a ``TypeError``."""
         missing = [v for v in self.variables if v not in assignment]
         if missing:
             raise KeyError(f"missing assignment for {missing}")
-        values = {v: assignment[v] for v in self.variables}
-        if all(isinstance(v, (int, Fraction)) for v in values.values()):
-            return _specialize(self, values).constant_value()
-        total = 0.0
-        for exp, coeff in self.terms.items():
-            term = complex(coeff)
-            for v, e in zip(values.values(), exp):
-                if e:
-                    term = term * v**e
-            total = total + term
-        return total
+        return self.substitute(assignment).constant_value()
 
     # -- univariate views ---------------------------------------------------
 
@@ -443,10 +428,6 @@ _SET_VARIABLES(_ZERO, ())
 _SET_CONTENT(_ZERO, Fraction(0))
 _SET_INTS(_ZERO, {})
 _ONE = MultiPoly.const(1)
-
-
-def _IDENT_OK(name: str) -> bool:
-    return isinstance(name, str) and bool(name)
 
 
 def _canonicalize(variables, terms):
@@ -1182,7 +1163,8 @@ def format_coeff(c: Fraction) -> str:
 
 
 def format_poly(p: MultiPoly) -> str:
-    """Deterministic human-readable form; round-trips through parse."""
+    """The text format: terms in decreasing grlex order, each coefficient
+    an integer or ``(n/d)``."""
     if p.is_zero():
         return "0"
     pieces = []
@@ -1207,114 +1189,3 @@ def format_poly(p: MultiPoly) -> str:
     for sign, body in pieces[1:]:
         text += f" {sign} {body}"
     return text
-
-
-class _Parser:
-    def __init__(self, text: str, params: dict):
-        self.tokens = self._lex(text)
-        self.pos = 0
-        self.params = params
-
-    @staticmethod
-    def _lex(text: str):
-        tokens = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                tokens.append(("num", int(text[i:j])))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] in "_'~"):
-                    j += 1
-                tokens.append(("ident", text[i:j]))
-                i = j
-            elif ch in "+-*/^()":
-                tokens.append((ch, ch))
-                i += 1
-            else:
-                raise ValueError(f"unexpected character {ch!r} in polynomial text")
-        tokens.append(("end", None))
-        return tokens
-
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse_expr(self) -> MultiPoly:
-        """A signed sum of terms, added pairwise: each round halves the
-        list, so n terms cost O(n log n) term copies, not O(n^2)."""
-        terms = []
-        sign = self.next()[0] if self.peek() in "+-" else "+"
-        while sign:
-            term = self.parse_term()
-            terms.append(-term if sign == "-" else term)
-            sign = self.next()[0] if self.peek() in "+-" else None
-        while len(terms) > 1:
-            odd = terms[-1:] if len(terms) % 2 else []
-            terms = [p + q for p, q in zip(terms[::2], terms[1::2])] + odd
-        return terms[0]
-
-    def parse_term(self) -> MultiPoly:
-        result = self.parse_factor()
-        while self.peek() in "*/":
-            op = self.next()[0]
-            rhs = self.parse_factor()
-            if op == "*":
-                result = result * rhs
-            else:
-                if not rhs.is_constant() or rhs.constant_value() == 0:
-                    raise ValueError("division only by nonzero constants")
-                result = result * MultiPoly.const(1 / rhs.constant_value())
-        return result
-
-    def parse_factor(self) -> MultiPoly:
-        base = self.parse_base()
-        if self.peek() == "^":
-            self.next()
-            kind, value = self.next()
-            if kind != "num":
-                raise ValueError("exponent must be a nonnegative integer")
-            return base**value
-        return base
-
-    def parse_base(self) -> MultiPoly:
-        kind, value = self.next()
-        if kind == "num":
-            return MultiPoly.const(value)
-        if kind == "ident":
-            if value in self.params:
-                return MultiPoly.const(self.params[value])
-            return MultiPoly.variable(value)
-        if kind == "(":
-            inner = self.parse_expr()
-            if self.next()[0] != ")":
-                raise ValueError("unbalanced parentheses")
-            return inner
-        raise ValueError(f"unexpected token {value!r}")
-
-
-def parse(text: str, params: dict | None = None) -> MultiPoly:
-    """Parse the polynomial text format.
-
-    ``params`` maps identifier names to exact rationals substituted while
-    reading (e.g. ``{"alpha": Fraction(3, 2)}``).
-    """
-    parser = _Parser(text, {k: _coerce_coeff(v) for k, v in (params or {}).items()})
-    try:
-        result = parser.parse_expr()
-    except RecursionError:
-        raise ValueError("polynomial text is nested too deeply") from None
-    if parser.peek() != "end":
-        raise ValueError("trailing input in polynomial text")
-    return result

@@ -47,7 +47,6 @@ from .poly import (
     MultiPoly,
     extract_power,
     format_poly,
-    parse,
     strip_coordinate_lines,
 )
 from .record import JsonDict, JsonList, Value
@@ -487,11 +486,6 @@ class WeierstrassFibration:
         self.b = b
         self.alpha = None if alpha is None else Fraction(alpha)
         self._delta = delta
-
-    @staticmethod
-    def from_strings(a_text: str, b_text: str, alpha=None) -> "WeierstrassFibration":
-        params = {} if alpha is None else {"alpha": Fraction(alpha)}
-        return WeierstrassFibration(parse(a_text, params), parse(b_text, params), alpha)
 
     def discriminant(self) -> MultiPoly:
         """a^3 - 27 b^2, homogeneous of degree 12."""

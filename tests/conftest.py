@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -116,6 +117,63 @@ def compose(p, mapping):
         for v, k in zip(p.variables, exp):
             term = term * images.get(v, MultiPoly.variable(v)) ** k
         total = total + term
+    return total
+
+
+def parse(text: str, params: dict | None = None) -> MultiPoly:
+    """Read the text format of ``format_poly`` (integers, identifiers, those
+    of ``params`` as their rationals, ``+ - * / ^`` and parentheses), adding
+    a sum pairwise: n terms cost O(n log n) term copies, not O(n^2)."""
+    tokens, params = re.findall(r"\d+|[A-Za-z_][\w'~]*|\S", text)[::-1], params or {}
+
+    def take(*expected):
+        return tokens and tokens[-1] in expected and tokens.pop()
+
+    def expr():
+        terms, sign = [], take("+", "-") or "+"
+        while sign:
+            terms.append(-term() if sign == "-" else term())
+            sign = take("+", "-")
+        while len(terms) > 1:
+            odd = terms[-1:] if len(terms) % 2 else []
+            terms = [p + q for p, q in zip(terms[::2], terms[1::2])] + odd
+        return terms[0]
+
+    def term():
+        result = factor()
+        while op := take("*", "/"):
+            rhs = factor()
+            result = result * (rhs if op == "*" else 1 / rhs.constant_value())
+        return result
+
+    def factor():
+        base = atom()
+        return base ** int(tokens.pop()) if take("^") else base
+
+    def atom():
+        token = tokens.pop()
+        if token == "(":
+            inner = expr()
+            assert take(")"), f"unbalanced parentheses in {text!r}"
+            return inner
+        if token.isdigit():
+            return MultiPoly.const(int(token))
+        return MultiPoly.const(params[token]) if token in params else MultiPoly.variable(token)
+
+    result = expr()
+    assert not tokens, f"trailing input in {text!r}"
+    return result
+
+
+def evaluate_by_terms(p: MultiPoly, point: dict):
+    """p at ``point``, term by term in the arithmetic of its values: exact
+    at rationals, floating at floats or complex numbers (oracle only;
+    ``MultiPoly.evaluate`` takes rationals alone)."""
+    total = 0
+    for exp, coeff in p.terms.items():
+        for v, e in zip(p.variables, exp):
+            coeff *= point[v] ** e
+        total += coeff
     return total
 
 
@@ -404,9 +462,7 @@ def fresh_caches():
 
 @pytest.fixture(scope="session")
 def lagrange_fibration():
-    from fibrant.lagrange import build_global_sections
-
-    return build_global_sections(1)
+    return lagrange.build_global_sections(1)
 
 
 @pytest.fixture(scope="session")

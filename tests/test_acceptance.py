@@ -8,9 +8,7 @@ a per-criterion summary is printed at the end of the session.
 import time
 from fractions import Fraction as F
 
-import pytest
-
-from conftest import classify_double_point, directional_derivative, fulton_multiplicity
+from conftest import classify_double_point, directional_derivative, fulton_multiplicity, parse
 from fibrant.blowup import regularize
 from fibrant.lagrange import (
     Level,
@@ -21,7 +19,6 @@ from fibrant.lagrange import (
     quotient_cubic_residual,
     sample_fiber_point,
     shifted_weierstrass_residual,
-    tau_transform,
 )
 from fibrant.miranda import analyze_lagrange_family
 from fibrant.monodromy import (
@@ -37,12 +34,10 @@ from fibrant.poly import (
     equal_up_to_unit,
     extract_power,
     is_squarefree,
-    parse,
     resultant,
 )
 from fibrant.weierstrass import (
     DualGraph,
-    GenericityError,
     KodairaType,
     OrderTriple,
     collide,

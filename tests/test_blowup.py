@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from conftest import (
@@ -7,6 +8,7 @@ from conftest import (
     compose,
     fulton_multiplicity,
     intersection_multiplicity,
+    parse,
 )
 from hypothesis import example, given, settings, strategies as st
 from test_cli import GOLDEN_ANALYZE
@@ -24,7 +26,7 @@ from fibrant.cli import main
 from fibrant.lagrange import build_global_sections
 from fibrant.miranda import analyze_lagrange_family
 from fibrant.planecurve import AffineChart, SingularLocus
-from fibrant.poly import MultiPoly, extract_power, format_poly, parse, radical, two_jet_at
+from fibrant.poly import MultiPoly, extract_power, format_poly, radical, two_jet_at
 from fibrant.weierstrass import (
     KodairaType,
     NotAnalyzableError,
@@ -151,7 +153,8 @@ class TestChartsOnFirstRead:
     """A chart is built when a, b, Delta or its rescalings are first read,
     and then equals the eager chart: the parent's sections pulled back by
     the substitution oracle and rescaled.  Its exceptional triple is read
-    before that, off the centred parent sections."""
+    before that, off the centred parent sections, once per blow-up: both
+    charts of a blow-up give the triple recorded for its divisor."""
 
     @pytest.mark.parametrize("site", ["cusp", *sorted(GOLDEN_ANALYZE)])
     def test_every_chart_equals_the_eager_one(self, monkeypatch, site):
@@ -185,18 +188,15 @@ class TestChartsOnFirstRead:
                 assert chart == eager and chart.pending is None
 
     def test_analyze_builds_only_the_charts_it_blows_up(self, monkeypatch):
-        # six blow-ups give twelve charts; four of them are blown up again
+        # six blow-ups give twelve charts; four of them are blown up again,
+        # and each blow-up reads its exceptional triple once
         main(["analyze", "--alpha=101/13"])  # the contact tower, once per process
-        built = []
-        build = blowup._build_chart
-
-        def counted(model):
-            built.append(model.history)
-            return build(model)
-
-        monkeypatch.setattr(blowup, "_build_chart", counted)
+        build = mock.Mock(wraps=blowup._build_chart)
+        triple = mock.Mock(wraps=blowup.exceptional_order_triple)
+        monkeypatch.setattr(blowup, "_build_chart", build)
+        monkeypatch.setattr(blowup, "exceptional_order_triple", triple)
         assert main(["analyze", "--alpha=101/13"]) == 0
-        assert len(built) == 4
+        assert (build.call_count, triple.call_count) == (4, 6)
         mod = regularize(build_global_sections(F(101, 13)))
         assert sum(t.blow_ups for t in mod.towers if t.kind == "point") == 6
 
@@ -505,25 +505,22 @@ class TestRegularizeEdges:
         with pytest.raises(NotAnalyzableError, match=r"\(L~, Q~\)"):
             regularize(fib)
 
-    def test_chart_consistency_is_checked(self):
-        # the driver recomputes each exceptional triple in both charts; run
-        # a tower and confirm the recorded triples match a direct recompute
-        a1, b1 = blow_up_point(cusp_model(), (0, 0))
-        ta = exceptional_order_triple(pull_back_fibration(a1))
-        tb = exceptional_order_triple(pull_back_fibration(b1))
-        assert ta.as_tuple() == tb.as_tuple()
-
     def test_chart_inconsistency_is_not_analyzable(self, monkeypatch):
-        # a chart B whose triple disagrees with chart A stops the tower
-        triple = blowup.exceptional_order_triple
+        # a lazy triple that the chart's own sections contradict once it is
+        # built: reading the chart refuses it, and the other chart builds
+        chart_a, chart_b = map(pull_back_fibration, blow_up_point(cusp_model(), (0, 0)))
+        lazy = blowup._pending_triple
 
-        def skewed(model):
-            t = triple(model)
-            return OrderTriple(t.L, t.K, t.N + 1) if model.history[-1].chart == "B" else t
+        def skewed(pending):
+            t = lazy(pending)
+            return OrderTriple(t.L, t.K, t.N + 1) if pending is chart_b.pending else t
 
-        monkeypatch.setattr(blowup, "exceptional_order_triple", skewed)
-        with pytest.raises(NotAnalyzableError, match="chart inconsistency over contact"):
-            blowup.contact_tower("contact", {"Q~": KodairaType("I1")})
+        monkeypatch.setattr(blowup, "_pending_triple", skewed)
+        assert exceptional_order_triple(chart_b).as_tuple() == (1, 1, 3)
+        with pytest.raises(NotAnalyzableError, match=r"chart inconsistency .*\(1, 1, 3\).*\(1, 1, 2\)"):
+            chart_b.a
+        assert chart_b.pending is not None
+        assert chart_a.a is not None and exceptional_order_triple(chart_a).as_tuple() == (1, 1, 2)
 
 
 class TestContactTowerCache:

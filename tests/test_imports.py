@@ -13,8 +13,6 @@ BENCH = PACKAGE.parents[1] / "bench"
 # CLI calls of ``test_reach`` do not enter them, each with its reason.
 KEEP = {
     "kodaira_monodromy": "library feature: the local monodromy of each Kodaira type",
-    "from_strings": "library feature: a fibration from the text format",
-    "parse": "the text format's reader, the inverse of format_poly",
     "lie_poisson_bracket": "the benchmark's control bracket, outside its timed passes",
     "structure": "the alpha-independent report of acceptance criterion 6",
     "canonical": "the isomorphism invariant that structure() compares",
@@ -215,6 +213,11 @@ def test_every_public_function_has_a_caller():
         if name.split(".")[-1] not in used.union(KEEP)
     ]
     assert dead == []
+
+
+def test_every_kept_name_is_a_public_function():
+    public = {name.split(".")[-1] for _, name in public_functions()}
+    assert sorted(set(KEEP) - public) == []
 
 
 KODAIRA_TAGS = {"II", "III", "IV", "I0*", "IV*", "III*", "II*"}

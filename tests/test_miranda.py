@@ -2,16 +2,15 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from conftest import parse
 from hypothesis import given, settings, strategies as st
 
 from fibrant.lagrange import build_global_sections
 from fibrant.miranda import analyze_lagrange_family
-from fibrant.poly import parse
 from fibrant.weierstrass import (
     DualGraph,
     GenericityError,
     KodairaType,
-    MirandaFiber,
     NotOnListError,
     collide,
     kodaira_monodromy,

@@ -3,7 +3,6 @@ import pytest
 from fibrant.monodromy import (
     NotInFamilyError,
     NotUnimodularError,
-    Presentation,
     SL2Z,
     STANDARD_CUSP_PARTNER,
     T,

@@ -7,6 +7,7 @@ from conftest import (
     compose,
     fulton_multiplicity,
     intersection_multiplicity,
+    parse,
     smoothness_certificate,
     to_sympy,
 )
@@ -20,7 +21,6 @@ from fibrant.poly import (
     equal_up_to_unit,
     extract_power,
     is_squarefree,
-    parse,
 )
 
 

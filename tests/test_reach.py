@@ -2,14 +2,11 @@
 run of CLI calls, or kept by name in ``test_imports.KEEP``."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from test_imports import KEEP, PACKAGE, public_functions
+from test_imports import KEEP, public_functions
 
 # All seven commands, the markdown report and inputs that are rejected:
 # by a cap, by the genericity check, by argparse, and with a quoted tag.
@@ -31,39 +28,19 @@ CALLS = [
     ["classify-triple", "1", "x", "3"],
 ]
 
-# Runs the calls in one fresh process with a profile hook installed before
-# the package is imported, and prints the code objects that were entered.
-CHILD = """
-import contextlib, io, json, sys
-entered = set()
-sys.setprofile(lambda frame, event, arg: event == "call" and entered.add(frame.f_code))
-from fibrant import cli
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            cli.main(argv)
-        except SystemExit:
-            pass
-sys.setprofile(None)
-print(json.dumps(sorted({(code.co_filename, code.co_qualname) for code in entered})))
-"""
-
-
 def entered_functions() -> set:
-    """(module, qualified name) of each package function the calls enter."""
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    """(module, qualified name) of each package function with a statement
+    that ``reach_census`` saw run, importing the package in a fresh process
+    and making the calls."""
+    child = "import json, reach_census; print(json.dumps([[m, f] for m, t in "
+    child += "reach_census.census().items() for f, (missed, n) in t.items() if len(missed) < n]))"
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(CALLS)],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", child], cwd=Path(__file__).parent,
+        capture_output=True, text=True, check=True,
     )
-    return {
-        (Path(filename).stem, qualname)
-        for filename, qualname in json.loads(done.stdout)
-        if Path(filename).resolve().parent == PACKAGE
-    }
+    return set(map(tuple, json.loads(done.stdout)))
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects name their class from 3.11")
 def test_every_public_function_is_entered():
     entered = entered_functions()
     assert ("cli", "main") in entered and ("weierstrass", "quote_tag") in entered

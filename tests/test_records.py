@@ -6,12 +6,13 @@ import pickle
 from fractions import Fraction as F
 
 import pytest
+from conftest import parse
 
 from fibrant.blowup import BaseModification, BlowupStep, DivisorRecord, LocalModel, Tower
 from fibrant.lagrange import TopParams
 from fibrant.monodromy import NotUnimodularError, Presentation, Relation, SL2Z, T
 from fibrant.planecurve import AffineChart
-from fibrant.poly import INFINITE_ORDER, parse
+from fibrant.poly import INFINITE_ORDER
 from fibrant.weierstrass import (
     DualGraph,
     KodairaType,

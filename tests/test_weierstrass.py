@@ -9,6 +9,7 @@ from conftest import (
     from_sympy,
     j_invariant,
     kodaira_classify_oracle,
+    parse,
     reduce_triple_mod_oracle,
     to_sympy,
 )
@@ -24,7 +25,6 @@ from fibrant.poly import (
     equal_up_to_unit,
     extract_power,
     gcd_multivariate,
-    parse,
     radical,
     strip_coordinate_lines,
 )
@@ -521,18 +521,6 @@ class TestGenericity:
             assert equal_up_to_unit(
                 parse(printed.split(": ")[1]), from_sympy(sympy, expected, ("a2",))
             )
-
-
-class TestFromStrings:
-    def test_round_trip(self):
-        fib = WeierstrassFibration.from_strings(
-            "A0^2*(A0^2 + (1/12)*A2^2 - (alpha/4)*A0*A1)",
-            "A0^3*((1/216)*A2^3 + (1/16)*A0*A1^2 - (alpha/48)*A0*A1*A2"
-            " - (1/6)*A0^2*A2 + (alpha^2/16)*A0^3)",
-            alpha="3/2",
-        )
-        assert fib.alpha == F(3, 2)
-        assert fib.a.total_degree() == 4 and fib.b.total_degree() == 6
 
 
 # -- the gcd's homogeneous users against sympy ------------------------------------
