@@ -505,6 +505,17 @@ class TestRegularizeEdges:
         with pytest.raises(NotAnalyzableError, match=r"\(L~, Q~\)"):
             regularize(fib)
 
+    def test_chart_consistency_is_checked(self):
+        # both charts of one blow-up see the same exceptional divisor: their
+        # triples agree, read lazily and again off each built chart
+        a1, b1 = map(pull_back_fibration, blow_up_point(cusp_model(), (0, 0)))
+        ta, tb = exceptional_order_triple(a1), exceptional_order_triple(b1)
+        assert a1.pending is not None and b1.pending is not None
+        assert ta.as_tuple() == tb.as_tuple()
+        assert a1.a is not None and b1.a is not None
+        assert exceptional_order_triple(a1).as_tuple() == ta.as_tuple()
+        assert exceptional_order_triple(b1).as_tuple() == tb.as_tuple()
+
     def test_chart_inconsistency_is_not_analyzable(self, monkeypatch):
         # a lazy triple that the chart's own sections contradict once it is
         # built: reading the chart refuses it, and the other chart builds
