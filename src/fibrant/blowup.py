@@ -10,16 +10,18 @@ rational center produces two charts,
 A center off the origin is shifted there by an integer Taylor shift,
 once for both charts; at the origin the charts are exponent maps,
 s1^i s2^j -> u^(i+j) v^j and u^i v^(i+j) (``poly.blow_up_chart``), that
-pull back a, b and Delta without coefficient arithmetic, on the first
-read of a chart's fields, so only the charts that are blown up again or
-printed are built.  A divisor germ goes to the chart as its
-strict transform (``poly.strict_transform``), the same map with the
-exponent of the exceptional coordinate lowered by the germ's
-multiplicity, its least total degree.  Fiber coordinates are then
-rescaled until no coordinate power u^4 divides the degree-4 section
-jointly with u^6 dividing the degree-6 one (the minimality condition
-for Weierstrass data), and Delta by u^(12t) alongside; the rescaling
-exponents are recorded.  No tower multiplies a^3 - 27 b^2 out: a point
+pull back a, b and Delta without coefficient arithmetic.  Every chart is
+minimal: fiber coordinates are rescaled until no coordinate power u^4
+divides the degree-4 section jointly with u^6 dividing the degree-6 one,
+and Delta by u^(12t) alongside, the exponents recorded.  A chart is
+built on the first read of its fields, so only the charts that are
+blown up again or printed are built; each blow-up reads the order triple
+of its exceptional divisor once, before that, off the multiplicities of
+the centred sections, and every built chart must give it again.  A
+divisor germ goes to the chart as its strict transform
+(``poly.strict_transform``), the same map with the exponent of the
+exceptional coordinate lowered by the germ's multiplicity, its least
+total degree.  No tower multiplies a^3 - 27 b^2 out: a point
 tower takes the fibration's Delta, restricted to the chart and shifted
 like a and b, and the contact tower computes the Delta of its abstract
 germ once per process.  Orders along a divisor u = 0 are least exponents
@@ -101,17 +103,14 @@ class BlowupBudgetError(NotAnalyzableError):
 
 class BlowupStep(Value):
     """The blow-up of the rational point ``center`` of the chart
-    ``parent_coords``, seen in its chart "A" or "B" with ``coords``."""
+    ``parent_coords``, seen in its chart "A" or "B" with ``coords``;
+    ``triple`` is the order triple of the minimal sections along its
+    exceptional divisor, shared by both charts."""
 
-    __slots__ = ("center", "chart", "parent_coords", "coords")
+    __slots__ = ("center", "chart", "parent_coords", "coords", "triple")
 
-    def __init__(self, center: tuple, chart: str, parent_coords: tuple, coords: tuple):
-        self._store(center, chart, parent_coords, coords)
-
-    def centred(self, p: MultiPoly) -> MultiPoly:
-        """p in the parent chart, shifted so that the center is the origin,
-        where both charts are exponent maps."""
-        return p.shift(dict(zip(self.parent_coords, self.center))) if any(self.center) else p
+    def __init__(self, center, chart: str, parent_coords, coords, triple: OrderTriple):
+        self._store(center, chart, parent_coords, coords, triple)
 
     def exceptional_coord(self) -> str:
         return self.coords[0] if self.chart == "A" else self.coords[1]
@@ -125,8 +124,8 @@ class LocalModel(Value):
     a^3 - 27 b^2, computed here only when not given.  A chart of a
     blow-up is built on first read of a, b, ``t_record`` or Delta: until
     then those are unset and ``pending`` holds the parent's a, b and Delta
-    centred at the blown-up point, the parent's ``t_record`` and whether
-    the chart is rescaled; ``pending`` is None once built."""
+    centred at the blown-up point and the parent's ``t_record``;
+    ``pending`` is None once built."""
 
     __slots__ = ("coords", "a", "b", "history", "t_record", "discriminant", "pending")
 
@@ -134,8 +133,8 @@ class LocalModel(Value):
         delta = a**3 - 27 * b**2 if discriminant is None else discriminant
         self._store(coords, a, b, history, t_record, delta, None)
 
-    def __getattr__(self, name):  # only reached for an unset field
-        if name not in _BUILT_ON_READ or self.pending is None:
+    def __getattr__(self, name):  # only reached for an unset field of a chart
+        if name not in _BUILT_ON_READ:
             raise AttributeError(name)
         _build_chart(self)
         return getattr(self, name)
@@ -160,23 +159,22 @@ def _chart(coords, history, pending) -> LocalModel:
 
 def _build_chart(model: LocalModel):
     """Pull a, b and Delta back from the centred parent sections along the
-    last step, rescale them if the chart is to be, and store them.
+    last step, rescale them to minimal and store them.
 
-    The exceptional triple read before the chart was built must be the
-    orders of the built sections along the exceptional divisor: one comes
-    from multiplicities and ``reduce_triple_mod``, the other from the chart
-    map and ``normalize_condition_C``."""
+    The step's triple must be the orders of the built sections along the
+    exceptional divisor: one comes from multiplicities and
+    ``reduce_triple_mod``, the other from the chart map and
+    ``normalize_condition_C``."""
     step = model.history[-1]
-    centred, t_record, rescale = model.pending
+    centred, t_record = model.pending
     a, b, delta = (blow_up_chart(p, step.parent_coords, step.coords, step.chart) for p in centred)
-    built = LocalModel(model.coords, a, b, model.history, t_record, delta)
-    if rescale:
-        built = pull_back_fibration(built)
-    lazy, orders = _pending_triple(model.pending), _exceptional_orders(built)
-    if lazy != orders:
+    built = pull_back_fibration(LocalModel(model.coords, a, b, model.history, t_record, delta))
+    exc = step.exceptional_coord()
+    orders = OrderTriple(*(p.order_in(exc) for p in (built.a, built.b, built.delta())))
+    if orders != step.triple:
         raise NotAnalyzableError(
             f"chart inconsistency at {step.coords}: exceptional triple "
-            f"{lazy.as_tuple()} read before the chart was built, {orders.as_tuple()} after"
+            f"{step.triple.as_tuple()} read before the chart was built, {orders.as_tuple()} after"
         )
     for name in _BUILT_ON_READ:
         object.__setattr__(model, name, getattr(built, name))
@@ -185,20 +183,24 @@ def _build_chart(model: LocalModel):
 
 def blow_up_point(model: LocalModel, center) -> tuple:
     """Blow up a rational point of the chart; returns (chart A, chart B),
-    each built on first read.
+    each minimal and built on first read.
 
-    a, b and Delta are pulled back raw; apply ``pull_back_fibration`` to
-    restore the minimality condition.  Both charts share the parent's
-    sections centred at the point.
+    Both charts share the parent's sections centred at the point and the
+    exceptional triple, read once off them: the exceptional coordinate has
+    exponent i + j in the pull-back of s1^i s2^j, so the raw orders along
+    it are the multiplicities of the centred sections, and the rescaling
+    takes (4, 6, 12) off them as often as it can, since N >= min(3L, 2K).
     """
     c = (Fraction(center[0]), Fraction(center[1]))
+    shift = dict(zip(model.coords, c))  # to the origin, where both charts are exponent maps
+    sections = tuple(p.shift(shift) for p in (model.a, model.b, model.delta()))
+    triple = reduce_triple_mod(OrderTriple(*(p.multiplicity() for p in sections)))
     depth = len(model.history) + 1
     steps = (
-        BlowupStep(c, "A", model.coords, (f"x{depth}", f"y{depth}")),
-        BlowupStep(c, "B", model.coords, (f"p{depth}", f"q{depth}")),
+        BlowupStep(c, "A", model.coords, (f"x{depth}", f"y{depth}"), triple),
+        BlowupStep(c, "B", model.coords, (f"p{depth}", f"q{depth}"), triple),
     )
-    centred = tuple(steps[0].centred(p) for p in (model.a, model.b, model.delta()))
-    pending = (centred, model.t_record, False)
+    pending = (sections, model.t_record)
     return tuple(_chart(step.coords, model.history + (step,), pending) for step in steps)
 
 
@@ -206,12 +208,8 @@ def pull_back_fibration(model: LocalModel) -> LocalModel:
     """Rescale fiber coordinates along the chart axes (exceptional first).
 
     Divides a by u^(4t), b by u^(6t) and Delta by u^(12t) for the maximal
-    t along each coordinate, recording every positive t; a chart not built
-    yet stays so, and is rescaled when it is built.
+    t along each coordinate, recording every positive t.
     """
-    if model.pending is not None:
-        centred, t_record, _ = model.pending
-        return _chart(model.coords, model.history, (centred, t_record, True))
     exc = model.history[-1].exceptional_coord() if model.history else model.coords[0]
     order = (exc, *(c for c in model.coords if c != exc))
     a, b, delta = model.a, model.b, model.delta()
@@ -222,32 +220,6 @@ def pull_back_fibration(model: LocalModel) -> LocalModel:
             delta = delta.divide_by_power(coord, 12 * t)
             recorded = recorded + ((coord, t),)
     return LocalModel(model.coords, a, b, model.history, recorded, delta)
-
-
-def exceptional_order_triple(model: LocalModel) -> OrderTriple:
-    """(L, K, N) along the exceptional divisor of the latest blow-up.
-
-    A chart not built yet stays so: its exceptional coordinate has
-    exponent i + j in the pull-back of s1^i s2^j, so its raw orders are the
-    multiplicities of the centred parent sections, and the rescaling takes
-    (4, 6, 12) off them as often as it can, since N >= min(3L, 2K).
-    """
-    if not model.history:
-        raise ValueError("model has no blow-up history")
-    if model.pending is not None:
-        return _pending_triple(model.pending)
-    return _exceptional_orders(model)
-
-
-def _pending_triple(pending) -> OrderTriple:
-    centred, _, rescale = pending
-    raw = OrderTriple(*(p.multiplicity() for p in centred))
-    return reduce_triple_mod(raw) if rescale else raw
-
-
-def _exceptional_orders(model: LocalModel) -> OrderTriple:
-    coord = model.history[-1].exceptional_coord()
-    return OrderTriple(*(p.order_in(coord) for p in (model.a, model.b, model.delta())))
 
 
 # -- driver data -----------------------------------------------------------------
@@ -437,17 +409,16 @@ class _TowerDriver:
             )
         self.tower.blow_ups += 1
         exc_name = f"E{self.tower.blow_ups}"
-        model_a, model_b = map(pull_back_fibration, blow_up_point(model, point))
-        # both charts read it off the same centred sections; a chart checks
-        # it against its own sections when it is built (``_build_chart``)
-        triple = exceptional_order_triple(model_a)
+        model_a, model_b = blow_up_point(model, point)
+        triple = model_a.history[-1].triple
         ktype = kodaira_classify(triple)
         self.types[exc_name] = ktype
         self.tower.divisors.append(
             DivisorRecord(exc_name, f"exceptional divisor over {self.tower.label}", triple, ktype)
         )
         self.tower.charts += [model_a, model_b]
-        centred = {name: model_a.history[-1].centred(germ) for name, germ in divisors.items()}
+        shift = dict(zip(model.coords, point))
+        centred = {name: germ.shift(shift) for name, germ in divisors.items()}
         germs_a, mults = self._transform_divisors(centred, model_a, exc_name)
         germs_b, _ = self._transform_divisors(centred, model_b, exc_name)
         self.tower.multiplicities.append(mults)

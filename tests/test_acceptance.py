@@ -159,23 +159,13 @@ def test_criterion_4_total_space_singularities(criterion):
 
 def test_criterion_5_cusp_tower(criterion):
     """The contact tower reproduces the two final charts and the triples."""
-    from fibrant.blowup import (
-        LocalModel,
-        blow_up_point,
-        exceptional_order_triple,
-        pull_back_fibration,
-    )
+    from fibrant.blowup import LocalModel, blow_up_point
 
     model = LocalModel(("s1", "s2"), MultiPoly.variable("s1"), MultiPoly.variable("s2"))
     a1, _ = blow_up_point(model, (0, 0))
-    a1 = pull_back_fibration(a1)
-    t1 = exceptional_order_triple(a1)
     _, b2 = blow_up_point(a1, (0, 0))
-    b2 = pull_back_fibration(b2)
-    t2 = exceptional_order_triple(b2)
     a3, b3 = blow_up_point(b2, (0, 0))
-    a3, b3 = pull_back_fibration(a3), pull_back_fibration(b3)
-    t3 = exceptional_order_triple(a3)
+    t1, t2, t3 = (chart.history[-1].triple for chart in (a1, b2, a3))
 
     ok = (t1.as_tuple(), t2.as_tuple(), t3.as_tuple()) == ((1, 1, 2), (1, 2, 3), (2, 3, 6))
     ok &= [kodaira_classify(t).tag for t in (t1, t2, t3)] == ["II", "III", "I0*"]

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction as F
 from unittest import mock
 
@@ -18,7 +19,6 @@ from fibrant.blowup import (
     BlowupBudgetError,
     LocalModel,
     blow_up_point,
-    exceptional_order_triple,
     pull_back_fibration,
     regularize,
 )
@@ -41,6 +41,13 @@ s2 = MultiPoly.variable("s2")
 
 def cusp_model():
     return LocalModel(("s1", "s2"), s1, s2)
+
+
+def own_triple(model):
+    """The orders of the model's own sections along the exceptional
+    divisor of its last blow-up."""
+    exc = model.history[-1].exceptional_coord()
+    return OrderTriple(*(p.order_in(exc) for p in (model.a, model.b, model.delta())))
 
 
 def step_substitution(step):
@@ -78,11 +85,8 @@ class TestBlowUpPoint:
     def test_three_blowups_reach_the_known_charts(self):
         # origin, then chart A origin, then (that) chart B origin
         a1, _ = blow_up_point(cusp_model(), (0, 0))
-        a1 = pull_back_fibration(a1)
         _, b2 = blow_up_point(a1, (0, 0))
-        b2 = pull_back_fibration(b2)
         a3, b3 = blow_up_point(b2, (0, 0))
-        a3, b3 = pull_back_fibration(a3), pull_back_fibration(b3)
         xa, ya = (MultiPoly.variable(c) for c in a3.coords)
         xb, yb = (MultiPoly.variable(c) for c in b3.coords)
         assert a3.delta() == xa**6 * ya**3 * (1 - 27 * ya)
@@ -92,8 +96,7 @@ class TestBlowUpPoint:
         # blowing up a point off the discriminant: exceptional triple (0,0,0)
         model = cusp_model()
         chart_a, _ = blow_up_point(model, (1, 1))
-        chart_a = pull_back_fibration(chart_a)
-        assert exceptional_order_triple(chart_a).as_tuple() == (0, 0, 0)
+        assert chart_a.history[-1].triple.as_tuple() == (0, 0, 0)
         # the discriminant pulls back through the substitution untouched
         sub = step_substitution(chart_a.history[-1])
         assert chart_a.delta() == compose(model.delta(), sub)
@@ -102,7 +105,7 @@ class TestBlowUpPoint:
 class TestPullBack:
     def test_cusp_tower_needs_no_rescaling(self):
         chart_a, _ = blow_up_point(cusp_model(), (0, 0))
-        assert pull_back_fibration(chart_a).t_record == ()
+        assert chart_a.t_record == ()
 
     def test_rescaling_recorded(self):
         u = MultiPoly.variable("s1")
@@ -113,16 +116,28 @@ class TestPullBack:
         assert normalized.b == (1 - s2)
 
     def test_delta_transform_identity(self):
-        # Delta of the normalized germ times u^(12t) equals the pullback
+        # Delta of the minimal chart times u^(12t) equals the pullback
         model = cusp_model()
-        chart_a, _ = blow_up_point(model, (0, 0))
-        norm = pull_back_fibration(chart_a)
-        sub = step_substitution(chart_a.history[-1])
+        norm, _ = blow_up_point(model, (0, 0))
+        sub = step_substitution(norm.history[-1])
         pulled = compose(model.delta(), sub)
         scale = MultiPoly.const(1)
         for coord, t in norm.t_record:
             scale = scale * MultiPoly.variable(coord) ** (12 * t)
         assert norm.delta() * scale == pulled
+
+    def test_blown_up_charts_are_minimal(self):
+        # (s1^4 + s2^5, s1^6 + s2^7) has the multiplicities (4, 6, 12) at the
+        # origin: each chart divides a, b and Delta by u^4, u^6 and u^12
+        model = LocalModel(("s1", "s2"), s1**4 + s2**5, s1**6 + s2**7)
+        for chart in blow_up_point(model, (0, 0)):
+            step = chart.history[-1]
+            u, sub = MultiPoly.variable(step.exceptional_coord()), step_substitution(step)
+            assert chart.t_record == ((step.exceptional_coord(), 1),)
+            assert chart.a * u**4 == compose(model.a, sub)
+            assert chart.b * u**6 == compose(model.b, sub)
+            assert chart.delta() * u**12 == compose(model.delta(), sub)
+            assert step.triple == own_triple(chart) == OrderTriple(0, 0, 0)
 
 
 class TestCarriedDiscriminant:
@@ -140,6 +155,8 @@ class TestCarriedDiscriminant:
 
     @pytest.mark.parametrize("center", [(0, 0), (1, 1), (F(-2, 3), 0), (0, F(5, 4))])
     def test_raw_charts_against_the_substitution(self, center):
+        # no center gives multiplicities that allow a rescaling, so the
+        # minimal charts are the raw pull-backs
         model = LocalModel(("s1", "s2"), s1**2 * s2 - 3 * s2**3, s1**3 + F(1, 2) * s2)
         for chart in blow_up_point(model, center):
             sub = step_substitution(chart.history[-1])
@@ -153,8 +170,9 @@ class TestChartsOnFirstRead:
     """A chart is built when a, b, Delta or its rescalings are first read,
     and then equals the eager chart: the parent's sections pulled back by
     the substitution oracle and rescaled.  Its exceptional triple is read
-    before that, off the centred parent sections, once per blow-up: both
-    charts of a blow-up give the triple recorded for its divisor."""
+    before that, off the centred parent sections, once per blow-up, and
+    stored on the step of both charts: the eager chart's own sections
+    give the triple recorded for its divisor."""
 
     @pytest.mark.parametrize("site", ["cusp", *sorted(GOLDEN_ANALYZE)])
     def test_every_chart_equals_the_eager_one(self, monkeypatch, site):
@@ -183,18 +201,26 @@ class TestChartsOnFirstRead:
                     step.coords, compose(parent.a, sub), compose(parent.b, sub),
                     chart.history, parent.t_record, compose(parent.delta(), sub),
                 ))
-                triple = exceptional_order_triple(chart)
-                assert triple == tower.divisors[k // 2].triple == exceptional_order_triple(eager)
+                assert step.triple == tower.divisors[k // 2].triple == own_triple(eager)
                 assert chart == eager and chart.pending is None
+
+    def test_copy_of_an_unbuilt_chart_is_the_built_chart(self):
+        # a copy goes through ``LocalModel.__reduce__``, whose fields build
+        # the chart first
+        chart, _ = blow_up_point(cusp_model(), (0, 0))
+        assert chart.pending is not None
+        twin = copy.copy(chart)
+        assert twin is not chart and twin.pending is None and chart.pending is None
+        assert twin == chart == blow_up_point(cusp_model(), (0, 0))[0]
 
     def test_analyze_builds_only_the_charts_it_blows_up(self, monkeypatch):
         # six blow-ups give twelve charts; four of them are blown up again,
-        # and each blow-up reads its exceptional triple once
+        # and each blow-up computes its exceptional triple once
         main(["analyze", "--alpha=101/13"])  # the contact tower, once per process
         build = mock.Mock(wraps=blowup._build_chart)
-        triple = mock.Mock(wraps=blowup.exceptional_order_triple)
+        triple = mock.Mock(wraps=blowup.reduce_triple_mod)
         monkeypatch.setattr(blowup, "_build_chart", build)
-        monkeypatch.setattr(blowup, "exceptional_order_triple", triple)
+        monkeypatch.setattr(blowup, "reduce_triple_mod", triple)
         assert main(["analyze", "--alpha=101/13"]) == 0
         assert (build.call_count, triple.call_count) == (4, 6)
         mod = regularize(build_global_sections(F(101, 13)))
@@ -204,14 +230,11 @@ class TestChartsOnFirstRead:
 class TestExceptionalTriples:
     def test_cusp_tower_triples(self):
         a1, _ = blow_up_point(cusp_model(), (0, 0))
-        a1 = pull_back_fibration(a1)
-        assert exceptional_order_triple(a1).as_tuple() == (1, 1, 2)
+        assert a1.history[-1].triple.as_tuple() == (1, 1, 2)
         _, b2 = blow_up_point(a1, (0, 0))
-        b2 = pull_back_fibration(b2)
-        assert exceptional_order_triple(b2).as_tuple() == (1, 2, 3)
+        assert b2.history[-1].triple.as_tuple() == (1, 2, 3)
         a3, _ = blow_up_point(b2, (0, 0))
-        a3 = pull_back_fibration(a3)
-        assert exceptional_order_triple(a3).as_tuple() == (2, 3, 6)
+        assert a3.history[-1].triple.as_tuple() == (2, 3, 6)
 
 
 class TestHistory:
@@ -506,32 +529,28 @@ class TestRegularizeEdges:
             regularize(fib)
 
     def test_chart_consistency_is_checked(self):
-        # both charts of one blow-up see the same exceptional divisor: their
-        # triples agree, read lazily and again off each built chart
-        a1, b1 = map(pull_back_fibration, blow_up_point(cusp_model(), (0, 0)))
-        ta, tb = exceptional_order_triple(a1), exceptional_order_triple(b1)
+        # both charts of one blow-up see the same exceptional divisor: they
+        # share the triple read before they are built, and each built chart
+        # gives it again off its own sections
+        a1, b1 = blow_up_point(cusp_model(), (0, 0))
         assert a1.pending is not None and b1.pending is not None
-        assert ta.as_tuple() == tb.as_tuple()
-        assert a1.a is not None and b1.a is not None
-        assert exceptional_order_triple(a1).as_tuple() == ta.as_tuple()
-        assert exceptional_order_triple(b1).as_tuple() == tb.as_tuple()
+        assert a1.history[-1].triple is b1.history[-1].triple
+        for chart in (a1, b1):
+            assert own_triple(chart) == chart.history[-1].triple == OrderTriple(1, 1, 2)
 
-    def test_chart_inconsistency_is_not_analyzable(self, monkeypatch):
-        # a lazy triple that the chart's own sections contradict once it is
-        # built: reading the chart refuses it, and the other chart builds
-        chart_a, chart_b = map(pull_back_fibration, blow_up_point(cusp_model(), (0, 0)))
-        lazy = blowup._pending_triple
-
-        def skewed(pending):
-            t = lazy(pending)
-            return OrderTriple(t.L, t.K, t.N + 1) if pending is chart_b.pending else t
-
-        monkeypatch.setattr(blowup, "_pending_triple", skewed)
-        assert exceptional_order_triple(chart_b).as_tuple() == (1, 1, 3)
+    def test_chart_inconsistency_is_not_analyzable(self):
+        # a triple on chart B's step that its own sections contradict once
+        # it is built: reading the chart refuses it, and chart A builds
+        chart_a, chart_b = blow_up_point(cusp_model(), (0, 0))
+        step = chart_b.history[-1]
+        skewed = blowup.BlowupStep(
+            step.center, step.chart, step.parent_coords, step.coords, OrderTriple(1, 1, 3)
+        )
+        chart_b = blowup._chart(chart_b.coords, chart_b.history[:-1] + (skewed,), chart_b.pending)
         with pytest.raises(NotAnalyzableError, match=r"chart inconsistency .*\(1, 1, 3\).*\(1, 1, 2\)"):
             chart_b.a
         assert chart_b.pending is not None
-        assert chart_a.a is not None and exceptional_order_triple(chart_a).as_tuple() == (1, 1, 2)
+        assert chart_a.a is not None and own_triple(chart_a) == chart_a.history[-1].triple
 
 
 class TestContactTowerCache:
@@ -590,6 +609,51 @@ class TestPlantedSites:
             blowup._verify_contact_point(
                 WeierstrassFibration(A1 * A0**3, (A1 * A0 + A2**2) * A0**4), (a1, a2), chart, origin
             )
+
+    def test_nonrational_crossings_must_be_transverse(self):
+        # Q~ (type II) and E1 (type IV) cross on the table, as I0*, at the
+        # simple roots of 2*y1^2 - 1; a squared eliminant is a tangency (from
+        # input: test_nonrational_line_tangency_is_not_analyzable)
+        types, pair = {"Q~": KodairaType("II"), "E1": KodairaType("IV")}, ("Q~", "E1")
+        eliminant = parse("2*y1^2 - 1")
+        record = blowup._crossing_record(types, pair, eliminant, "over p", [parse("y1 + 1")])
+        assert (record.fiber.label, record.count) == ("I0*", 2)
+        with pytest.raises(NotAnalyzableError, match="eliminant 4\\*y1\\^4 .* not squarefree"):
+            blowup._crossing_record(types, pair, eliminant**2, "over p")
+
+    def test_nonrational_crossings_must_miss_a_third_divisor(self):
+        types, pair = {"Q~": KodairaType("II"), "E1": KodairaType("IV")}, ("Q~", "E1")
+        eliminant = parse("2*y1^2 - 1")
+        refused = "non-rational collision of three divisors over p"
+        with pytest.raises(NotAnalyzableError, match=refused):
+            blowup._crossing_record(types, pair, eliminant, "over p", [eliminant * parse("y1 + 1")])
+        # in a tower: two singular divisors with the same non-rational
+        # tangents (``regularize`` has one singular divisor, Q~, but the
+        # driver takes any germs)
+        model = LocalModel(("x", "y"), MultiPoly.variable("x"), MultiPoly.variable("y"))
+        types = {"Q~": KodairaType("I1"), "D": KodairaType("I1"), "D'": KodairaType("I1")}
+        driver = blowup._TowerDriver(blowup.Tower("p", "point"), types)
+        germs = {"Q~": model.delta(), "D": parse("x^2 - 2*y^2"), "D'": parse("x^2 - 2*y^2 + x^3")}
+        with pytest.raises(NotAnalyzableError, match=refused):
+            driver.run(model, germs)
+
+    def test_contact_sections_must_eliminate(self):
+        # the transverse contact of a1 = 0 and a1 + a2 = 0 at the origin is
+        # certified; a section free of the eliminated coordinate a1 is refused
+        chart = AffineChart.standard(0)
+        a1, a2 = (MultiPoly.variable(v) for v in chart.coords)
+        assert blowup._certify_contacts((a1, a1 + a2), chart, [(F(0), F(0))], None) == 1
+        refused = "section divisors do not eliminate"
+        for sections in ((a2, a1), (a1, a2)):
+            with pytest.raises(NotAnalyzableError, match=refused):
+                blowup._certify_contacts(sections, chart, [], None)
+        # from input: a is four lines through (0:1:0)
+        fib = WeierstrassFibration(
+            parse("(A2^2 - A0^2)*(A2^2 - 4*A0^2)"),
+            parse("A0^6 + A1^6 + 2*A2^6 + A0*A1^2*A2^3 + 3*A0^5*A1"),
+        )
+        with pytest.raises(NotAnalyzableError, match=refused):
+            regularize(fib)
 
     def test_line_crossings(self):
         fib = WeierstrassFibration(

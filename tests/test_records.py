@@ -33,7 +33,7 @@ HASHABLE_VALUES = [
         ((KodairaType("I1"), KodairaType("I2")), DualGraph.cycle(1, 1, 1), "I3", "I3", "none"),
     ),
     (TotalSpaceSingularity, ((F(5, 16), F(0), F(1)), (F(1), F(0), F(-1)))),
-    (BlowupStep, ((F(0), F(1, 3)), "A", ("x", "y"), ("x1", "y1"))),
+    (BlowupStep, ((F(0), F(1, 3)), "A", ("x", "y"), ("x1", "y1"), OrderTriple(1, 1, 2))),
 ]
 # MultiPoly is unhashable, so a LocalModel hashes like its tuple of fields: not at all.
 VALUES = HASHABLE_VALUES + [(LocalModel, (("x", "y"), parse("x^2 + y"), parse("x - 3*y^3")))]
