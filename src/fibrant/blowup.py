@@ -280,24 +280,26 @@ class Tower(Record):
 
     ``kind`` is "contact" (of the section divisors) or "point", with the
     projective center ``point``; ``count`` identical copies (the cluster
-    size); ``charts`` holds the final LocalModels; ``multiplicities``
-    holds, for each blown-up center in blow-up order, the multiplicity
-    there of every divisor germ through it, {name: m}.  The lists are
-    copied."""
+    size); ``divisors`` holds one exceptional divisor per blow-up;
+    ``charts`` holds the final LocalModels; ``multiplicities`` holds, for
+    each blown-up center in blow-up order, the multiplicity there of
+    every divisor germ through it, {name: m}.  The lists are copied."""
 
     __slots__ = (
-        "label", "kind", "point", "count", "blow_ups", "divisors", "collisions", "charts",
-        "multiplicities",
+        "label", "kind", "point", "count", "divisors", "collisions", "charts", "multiplicities",
     )
 
     def __init__(
-        self, label: str, kind: str, point=None, count=1, blow_ups=0,
+        self, label: str, kind: str, point=None, count=1,
         divisors=(), collisions=(), charts=(), multiplicities=(),
     ):
         self.label, self.kind, self.point, self.count = label, kind, point, count
-        self.blow_ups, self.divisors = blow_ups, list(divisors)
-        self.collisions, self.charts = list(collisions), list(charts)
-        self.multiplicities = list(multiplicities)
+        self.divisors, self.collisions = list(divisors), list(collisions)
+        self.charts, self.multiplicities = list(charts), list(multiplicities)
+
+    @property
+    def blow_ups(self) -> int:
+        return len(self.divisors)
 
     def contact_order(self, first: str, second: str) -> int:
         """The intersection number of two divisors over the center, by
@@ -327,21 +329,27 @@ class BaseModification(Record):
 
     ``singular_points`` are the certified rational singular points of
     the reduced discriminant, normalized projective triples in the order
-    they were certified; ``residual_degree`` is the degree of the reduced
-    residual curve, 0 if none.  The lists are copied."""
+    they were certified; ``equations`` holds the homogeneous equation of
+    each discriminant component by name.  The lists and the dict are
+    copied."""
 
     __slots__ = (
         "component_divisors", "towers", "node_collisions", "notes", "singular_points",
-        "residual_degree",
+        "equations",
     )
 
     def __init__(
         self, component_divisors=(), towers=(), node_collisions=(), notes=(),
-        singular_points=(), residual_degree: int = 0,
+        singular_points=(), equations=(),
     ):
         self.component_divisors, self.towers = list(component_divisors), list(towers)
         self.node_collisions, self.notes = list(node_collisions), list(notes)
-        self.singular_points, self.residual_degree = list(singular_points), residual_degree
+        self.singular_points, self.equations = list(singular_points), dict(equations)
+
+    @property
+    def residual_degree(self) -> int:
+        """The degree of the reduced residual curve ``Q~``, 0 if none."""
+        return self.equations["Q~"].total_degree() if "Q~" in self.equations else 0
 
     def record_singular_point(self, point):
         key = normalize_projective(point)
@@ -407,8 +415,7 @@ class _TowerDriver:
                 f"center {self.tower.label}: blow-up budget exceeded at chart "
                 f"{model.coords}, germ {format_poly(model.delta())[:120]}"
             )
-        self.tower.blow_ups += 1
-        exc_name = f"E{self.tower.blow_ups}"
+        exc_name = f"E{self.tower.blow_ups + 1}"
         model_a, model_b = blow_up_point(model, point)
         triple = model_a.history[-1].triple
         ktype = kodaira_classify(triple)
@@ -515,13 +522,6 @@ def _crossing_record(types, pair, eliminant, site, others=(), where=""):
     )
 
 
-def _classify_product(product, point, coords):
-    """'smooth', 'node', or 'blow' for the reduced union of local branches,
-    given as the polynomial ``product``, at the rational ``point`` of the
-    chart ``coords``: the rule of ``_classify_jet`` on its 2-jet there."""
-    return _classify_jet(two_jet_at(product, coords, point))
-
-
 def _classify_jet(jet):
     """'smooth', 'node', or 'blow' for a curve through the point whose
     2-jet, c10 x + c01 y + c20 x^2 + c11 x y + c02 y^2, is ``jet`` up to a
@@ -566,14 +566,13 @@ def regularize(fib: WeierstrassFibration) -> BaseModification:
 
 
 class _Regularizer:
-    """One run of ``regularize``: the fibration, the discriminant
-    components (homogeneous equation and Kodaira type by name) and the
-    registry being built."""
+    """One run of ``regularize``: the fibration, the Kodaira type of each
+    discriminant component by name and the registry being built, which
+    keeps the components' equations."""
 
     def __init__(self, fib):
         self.fib = fib
         self.mod = BaseModification()
-        self.equations = {}
         self.types = {}
 
     def run(self) -> BaseModification:
@@ -587,7 +586,6 @@ class _Regularizer:
             )
         if not residual.is_constant():
             residual = radical(residual)
-            self.mod.residual_degree = residual.total_degree()
             self._add_component(
                 "Q~", residual, f"residual discriminant curve (degree {residual.total_degree()})"
             )
@@ -603,7 +601,7 @@ class _Regularizer:
     def _add_component(self, name, equation, origin):
         triple = order_triple_along(self.fib.a, self.fib.b, self.fib.discriminant(), equation)
         ktype = kodaira_classify(triple)
-        self.equations[name] = equation
+        self.mod.equations[name] = equation
         self.types[name] = ktype
         self.mod.component_divisors.append(DivisorRecord(name, origin, triple, ktype))
 
@@ -651,7 +649,7 @@ class _Regularizer:
         model = LocalModel(chart.coords, a, b, discriminant=delta)
         projective = chart.to_projective(center)
         tower = Tower(f"point ({':'.join(map(str, projective))})", "point", projective)
-        germs = {name: chart.dehomogenize(self.equations[name]).shift(shift) for name in names}
+        germs = {name: chart.dehomogenize(self.mod.equations[name]).shift(shift) for name in names}
         return _TowerDriver(tower, self.types).run(model, germs)
 
     def _residual_singularities(self):
@@ -665,7 +663,7 @@ class _Regularizer:
         singular point, rational or not, must be a transverse contact of
         the section divisors.
         """
-        residual = self.equations["Q~"]
+        residual = self.mod.equations["Q~"]
         _certify_no_singularities_at_infinity(residual)
         chart = AffineChart.standard(0)
         curve = chart.dehomogenize(residual)
@@ -676,7 +674,7 @@ class _Regularizer:
         ]
         contacts = []
         for point in locus.points:
-            if _classify_product(curve, point, chart.coords) == "node":
+            if _classify_jet(two_jet_at(curve, chart.coords, point)) == "node":
                 self._site(chart.to_projective(point), ("Q~",), transverse=True)
                 continue
             self.mod.record_singular_point(chart.to_projective(point))
@@ -691,7 +689,7 @@ class _Regularizer:
 
     def _line_curve_crossings(self, var, line_name):
         """Sites where the line ``var`` = 0 meets the residual curve."""
-        restriction = self.equations["Q~"].at_zero(var)
+        restriction = self.mod.equations["Q~"].at_zero(var)
         # every coordinate line was stripped off Q~, and ``radical`` keeps it so
         assert not restriction.is_zero(), f"{var} divides the residual curve"
         names = (line_name, "Q~")
@@ -808,7 +806,7 @@ def contact_tower(label, types, count=1) -> Tower:
     cached = _contact_tower(types["Q~"])
     origin = f"exceptional divisor over {label}"
     return Tower(
-        label, "contact", count=count, blow_ups=cached.blow_ups,
+        label, "contact", count=count,
         divisors=[DivisorRecord(d.name, origin, d.triple, d.kodaira) for d in cached.divisors],
         collisions=[c.at(c.pair, c.where) for c in cached.collisions],
         charts=cached.charts, multiplicities=[dict(m) for m in cached.multiplicities],

@@ -108,7 +108,7 @@ def analyze_lagrange_family(alpha) -> ClassificationReport:
             divisors.extend(tower_divisors)
             collisions.extend(tower_collisions)
 
-    sing = fib.total_space_singularities(mod.singular_points)
+    sing = fib.total_space_singularities(mod)
 
     notes = list(mod.notes)
     notes.append(

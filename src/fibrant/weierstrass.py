@@ -4,7 +4,8 @@ A fibration is stored as its pair of defining sections: ``a`` of degree 4
 and ``b`` of degree 6 in the homogeneous coordinates (A0, A1, A2), cutting
 out Y^2 Z = 4 X^3 - a X Z^2 - b Z^3 in a projectivized rank-3 bundle.  The
 bundle itself is never materialized: every total-space question is
-answered through the section pair.
+answered through the section pair.  Its singular points are read off
+the sections at what ``blowup.regularize`` certified, with no elimination.
 
 The classification of fibers over smooth points of the reduced
 discriminant is Kodaira's table, keyed by the vanishing orders (L, K, N)
@@ -35,13 +36,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .monodromy import SL2Z
-from .planecurve import (
-    AffineChart,
-    NonReducedCurveError,
-    PROJECTIVE_VARS,
-    normalize_projective,
-    rational_singular_points,
-)
+from .planecurve import PROJECTIVE_VARS
 from .poly import (
     INFINITE_ORDER,
     MultiPoly,
@@ -446,7 +441,9 @@ def check_genericity(alpha: Fraction):
 
 class TotalSpaceSingularity(Value):
     """A singular point (X : Y : Z) of the total space over the base point
-    (A0 : A1 : A2) if isolated, else along the curve ``base_curve`` (text)."""
+    (A0 : A1 : A2) if isolated, else along the curve ``base_curve``, the
+    text "C = 0" of a discriminant component C; a curve's fiber point is
+    always (0:0:1)."""
 
     __slots__ = ("fiber_point", "base_point", "base_curve")
 
@@ -493,114 +490,68 @@ class WeierstrassFibration:
 
     # -- total-space singularities (fiber equation Y^2 Z = 4X^3 - aXZ^2 - bZ^3) --
 
-    def total_space_singularities(self, discriminant_singular_points) -> list:
-        """Singular points of the total space, each with Y = 0 and Z != 0.
+    def total_space_singularities(self, mod) -> list:
+        """Singular points of the total space, each with Y = 0 and Z != 0,
+        read off ``mod``, the ``BaseModification`` that ``blowup.regularize``
+        certified for this fibration, with no elimination.
 
-        Two sources: points with a = b = 0 where the degree-6 divisor is
-        singular carry the singular point (0:0:1); singular points of the
-        discriminant away from both section divisors carry (-3b : 0 : 2a).
-        The latter are taken from ``discriminant_singular_points``, the
-        rational points ``blowup.regularize`` certified (projective triples).
-        Non-isolated loci along shared components are reported as curve
-        markers (detected along the coordinate lines).  A marker covers its
-        whole line, so Sing(b) is searched only in the chart off the first
-        marker line (in all three charts without one), and a singular point
-        of b that is not rational refuses the call only in the searched charts.
+        Over a base point p the total space is singular exactly where the
+        cubic 4X^3 - aX - b has a double root X with X grad a + grad b = 0.
+        If a(p) != 0, that means grad Delta(p) = 0, with X = -3b/2a.  If
+        a(p) = 0, it means X = 0 and grad b(p) = 0; then Delta has
+        multiplicity >= 3 at p, so p is singular on the reduced discriminant
+        or lies on a component with N >= 2.  Hence four rules:
+
+        1. every component with L >= 1 and K >= 2 is a curve of singular
+           points with fiber point (0:0:1);
+        2. a component with L = 0 and N >= 2 (I_n) carries a curve whose
+           fiber point moves: NotAnalyzableError;
+        3. each certified rational singular point of the reduced
+           discriminant off the curves of rule 1 gives (-3b/2a : 0 : 1)
+           where a != 0, and (0:0:1) where a = 0 and the three partials of
+           b vanish;
+        4. a crossing that is not rational (a node collision with no point)
+           on no curve of rule 1 is NotAnalyzableError: the total space is
+           singular there wherever a != 0, and a record lists no such point.
+
+        The contact points that are not rational are transverse zeros of a
+        and b, where grad b != 0, so the total space is smooth over them.
         """
-        results = []
-        marker_lines = []
-        # curve markers: coordinate lines contained in A along which B is singular
-        for i, var in enumerate(PROJECTIVE_VARS):
-            if self.a.order_in(var) >= 1 and self.b.order_in(var) >= 2:
-                marker_lines.append(i)
-                results.append(
-                    TotalSpaceSingularity(
-                        fiber_point=(Fraction(0), Fraction(0), Fraction(1)),
-                        base_point=None,
-                        base_curve=f"{var} = 0",
-                    )
+        origin = (Fraction(0), Fraction(0), Fraction(1))
+        curves, results = {}, []  # the curves of rule 1 by component name
+        for d in mod.component_divisors:
+            L, K, N = d.triple.as_tuple()
+            if L >= 1 and K >= 2:
+                curves[d.name] = mod.equations[d.name]
+                base_curve = f"{format_poly(curves[d.name])} = 0"
+                results.append(TotalSpaceSingularity(origin, None, base_curve))
+            elif L == 0 and N >= 2:
+                raise NotAnalyzableError(
+                    f"the total space is singular along the {d.kodaira.tag} component "
+                    f"{d.name} with a moving fiber point; not certified"
                 )
-
-        def on_marker(pt):
-            return any(pt[i] == 0 for i in marker_lines)
-
-        # isolated points with fiber point (-3b : 0 : 2a): Sing(D) away from A and B
-        for pt in discriminant_singular_points:
-            if on_marker(pt):
-                continue
-            aval = self.a.evaluate(dict(zip(PROJECTIVE_VARS, pt)))
-            bval = self.b.evaluate(dict(zip(PROJECTIVE_VARS, pt)))
-            if aval == 0 or bval == 0:
-                continue
-            results.append(
-                TotalSpaceSingularity(
-                    fiber_point=(Fraction(-3) * bval / (2 * aval), Fraction(0), Fraction(1)),
-                    base_point=pt,
+        for c in mod.node_collisions:
+            if c.point is None and curves.keys().isdisjoint(c.pair):
+                raise NotAnalyzableError(
+                    f"the total space may be singular over the crossings of {c.pair[0]} "
+                    f"and {c.pair[1]}, which are not rational; not certified"
                 )
-            )
-        # isolated points with fiber point (0:0:1): Sing(B) meeting A
-        for pt in self._rational_b_singularities(marker_lines[:1] or range(3)):
-            if on_marker(pt):
+        for pt in mod.singular_points:
+            at = dict(zip(PROJECTIVE_VARS, pt))
+            if any(curve.evaluate(at) == 0 for curve in curves.values()):
                 continue
-            aval = self.a.evaluate(dict(zip(PROJECTIVE_VARS, pt)))
+            aval, bval = self.a.evaluate(at), self.b.evaluate(at)
             if aval != 0:
-                continue
-            results.append(
-                TotalSpaceSingularity(
-                    fiber_point=(Fraction(0), Fraction(0), Fraction(1)),
-                    base_point=pt,
-                )
-            )
+                fiber_point = (Fraction(-3) * bval / (2 * aval), Fraction(0), Fraction(1))
+                results.append(TotalSpaceSingularity(fiber_point, pt))
+            elif all(self.b.derivative(var).evaluate(at) == 0 for var in PROJECTIVE_VARS):
+                results.append(TotalSpaceSingularity(origin, pt))
         return results
 
     def reduced_discriminant(self):
         """(line factors with multiplicity, residual curve) of Delta."""
         orders, residual = strip_coordinate_lines(self.discriminant())
         return list(orders.items()), residual
-
-    def _rational_b_singularities(self, charts):
-        if self.b.is_zero():
-            return []
-        orders, reduced = strip_coordinate_lines(self.b)
-        for var in orders:
-            reduced = reduced * MultiPoly.variable(var)
-        try:
-            points, eliminants = _projective_rational_singular_points(reduced, charts)
-        except NonReducedCurveError as exc:
-            raise NotAnalyzableError(
-                "the degree-6 section has a repeated non-linear factor; "
-                f"its singular locus is not certified: {exc}"
-            ) from exc
-        if eliminants:
-            raise NotAnalyzableError(
-                "the degree-6 section may have singular points that are not rational "
-                f"(eliminant {format_poly(eliminants[0])}); its singular locus is not certified"
-            )
-        return points
-
-
-def _projective_rational_singular_points(curve: MultiPoly, charts=range(3)):
-    """Rational singular points of a reduced plane projective curve in the
-    union of the standard affine ``charts``, and the eliminants those
-    charts leave for candidates that are not rational."""
-    seen = set()
-    points = []
-    eliminants = []
-    for idx in charts:
-        chart = AffineChart.standard(idx)
-        affine = chart.dehomogenize(curve)
-        if affine.is_constant():
-            continue
-        locus = rational_singular_points(affine, chart)
-        if locus.eliminant_squarefree is not None:
-            eliminants.append(locus.eliminant_squarefree)
-        for point in locus.points:
-            key = normalize_projective(chart.to_projective(point))
-            if key in seen:
-                continue
-            seen.add(key)
-            points.append(key)
-    return points, eliminants
 
 
 # -- orders along components and condition-(C) normalization ----------------------

@@ -7,7 +7,7 @@ from typing import NamedTuple
 import pytest
 
 from fibrant import blowup, lagrange, weierstrass
-from fibrant.planecurve import rational_singular_points
+from fibrant.planecurve import AffineChart, normalize_projective, rational_singular_points
 from fibrant.poly import (
     INFINITE_ORDER,
     MultiPoly,
@@ -175,6 +175,31 @@ def evaluate_by_terms(p: MultiPoly, point: dict):
             coeff *= point[v] ** e
         total += coeff
     return total
+
+
+def projective_rational_singular_points(curve: MultiPoly, charts=range(3)):
+    """Rational singular points of a reduced plane projective curve in the
+    union of the standard affine ``charts``, and the eliminants those
+    charts leave for candidates that are not rational (oracle only: the
+    pipeline searches one chart, after certifying the line A0 = 0)."""
+    seen = set()
+    points = []
+    eliminants = []
+    for idx in charts:
+        chart = AffineChart.standard(idx)
+        affine = chart.dehomogenize(curve)
+        if affine.is_constant():
+            continue
+        locus = rational_singular_points(affine, chart)
+        if locus.eliminant_squarefree is not None:
+            eliminants.append(locus.eliminant_squarefree)
+        for point in locus.points:
+            key = normalize_projective(chart.to_projective(point))
+            if key in seen:
+                continue
+            seen.add(key)
+            points.append(key)
+    return points, eliminants
 
 
 class SmoothnessCertificate(NamedTuple):

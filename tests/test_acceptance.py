@@ -139,7 +139,7 @@ def test_criterion_3_tangency_at_010(criterion):
 def test_criterion_4_total_space_singularities(criterion):
     """Two isolated singular points plus the singular curve over A0 = 0."""
     fib = build_global_sections(1)
-    sings = fib.total_space_singularities(regularize(fib).singular_points)
+    sings = fib.total_space_singularities(regularize(fib))
     isolated = {
         (s.fiber_point[0], tuple(s.base_point))
         for s in sings

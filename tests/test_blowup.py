@@ -10,6 +10,7 @@ from conftest import (
     fulton_multiplicity,
     intersection_multiplicity,
     parse,
+    projective_rational_singular_points,
 )
 from hypothesis import example, given, settings, strategies as st
 from test_cli import GOLDEN_ANALYZE
@@ -32,7 +33,6 @@ from fibrant.weierstrass import (
     NotAnalyzableError,
     OrderTriple,
     WeierstrassFibration,
-    _projective_rational_singular_points,
 )
 
 s1 = MultiPoly.variable("s1")
@@ -438,7 +438,8 @@ def test_hessian_node_test_matches_the_classifier(coeffs, cx, cy):
     f = germ.shift({"x": F(-cx), "y": F(-cy)})
     kind = classify_double_point(f, (cx, cy), ("x", "y")).kind
     expected = "node" if kind == "node" else "blow"
-    assert blowup._classify_product(f, (F(cx), F(cy)), ("x", "y")) == expected
+    jet = two_jet_at(f, ("x", "y"), (F(cx), F(cy)))
+    assert blowup._classify_jet(jet) == expected
 
 
 # germs through the origin: terms of degree 1 to 3 with small coefficients
@@ -460,7 +461,7 @@ branch_germs = st.dictionaries(
 @settings(max_examples=120, deadline=None)
 def test_node_rule_on_branch_jets_matches_the_product(germs, px, py):
     """The tower driver's rule on the truncated product of the branch jets
-    decides as ``_classify_product`` on the product of the branches."""
+    decides as the same rule on the 2-jet of the product of the branches."""
     coords, point = ("x", "y"), (px, py)
     branches = [g.shift({"x": -px, "y": -py}) for g in germs if not g.is_zero()]
     if not branches:
@@ -474,7 +475,7 @@ def test_node_rule_on_branch_jets_matches_the_product(germs, px, py):
     # the same 2-jet up to a positive factor
     assert all(product_jet[k] * c > 0 or product_jet[k] == c == 0 for k, c in whole.items())
     assert len({F(product_jet[k], c) for k, c in whole.items() if c}) <= 1
-    assert blowup._classify_jet(product_jet) == blowup._classify_product(product, point, coords)
+    assert blowup._classify_jet(product_jet) == blowup._classify_jet(whole)
 
 
 class TestRegularizeEdges:
@@ -795,7 +796,7 @@ class TestPlantedSites:
             locus = locate(curve, chart)
             nodes = [
                 p for p in locus.points
-                if blowup._classify_product(curve, p, chart.coords) == "node"
+                if blowup._classify_jet(two_jet_at(curve, chart.coords, p)) == "node"
             ]
             return SingularLocus(nodes, locus.eliminant_squarefree)
 
@@ -814,7 +815,7 @@ class TestPlantedSites:
             locus = locate(curve, chart)
             (_, root), = [
                 p for p in locus.points
-                if blowup._classify_product(curve, p, chart.coords) != "node"
+                if blowup._classify_jet(two_jet_at(curve, chart.coords, p)) != "node"
             ]
             shared = MultiPoly.variable(chart.coords[1]) - MultiPoly.const(root)
             return SingularLocus(locus.points, locus.eliminant_squarefree * shared)
@@ -833,7 +834,7 @@ def _three_chart_singular_points(fib):
     reduced = radical(residual)
     for var, _ in lines:
         reduced = reduced * MultiPoly.variable(var)
-    return reduced, _projective_rational_singular_points(reduced)[0]
+    return reduced, projective_rational_singular_points(reduced)[0]
 
 
 class TestRecordedSingularPoints:

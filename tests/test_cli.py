@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fibrant
-from fibrant import blowup, cli, lagrange, poly, upoly
+from fibrant import blowup, cli, lagrange, planecurve, poly, upoly, weierstrass
 from fibrant.cli import main
 from fibrant.lagrange import build_global_sections
 from fibrant.planecurve import AffineChart, rational_singular_points
@@ -470,7 +470,8 @@ class TestGoldenOutput:
         chart = AffineChart.standard(0)
         residual = chart.dehomogenize(poly.radical(fib.reduced_discriminant()[1]))
         points = rational_singular_points(residual, chart).points
-        kinds = [blowup._classify_product(residual, p, chart.coords) for p in points]
+        jets = [poly.two_jet_at(residual, chart.coords, p) for p in points]
+        kinds = [blowup._classify_jet(jet) for jet in jets]
         nodes = [c for c in blowup.regularize(fib).node_collisions if c.pair == ("Q~", "Q~")]
         assert (sorted(kinds), len(nodes)) == (["blow", "node", "node"], 2)
 
@@ -538,6 +539,44 @@ class TestGoldenOutput:
         assert counts["list prs"] == 0
         assert any(variables == 2 for variables, _ in chains)
         assert all(calls == variables for variables, calls in chains)
+
+    @pytest.mark.parametrize("alpha", ["1", "19/2", "12345/678"])
+    def test_singular_points_are_searched_once(self, run, monkeypatch, alpha):
+        """One ``analyze`` searches the rational singular points of a curve
+        once, on the residual, and the total-space step takes no resultant:
+        it reads its points off the certified modification.  A second
+        search would leave the output unchanged and only cost time, so it
+        is counted here instead."""
+        counts = {"search": 0, "resultant": 0}
+        in_total_space = [False]
+        search, iresultant = planecurve.rational_singular_points, poly._iresultant
+        total_space = weierstrass.WeierstrassFibration.total_space_singularities
+
+        def searched(*args):
+            counts["search"] += 1
+            return search(*args)
+
+        def counted_resultant(*args):
+            counts["resultant"] += in_total_space[0]
+            return iresultant(*args)
+
+        def total_space_step(fib, mod):
+            in_total_space[0] = True
+            try:
+                return total_space(fib, mod)
+            finally:
+                in_total_space[0] = False
+
+        for module in (planecurve, blowup, weierstrass):
+            if hasattr(module, "rational_singular_points"):
+                monkeypatch.setattr(module, "rational_singular_points", searched)
+        monkeypatch.setattr(poly, "_iresultant", counted_resultant)
+        monkeypatch.setattr(
+            weierstrass.WeierstrassFibration, "total_space_singularities", total_space_step
+        )
+        code, _, _ = run("analyze", f"--alpha={alpha}")
+        assert code == 0
+        assert counts == {"search": 1, "resultant": 0}
 
     def test_integrals_and_level_are_computed_once(self, run, monkeypatch):
         """One ``bracket-check`` builds H3 once and takes at most 4 x 6

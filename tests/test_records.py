@@ -156,8 +156,11 @@ def test_mutable_defaults_are_fresh_per_record():
     first.divisors.append("E1")
     assert second.divisors == [] and first != second
     mod = BaseModification()
-    assert (mod.towers, mod.notes, mod.residual_degree) == ([], [], 0)
+    assert (mod.towers, mod.notes, mod.equations, mod.residual_degree) == ([], [], {}, 0)
     assert mod.towers is not BaseModification().towers
+    assert mod.equations is not BaseModification().equations
+    mod.equations["Q~"] = parse("A0^5 + A1^5 + A2^5")
+    assert mod.residual_degree == 5 and first.blow_ups == 1
 
 
 def test_repr_names_the_fields():

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import copy
+import functools
 import json
 import pickle
 
@@ -10,13 +11,14 @@ from conftest import (
     j_invariant,
     kodaira_classify_oracle,
     parse,
+    projective_rational_singular_points,
     reduce_triple_mod_oracle,
     to_sympy,
 )
 from hypothesis import given, settings, strategies as st
 
 from fibrant import weierstrass
-from fibrant.blowup import regularize
+from fibrant.blowup import BaseModification, CollisionRecord, DivisorRecord, regularize
 from fibrant.lagrange import build_global_sections
 from fibrant.monodromy import SL2Z
 from fibrant.poly import (
@@ -37,7 +39,6 @@ from fibrant.weierstrass import (
     NotOnListError,
     OrderTriple,
     WeierstrassFibration,
-    _projective_rational_singular_points,
     check_genericity,
     collide,
     kodaira_classify,
@@ -96,8 +97,7 @@ class TestJInvariant:
 
 class TestTotalSpaceSingularities:
     def test_lagrange_alpha1(self, lagrange_fibration):
-        mod = regularize(lagrange_fibration)
-        sings = lagrange_fibration.total_space_singularities(mod.singular_points)
+        sings = lagrange_fibration.total_space_singularities(regularize(lagrange_fibration))
         isolated = {
             (s.fiber_point[0], tuple(s.base_point))
             for s in sings
@@ -111,61 +111,153 @@ class TestTotalSpaceSingularities:
         assert len(curves) == 1
         assert curves[0].base_curve == "A0 = 0"
         assert tuple(curves[0].fiber_point) == (F(0), F(0), F(1))
+        assert all(
+            singular_over(lagrange_fibration, s.base_point, s.fiber_point)
+            for s in sings if s.kind() == "isolated"
+        )
 
     def test_fiber_points_have_y_zero_z_nonzero(self, lagrange_fibration):
-        mod = regularize(lagrange_fibration)
-        for s in lagrange_fibration.total_space_singularities(mod.singular_points):
+        for s in lagrange_fibration.total_space_singularities(regularize(lagrange_fibration)):
             assert s.fiber_point[1] == 0 and s.fiber_point[2] != 0
 
-    def test_smooth_pair_empty(self):
-        # smooth quartic section, zero degree-6 section: discriminant is a
-        # cube of a smooth curve, no isolated singular points
+    def test_smooth_pair_singular_along_the_iii_curve(self):
+        # smooth quartic section, zero degree-6 section: the discriminant is
+        # a^3, one III component, along which X = Y = 0 is singular
         fib = WeierstrassFibration(A0**4 + A1**4 + A2**4, MultiPoly.zero())
-        assert fib.total_space_singularities(regularize(fib).singular_points) == []
+        (curve,) = fib.total_space_singularities(regularize(fib))
+        assert curve.to_json() == {
+            "kind": "curve", "fiber_point": ["0", "0", "1"], "base_curve": "A0^4 + A1^4 + A2^4 = 0",
+        }
+        jacobian = total_space_jacobian(fib, curve.fiber_point)
+        common = functools.reduce(gcd_multivariate, [p for p in jacobian if not p.is_zero()])
+        assert equal_up_to_unit(common, parse(curve.base_curve.removesuffix(" = 0")))
 
     def test_nonrational_singularities_of_b_are_not_dropped(self):
         # A2 = 0 meets the conic factor of b at (1 : +-sqrt(2) : 0), where
-        # a vanishes too: the total space is singular there
+        # a vanishes too: the total space is singular there, and the
+        # modification a report needs is refused
         fib = WeierstrassFibration(
             parse("(A1^2 - 2*A0^2)*(A0^2 + A1*A2 + A2^2)"), parse("(A1^2 - 2*A0^2)*A2^4")
         )
         with pytest.raises(NotAnalyzableError, match="not certified"):
-            fib.total_space_singularities([])
+            regularize(fib)
 
-    @pytest.mark.parametrize("alpha", [F(1), F(7, 3), F(-5, 9), F(101, 13)])
+    @pytest.mark.parametrize("alpha", [
+        F(1), F(7, 3), F(-5, 9), F(101, 13), F(12345, 678), F(1000003, 999983),
+        F(19, 2), F(-9, 8), F(1, 2), F(5, 6), F(-2, 7), F(9, 4),
+    ])
     def test_lagrange_sing_b_matches_three_chart_oracle(self, alpha):
-        # Sing(b) is searched only off the marker line A0 = 0
+        # the premise of rule 3: every singular point of b where a vanishes
+        # lies on the curve A0 = 0 or among the certified singular points
         fib = build_global_sections(alpha)
-        oracle, eliminants = _projective_rational_singular_points(_reduced_b(fib))
+        oracle, eliminants = projective_rational_singular_points(_reduced_b(fib))
         assert eliminants == [] and (0, 1, 0) in oracle
-        assert fib._rational_b_singularities([0]) == [pt for pt in oracle if pt[0] != 0]
+        singular_points = regularize(fib).singular_points
+        for pt in oracle:
+            if fib.a.evaluate(dict(zip(VARS, pt))) == 0:
+                assert pt[0] == 0 or pt in singular_points
 
     def test_sing_b_off_a_marker_line(self):
         # b = A1^3 C for a nodal cubic C with its node at (0:1:0), where a
-        # vanishes, and rational crossings with the marker line A1 = 0
+        # vanishes, and rational crossings with the line A1 = 0
         fib = WeierstrassFibration(A1 * A0**3, A1**3 * parse("A1*(A0^2 - A2^2) + A0*A2*(A0 + 2*A2)"))
-        oracle, eliminants = _projective_rational_singular_points(_reduced_b(fib))
-        assert eliminants == [] and len(oracle) == 4
-        off_marker = fib._rational_b_singularities([1])
-        assert off_marker == [pt for pt in oracle if pt[1] != 0] == [(0, 1, 0)]
-        assert [s.to_json() for s in fib.total_space_singularities([])] == MARKED_NODE
+        with pytest.raises(NotAnalyzableError, match="singular on the line A0 = 0"):
+            regularize(fib)
 
-    def test_nonrational_sing_b_on_a_marker_line_is_covered(self):
-        # C also meets the marker line A1 = 0 where A0^2 - A0 A2 + A2^2 = 0:
-        # singular points of b that are not rational, but the curve marker
-        # covers them, so the call is not refused
+    def test_nonrational_sing_b_on_a_marker_line_refused(self):
+        # C also meets the line A1 = 0 where A0^2 - A0 A2 + A2^2 = 0
         fib = WeierstrassFibration(A1 * A0**3, A1**3 * parse("A1*(A0^2 - A2^2) + A0^3 + A2^3"))
-        reduced = _reduced_b(fib)
-        assert _projective_rational_singular_points(reduced)[1] != []
-        assert _projective_rational_singular_points(reduced, [1])[1] == []
-        assert [s.to_json() for s in fib.total_space_singularities([])] == MARKED_NODE
+        with pytest.raises(NotAnalyzableError, match="singular on the line A0 = 0"):
+            regularize(fib)
+
+    # Hand-built modifications, one per rule of the method's docstring.
+
+    def test_rule_1_components_with_l_1_and_k_2_are_curves(self):
+        # a III conic C: a = C A0^2, b = C^2 A0^2; a point of C is no
+        # isolated singular point, though a, b and grad b vanish there
+        conic = parse("A0^2 + A1^2 - A2^2")
+        fib = WeierstrassFibration(conic * A0**2, conic**2 * A0**2)
+        mod = _modification(fib, {"Q~": conic}, singular_points=[(F(1), F(0), F(1))])
+        assert mod.component_divisors[0].kodaira.tag == "III"
+        assert [s.to_json() for s in fib.total_space_singularities(mod)] == [
+            {"kind": "curve", "fiber_point": ["0", "0", "1"], "base_curve": "A0^2 + A1^2 - A2^2 = 0"},
+        ]
+        jacobian = total_space_jacobian(fib, (0, 0, 1))
+        common = functools.reduce(gcd_multivariate, [p for p in jacobian if not p.is_zero()])
+        assert equal_up_to_unit(gcd_multivariate(common, conic), conic)
+
+    def test_rule_2_an_i_n_component_is_refused(self):
+        # a = 3 A0^4, b = A0^6 + C^3: an I3 conic C, over which the double
+        # root X = -3b/2a of the cubic is singular and is not (0:0:1)
+        conic = parse("A1^2 - A0*A2")
+        fib = WeierstrassFibration(3 * A0**4, A0**6 + conic**3)
+        mod = _modification(fib, {"Q~": conic})
+        assert mod.component_divisors[0].kodaira.tag == "I3"
+        with pytest.raises(NotAnalyzableError, match="I3 component Q~ with a moving fiber point"):
+            fib.total_space_singularities(mod)
+        for pt in [(1, 0, 0), (1, 1, 1), (1, 2, 4)]:
+            assert singular_over(fib, pt, (F(-1, 2), 0, 1))
+            assert not singular_over(fib, pt, (0, 0, 1))
+
+    def test_rule_3_points_read_off_the_sections(self):
+        # at (0:0:1) a != 0 and grad Delta = 0; at (1:0:0) a = 0 and grad b
+        # = 0; at (1:-243:3) a = b = 0 but grad b != 0
+        fib = WeierstrassFibration(A1 * A0**3 + 3 * A2**4, A1 * A2 * A0**4 + A2**6)
+        points = [(F(0), F(0), F(1)), (F(1), F(0), F(0)), (F(1), F(-243), F(3))]
+        sings = fib.total_space_singularities(_modification(fib, {}, singular_points=points))
+        assert [(s.fiber_point, s.base_point) for s in sings] == [
+            ((F(-1, 2), 0, 1), points[0]),
+            ((0, 0, 1), points[1]),
+        ]
+        for s in sings:
+            assert singular_over(fib, s.base_point, s.fiber_point)
+        assert fib.a.evaluate(dict(zip(VARS, points[2]))) == 0
+        assert not singular_over(fib, points[2], (0, 0, 1))
+
+    def test_rule_4_an_uncovered_nonrational_crossing_is_refused(self):
+        # b = A0^6 + A1 A0^3 (A2^2 - 2 A0^2) and a = 3 A0^4: the I1 line
+        # A1 = 0 meets the residual at (1 : 0 : +-sqrt(2)), where a != 0
+        fib = WeierstrassFibration(3 * A0**4, A0**6 + A1 * A0**3 * parse("A2^2 - 2*A0^2"))
+        crossing = CollisionRecord(
+            ("L~(A1)", "Q~"), None, None, collide(KodairaType("I1"), KodairaType("I1")),
+            2, parse("A2^2 - 2"), "crossing on the discriminant",
+        )
+        mod = _modification(fib, {"L~(A1)": A1}, node_collisions=[crossing])
+        assert mod.component_divisors[0].kodaira.tag == "I1"
+        with pytest.raises(NotAnalyzableError, match="crossings of L~\\(A1\\) and Q~"):
+            fib.total_space_singularities(mod)
+        # on a curve of rule 1 the crossings are covered
+        mod.component_divisors[0].triple = OrderTriple(1, 2, 3)
+        assert [s.kind() for s in fib.total_space_singularities(mod)] == ["curve"]
 
 
-# Total-space singularities of both planted fibrations with the marker A1 = 0.
-MARKED_NODE = [
-    {"kind": "curve", "fiber_point": ["0", "0", "1"], "base_curve": "A1 = 0"},
-    {"kind": "isolated", "fiber_point": ["0", "0", "1"], "base_point": ["0", "1", "0"]},
-]
+VARS = ("A0", "A1", "A2")
+
+
+def _modification(fib, equations, **fields):
+    """A modification with the components ``equations`` of ``fib``, each
+    with its own order triple and Kodaira type, and the other ``fields``."""
+    divisors = []
+    for name, equation in equations.items():
+        triple = order_triple_along(fib.a, fib.b, fib.discriminant(), equation)
+        divisors.append(DivisorRecord(name, "planted", triple, kodaira_classify(triple)))
+    return BaseModification(divisors, equations=equations, **fields)
+
+
+def total_space_jacobian(fib, fiber_point):
+    """Y^2 Z - 4 X^3 + a X Z^2 + b Z^3 and its six partials at the fiber
+    point (X : Y : Z), as polynomials on the base (oracle only)."""
+    X, Y, Z = (MultiPoly.variable(v) for v in "XYZ")
+    w = Y**2 * Z - 4 * X**3 + fib.a * X * Z**2 + fib.b * Z**3
+    at = dict(zip("XYZ", map(F, fiber_point)))
+    return [p.substitute(at) for p in [w, *(w.derivative(v) for v in ("X", "Y", "Z", *VARS))]]
+
+
+def singular_over(fib, base_point, fiber_point) -> bool:
+    """Whether the total space is singular at the fiber point over the
+    base point, by its Jacobian (oracle only)."""
+    at = dict(zip(VARS, map(F, base_point)))
+    return all(p.substitute(at).is_zero() for p in total_space_jacobian(fib, fiber_point))
 
 
 def _reduced_b(fib):
