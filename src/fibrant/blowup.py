@@ -85,7 +85,6 @@ from .weierstrass import (
     NotOnListError,
     OrderTriple,
     WeierstrassFibration,
-    check_genericity,
     collide,
     kodaira_classify,
     normalize_condition_C,
@@ -560,8 +559,6 @@ def regularize(fib: WeierstrassFibration) -> BaseModification:
     node whose colliding fiber pair is on the collision table, and
     returns the full divisor/collision registry.
     """
-    if fib.alpha is not None:
-        check_genericity(fib.alpha)
     return _Regularizer(fib).run()
 
 
@@ -727,7 +724,9 @@ class _Regularizer:
 
 
 def _certify_no_singularities_at_infinity(residual):
-    """Prove that the residual curve is smooth along the line A0 = 0."""
+    """Prove that the residual curve is smooth along the line A0 = 0.  A
+    curve singular anywhere on that line is refused, even at rational
+    points another chart could certify: only the chart A0 = 1 is searched."""
     g = gcd_all(residual.derivative(var).at_zero("A0") for var in PROJECTIVE_VARS)
     # by Euler's identity d Q = sum A_i dQ/dA_i, g divides Q at A0 = 0, which
     # is not zero, A0 being stripped: so g is not zero either, and its zeros

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .poly import MultiPoly, poisson_brackets
 from .record import Value
-from .weierstrass import WeierstrassFibration
+from .weierstrass import WeierstrassFibration, check_genericity
 
 GAMMA_VARS = ("G1", "G2", "G3")
 MOMENTUM_VARS = ("M1", "M2", "M3")
@@ -109,10 +109,11 @@ def build_global_sections(alpha) -> WeierstrassFibration:
 
     The degree-4 section restricts on the affine chart A0 != 0 to g2 and
     the degree-6 one to g3 (in the coordinates a1 = A1/A0, a2 = A2/A0).
+    Refuses alpha in {0, 4, -4} by ``check_genericity``.
     """
-    alpha = Fraction(alpha)
+    alpha = check_genericity(alpha)
     phi, psi = (t.substitute({"alpha": alpha}) for t in _section_templates())
-    return WeierstrassFibration(phi, psi, alpha=alpha)
+    return WeierstrassFibration(phi, psi)
 
 
 @functools.cache

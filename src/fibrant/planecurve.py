@@ -1,8 +1,11 @@
 """Singularity analysis of plane algebraic curves in affine charts.
 
-Rational singular points are located by resultant elimination plus exact
-rational-root extraction; non-rational singular points are never located
-numerically, only certified through eliminant polynomials.  What kind of
+A reduced curve is split into its lines of constant y, its lines of
+constant x and a core; its singular points lie where two of the three meet
+or on Sing(core).  One locate step serves each of these sites: the rational
+roots of an eliminant in y, then the rational roots in x of the site's
+polynomials at each of them.  Non-rational singular points are never
+located numerically, only certified through one eliminant.  What kind of
 singular point each is, is read by the blow-up driver from the integer
 2-jet there (``poly.two_jet_at``).
 """
@@ -86,106 +89,57 @@ def rational_singular_points(f: MultiPoly, chart: AffineChart) -> SingularLocus:
     that are not rational are accounted for by a squarefree eliminant in
     the second chart coordinate whose roots include their second
     coordinates; they are never located numerically.
+
+    The reduced f is h(y) v(x) core, with h and v its contents in x and y,
+    pairwise coprime.  Lines of one direction are smooth and parallel, so
+    the solutions lie on four sites: Sing(core), h & v, h & core and
+    v & core.  Each site is a list of polynomials with those common zeros
+    and an eliminant in y: ``_singular_eliminant`` for the core, and for a
+    pair (g, k), g when it is free of x, else Res_x(g, k).  The eliminant
+    lies in the elimination ideal, so each common zero has its y among its
+    roots (Cox, Little, O'Shea, Ideals, Varieties, and Algorithms, ch. 3).
     """
     x, y = chart.coords
     if f.is_zero():
         raise ValueError("zero polynomial is not a curve")
-    fx = f.derivative(x)
-    fy = f.derivative(y)
+    fx, fy = f.derivative(x), f.derivative(y)
     common = gcd_all((f, fx, fy))
     if not common.is_constant():
         raise NonReducedCurveError(
             "curve has a repeated component (gcd with gradient is "
             f"{format_poly(common)}); reduce the input first"
         )
-
-    candidates = set()
-
-    # Components that are lines of constant x or constant y show up as
-    # contents; their crossings with the rest are singular points of f.
-    content_x = content_in(f, x)   # polynomial in y only
-    content_y = content_in(f, y)   # polynomial in x only
+    h, v = content_in(f, x), content_in(f, y)
     core = f
-    if not content_x.is_constant():
-        core = exact_divide(core, content_x)
-    if not content_y.is_constant():
-        core = exact_divide(core, content_y)
-
-    eliminant = None
-    if core.degree_in(x) >= 1 and core.degree_in(y) >= 1:
-        eliminant = _singular_eliminant(core, x, y)
-    elif not core.is_constant():
-        # core depends on a single variable; squarefree, so smooth lines
-        eliminant = MultiPoly.const(1)
-
-    line_roots_y, irrational_y = rational_roots(content_x)
-    line_roots_x, irrational_x = rational_roots(content_y)
-    # second coordinates of singular points that are not rational, by the
-    # lines through them: horizontal lines y = c with c irrational meet the
-    # vertical lines and the core, vertical ones x = c meet the horizontal
-    # lines at every root of content_x and the core where Res_x vanishes
-    unlocated = []
-    if not irrational_y.is_constant() and (
-        not content_y.is_constant() or not core.is_constant()
-    ):
-        unlocated.append(irrational_y)
-    if not irrational_x.is_constant():
-        unlocated.append(content_x)
-        if not core.is_constant():
-            unlocated.append(resultant(irrational_x, core, x))
-
-    # line-line crossings
-    for rx, _ in line_roots_x:
-        for ry, _ in line_roots_y:
-            candidates.add((rx, ry))
-
-    leftover = MultiPoly.const(1)
-    if eliminant is not None and not eliminant.is_constant():
-        roots, leftover = rational_roots(radical(eliminant))
-        for root, _ in roots:
-            # locate rational x for this y by intersecting the specializations
-            xs, rest = rational_roots(_singular_locus_over_root(core, fx, fy, y, root))
-            candidates.update((rx, root) for rx, _ in xs)
-            if not rest.is_constant():
-                unlocated.append(MultiPoly.variable(y) - MultiPoly.const(root))
-    if eliminant is not None and eliminant.is_zero():
-        raise NonReducedCurveError("degenerate elimination; reduce the input first")
-
-    # line-core crossings
-    for ry, _ in line_roots_y:
-        xs, rest = rational_roots(core.substitute({y: Fraction(ry)}))
-        candidates.update((rx, ry) for rx, _ in xs)
-        if not rest.is_constant():
-            unlocated.append(MultiPoly.variable(y) - MultiPoly.const(ry))
-    for rx, _ in line_roots_x:
-        ys, rest = rational_roots(core.substitute({x: Fraction(rx)}))
-        candidates.update((rx, ry) for ry, _ in ys)
-        unlocated.append(rest)
-
-    points = [
-        pt for pt in sorted(candidates)
-        if all(p.evaluate({x: pt[0], y: pt[1]}) == 0 for p in (f, fx, fy))
+    if not (h.is_constant() and v.is_constant()):
+        core = exact_divide(f, h * v)
+        fx, fy = core.derivative(x), core.derivative(y)
+    parts = [p for p in (h, v, core) if not p.is_constant()]
+    sites = [
+        ((g, k), g if g.degree_in(x) < 1 else resultant(g, k, x))
+        for i, g in enumerate(parts) for k in parts[i + 1:]
     ]
+    if not core.is_constant():
+        sites.append(((core, fx, fy), _singular_eliminant(core, (fx, fy), x)))
 
-    for part in unlocated:
-        leftover = leftover * part
+    points, leftover = set(), MultiPoly.const(1)
+    for polys, eliminant in sites:
+        roots, rest = rational_roots(radical(eliminant))
+        leftover = leftover * rest
+        for y0, _ in roots:
+            xs, off = rational_roots(gcd_all(p.substitute({y: y0}) for p in polys))
+            points.update((x0, y0) for x0, _ in xs)
+            if not off.is_constant():
+                leftover = leftover * (MultiPoly.variable(y) - y0)
+
     leftover_sf = None
     if not leftover.is_constant():
-        prim, _ = primitive_integer(leftover)
-        leftover_sf, _ = primitive_integer(radical(prim))
-    return SingularLocus(points=points, eliminant_squarefree=leftover_sf)
+        leftover_sf, _ = primitive_integer(radical(leftover))
+    return SingularLocus(points=sorted(points), eliminant_squarefree=leftover_sf)
 
 
-def _singular_eliminant(core: MultiPoly, x: str, y: str) -> MultiPoly:
-    """gcd of the x-resultants of (core, core_x) and (core, core_y)."""
+def _singular_eliminant(core: MultiPoly, partials: tuple, x: str) -> MultiPoly:
+    """gcd of the x-resultants of core with its two partials, never zero:
+    a reduced core of positive degree in x shares no factor with core_x."""
     # a partial of degree 0 in x is free of x already
-    return gcd_all(
-        resultant(core, other, x) if other.degree_in(x) >= 1 else other
-        for other in (core.derivative(x), core.derivative(y))
-    )
-
-
-def _singular_locus_over_root(core, fx, fy, y, root):
-    """Polynomial in x whose roots are the x-coordinates of the singular
-    points with y = root."""
-    return gcd_all(p.substitute({y: Fraction(root)}) for p in (core, fx, fy))
+    return gcd_all(resultant(core, p, x) if p.degree_in(x) >= 1 else p for p in partials)

@@ -468,7 +468,7 @@ class TotalSpaceSingularity(Value):
 class WeierstrassFibration:
     """Sections (a, b) of degrees (4, 6) over the plane, with Delta not 0."""
 
-    def __init__(self, a: MultiPoly, b: MultiPoly, alpha=None):
+    def __init__(self, a: MultiPoly, b: MultiPoly):
         if not a.is_zero() and (not a.is_homogeneous() or a.total_degree() != 4):
             raise ValueError("a must be homogeneous of degree 4 (or zero)")
         if not b.is_zero() and (not b.is_homogeneous() or b.total_degree() != 6):
@@ -481,7 +481,6 @@ class WeierstrassFibration:
             raise ValueError("discriminant a^3 - 27 b^2 vanishes identically")
         self.a = a
         self.b = b
-        self.alpha = None if alpha is None else Fraction(alpha)
         self._delta = delta
 
     def discriminant(self) -> MultiPoly:

@@ -54,9 +54,10 @@ def functions(tree, prefix=""):
             yield from functions(node, f"{prefix}{node.name}.")
 
 
-def executed_lines() -> set:
-    """(file, line) of each line event in the package while it is imported
-    and makes the calls."""
+@contextlib.contextmanager
+def traced():
+    """Yield the set of (file, line) of each line event in the package
+    while the block runs, filled as it runs."""
     files, seen = set(map(str, SOURCES)), set()
 
     def line(frame, event, arg):
@@ -65,19 +66,29 @@ def executed_lines() -> set:
         return line
 
     sys.settrace(lambda frame, event, arg: line if frame.f_code.co_filename in files else None)
-    cli, calls = importlib.import_module("fibrant.cli"), importlib.import_module("test_reach").CALLS
-    for argv in calls + [["analyze", "--alpha", alpha] for alpha in LADDER]:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            with contextlib.suppress(SystemExit):
-                cli.main(argv)
-    sys.settrace(None)
+    try:
+        yield seen
+    finally:
+        sys.settrace(None)
+
+
+def executed_lines() -> set:
+    """(file, line) of each line event in the package while it is imported
+    and makes the calls."""
+    with traced() as seen:
+        cli, calls = importlib.import_module("fibrant.cli"), importlib.import_module("test_reach").CALLS
+        for argv in calls + [["analyze", "--alpha", alpha] for alpha in LADDER]:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                with contextlib.suppress(SystemExit):
+                    cli.main(argv)
     return seen
 
 
-def census() -> dict:
+def census(seen=None) -> dict:
     """{module: {qualified name: (first lines of the statements left
-    unexecuted, number of statements)}}."""
-    seen, report = executed_lines(), {}
+    unexecuted, number of statements)}} for the lines in ``seen``, by
+    default those of ``executed_lines``."""
+    seen, report = executed_lines() if seen is None else seen, {}
     for path in SOURCES:
         hit = {n for f, n in seen if f == str(path)}
         report[path.stem] = {
@@ -87,9 +98,9 @@ def census() -> dict:
     return report
 
 
-def main():
+def main(seen=None):
     sums = {}
-    for module, table in census().items():
+    for module, table in census(seen).items():
         for name, (missed, count) in table.items():
             if missed:
                 print(f"{module}.{name}: {len(missed)} of {count}, lines {missed}")

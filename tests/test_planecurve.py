@@ -1,6 +1,9 @@
+import functools
+import operator
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from conftest import (
     classify_double_point,
@@ -29,6 +32,24 @@ def nonrational_count(locus):
     if locus.eliminant_squarefree is None:
         return 0
     return locus.eliminant_squarefree.total_degree()
+
+
+def _lines(var):
+    """Up to two lines var = c, or pairs (var - c)^2 = d with d no square."""
+    rational = st.integers(-3, 3).map(lambda c: var - c)
+    pair = st.tuples(st.integers(-2, 2), st.sampled_from([2, 3, 5, -1]))
+    irrational = pair.map(lambda cd: (var - cd[0]) ** 2 - cd[1])
+    return st.lists(st.one_of(rational, irrational), max_size=2)
+
+
+def _curve(degree):
+    """A random curve of degree at most ``degree`` with small coefficients."""
+    exponents = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(exponents), max_size=len(exponents))
+    return coeffs.map(lambda cs: MultiPoly(("x", "y"), dict(zip(exponents, cs))))
+
+
+CORES = st.one_of(st.just(MultiPoly.const(1)), _curve(2), _curve(3))
 
 
 U0 = AffineChart.standard(0)
@@ -98,6 +119,52 @@ class TestRationalSingularPoints:
         assert solutions
         for sol in solutions:
             assert sympy.simplify(elim.subs(y, sol[y])) == 0
+
+
+# no shrink phase: one Groebner basis of a planted curve takes up to 0.4 s
+@settings(max_examples=10, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(horizontal=_lines(MultiPoly.variable("y")), vertical=_lines(MultiPoly.variable("x")), core=CORES)
+@example(horizontal=[parse("y - 1")], vertical=[parse("x - 2")], core=MultiPoly.const(1))
+@example(horizontal=[parse("y")], vertical=[parse("x^2 - 2")], core=MultiPoly.const(1))
+@example(horizontal=[parse("y^2 - 2")], vertical=[parse("x - 1")], core=parse("x^2 + y^2 - 5"))
+def test_planted_singular_points_against_groebner_oracle(horizontal, vertical, core):
+    """Lines of constant y and x, rational or not, times a conic or cubic:
+    the points are the rational solutions of f = f_x = f_y = 0, and the
+    eliminant is squarefree, vanishes at the y of every other solution and
+    has a rational root only where such a solution has a rational y.  The
+    oracle projects with sympy's lex Groebner basis (grevlex, then FGLM),
+    whose last element generates the elimination ideal in y."""
+    sympy = pytest.importorskip("sympy")
+    f = functools.reduce(operator.mul, horizontal + vertical, core)
+    x, y = sympy.symbols("x y")
+    system = [to_sympy(sympy, p) for p in (f, f.derivative("x"), f.derivative("y"))]
+    assume(not f.is_zero() and all(m == 1 for _, m in sympy.sqf_list(system[0])[1]))
+    locus = rational_singular_points(f, AffineChart(0, ("x", "y")))
+
+    points, elsewhere, irrational_y = [], set(), []
+    basis = sympy.groebner(system, x, y, order="grevlex")
+    if not basis.exprs[-1].is_number:
+        basis = basis.fglm("lex")
+        for factor, _ in sympy.factor_list(basis.exprs[-1], y)[1]:
+            if sympy.degree(factor, y) > 1:
+                irrational_y.append(factor)
+                continue
+            y0 = sympy.solve(factor, y)[0]
+            over = sympy.gcd_list([p.subs(y, y0) for p in system])
+            for piece, _ in sympy.factor_list(over, x)[1]:
+                if sympy.degree(piece, x) == 1:
+                    points.append((F(str(sympy.solve(piece, x)[0])), F(str(y0))))
+                else:
+                    elsewhere.add(F(str(y0)))
+    assert locus.points == sorted(points)
+    if locus.eliminant_squarefree is None:
+        assert not elsewhere and not irrational_y
+        return
+    assert is_squarefree(locus.eliminant_squarefree)
+    elim = to_sympy(sympy, locus.eliminant_squarefree)
+    assert all(sympy.rem(elim, factor, y) == 0 for factor in irrational_y)
+    roots = sympy.Poly(elim, y).ground_roots() if elim.has(y) else {}
+    assert {F(str(r)) for r in roots} == elsewhere
 
 
 class TestClassifyDoublePoint:
