@@ -33,6 +33,7 @@ from .miranda import analyze_lagrange_family
 from .monodromy import (
     STANDARD_CUSP_PARTNER,
     T,
+    conjugates_of_T,
     normalize_pair,
     solve_cusp_relation,
     solve_node_relation,
@@ -59,8 +60,9 @@ class InputError(ValueError):
 # a Kodaira type I_n has n components, so a larger index is rejected.
 MAX_COMPONENTS = 10_000
 
-# The largest ``monodromy --bound``: the solvers walk about (2B)^2 matrices
-# with entries bounded by B, so a larger bound is rejected.
+# The largest ``monodromy --bound``: the walk makes about B^2/3
+# divisibility tests for the matrices with entries bounded by B, so a
+# larger bound is rejected.
 MAX_BOUND = 1000
 
 # The largest ``sample-fiber --count``: 10 000 points take about 1 s and
@@ -373,8 +375,9 @@ def cmd_sample_fiber(args) -> int:
 def cmd_monodromy(args) -> int:
     if not 0 <= args.bound <= MAX_BOUND:
         raise InputError(f"--bound must be in 0..{MAX_BOUND}, got {quote_tag(str(args.bound))}")
-    node = solve_node_relation(T, args.bound)
-    cusp = solve_cusp_relation(T, args.bound)
+    candidates = conjugates_of_T(args.bound)
+    node = solve_node_relation(T, candidates)
+    cusp = solve_cusp_relation(T, candidates)
     normal_forms = sorted({str(normalize_pair(b).to_json()) for b in cusp})
     b0 = STANDARD_CUSP_PARTNER
     _emit(

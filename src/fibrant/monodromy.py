@@ -4,11 +4,13 @@ Around a node of the branch curve the two local monodromy matrices
 commute; around a cusp they satisfy the braid relation ABA = BAB.  Both
 relations are solved exhaustively over matrices with bounded entries
 that are conjugate to T = [[1,1],[0,1]], which is the monodromy of a
-fiber with one vanishing cycle.  The solvers walk only the trace-2
-matrices [[p, q], [r, 2-p]], of determinant 1 when qr = -(p-1)^2.
-Conjugacy to T is decided by its closed form, so only the solvers take
-a bound; they are exact, and solutions of the braid relation normalize
-under the centralizer of T to the single representative [[1,0],[-1,1]].
+fiber with one vanishing cycle.  One walk per call lists those matrices:
+the trace-2 matrices [[p, q], [r, 2-p]], of determinant 1 when
+qr = -(p-1)^2, so off p = 1 it visits only the divisor pairs of
+(p-1)^2.  Conjugacy to T is decided by its closed form, and both solvers
+filter the walk's list by their relation; they are exact, and solutions
+of the braid relation normalize under the centralizer of T to the single
+representative [[1,0],[-1,1]].
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import gcd
 
 from .record import Record, Value
 
-_set = object.__setattr__  # faster than Value._store; the solvers build an SL2Z per matrix
+_set = object.__setattr__  # faster than Value._store; the walk builds an SL2Z per matrix
 
 
 class NotUnimodularError(ValueError):
@@ -88,35 +90,41 @@ def is_conjugate_to_T(m: SL2Z) -> bool:
     return gcd(m.a - 1, m.b, m.c, m.d - 1) == 1
 
 
-def _bounded_conjugates_of_T(bound: int):
+def conjugates_of_T(bound: int) -> list:
     """The matrices with entries bounded by ``bound`` that are conjugate to
-    T, in lexicographic order of their entries."""
-    for p in range(max(-bound, 2 - bound), bound + 1):
-        square = (p - 1) ** 2
-        for q in range(-bound, bound + 1):
-            if q:
-                rs = () if square % q else (-square // q,)
-            else:
-                rs = () if square else range(-bound, bound + 1)
-            for r in rs:
-                if abs(r) <= bound:
-                    m = SL2Z(p, q, r, 2 - p)
-                    if is_conjugate_to_T(m):
-                        yield m
+    T, in lexicographic order of their entries.
+
+    Off the row p = 1 a trace-2 matrix [[p, q], [r, 2-p]] has determinant 1
+    exactly when q r = -(p-1)^2, so q = ±d for the divisors d of (p-1)^2
+    with (p-1)^2 / bound <= d <= bound, and only those pairs are visited.
+    The divisors at most |p-1| are found by trial, the others as their
+    cofactors.
+    """
+    found = []
+    for p in range(2 - bound, bound + 1):  # so that |2 - p| <= bound too
+        k = abs(p - 1)
+        square = k * k
+        if square:
+            low = [d for d in range(-(-square // bound), k + 1) if not square % d]
+            ds = low + [square // d for d in reversed(low[:-1])]  # low ends at k
+            pairs = [(-d, square // d) for d in reversed(ds)] + [(d, -square // d) for d in ds]
+        else:
+            span = range(-bound, bound + 1)
+            pairs = [(q, r) for q in span for r in ((0,) if q else span)]
+        found += [m for q, r in pairs if is_conjugate_to_T(m := SL2Z(p, q, r, 2 - p))]
+    return found
 
 
-def solve_node_relation(a: SL2Z, bound: int) -> list:
-    """All bounded B conjugate to T with A B = B A."""
-    return [b for b in _bounded_conjugates_of_T(bound) if a * b == b * a]
+def solve_node_relation(a: SL2Z, candidates: list) -> list:
+    """The candidates B with A B = B A: over ``conjugates_of_T(bound)``,
+    all bounded B conjugate to T that commute with A."""
+    return [b for b in candidates if a * b == b * a]
 
 
-def solve_cusp_relation(a: SL2Z, bound: int) -> list:
-    """All bounded B != A conjugate to T with A B A = B A B; B = A
-    satisfies the relation trivially."""
-    return [
-        b for b in _bounded_conjugates_of_T(bound)
-        if b != a and a * b * a == b * a * b
-    ]
+def solve_cusp_relation(a: SL2Z, candidates: list) -> list:
+    """The candidates B != A with A B A = B A B, from the same walk as
+    ``solve_node_relation``; B = A satisfies the relation trivially."""
+    return [b for b in candidates if b != a and a * b * a == b * a * b]
 
 
 class NotInFamilyError(ValueError):

@@ -24,6 +24,7 @@ from fibrant.miranda import analyze_lagrange_family
 from fibrant.monodromy import (
     STANDARD_CUSP_PARTNER,
     T,
+    conjugates_of_T,
     normalize_pair,
     solve_cusp_relation,
     solve_node_relation,
@@ -306,11 +307,11 @@ def test_criterion_10_monodromy(criterion):
     """Node solver returns {A}; braid solutions normalize; bound-stable."""
     start = time.time()
     b0 = STANDARD_CUSP_PARTNER
-    ok = solve_node_relation(T, 10) == [T]
-    ok &= solve_node_relation(T, 25) == [T]
+    ok = solve_node_relation(T, conjugates_of_T(10)) == [T]
+    ok &= solve_node_relation(T, conjugates_of_T(25)) == [T]
 
-    sols10 = solve_cusp_relation(T, 10)
-    sols25 = solve_cusp_relation(T, 25)
+    sols10 = solve_cusp_relation(T, conjugates_of_T(10))
+    sols25 = solve_cusp_relation(T, conjugates_of_T(25))
     ok &= all(normalize_pair(b) == b0 for b in sols10)
     ok &= all(normalize_pair(b) == b0 for b in sols25)
     ok &= {normalize_pair(b) for b in sols10} == {normalize_pair(b) for b in sols25}

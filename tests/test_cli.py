@@ -20,6 +20,7 @@ import fibrant
 from fibrant import blowup, cli, lagrange, planecurve, poly, upoly, weierstrass
 from fibrant.cli import main
 from fibrant.lagrange import build_global_sections
+from fibrant.monodromy import SL2Z, T
 from fibrant.planecurve import AffineChart, rational_singular_points
 from fibrant.weierstrass import KodairaType, OrderTriple, kodaira_classify
 
@@ -204,11 +205,23 @@ _ORDERS = st.one_of(
 )
 
 
+_BOUNDS = st.one_of(
+    st.integers(-5, cli.MAX_BOUND + 10).map(str),
+    st.builds(
+        lambda sign, n: sign + n,
+        st.sampled_from(["", "-", "+"]),
+        decimal_near(sys.int_info.default_max_str_digits),
+    ),
+    st.sampled_from(["", " 7 ", "1_0", "٣", "1.5", "inf", "0x10", "x" * 300]),
+    st.text(max_size=30),
+)
+
+
 class TestContract:
-    """README's contract for ``collide`` and ``classify-triple``: exit 0
-    with JSON, exit 1 with one ``error:`` line, or exit 2 with one
-    ``rejected:`` line or argparse's usage and error line; stderr under
-    200 bytes and no traceback."""
+    """README's contract for ``collide``, ``classify-triple`` and
+    ``monodromy``: exit 0 with JSON, exit 1 with one ``error:`` line, or
+    exit 2 with one ``rejected:`` line or argparse's usage and error line;
+    stderr under 200 bytes and no traceback."""
 
     @staticmethod
     def check(code, out, err):
@@ -257,6 +270,27 @@ class TestContract:
             least = kodaira.minimal_triple().as_tuple()
             assert all(m <= r for m, r in zip(least, payload["reduced"]))
             assert payload["kodaira"]["components"] == kodaira.component_count()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_BOUNDS)
+    @example("-1")
+    @example("0")
+    @example(str(cli.MAX_BOUND))
+    @example(str(cli.MAX_BOUND + 1))
+    @example("1" * 5000)
+    def test_monodromy(self, bound):
+        # ``--bound=VALUE`` as one token, so a value starting with "-" is no option
+        payload = self.check(*call_in_process("monodromy", f"--bound={bound}"))
+        if payload is not None:
+            b = payload["bound"]
+            assert b == int(bound) and 0 <= b <= cli.MAX_BOUND
+            assert payload["node_solutions"] == ([[[1, 1], [0, 1]]] if b else [])
+            for entries in payload["cusp_solutions"]:
+                assert all(abs(e) <= b for row in entries for e in row)
+                m = SL2Z(*entries[0], *entries[1])
+                assert T * m * T == m * T * m
+            if payload["cusp_solutions"]:
+                assert payload["cusp_normal_forms"] == ["[[1, 0], [-1, 1]]"]
 
 
 class TestAnalyze:
@@ -384,6 +418,11 @@ GOLDEN_MONODROMY = {
     38: "97fe76714db66e26",
     39: "02513910e51d389b",
     40: "a781d68e8122fea6",
+    # pinned before the walk visited only the divisor pairs of (p - 1)^2:
+    # wide bounds, where it skips the most of the old scan, the cap included
+    100: "e4d59f57e97872a4",
+    333: "c43e7d3204d8a830",
+    1000: "defdc37d09947646",
 }
 # Pinned before the bracket and the sampler stopped recomputing the
 # integrals and the level: the `bracket-check` stdout at the 110 m = p/q

@@ -6,8 +6,8 @@ from fibrant.monodromy import (
     SL2Z,
     STANDARD_CUSP_PARTNER,
     T,
-    _bounded_conjugates_of_T,
     build_presentation,
+    conjugates_of_T,
     is_conjugate_to_T,
     normalize_pair,
     solve_cusp_relation,
@@ -150,52 +150,65 @@ class TestConjugacyOracle:
 
 class TestBoundedConjugates:
     """The trace-2 walk yields what filtering every bounded matrix of
-    SL(2,Z) by conjugacy to T yields, in the same order."""
+    SL(2,Z) by conjugacy to T yields, in the same order, and the solvers
+    over it return what filtering them by each relation returns."""
 
-    @pytest.mark.parametrize("bound", [*range(13), 20, 25, 33])
+    BOUNDS = [*range(13), 20, 25, 33]
+
+    @pytest.mark.parametrize("bound", BOUNDS)
     def test_equals_filtered_enumeration(self, bound):
         expected = [m for m in _bounded_unimodular(bound) if is_conjugate_to_T(m)]
-        assert list(_bounded_conjugates_of_T(bound)) == expected
+        assert conjugates_of_T(bound) == expected
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_solvers_equal_filtered_enumeration(self, bound):
+        conjugates = [m for m in _bounded_unimodular(bound) if is_conjugate_to_T(m)]
+        node = [b for b in conjugates if T * b == b * T]
+        cusp = [b for b in conjugates if b != T and T * b * T == b * T * b]
+        candidates = conjugates_of_T(bound)
+        assert solve_node_relation(T, candidates) == node
+        assert solve_cusp_relation(T, candidates) == cusp
 
 
 class TestNodeRelation:
     def test_exactly_t(self):
-        assert solve_node_relation(T, 10) == [T]
+        assert solve_node_relation(T, conjugates_of_T(10)) == [T]
 
     def test_conjugate_symmetric(self):
-        assert solve_node_relation(B0, 10) == [B0]
+        assert solve_node_relation(B0, conjugates_of_T(10)) == [B0]
 
     def test_tiny_bound(self):
-        assert solve_node_relation(T, 1) == [T]
+        assert solve_node_relation(T, conjugates_of_T(1)) == [T]
 
     def test_bound_stable(self):
-        assert solve_node_relation(T, 25) == solve_node_relation(T, 10)
+        wide, narrow = conjugates_of_T(25), conjugates_of_T(10)
+        assert solve_node_relation(T, wide) == solve_node_relation(T, narrow)
 
 
 class TestCuspRelation:
     def test_family_members(self):
-        found = solve_cusp_relation(T, 10)
+        found = solve_cusp_relation(T, conjugates_of_T(10))
         assert B0 in found
         assert SL2Z(2, 1, -1, 0) in found
         for b in found:
             assert (T * b).trace() == 1
 
     def test_defining_relation_holds(self):
-        for b in solve_cusp_relation(T, 10):
+        for b in solve_cusp_relation(T, conjugates_of_T(10)):
             assert T * b * T == b * T * b
 
     def test_distinct_flag(self):
         # B = A satisfies the braid relation trivially and is left out
-        found = solve_cusp_relation(T, 10)
+        found = solve_cusp_relation(T, conjugates_of_T(10))
         assert T not in found and B0 in found
 
     def test_all_normalize_to_standard_partner(self):
-        for b in solve_cusp_relation(T, 25):
+        for b in solve_cusp_relation(T, conjugates_of_T(25)):
             assert normalize_pair(b) == B0
 
     def test_bound_monotone_normal_forms(self):
-        forms10 = {normalize_pair(b) for b in solve_cusp_relation(T, 10)}
-        forms25 = {normalize_pair(b) for b in solve_cusp_relation(T, 25)}
+        forms10 = {normalize_pair(b) for b in solve_cusp_relation(T, conjugates_of_T(10))}
+        forms25 = {normalize_pair(b) for b in solve_cusp_relation(T, conjugates_of_T(25))}
         assert forms10 == forms25 == {B0}
 
 
